@@ -23,9 +23,15 @@ Field encodings: ``int`` 4-byte big-endian signed, ``float`` 8-byte IEEE,
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 
 from repro.errors import SerializationError
-from repro.objects.instance import LinkEntry, ReplicaEntry, StoredObject
+from repro.objects.instance import (
+    LinkEntry,
+    ReplicaEntry,
+    StoredObject,
+    _default_for,
+)
 from repro.objects.registry import TypeRegistry
 from repro.objects.types import FieldKind, TypeDefinition
 from repro.storage.constants import OBJECT_HEADER_BYTES
@@ -70,13 +76,49 @@ def encode_object(registry: TypeRegistry, obj: StoredObject) -> bytes:
     return b"".join(parts)
 
 
-def decode_object(registry: TypeRegistry, data: bytes) -> StoredObject:
-    """Deserialise an object; the type is resolved through its tag."""
+def decode_object(registry: TypeRegistry, data: bytes,
+                  fields=None) -> StoredObject:
+    """Deserialise an object; the type is resolved through its tag.
+
+    With ``fields`` (a collection of field names) only those values are
+    built and the link/replica entries are skipped: a read-only projection
+    for the query executor, never to be written back.  The record is
+    validated against the type's layout either way, so a projection raises
+    the same :class:`SerializationError` a full decode would for a
+    truncated record or trailing bytes.
+    """
     if len(data) < OBJECT_HEADER_BYTES:
         raise SerializationError(f"object record truncated ({len(data)} bytes)")
     tag, n_links, n_replicas = _HEADER.unpack_from(data, 0)
     type_def = registry.by_tag(tag)
     pos = OBJECT_HEADER_BYTES
+    base = (pos + n_links * _LINK_ENTRY_BYTES
+            + n_replicas * _REPLICA_ENTRY_BYTES)
+    # Schema evolution: a record may predate a type widening (e.g. a
+    # replication path added hidden fields) and end early, but only at a
+    # field boundary; absent trailing fields read as their kind defaults.
+    offsets = type_def.offsets
+    present = len(data) - base
+    if present < 0:
+        raise SerializationError(f"object record truncated ({len(data)} bytes)")
+    if present > offsets[-1]:
+        raise SerializationError(
+            f"object of type {type_def.name!r}: "
+            f"{present - offsets[-1]} trailing bytes")
+    if present < offsets[-1]:
+        cut = bisect_right(offsets, present) - 1
+        if offsets[cut] != present:
+            raise SerializationError(
+                f"field {type_def.fields[cut].name!r} truncated")
+    layout = type_def.layout
+    values: dict[str, object] = {}
+    for name in (layout if fields is None else fields):
+        if name in layout:
+            fdef, offset = layout[name]
+            values[name] = (_decode_value(fdef, data, base + offset)
+                            if offset < present else _default_for(fdef.kind))
+    if fields is not None:
+        return StoredObject.trusted(type_def, values, [], [])
     links = []
     for __ in range(n_links):
         oid = OID.unpack(data, pos)
@@ -90,20 +132,7 @@ def decode_object(registry: TypeRegistry, data: bytes) -> StoredObject:
         path_id = data[pos + 12]
         replicas.append(ReplicaEntry(oid, refcount, path_id))
         pos += _REPLICA_ENTRY_BYTES
-    values: dict[str, object] = {}
-    for fdef in type_def.fields:
-        if pos == len(data):
-            # Schema evolution: the record predates a type widening (e.g. a
-            # replication path added hidden fields).  Trailing absent fields
-            # decode to their kind defaults; a cut *inside* a field is still
-            # an error.
-            break
-        values[fdef.name], pos = _decode_value(fdef, data, pos)
-    if pos != len(data):
-        raise SerializationError(
-            f"object of type {type_def.name!r}: {len(data) - pos} trailing bytes"
-        )
-    return StoredObject(type_def, values, links, replicas)
+    return StoredObject.trusted(type_def, values, links, replicas)
 
 
 def peek_type_tag(data: bytes) -> int:
@@ -135,15 +164,14 @@ def _encode_value(fdef, value) -> bytes:
 
 
 def _decode_value(fdef, data: bytes, pos: int):
+    """The value of ``fdef`` at ``pos``; the caller has checked that the
+    whole field lies inside ``data``."""
     kind = fdef.kind
-    end = pos + fdef.width
-    if end > len(data):
-        raise SerializationError(f"field {fdef.name!r} truncated")
     if kind is FieldKind.INT:
-        return _INT.unpack_from(data, pos)[0], end
+        return _INT.unpack_from(data, pos)[0]
     if kind is FieldKind.FLOAT:
-        return _FLOAT.unpack_from(data, pos)[0], end
+        return _FLOAT.unpack_from(data, pos)[0]
     if kind is FieldKind.CHAR:
-        return data[pos:end].rstrip(b"\x00").decode("utf-8"), end
+        return data[pos:pos + fdef.size].rstrip(b"\x00").decode("utf-8")
     oid = OID.unpack(data, pos)
-    return (None if oid == NULL_OID else oid), end
+    return None if oid == NULL_OID else oid

@@ -71,6 +71,21 @@ class StoredObject:
     def __post_init__(self) -> None:
         self._validate()
 
+    @classmethod
+    def trusted(cls, type_def: TypeDefinition, values: dict,
+                link_entries: list, replica_entries: list) -> "StoredObject":
+        """Build an object without validating ``values`` -- for the
+        decoder, whose values come off a record laid out by ``type_def``
+        (validating each of them again cost as much as decoding them).
+        ``values`` may be a projection: fields left out stay absent
+        rather than reading as defaults."""
+        obj = cls.__new__(cls)
+        obj.type_def = type_def
+        obj.values = values
+        obj.link_entries = link_entries
+        obj.replica_entries = replica_entries
+        return obj
+
     def _validate(self) -> None:
         for f in self.type_def.fields:
             if f.name not in self.values:

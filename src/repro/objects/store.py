@@ -17,6 +17,7 @@ from repro.objects.registry import TypeRegistry
 from repro.storage.heapfile import HeapFile
 from repro.storage.manager import StorageManager
 from repro.storage.oid import OID
+from repro.storage.page import Page
 
 
 class ObjectStore:
@@ -33,19 +34,24 @@ class ObjectStore:
         rid = heap.insert(encode_object(self.registry, obj))
         return OID(heap.file_id, rid[0], rid[1])
 
-    def read(self, oid: OID) -> StoredObject:
+    def read(self, oid: OID, page: Page | None = None,
+             fields=None) -> StoredObject:
         """Dereference an OID.
 
         Raises :class:`DanglingReferenceError` when the OID does not name a
         live object -- the error a functional join would surface on a
-        violated reference.
+        violated reference.  ``page`` is the OID's home page when the
+        caller already holds it pinned (no pin is taken then); ``fields``
+        projects the decode (see :func:`decode_object`).
         """
         heap = self.storage.file_by_id(oid.file_id)
+        rid = (oid.page_no, oid.slot)
         try:
-            raw = heap.read((oid.page_no, oid.slot))
+            raw = heap.read(rid) if page is None \
+                else heap.read_pinned(page, rid)
         except RecordNotFoundError:
             raise DanglingReferenceError(f"dangling reference {oid}") from None
-        return decode_object(self.registry, raw)
+        return decode_object(self.registry, raw, fields)
 
     def update(self, oid: OID, obj: StoredObject) -> None:
         """Overwrite the object at ``oid`` (relocation is transparent)."""
@@ -68,17 +74,19 @@ class ObjectStore:
         heap = self.storage.file_by_id(oid.file_id)
         return heap.exists((oid.page_no, oid.slot))
 
-    def read_many(self, oids) -> dict[OID, StoredObject]:
+    def read_many(self, oids, fields=None) -> dict[OID, StoredObject]:
         """Resolve many OIDs in one ordered sweep (the batched join's hop).
 
         The probe list is sorted by ``(file_id, page_no, slot)`` and
         deduplicated -- each distinct object is read exactly once, in page
-        order, so a page is touched once per sweep instead of once per
+        order, so a page is pinned once per sweep instead of once per
         referencer.  Duplicates avoided are charged to the shared
         ``batch_dedup_saved`` counter.  Page runs are group-fetched
-        (pinned) through :meth:`BufferPool.fetch_many` so records relocated
-        by forward stubs cannot evict the run mid-sweep; tiny pools skip
-        the pinning rather than starve other fetches.
+        (pinned) through :meth:`BufferPool.fetch_many` and every record of
+        a run is decoded straight from its pinned page; records relocated
+        by forward stubs (or chunked) pin what else they need and cannot
+        evict the run mid-sweep.  Tiny pools skip the pinning rather than
+        starve other fetches.  ``fields`` projects the decode.
         """
         probes = list(oids)
         unique = sorted(set(probes),
@@ -104,18 +112,21 @@ class ObjectStore:
             group = pool.fetch_many(pages) if run_pages >= 1 else {}
             try:
                 for oid in run:
-                    out[oid] = self.read(oid)
+                    out[oid] = self.read(
+                        oid, group.get((oid.file_id, oid.page_no)), fields)
             finally:
                 pool.unpin_many(group)
         return out
 
     # -- scans ------------------------------------------------------------
 
-    def scan(self, heap: HeapFile,
-             readahead: int = 0) -> Iterator[tuple[OID, StoredObject]]:
-        """Yield ``(oid, object)`` in physical order."""
+    def scan(self, heap: HeapFile, readahead: int = 0,
+             fields=None) -> Iterator[tuple[OID, StoredObject]]:
+        """Yield ``(oid, object)`` in physical order (``fields`` projects
+        the decode)."""
         for rid, raw in heap.scan(readahead=readahead):
-            yield OID(heap.file_id, rid[0], rid[1]), decode_object(self.registry, raw)
+            yield (OID(heap.file_id, rid[0], rid[1]),
+                   decode_object(self.registry, raw, fields))
 
     # -- path navigation ----------------------------------------------------
 

@@ -106,7 +106,11 @@ class TypeDefinition:
     #: Name of the base type when this type was derived by subtyping
     #: (replication's hidden-field widening); None for root types.
     base: str | None = None
-    _by_name: dict[str, FieldDef] = field(init=False, repr=False, compare=False, default=None)
+    #: where each field starts within a record's value section (with the
+    #: section's total width as a last element), and field name ->
+    #: (definition, start) in field order: lookups and the decoder's tables
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    layout: dict[str, tuple[FieldDef, int]] = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, name: str, fields, base: str | None = None) -> None:
         if not name.isidentifier():
@@ -122,14 +126,19 @@ class TypeDefinition:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_by_name", {f.name: f for f in fields})
+        offsets = [0]
+        for f in fields:
+            offsets.append(offsets[-1] + f.width)
+        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "layout", {
+            f.name: (f, offset) for f, offset in zip(fields, offsets)})
 
     # -- lookup ---------------------------------------------------------
 
     def field_def(self, name: str) -> FieldDef:
         """Return the definition of field ``name``."""
         try:
-            return self._by_name[name]
+            return self.layout[name][0]
         except KeyError:
             from repro.errors import FieldError
 
@@ -137,7 +146,7 @@ class TypeDefinition:
 
     def has_field(self, name: str) -> bool:
         """Whether a field of that name exists (hidden ones included)."""
-        return name in self._by_name
+        return name in self.layout
 
     def visible_fields(self) -> tuple[FieldDef, ...]:
         """Fields users may name in queries (non-hidden)."""
@@ -156,7 +165,7 @@ class TypeDefinition:
     @property
     def data_width(self) -> int:
         """Total on-disk width of the field values (excluding headers)."""
-        return sum(f.width for f in self.fields)
+        return self.offsets[-1]
 
     # -- subtyping --------------------------------------------------------
 

@@ -7,9 +7,11 @@ access path in batches of :attr:`Database.join_batch_rows` rows, extract
 each hop level's next-hop OIDs, sort them by ``(file_id, page_no, slot)``,
 dedupe, resolve the whole level with one ordered sweep
 (:meth:`ObjectStore.read_many`), and fan the values back to their rows --
-so each target page is touched at most once per batch and the sweep reads
-the file in physical order.  File scans additionally opt into heap-page
-read-ahead sized to the buffer pool.
+so each target page is pinned once per batch and the sweep reads the file
+in physical order.  File scans additionally opt into heap-page read-ahead
+sized to the buffer pool.  Every object is decoded only as far as the plan
+reads it: the scanned set's objects carry :func:`scanned_fields`, a hop
+level's objects the one field that level needs.
 
 Row order, row values, and raised errors match the naive executor exactly
 (parity is tested over the full query corpus); only the physical I/O
@@ -76,14 +78,16 @@ def iter_batches(db, plan: RetrievePlan, meter: Meter | None = None,
 
 
 def _raw_rows(db, plan: RetrievePlan):
-    """Unfiltered ``(oid, obj)`` rows in access order.
+    """Unfiltered ``(oid, obj)`` rows in access order, each object a
+    projection on :func:`scanned_fields`.
 
     Index scans are batched too: a window of index-qualified OIDs resolves
     through one ordered sweep, then rows surface in index-key order.
     """
     obj_set = db.catalog.get_set(plan.set_name)
+    fields = scanned_fields(db, plan)
     if isinstance(plan.access, FileScan):
-        yield from obj_set.scan(readahead=scan_readahead(db))
+        yield from obj_set.scan(readahead=scan_readahead(db), fields=fields)
         return
     assert isinstance(plan.access, IndexScan)
     from repro.query.executor import _index_oids
@@ -93,14 +97,53 @@ def _raw_rows(db, plan: RetrievePlan):
         window = list(islice(oids, db.join_batch_rows))
         if not window:
             return
-        objmap = db.store.read_many(window)
+        objmap = db.store.read_many(window, fields)
         for oid in window:
             yield oid, objmap[oid]
+
+
+def scanned_fields(db, plan: RetrievePlan) -> frozenset[str]:
+    """The fields of a scanned object the plan reads: where its fetch
+    steps, sort key, group keys and filter clauses start from."""
+    steps = plan.steps + plan.group_steps
+    if plan.order_step is not None:
+        steps += (plan.order_step,)
+    names = {_start_field(step) for step in steps}
+    if plan.where is not None:
+        names.update(_clause_source(db, plan.set_name, clause.ref)[1]
+                     for clause in plan.where.clauses)
+    return frozenset(names)
+
+
+def _start_field(step) -> str:
+    if isinstance(step, LocalField):
+        return step.field_name
+    if isinstance(step, (HiddenField, HiddenRefJump)):
+        return step.hidden_field
+    if isinstance(step, ReplicaFetch):
+        return step.hidden_ref
+    assert isinstance(step, FunctionalJoin)
+    return step.chain[0]
 
 
 # ---------------------------------------------------------------------------
 # batched filtering (path-valued where clauses)
 # ---------------------------------------------------------------------------
+
+
+def _clause_source(db, set_name: str, ref) -> tuple[str, str]:
+    """How a where-clause reference is answered from a scanned object:
+    ``("field", name)`` read in place (a local field or a value replicated
+    in place), ``("replica", hidden_ref)`` through the separate replica
+    set, or ``("join", first_ref)`` by functional join."""
+    if not ref.chain:
+        return "field", ref.field
+    path = db.catalog.find_path(set_name, ref.chain, ref.field)
+    if path is not None and path.hidden_fields:
+        return "field", path.hidden_field_for(ref.field)
+    if path is not None and path.hidden_ref is not None:
+        return "replica", path.hidden_ref
+    return "join", ref.chain[0]
 
 
 def filter_batch(db, set_name: str, where, batch: list) -> list:
@@ -111,32 +154,30 @@ def filter_batch(db, set_name: str, where, batch: list) -> list:
     resolved for the whole batch in one sweep per distinct path before any
     predicate runs.
     """
-    cache: dict[tuple, list] = {}
+    #: clause ref -> the field to read off each object, or the batch's
+    #: resolved values
+    in_place: dict = {}
+    resolved: dict = {}
     for clause in where.clauses:
         ref = clause.ref
-        key = (ref.chain, ref.field)
-        if not ref.chain or key in cache:
+        if ref in in_place or ref in resolved:
             continue
-        path = db.catalog.find_path(set_name, ref.chain, ref.field)
-        if path is not None and path.hidden_fields:
-            continue  # replicated in place: read per row below, no I/O
-        if path is not None and path.hidden_ref is not None:
-            refs = [obj.values[path.hidden_ref] for __, obj in batch]
-            cache[key] = replica_values(db, refs, ref.field)
+        how, name = _clause_source(db, set_name, ref)
+        if how == "field":
+            in_place[ref] = name
+        elif how == "replica":
+            refs = [obj.values[name] for __, obj in batch]
+            resolved[ref] = replica_values(db, refs, ref.field)
         else:
-            starts = [obj.ref(ref.chain[0]) for __, obj in batch]
-            cache[key] = resolve_chain_values(db, starts, ref.chain[1:],
-                                              ref.field)
+            starts = [obj.ref(name) for __, obj in batch]
+            resolved[ref] = resolve_chain_values(db, starts, ref.chain[1:],
+                                                 ref.field)
     out = []
     for i, (oid, obj) in enumerate(batch):
         def lookup(ref, i=i, obj=obj):
-            if not ref.chain:
-                return obj.values[ref.field]
-            cached = cache.get((ref.chain, ref.field))
-            if cached is not None:
-                return cached[i]
-            path = db.catalog.find_path(set_name, ref.chain, ref.field)
-            return obj.values[path.hidden_field_for(ref.field)]
+            if ref in in_place:
+                return obj.values[in_place[ref]]
+            return resolved[ref][i]
 
         if where.matches(lookup):
             out.append((oid, obj))
@@ -176,7 +217,7 @@ def replica_values(db, refs: list[OID | None], field_name: str,
                    op: OperatorStats | None = None) -> list:
     """Batch-dereference replica refs (separate replication's S' join)."""
     live = [r for r in refs if r is not None]
-    objmap = db.store.read_many(live) if live else {}
+    objmap = db.store.read_many(live, (field_name,)) if live else {}
     if op is not None:
         op.nulls += len(refs) - len(live)
         distinct = len(set(live))
@@ -213,7 +254,8 @@ def resolve_chain_values(db, start_oids: list, chain, field_name: str,
         if op is not None and hop_labels is not None:
             hop = op.child(hop_labels[level])
         mark = meter.begin() if (meter is not None and hop is not None) else None
-        objmap = db.store.read_many(probes)
+        objmap = db.store.read_many(
+            probes, (chain[level] if level < len(chain) else field_name,))
         if mark is not None:
             meter.end(mark, hop)
         if hop is not None:

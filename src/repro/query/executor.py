@@ -9,6 +9,7 @@ I/O has already been charged.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.objects.instance import StoredObject
@@ -55,7 +56,9 @@ class QueryResult:
         return len(self.rows)
 
 
-_output_counter = [0]
+#: names the result files; ``next()`` on it is one atomic step, so two
+#: workers can never draw the same ``__outputN``
+_output_ids = itertools.count(1)
 
 _STEP_KINDS = {
     LocalField: "project",
@@ -199,8 +202,7 @@ def _run_batched(db: Database, plan: RetrievePlan, meter: Meter | None,
             resolve(step, batch, step_ops[idx] if analyze else None)
             for idx, step in enumerate(plan.steps)
         ]
-        for i in range(len(batch)):
-            rows.append(tuple(col[i] for col in columns))
+        rows.extend(zip(*columns))
         if plan.order_step is not None:
             sort_keys.extend(resolve(plan.order_step, batch, order_op))
         if plan.group_steps:
@@ -208,8 +210,7 @@ def _run_batched(db: Database, plan: RetrievePlan, meter: Meter | None,
                 resolve(step, batch, group_ops[idx] if analyze else None)
                 for idx, step in enumerate(plan.group_steps)
             ]
-            for i in range(len(batch)):
-                group_keys.append(tuple(col[i] for col in key_cols))
+            group_keys.extend(zip(*key_cols))
 
 
 def _run_analyzed_scan(db: Database, plan: RetrievePlan, meter: Meter,
@@ -581,14 +582,14 @@ def _materialize(db: Database, rows: list[tuple]) -> None:
     """Write the result into a fresh output file T, then drop it.
 
     Generating T is charged exactly like the model's C_generate/T term;
-    the file itself is temporary.
+    the file itself is temporary.  T is rendered once and appended a page
+    at a time.
     """
-    _output_counter[0] += 1
-    name = f"__output{_output_counter[0]}"
+    name = f"__output{next(_output_ids)}"
     heap = db.storage.create_file(name)
-    for row in rows:
-        record = "\x1f".join(_render(v) for v in row).encode("utf-8")
-        heap.insert(record or b"\x00")
+    heap.insert_many([
+        "\x1f".join([_render(v) for v in row]).encode("utf-8") or b"\x00"
+        for row in rows])
     db.storage.pool.flush_all()
     db.storage.drop_file(name)
 

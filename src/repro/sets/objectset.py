@@ -74,9 +74,11 @@ class ObjectSet:
         """Whether ``oid`` names a live member of this set's file."""
         return oid.file_id == self.file_id and self.store.exists(oid)
 
-    def scan(self, readahead: int = 0) -> Iterator[tuple[OID, StoredObject]]:
-        """Members in physical order (``readahead``: scan prefetch window)."""
-        return self.store.scan(self.heap, readahead=readahead)
+    def scan(self, readahead: int = 0,
+             fields=None) -> Iterator[tuple[OID, StoredObject]]:
+        """Members in physical order (``readahead``: scan prefetch window;
+        ``fields``: decode only these)."""
+        return self.store.scan(self.heap, readahead=readahead, fields=fields)
 
     def count(self) -> int:
         """Number of members (a full scan)."""

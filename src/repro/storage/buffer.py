@@ -33,12 +33,19 @@ Concurrency design (statements now execute in parallel inside one engine):
   an unlatched scan but *revalidated under its latch* before being
   killed -- a frame that got pinned in between is simply skipped.
 
+* dirty frames are also listed in a small **dirty index** (its own leaf
+  mutex), so :meth:`flush_all` costs what is dirty, not what is resident;
+  a key leaves the index only after its write-back succeeded.
+
 Latch ordering (documented in ARCHITECTURE.md): shard lock and frame
-latch are below the admission gate and above the WAL log mutex; no path
-holds a shard lock while waiting on a frame latch, and the only
-frame-latch -> shard-lock edge (eviction's table removal) is safe
-because no thread ever waits on a frame latch while holding a shard
-lock.
+latch are below the admission gate and above the WAL log mutex.  The one
+nesting is frame latch -> shard lock (eviction's table removal, under the
+victim's latch).  It is safe because the reverse never happens: no path
+waits on a frame latch while holding a shard lock --
+:meth:`drop_file_pages`, :meth:`discard_pages` and :meth:`discard_all`
+pop their frames under the shard lock and mark them dead only after
+releasing it.  The dirty-index mutex and the statistics mutex are leaves
+(nothing is acquired under them) and may be taken under a frame latch.
 """
 
 from __future__ import annotations
@@ -46,8 +53,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.errors import BufferPoolError
 from repro.storage.constants import DEFAULT_BUFFER_FRAMES
@@ -82,6 +87,28 @@ class _Frame:
         self.loading: threading.Event | None = None
 
 
+class _PinnedPage:
+    """``with pool.page(fid, pno) as page``: pin on entry, unpin on exit.
+
+    A plain class, not a ``contextlib`` generator: this is the pool's most
+    frequent call site and the generator machinery cost as much as the
+    pin itself.
+    """
+
+    __slots__ = ("_pool", "_file_id", "_page_no")
+
+    def __init__(self, pool: "BufferPool", file_id: int, page_no: int) -> None:
+        self._pool = pool
+        self._file_id = file_id
+        self._page_no = page_no
+
+    def __enter__(self) -> Page:
+        return self._pool.fetch(self._file_id, self._page_no)
+
+    def __exit__(self, *exc_info) -> None:
+        self._pool.unpin(self._file_id, self._page_no)
+
+
 class BufferPool:
     """A fixed-capacity page cache over a :class:`SimulatedDisk`."""
 
@@ -101,6 +128,10 @@ class BufferPool:
         self._shards: list[tuple[threading.Lock, dict[_PageKey, _Frame]]] = [
             (threading.Lock(), {}) for __ in range(_SHARDS)]
         self._clock = itertools.count(1)
+        #: key -> frame for every live dirty frame; guarded by its own
+        #: leaf mutex (see the module docstring)
+        self._dirty: dict[_PageKey, _Frame] = {}
+        self._dirty_lock = threading.Lock()
         metrics = metrics if metrics is not None else NULL_METRICS
         self._m_hits = metrics.counter(
             "bufferpool_hits_total", "page requests served from the pool")
@@ -130,9 +161,10 @@ class BufferPool:
         return self._shards[hash(key) % _SHARDS]
 
     def _lookup(self, key: _PageKey) -> _Frame | None:
-        lock, table = self._shard(key)
-        with lock:
-            return table.get(key)
+        # no shard lock: one dict.get is atomic, and whatever it returns
+        # is revalidated under the frame's latch (the shard locks guard
+        # the check-then-insert / pop sequences, not single reads)
+        return self._shards[hash(key) % _SHARDS][1].get(key)
 
     def _resident(self) -> int:
         # advisory only (capacity checks re-run on races); summing live
@@ -148,10 +180,15 @@ class BufferPool:
         prefer the :meth:`page` context manager.
         """
         key = (file_id, page_no)
-        self.stats.count_logical_read()
+        table = self._shards[hash(key) % _SHARDS][1]
+        stats = self.disk.stats
+        missed = False  # the logical read is counted once, hit or miss
         while True:
-            frame = self._lookup(key)
+            frame = table.get(key)  # lock-free, see _lookup
             if frame is None:
+                if not missed:
+                    stats.count_logical_read()
+                    missed = True
                 page = self._load(key)
                 if page is not None:
                     return page
@@ -163,11 +200,14 @@ class BufferPool:
                 elif frame.loading is not None:
                     wait_for = frame.loading
                 else:
-                    self.stats.count_buffer_hit()
+                    if missed:
+                        stats.count_buffer_hit()
+                    else:
+                        stats.count_hit_pin()
                     self._m_hits.inc()
                     if frame.prefetched:
                         frame.prefetched = False
-                        self.stats.count_prefetch_hit()
+                        stats.count_prefetch_hit()
                         self._m_prefetch_hits.inc()
                     frame.stamp = next(self._clock)
                     if self.wal is not None:
@@ -296,14 +336,9 @@ class BufferPool:
                 loaded += 1
         return loaded
 
-    @contextmanager
-    def page(self, file_id: int, page_no: int) -> Iterator[Page]:
+    def page(self, file_id: int, page_no: int) -> _PinnedPage:
         """Context manager that pins a page for the duration of the block."""
-        page = self.fetch(file_id, page_no)
-        try:
-            yield page
-        finally:
-            self.unpin(file_id, page_no)
+        return _PinnedPage(self, file_id, page_no)
 
     def mark_dirty(self, file_id: int, page_no: int) -> None:
         """Record that the cached image differs from the disk image."""
@@ -311,7 +346,10 @@ class BufferPool:
         if frame is None or frame.dead:
             raise BufferPoolError(f"page ({file_id},{page_no}) is not resident")
         with frame.latch:
-            frame.dirty = True
+            if not frame.dirty:
+                frame.dirty = True
+                with self._dirty_lock:
+                    self._dirty[(file_id, page_no)] = frame
         if self.wal is not None:
             self.wal.observe_dirty((file_id, page_no))
 
@@ -334,56 +372,58 @@ class BufferPool:
         lock, table = self._shard((file_id, page_no))
         with lock:
             table[(file_id, page_no)] = frame
+        with self._dirty_lock:
+            self._dirty[(file_id, page_no)] = frame
         self.stats.count_logical_read()
         self._g_resident.set(self._resident())
         return page_no, frame.page
 
     # -- flushing / eviction ------------------------------------------------
 
-    def _snapshot_frames(self) -> list[tuple[_PageKey, _Frame]]:
-        """All (key, frame) pairs in LRU (ascending-stamp) order --
-        sequentially identical to the old OrderedDict iteration order."""
-        items: list[tuple[_PageKey, _Frame]] = []
-        for lock, table in self._shards:
-            with lock:
-                items.extend(table.items())
-        items.sort(key=lambda kv: kv[1].stamp)
-        return items
+    def _write_back(self, key: _PageKey, frame: _Frame) -> None:
+        """Write one dirty frame to disk; the caller holds its latch."""
+        if self.wal is not None:
+            # per frame, not once per flush: a concurrent statement may
+            # dirty (and log) a page after an earlier force; sequentially
+            # this is one force exactly as before
+            self.wal.before_data_write()
+        with self.waits.wait(BUFFER_IO, "writeback"):
+            self.disk.write_page(key[0], key[1], bytes(frame.page.data))
+        self.stats.count_writeback()
+        self._m_writebacks.inc()
+        frame.dirty = False
+        with self._dirty_lock:
+            if self._dirty.get(key) is frame:
+                del self._dirty[key]
 
     def flush_all(self) -> None:
-        """Write back every dirty frame (frames stay resident)."""
-        for key, frame in self._snapshot_frames():
+        """Write back every dirty frame (frames stay resident), coldest
+        first -- the order a walk over all frames in LRU order gave."""
+        with self._dirty_lock:
+            dirty = list(self._dirty.items())
+        dirty.sort(key=lambda kv: kv[1].stamp)
+        for key, frame in dirty:
             with frame.latch:
-                if frame.dead or not frame.dirty:
-                    continue
-                if self.wal is not None:
-                    # per-frame, not once up front: a concurrent statement
-                    # may dirty (and log) a page after an earlier force;
-                    # sequentially this is one force exactly as before
-                    self.wal.before_data_write()
-                with self.waits.wait(BUFFER_IO, "writeback"):
-                    self.disk.write_page(key[0], key[1],
-                                         bytes(frame.page.data))
-                self.stats.count_writeback()
-                self._m_writebacks.inc()
-                frame.dirty = False
+                if not frame.dead and frame.dirty:
+                    self._write_back(key, frame)
 
     def drop_file_pages(self, file_id: int) -> None:
-        """Discard (without writing back) all frames of a dropped file."""
+        """Discard (without writing back) all frames of a dropped file.
+
+        Call before the disk forgets the file: its page count bounds the
+        keys that can be resident (a frame is only ever created for an
+        allocated page, and rollback discards frames before truncating),
+        so the cost follows the file, not the pool.
+        """
         if self.wal is not None:
             self.wal.observe_drop_file(file_id)
-        for lock, table in self._shards:
-            with lock:
-                doomed = [key for key in table if key[0] == file_id]
-                for key in doomed:
-                    frame = table.pop(key)
-                    with frame.latch:
-                        frame.dead = True
+        self.discard_pages([(file_id, page_no) for page_no
+                            in range(self.disk.num_pages(file_id))])
 
     def invalidate_all(self) -> None:
         """Flush and then empty the pool (simulates a cold cache)."""
         self.flush_all()
-        self._discard_everything()
+        self.discard_all()
 
     def resident_keys(self) -> set[_PageKey]:
         """Keys of all currently cached pages (for tests)."""
@@ -396,8 +436,8 @@ class BufferPool:
     def pinned_keys(self) -> list[_PageKey]:
         """Keys of every frame with a nonzero pin count (debug/regression
         accessor: after a statement completes this must be empty)."""
-        return [key for key, frame in self._snapshot_frames()
-                if frame.pin_count]
+        return [key for __, table in self._shards
+                for key, frame in list(table.items()) if frame.pin_count]
 
     # -- recovery primitives (uncharged) ------------------------------------
 
@@ -409,29 +449,30 @@ class BufferPool:
         return frame.page.data
 
     def discard_pages(self, keys) -> None:
-        """Drop frames without writeback (their disk images were restored)."""
+        """Drop frames without writeback (their disk images were restored,
+        or their file is being dropped)."""
+        keys = list(keys)
+        frames = []
         for key in keys:
             lock, table = self._shard(key)
             with lock:
                 frame = table.pop(key, None)
             if frame is not None:
-                with frame.latch:
-                    frame.dead = True
+                frames.append(frame)
+        with self._dirty_lock:
+            for key in keys:
+                self._dirty.pop(key, None)
+        # only now, holding no shard lock (see the module docstring): the
+        # latch waits out an eviction write-back in flight on the frame
+        for frame in frames:
+            with frame.latch:
+                frame.dead = True
         self._g_resident.set(self._resident())
 
     def discard_all(self) -> None:
         """Empty the pool without writing anything back (a crash loses
         every in-memory frame; recovery rebuilds from disk + log)."""
-        self._discard_everything()
-
-    def _discard_everything(self) -> None:
-        for lock, table in self._shards:
-            with lock:
-                for frame in table.values():
-                    with frame.latch:
-                        frame.dead = True
-                table.clear()
-        self._g_resident.set(self._resident())
+        self.discard_pages(self.resident_keys())
 
     def _make_room(self, protected: set[_PageKey] | None = None,
                    best_effort: bool = False,
@@ -482,17 +523,10 @@ class BufferPool:
             frame.dead = True
             if frame.dirty:
                 try:
-                    if self.wal is not None:
-                        self.wal.before_data_write()
-                    with self.waits.wait(BUFFER_IO, "writeback"):
-                        self.disk.write_page(key[0], key[1],
-                                             bytes(frame.page.data))
+                    self._write_back(key, frame)
                 except BaseException:
                     frame.dead = False  # keep the frame; the fault surfaces
                     raise
-                self.stats.count_writeback()
-                self._m_writebacks.inc()
-                frame.dirty = False
             lock, table = self._shard(key)
             with lock:
                 if table.get(key) is frame:

@@ -14,7 +14,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.constants import DEFAULT_BUFFER_FRAMES
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heapfile import HeapFile
-from repro.storage.stats import IOSnapshot, IOStatistics
+from repro.storage.stats import DROPPED_FILE_ID, IOSnapshot, IOStatistics
 
 
 class StorageManager:
@@ -89,6 +89,7 @@ class StorageManager:
         heap = self.file(name)
         self.pool.drop_file_pages(heap.file_id)
         self.disk.drop_file(heap.file_id)
+        self.stats.fold_dropped_file(heap.file_id)
         del self._files_by_name[name]
         del self._files_by_id[heap.file_id]
         del self._names_by_id[heap.file_id]
@@ -97,6 +98,7 @@ class StorageManager:
         """Delete a raw (non-heap) file, its frames, and its name."""
         self.pool.drop_file_pages(file_id)
         self.disk.drop_file(file_id)
+        self.stats.fold_dropped_file(file_id)
         self._names_by_id.pop(file_id, None)
 
     def file_names(self) -> list[str]:
@@ -113,7 +115,8 @@ class StorageManager:
         """
         out: dict[str, tuple[int, int]] = {}
         for file_id in sorted(snapshot.touched_files()):
-            name = self._names_by_id.get(file_id, f"file{file_id}")
+            name = "(dropped)" if file_id == DROPPED_FILE_ID else \
+                self._names_by_id.get(file_id, f"file{file_id}")
             out[name] = (snapshot.reads_for(file_id), snapshot.writes_for(file_id))
         return out
 

@@ -139,24 +139,25 @@ class Page:
             raise RecordTooLargeError(
                 f"record of {len(record)} bytes exceeds page capacity {MAX_RECORD_BYTES}"
             )
+        length = len(record)
         reuse = self._find_free_slot()
-        need = len(record) + (0 if reuse is not None else SLOT_ENTRY_BYTES)
-        if self.contiguous_free() < need:
+        need = length + (0 if reuse is not None else SLOT_ENTRY_BYTES)
+        num_slots, offset = _HEADER.unpack_from(self.data, 0)
+        if PAGE_SIZE - offset - num_slots * SLOT_ENTRY_BYTES < need:
             if self.total_free() < need:
-                raise PageFullError(f"no room for {len(record)}-byte record")
+                raise PageFullError(f"no room for {length}-byte record")
             self.compact()
-        offset = self.free_offset
-        self.data[offset:offset + len(record)] = record
+            offset = self.free_offset
+        self.data[offset:offset + length] = record
         if reuse is not None:
             slot = reuse
-            self._write_slot(slot, offset, len(record))
-            self._set_header(self.num_slots, offset + len(record))
             self._free_slots -= 1
         else:
-            slot = self.num_slots
-            self._set_header(slot + 1, offset + len(record))
-            self._write_slot(slot, offset, len(record))
-        self._live_bytes += len(record)
+            slot = num_slots
+            num_slots += 1
+        self._set_header(num_slots, offset + length)
+        self._write_slot(slot, offset, length)
+        self._live_bytes += length
         return slot
 
     def read(self, slot: int) -> bytes:

@@ -21,6 +21,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+#: Per-file bucket that inherits the counters of dropped files.  Disk file
+#: ids start at 1, so 0 never names a live file.  Without it every result
+#: file a retrieve creates and drops would leave a key behind for ever and
+#: each statement's snapshot/subtract would grow with statements served.
+DROPPED_FILE_ID = 0
+
 
 def _sub_counts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = dict(a)
@@ -165,6 +171,24 @@ class IOStatistics:
         """Record one fetch served without touching the disk."""
         with self._mutex:
             self.buffer_hits += 1
+
+    def count_hit_pin(self) -> None:
+        """A page request served from the pool: the logical read and the
+        hit in one mutex acquisition (the pool's hot path)."""
+        with self._mutex:
+            self.logical_reads += 1
+            self.buffer_hits += 1
+
+    def fold_dropped_file(self, file_id: int) -> None:
+        """Move a dropped file's per-file counters into the
+        :data:`DROPPED_FILE_ID` bucket, so ``physical_* == sum(per file)``
+        keeps holding while the dicts stay as small as the live files."""
+        with self._mutex:
+            for counts in (self.file_reads, self.file_writes):
+                gone = counts.pop(file_id, 0)
+                if gone:
+                    counts[DROPPED_FILE_ID] = (
+                        counts.get(DROPPED_FILE_ID, 0) + gone)
 
     def count_eviction(self) -> None:
         """Record one buffer frame evicted to make room."""

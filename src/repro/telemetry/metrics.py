@@ -35,6 +35,8 @@ _LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict) -> _LabelKey:
+    if not labels:
+        return ()  # the hot path: engine counters are bumped without labels
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

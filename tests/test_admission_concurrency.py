@@ -18,6 +18,7 @@ timing luck:
   reported success survives recovery, whatever raised rolls back.
 """
 
+import sys
 import threading
 
 import pytest
@@ -193,7 +194,6 @@ def test_buffer_pool_latch_stress_keeps_invariants():
         pool.fetch(fid, pno)
 
     threads, errors = 16, []
-    done = threading.Barrier(threads + 1, timeout=60.0)
 
     def worker(idx):
         try:
@@ -205,15 +205,19 @@ def test_buffer_pool_latch_stress_keeps_invariants():
                         f"torn image for page {pno}"
             if idx % 4 == 0:  # a few read-ahead bursts in the mix
                 pool.prefetch(fid, range(4, 12))
-            done.wait()
         except Exception as exc:  # pragma: no cover - failure detail
             errors.append(repr(exc))
-            done.abort()
 
-    for i in range(threads):
-        threading.Thread(target=worker, args=(i,), daemon=True).start()
-    done.wait()
+    workers = [threading.Thread(target=worker, args=(i,), daemon=True)
+               for i in range(threads)]
+    for thread in workers:
+        thread.start()
+    # join before asserting, so what a worker raised is what the failure
+    # shows
+    for thread in workers:
+        thread.join(timeout=60.0)
     assert errors == []
+    assert not any(thread.is_alive() for thread in workers)
 
     # the long-pinned frames were never evicted (still resident, and
     # their pins are still accounted)
@@ -254,6 +258,119 @@ def test_buffer_pool_never_evicts_concurrently_pinned_frames():
         assert (fid, 0) in resident
         assert (fid, 1) not in resident
     pool.unpin(fid, 0)
+
+
+class _ProbeLatch:
+    """A frame latch that reports when a second thread wants it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.contended = threading.Event()
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self.contended.set()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+def test_evicting_a_frame_of_a_file_being_dropped_cannot_deadlock():
+    """Eviction takes the victim's latch and then its shard lock; dropping
+    the victim's file used to take the shard lock and then the latch.
+    The schedule that deadlocked, step by step: the evictor is inside the
+    victim's write-back (latch held) when the dropper reaches that frame,
+    and only continues once the dropper is waiting for the latch."""
+    disk = SimulatedDisk()
+    file_a, file_b = disk.create_file(), disk.create_file()
+    for pno in range(8):
+        disk.allocate_page(file_a)
+    disk.allocate_page(file_b)
+    pool = BufferPool(disk, capacity=8)
+    for pno in range(8):  # a full pool; (A, 0) is the coldest and dirty
+        with pool.page(file_a, pno):
+            if pno == 0:
+                pool.mark_dirty(file_a, 0)
+    latch = pool._lookup((file_a, 0)).latch = _ProbeLatch()
+
+    in_writeback = threading.Event()
+    write_page = disk.write_page
+    errors = []
+
+    def held_write(file_id, page_no, data):
+        in_writeback.set()
+        if not latch.contended.wait(timeout=10.0):
+            errors.append("the dropper never asked for the victim's latch")
+        write_page(file_id, page_no, data)
+
+    disk.write_page = held_write
+
+    def run(step):
+        try:
+            step()
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(repr(exc))
+
+    def evict():
+        with pool.page(file_b, 0):  # a miss on a full pool evicts (A, 0)
+            pass
+
+    def drop():
+        assert in_writeback.wait(timeout=10.0)
+        pool.drop_file_pages(file_a)
+
+    threads = [threading.Thread(target=run, args=(step,), daemon=True)
+               for step in (evict, drop)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20.0)
+    assert errors == []
+    assert not any(thread.is_alive() for thread in threads), "deadlock"
+    assert pool.resident_keys() == {(file_b, 0)}
+    assert pool.pinned_keys() == []
+    pool.flush_all()  # the dropped file left nothing to write back
+    assert disk.stats.physical_writes == 1
+
+
+def test_concurrent_retrieves_never_share_a_result_file_name(company):
+    """Eight threads, each inside the gate in shared mode as a served
+    read-only statement is, materialise results at once: every result
+    file needs a name of its own (the name used to come from an increment
+    followed by a separate read)."""
+    db = company["db"]
+    gate = EngineGate()
+    errors = []
+
+    def reader():
+        try:
+            for __ in range(200):
+                gate.enter_shared()
+                try:
+                    result = db.execute("retrieve (Emp1.name, Emp1.dept.name)")
+                finally:
+                    gate.exit_shared()
+                assert len(result.rows) == 6
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(repr(exc))
+
+    readers = [threading.Thread(target=reader, daemon=True)
+               for __ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads between any two bytecodes
+    try:
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert not any(thread.is_alive() for thread in readers)
+    assert db.storage.pool.pinned_keys() == []
+    assert db.storage.file_names() == sorted(["Org", "Dept", "Emp1", "Emp2"])
 
 
 # ---------------------------------------------------------------------------

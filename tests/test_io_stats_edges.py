@@ -4,7 +4,7 @@ import pytest
 
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.stats import IOSnapshot, IOStatistics
+from repro.storage.stats import DROPPED_FILE_ID, IOSnapshot, IOStatistics
 
 
 def _snap(**kwargs) -> IOSnapshot:
@@ -135,3 +135,57 @@ def test_measured_delta_attributes_evictions(tiny_pool):
     delta = disk.stats.snapshot() - before
     assert delta.evictions == 1
     assert delta.physical_reads == 3
+
+
+# ---------------------------------------------------------------------------
+# dropped files: their counters fold into one bucket
+# ---------------------------------------------------------------------------
+
+
+def test_fold_dropped_file_keeps_totals_and_shrinks_the_dicts():
+    stats = IOStatistics()
+    for __ in range(2):
+        stats.count_read(3)
+    stats.count_write(3)
+    stats.count_write(4)
+    stats.fold_dropped_file(3)
+    stats.fold_dropped_file(99)  # never counted: nothing to move
+    assert stats.file_reads == {DROPPED_FILE_ID: 2}
+    assert stats.file_writes == {DROPPED_FILE_ID: 1, 4: 1}
+    assert (stats.physical_reads, stats.physical_writes) == (2, 2)
+    stats.count_write(5)
+    stats.fold_dropped_file(5)
+    assert stats.file_writes == {DROPPED_FILE_ID: 2, 4: 1}
+
+
+def test_served_retrieves_leave_no_per_file_counters_behind(company):
+    """Every retrieve creates, writes and drops a result file; its write
+    used to stay in ``file_writes`` under an id of its own for ever, and
+    every later statement copied and subtracted the ever larger dicts."""
+    db = company["db"]
+    query = "retrieve (Emp1.name, Emp1.dept.name)"
+    db.execute(query)
+    after_first = len(db.stats.file_writes)
+    for __ in range(2000):
+        db.execute(query)
+    live_files = len(db.storage.disk.file_ids())
+    assert len(db.stats.file_writes) == after_first <= live_files + 1
+    assert len(db.stats.snapshot().file_writes) == after_first
+    assert len(db.stats.file_reads) <= live_files + 1
+
+    # the statement's own io still reports T's write, and the per-file
+    # counters still add up to the totals
+    db.cold_cache()
+    cost = db.execute(query).io
+    assert cost.writes_for(DROPPED_FILE_ID) == 1 == cost.physical_writes
+    assert cost.physical_reads > 0
+    assert cost.physical_reads == sum(
+        cost.reads_for(f) for f in cost.touched_files())
+    assert cost.physical_writes == sum(
+        cost.writes_for(f) for f in cost.touched_files())
+    breakdown = db.storage.io_breakdown(cost)
+    assert breakdown["(dropped)"] == (0, 1)
+    assert set(breakdown) == {"(dropped)", "Emp1", "Dept"}
+    total = db.stats.snapshot()
+    assert total.physical_writes == sum(total.file_writes.values())
+    assert total.physical_reads == sum(total.file_reads.values())
