@@ -12,47 +12,60 @@ Unpinned frames are evicted in least-recently-used order; dirty frames are
 written back on eviction and on :meth:`flush_all`.  A hit costs nothing
 physical; a miss costs one physical read (plus, possibly, one physical write
 to evict a dirty victim) -- exactly the accounting the paper's analytical
-model abstracts.
+model abstracts.  The bookkeeping around a miss costs a constant amount of
+work, whatever the pool's size.
 
-Concurrency design (statements now execute in parallel inside one engine):
+Design (statements execute in parallel inside one engine):
 
-* the page table is **sharded** -- a key maps to one of a few small dicts,
-  each behind its own short lock, so lookups from different statements
-  rarely contend;
+* the page table **is** the recency list: one ``OrderedDict`` from key to
+  frame, coldest first.  A frame enters at the MRU end when it is loaded or
+  allocated, moves there on every hit, and leaves on eviction or discard.
+  Its length is the resident count.  Every change of it -- insert, move,
+  pop, and the victim walk -- happens under one **table mutex**; a lookup
+  is a single lock-free ``get``, revalidated under the frame's latch;
 * each frame carries its own **latch** guarding pin count, dirty flag,
-  and life-cycle state; eviction takes *only the victim frame's latch*
-  (plus its shard lock for the table removal), never a pool-wide lock;
-* recency is a monotonic **access stamp** written at every insert/touch.
-  Sequentially this reproduces the old ``OrderedDict`` LRU bit-for-bit:
-  the eviction victim is the unpinned frame with the smallest stamp,
-  which is exactly "first unpinned frame in LRU order";
-* a miss inserts a pre-pinned *loading* placeholder before reading, so a
-  concurrent fetch of the same page waits on the load instead of issuing
-  a duplicate read, and eviction can never choose a half-loaded frame;
-* the no-evict-pinned invariant holds under races: a victim is chosen by
-  an unlatched scan but *revalidated under its latch* before being
-  killed -- a frame that got pinned in between is simply skipped.
-
+  life-cycle state and the frame's own page transfers: a load holds the
+  new frame's latch across its disk read, an eviction holds the victim's
+  across its write-back.  There is no pool-wide lock around I/O;
+* the eviction victim is the first unpinned frame from the cold end of the
+  list.  It is picked by reading pin counts without latches and then
+  *revalidated under its own latch*: a frame that got pinned or killed in
+  between is skipped and the walk repeats, so a pinned frame is never
+  evicted, races or not;
+* a miss inserts its frame *pinned and latched* before reading, so a
+  concurrent fetch of the same page finds it, blocks on the latch until the
+  one read is done and then takes the hit path (or, if the read failed,
+  finds the frame dead and retries the read itself), and eviction -- which
+  only ever looks at unpinned frames -- cannot choose a half-loaded frame;
+* whoever finds a frame dead *under its latch* just looks the key up
+  again: by the time a killer lets go of the latch (eviction, failed load)
+  or takes it (discard) the table no longer maps the key to that frame;
 * dirty frames are also listed in a small **dirty index** (its own leaf
   mutex), so :meth:`flush_all` costs what is dirty, not what is resident;
-  a key leaves the index only after its write-back succeeded.
+  a key leaves the index only after its write-back succeeded.  Each touch
+  also stamps the frame from a monotonic counter, for one purpose: sorting
+  the few dirty frames coldest first when they are flushed.
 
-Latch ordering (documented in ARCHITECTURE.md): shard lock and frame
-latch are below the admission gate and above the WAL log mutex.  The one
-nesting is frame latch -> shard lock (eviction's table removal, under the
-victim's latch).  It is safe because the reverse never happens: no path
-waits on a frame latch while holding a shard lock --
-:meth:`drop_file_pages`, :meth:`discard_pages` and :meth:`discard_all`
-pop their frames under the shard lock and mark them dead only after
-releasing it.  The dirty-index mutex and the statistics mutex are leaves
-(nothing is acquired under them) and may be taken under a frame latch.
+What each path locks: a hit takes the frame's latch and, under it, the
+statistics mutex and the table mutex (one ``move_to_end``); a miss takes
+the table mutex to pick a victim, the victim's latch (and under it the
+table mutex again, for the pop) to evict, then the new frame's latch and
+under it the table mutex for the insert.
+
+Latch ordering (documented in ARCHITECTURE.md): the frame latch is below
+the admission gate and above the WAL log mutex.  The table mutex, the
+dirty-index mutex and the statistics mutex are leaves: each may be taken
+under a frame latch, nothing is acquired under any of them, and no path
+waits on a frame latch while holding one -- :meth:`discard_pages` pops
+its frames under the table mutex and marks them dead only after releasing
+it.  No thread holds two frame latches at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
+from collections import OrderedDict
 
 from repro.errors import BufferPoolError
 from repro.storage.constants import DEFAULT_BUFFER_FRAMES
@@ -63,28 +76,24 @@ from repro.telemetry.waitevents import BUFFER_IO, NULL_WAITS
 
 _PageKey = tuple[int, int]
 
-#: page-table shards; a small power of two keeps the modulo cheap.
-_SHARDS = 16
-
 
 class _Frame:
     __slots__ = ("page", "dirty", "pin_count", "prefetched", "stamp",
-                 "latch", "dead", "loading")
+                 "latch", "dead")
 
-    def __init__(self, page: Page | None) -> None:
+    def __init__(self, page: Page | None, pin_count: int) -> None:
+        #: None only while the frame's disk read is in flight -- and for
+        #: that long its loader holds the latch and the pin
         self.page = page
         self.dirty = False
-        self.pin_count = 0
+        self.pin_count = pin_count
         #: loaded by read-ahead and not yet demanded (prefetch-hit tracking)
         self.prefetched = False
-        #: monotonic recency stamp (smaller = colder); see module docstring
+        #: monotonic recency stamp (smaller = colder); orders flush_all
         self.stamp = 0
         self.latch = threading.Lock()
         #: the frame was evicted/discarded; racing fetchers must re-lookup
         self.dead = False
-        #: set while the frame's disk read is in flight; waiters block on
-        #: this event instead of issuing a duplicate physical read
-        self.loading: threading.Event | None = None
 
 
 class _PinnedPage:
@@ -125,26 +134,35 @@ class BufferPool:
         #: wait-event collector; page transfers between the pool and the
         #: disk are timed as ``buffer_io`` (the database wires this up)
         self.waits = NULL_WAITS
-        self._shards: list[tuple[threading.Lock, dict[_PageKey, _Frame]]] = [
-            (threading.Lock(), {}) for __ in range(_SHARDS)]
+        #: page table and recency list in one, coldest first; changed only
+        #: under ``_table_lock`` (a leaf mutex, see the module docstring)
+        self._frames: OrderedDict[_PageKey, _Frame] = OrderedDict()
+        self._table_lock = threading.Lock()
         self._clock = itertools.count(1)
         #: key -> frame for every live dirty frame; guarded by its own
         #: leaf mutex (see the module docstring)
         self._dirty: dict[_PageKey, _Frame] = {}
         self._dirty_lock = threading.Lock()
         metrics = metrics if metrics is not None else NULL_METRICS
-        self._m_hits = metrics.counter(
+
+        def counter(name: str, help_: str):
+            # none of the pool's counters has labels, and one of them is
+            # bumped on every page request: hold each one's bound series,
+            # whose inc() does no per-call label handling
+            return metrics.counter(name, help_).labels()
+
+        self._m_hits = counter(
             "bufferpool_hits_total", "page requests served from the pool")
-        self._m_misses = metrics.counter(
+        self._m_misses = counter(
             "bufferpool_misses_total", "page requests that went to disk")
-        self._m_evictions = metrics.counter(
+        self._m_evictions = counter(
             "bufferpool_evictions_total", "frames evicted to make room")
-        self._m_writebacks = metrics.counter(
+        self._m_writebacks = counter(
             "bufferpool_writebacks_total", "dirty pages written back")
-        self._m_prefetch_issued = metrics.counter(
+        self._m_prefetch_issued = counter(
             "bufferpool_prefetch_issued_total",
             "pages physically read ahead of demand")
-        self._m_prefetch_hits = metrics.counter(
+        self._m_prefetch_hits = counter(
             "bufferpool_prefetch_hits_total",
             "demand fetches served by a read-ahead frame")
         self._g_resident = metrics.gauge(
@@ -155,21 +173,11 @@ class BufferPool:
         """The shared I/O statistics object (owned by the disk)."""
         return self.disk.stats
 
-    # -- table helpers ------------------------------------------------------
-
-    def _shard(self, key: _PageKey):
-        return self._shards[hash(key) % _SHARDS]
-
     def _lookup(self, key: _PageKey) -> _Frame | None:
-        # no shard lock: one dict.get is atomic, and whatever it returns
-        # is revalidated under the frame's latch (the shard locks guard
-        # the check-then-insert / pop sequences, not single reads)
-        return self._shards[hash(key) % _SHARDS][1].get(key)
-
-    def _resident(self) -> int:
-        # advisory only (capacity checks re-run on races); summing live
-        # dict lengths without the shard locks is safe in CPython
-        return sum(len(table) for __, table in self._shards)
+        # no table mutex: one dict.get is atomic, and whatever it returns
+        # is revalidated under the frame's latch (the mutex guards the
+        # list's changes and the victim walk, not single reads)
+        return self._frames.get(key)
 
     # -- pin / unpin --------------------------------------------------------
 
@@ -180,100 +188,90 @@ class BufferPool:
         prefer the :meth:`page` context manager.
         """
         key = (file_id, page_no)
-        table = self._shards[hash(key) % _SHARDS][1]
+        frames = self._frames
         stats = self.disk.stats
         missed = False  # the logical read is counted once, hit or miss
         while True:
-            frame = table.get(key)  # lock-free, see _lookup
+            frame = frames.get(key)  # lock-free, see _lookup
             if frame is None:
                 if not missed:
                     stats.count_logical_read()
                     missed = True
+                self._make_room()
                 page = self._load(key)
                 if page is not None:
                     return page
                 continue  # lost the insert race: the other load is a hit
-            wait_for = None
+            # a frame whose read is in flight keeps its latch until the
+            # page is there (or the frame is dead): this is the wait
             with frame.latch:
                 if frame.dead:
-                    pass  # evicted under us: re-lookup
-                elif frame.loading is not None:
-                    wait_for = frame.loading
+                    continue  # gone from the table already: look up again
+                if missed:
+                    stats.count_buffer_hit()
                 else:
-                    if missed:
-                        stats.count_buffer_hit()
-                    else:
-                        stats.count_hit_pin()
-                    self._m_hits.inc()
-                    if frame.prefetched:
-                        frame.prefetched = False
-                        stats.count_prefetch_hit()
-                        self._m_prefetch_hits.inc()
-                    frame.stamp = next(self._clock)
-                    if self.wal is not None:
-                        # snapshot on first contact: clients mutate the
-                        # frame in place before (or without) calling
-                        # mark_dirty, so the pre-statement image must be
-                        # captured here.
-                        self.wal.observe_fetch(key, frame.page.data)
-                    frame.pin_count += 1
-                    return frame.page
-            if wait_for is not None:
-                wait_for.wait(timeout=30.0)
-            else:
-                time.sleep(0)  # dead frame: let the evictor finish removal
+                    stats.count_hit_pin()
+                self._m_hits.inc()
+                if frame.prefetched:
+                    frame.prefetched = False
+                    stats.count_prefetch_hit()
+                    self._m_prefetch_hits.inc()
+                with self._table_lock:
+                    try:
+                        frames.move_to_end(key)
+                    except KeyError:
+                        pass  # a discard popped the frame a moment ago
+                frame.stamp = next(self._clock)
+                if self.wal is not None:
+                    # snapshot on first contact: clients mutate the
+                    # frame in place before (or without) calling
+                    # mark_dirty, so the pre-statement image must be
+                    # captured here.
+                    self.wal.observe_fetch(key, frame.page.data)
+                frame.pin_count += 1
+                return frame.page
 
-    def _load(self, key: _PageKey, prefetch: bool = False,
-              protected: set[_PageKey] | None = None) -> Page | None:
-        """Read ``key`` from disk into a fresh frame.
+    def _load(self, key: _PageKey, prefetch: bool = False) -> Page | None:
+        """Read ``key`` from disk into a fresh frame; the caller made room.
 
         Returns the (pinned, unless prefetching) page, or ``None`` if a
         concurrent load won the table insert (the caller retries and
-        takes the hit path).  The placeholder is inserted *pre-pinned and
-        loading* before the read: same-key fetchers wait on it, and the
-        evictor skips it.
+        takes the hit path).  The frame goes into the table *pinned and
+        latched* before the read: same-key fetchers block on the latch
+        instead of reading the page a second time, and the evictor, who
+        looks at unpinned frames only, passes it by.
         """
-        self._make_room(protected=protected)
-        placeholder = _Frame(None)
-        placeholder.pin_count = 1
-        placeholder.loading = threading.Event()
-        placeholder.stamp = next(self._clock)
-        lock, table = self._shard(key)
-        with lock:
-            if key in table:
-                return None
-            table[key] = placeholder
-        try:
-            with self.waits.wait(BUFFER_IO,
-                                 "prefetch" if prefetch else "read"):
-                data = self.disk.read_page(*key)
-        except BaseException:
-            with placeholder.latch:
-                placeholder.dead = True
-                loading = placeholder.loading
-                placeholder.loading = None
-            with lock:
-                if table.get(key) is placeholder:
-                    del table[key]
-            loading.set()
-            raise
-        with placeholder.latch:
-            placeholder.page = Page(data)
-            loading = placeholder.loading
-            placeholder.loading = None
+        frame = _Frame(None, pin_count=1)
+        frames = self._frames
+        with frame.latch:
+            with self._table_lock:
+                if key in frames:
+                    return None
+                frames[key] = frame
+            frame.stamp = next(self._clock)
+            try:
+                with self.waits.wait(BUFFER_IO,
+                                     "prefetch" if prefetch else "read"):
+                    data = self.disk.read_page(*key)
+            except BaseException:
+                with self._table_lock:
+                    if frames.get(key) is frame:
+                        del frames[key]
+                frame.dead = True
+                raise
+            page = frame.page = Page(data)
             if prefetch:
-                placeholder.prefetched = True
-                placeholder.pin_count = 0
+                frame.prefetched = True
+                frame.pin_count = 0
+            elif self.wal is not None:
+                self.wal.observe_fetch(key, data)
         if prefetch:
             self.stats.count_prefetch()
             self._m_prefetch_issued.inc()
         else:
             self._m_misses.inc()
-        self._g_resident.set(self._resident())
-        if not prefetch and self.wal is not None:
-            self.wal.observe_fetch(key, placeholder.page.data)
-        loading.set()
-        return placeholder.page
+        self._g_resident.set(len(frames))
+        return page
 
     def unpin(self, file_id: int, page_no: int) -> None:
         """Release one pin on the page."""
@@ -301,9 +299,11 @@ class BufferPool:
             for key in keys:
                 if key not in pages:
                     pages[key] = self.fetch(*key)
-        except BufferPoolError:
-            for key in pages:
-                self.unpin(*key)
+        except BaseException:
+            # whatever stopped the group -- no evictable frame, a disk
+            # fault on a later member -- its earlier members must not
+            # stay pinned
+            self.unpin_many(pages)
             raise
         return pages
 
@@ -329,10 +329,9 @@ class BufferPool:
             if self._lookup(key) is not None:
                 continue
             protected.add(key)
-            if not self._make_room(protected=protected, best_effort=True,
-                                   probe_only=True):
+            if not self._make_room(protected, best_effort=True):
                 break
-            if self._load(key, prefetch=True, protected=protected) is not None:
+            if self._load(key, prefetch=True) is not None:
                 loaded += 1
         return loaded
 
@@ -365,17 +364,15 @@ class BufferPool:
         if self.wal is not None:
             self.wal.observe_alloc(file_id, page_no)
         self._make_room()
-        frame = _Frame(Page())
+        frame = _Frame(Page(), pin_count=1)
         frame.dirty = True
-        frame.pin_count = 1
         frame.stamp = next(self._clock)
-        lock, table = self._shard((file_id, page_no))
-        with lock:
-            table[(file_id, page_no)] = frame
+        with self._table_lock:
+            self._frames[(file_id, page_no)] = frame
         with self._dirty_lock:
             self._dirty[(file_id, page_no)] = frame
         self.stats.count_logical_read()
-        self._g_resident.set(self._resident())
+        self._g_resident.set(len(self._frames))
         return page_no, frame.page
 
     # -- flushing / eviction ------------------------------------------------
@@ -427,17 +424,15 @@ class BufferPool:
 
     def resident_keys(self) -> set[_PageKey]:
         """Keys of all currently cached pages (for tests)."""
-        keys: set[_PageKey] = set()
-        for lock, table in self._shards:
-            with lock:
-                keys.update(table)
-        return keys
+        with self._table_lock:
+            return set(self._frames)
 
     def pinned_keys(self) -> list[_PageKey]:
         """Keys of every frame with a nonzero pin count (debug/regression
         accessor: after a statement completes this must be empty)."""
-        return [key for __, table in self._shards
-                for key, frame in list(table.items()) if frame.pin_count]
+        with self._table_lock:
+            return [key for key, frame in self._frames.items()
+                    if frame.pin_count]
 
     # -- recovery primitives (uncharged) ------------------------------------
 
@@ -452,74 +447,67 @@ class BufferPool:
         """Drop frames without writeback (their disk images were restored,
         or their file is being dropped)."""
         keys = list(keys)
-        frames = []
-        for key in keys:
-            lock, table = self._shard(key)
-            with lock:
-                frame = table.pop(key, None)
-            if frame is not None:
-                frames.append(frame)
+        with self._table_lock:
+            frames = [self._frames.pop(key, None) for key in keys]
         with self._dirty_lock:
             for key in keys:
                 self._dirty.pop(key, None)
-        # only now, holding no shard lock (see the module docstring): the
-        # latch waits out an eviction write-back in flight on the frame
+        # only now, holding no mutex (see the module docstring): the latch
+        # waits out an eviction write-back in flight on the frame
         for frame in frames:
-            with frame.latch:
-                frame.dead = True
-        self._g_resident.set(self._resident())
+            if frame is not None:
+                with frame.latch:
+                    frame.dead = True
+        self._g_resident.set(len(self._frames))
 
     def discard_all(self) -> None:
         """Empty the pool without writing anything back (a crash loses
         every in-memory frame; recovery rebuilds from disk + log)."""
         self.discard_pages(self.resident_keys())
 
-    def _make_room(self, protected: set[_PageKey] | None = None,
-                   best_effort: bool = False,
-                   probe_only: bool = False) -> bool:
+    def _make_room(self, protected: set[_PageKey] | frozenset = frozenset(),
+                   best_effort: bool = False) -> bool:
         """Evict one unpinned LRU frame if the pool is full.
 
         ``protected`` keys are never chosen as victims (read-ahead must not
         evict the pages of the batch that is being assembled).  With
         ``best_effort=True`` an unevictable pool returns False instead of
         raising -- the caller (read-ahead) simply gives up.
-        ``probe_only=True`` additionally skips the eviction itself and just
-        answers "could a later load make room?".
 
-        The victim is selected by an unlatched scan (cheapest unpinned
-        stamp) and *revalidated under its own latch*: a frame that got
-        pinned, killed, or put into loading in between is skipped and the
-        scan repeats.  Only the victim's latch is held during writeback.
+        The victim is the first unpinned frame from the cold end of the
+        recency list, so the walk is as long as the pinned or protected
+        frames colder than it are many.  Pin counts are read without the
+        frames' latches and the victim is *revalidated under its own*: a
+        frame that got pinned or killed in between is skipped and the
+        walk repeats.  Only the victim's latch is held during writeback.
         """
+        frames = self._frames
         while True:
-            if self._resident() < self.capacity:
+            # the length is advisory (a racing load may overshoot by one)
+            if len(frames) < self.capacity:
                 return True
-            best: tuple[_PageKey, _Frame] | None = None
-            for lock, table in self._shards:
-                with lock:
-                    items = list(table.items())
-                for key, frame in items:
-                    if protected is not None and key in protected:
-                        continue
+            victim = None
+            with self._table_lock:
+                for key, frame in frames.items():
                     if (frame.pin_count == 0 and not frame.dead
-                            and frame.loading is None):
-                        if best is None or frame.stamp < best[1].stamp:
-                            best = (key, frame)
-            if best is None:
+                            and key not in protected):
+                        victim = key, frame
+                        break
+            if victim is None:
                 if best_effort:
                     return False
                 raise BufferPoolError("all buffer frames are pinned")
-            if probe_only:
+            if self._evict(*victim):
                 return True
-            if self._evict(*best):
-                return True
-            # lost a race (victim pinned/vanished meanwhile): rescan
+            # lost a race (victim pinned/vanished meanwhile): walk again
 
     def _evict(self, key: _PageKey, frame: _Frame) -> bool:
         """Kill one victim frame; True if this thread actually evicted it."""
         with frame.latch:
-            if frame.dead or frame.pin_count > 0 or frame.loading is not None:
+            if frame.dead or frame.pin_count > 0:
                 return False
+            # dead from here on, so that a concurrent walk passes the
+            # frame by instead of queueing on its latch for the write-back
             frame.dead = True
             if frame.dirty:
                 try:
@@ -527,10 +515,9 @@ class BufferPool:
                 except BaseException:
                     frame.dead = False  # keep the frame; the fault surfaces
                     raise
-            lock, table = self._shard(key)
-            with lock:
-                if table.get(key) is frame:
-                    del table[key]
+            with self._table_lock:
+                if self._frames.get(key) is frame:
+                    del self._frames[key]
         self.stats.count_eviction()
         self._m_evictions.inc()
         return True

@@ -56,6 +56,25 @@ def _render_labels(key: _LabelKey) -> str:
     return "{" + inner + "}"
 
 
+class _BoundCounter:
+    """One series of a :class:`Counter`, its label key resolved once.
+
+    Holds no value of its own: ``inc`` adds into the parent's table under
+    the parent's lock, so the series is the one ``inc(**labels)`` feeds.
+    """
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: "Counter", key: _LabelKey) -> None:
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: int | float = 1) -> None:
+        values = self._counter._values
+        with self._counter._lock:
+            values[self._key] = values.get(self._key, 0) + amount
+
+
 @dataclass
 class Counter:
     """A monotonically increasing value, optionally split by labels."""
@@ -63,6 +82,7 @@ class Counter:
     name: str
     help: str = ""
     _values: dict = field(default_factory=dict)
+    _children: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
@@ -72,6 +92,19 @@ class Counter:
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0) + amount
+
+    def labels(self, **labels) -> _BoundCounter:
+        """The series for one fixed label set, for callers that bump it
+        often: ``labels(event="cpu").inc()`` is ``inc(event="cpu")``
+        without building and sorting the label key on every call.  One
+        child per label set, created on first request; the series itself
+        appears in the output only once it has been incremented."""
+        key = _label_key(labels)
+        with self._lock:
+            child = self._children.get(key)
+            if child is None:
+                child = self._children[key] = _BoundCounter(self, key)
+        return child
 
     def value(self, **labels) -> int | float:
         return self._values.get(_label_key(labels), 0)
@@ -268,6 +301,9 @@ class _NullMetric:
 
     def inc(self, amount=1, **labels) -> None:
         pass
+
+    def labels(self, **labels) -> "_NullMetric":
+        return self
 
     def set(self, value, **labels) -> None:
         pass

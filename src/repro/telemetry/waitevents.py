@@ -184,6 +184,9 @@ class WaitEventCollector:
             "wait_seconds_total", "time waited, by wait event")
         self._m_wait_events = metrics.counter(
             "wait_events_total", "wait occurrences, by wait event")
+        #: event -> that event's (seconds, occurrences) series of the two
+        #: counters above, resolved on the event's first wait
+        self._series: dict[str, tuple] = {}
         self._m_latch_wait = metrics.histogram(
             "admission_wait_seconds",
             "time spent waiting for statement admission",
@@ -224,9 +227,7 @@ class WaitEventCollector:
         wall = duration_s + breakdown.get(QUEUE_WAIT, 0.0)
         cpu = max(0.0, wall - sum(breakdown.values()))
         breakdown[CPU] = cpu
-        self._add_total(CPU, cpu, 1)
-        self._m_wait_seconds.inc(cpu, event=CPU)
-        self._m_wait_events.inc(event=CPU)
+        self._count(CPU, cpu, 1)
         with self._mutex:
             self.statement_seconds += wall
             self.statements_finished += 1
@@ -242,9 +243,7 @@ class WaitEventCollector:
         always, plus this thread's active statement ledger if any."""
         if not self.enabled:
             return
-        self._add_total(event, seconds, count)
-        self._m_wait_seconds.inc(seconds, event=event)
-        self._m_wait_events.inc(count, event=event)
+        self._count(event, seconds, count)
         ctx = self._active_ctx()
         if ctx is not None:
             ctx.add(event, seconds, count)
@@ -290,7 +289,9 @@ class WaitEventCollector:
     latch_acquired = admission_granted
     latch_released = admission_released
 
-    def _add_total(self, event: str, seconds: float, count: int) -> None:
+    def _count(self, event: str, seconds: float, count: int) -> None:
+        """Add to the global sinks: the totals table and the two metric
+        series of ``event``."""
         with self._mutex:
             slot = self._totals.get(event)
             if slot is None:
@@ -298,6 +299,15 @@ class WaitEventCollector:
             else:
                 slot[0] += seconds
                 slot[1] += count
+        series = self._series.get(event)
+        if series is None:
+            # two threads may both get here: labels() hands both the same
+            # children, so either assignment is the right one
+            series = self._series[event] = (
+                self._m_wait_seconds.labels(event=event),
+                self._m_wait_events.labels(event=event))
+        series[0].inc(seconds)
+        series[1].inc(count)
 
     # -- reading -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from repro.errors import DiskFault
+from repro.errors import BufferPoolError, DiskFault
 from repro.schema.database import Database
 from repro.server import connect
 from repro.server.admission import AdmissionController, EngineGate
@@ -333,6 +333,181 @@ def test_evicting_a_frame_of_a_file_being_dropped_cannot_deadlock():
     assert pool.pinned_keys() == []
     pool.flush_all()  # the dropped file left nothing to write back
     assert disk.stats.physical_writes == 1
+
+
+class _CountingLatch:
+    """Stands in for a frame latch that is held right now: the same lock,
+    but a thread that has to wait for it is counted before it blocks."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.waiters = threading.Semaphore(0)
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self.waiters.release()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+class _HeldRead:
+    """Replaces ``disk.read_page``: the first read stops half-way, until
+    the test has queued ``n`` more fetchers of the page on its frame's
+    latch; then it completes, or fails if ``fail`` is set."""
+
+    def __init__(self, pool, n, fail=False):
+        self.pool, self.n, self.fail = pool, n, fail
+        self.started = threading.Event()
+        self.latch = None
+        self.errors = []
+        self._read_page = pool.disk.read_page
+        pool.disk.read_page = self
+
+    def __call__(self, file_id, page_no):
+        if not self.started.is_set():
+            # the frame is in the table by now, latched by this thread
+            frame = self.pool._lookup((file_id, page_no))
+            self.latch = frame.latch = _CountingLatch(frame.latch)
+            self.started.set()
+            for __ in range(self.n):
+                if not self.latch.waiters.acquire(timeout=10.0):
+                    self.errors.append("a fetcher never reached the latch")
+            if self.fail:
+                raise DiskFault("injected read failure")
+        return self._read_page(file_id, page_no)
+
+
+def _fetch_in_threads(pool, key, n, after):
+    """``n`` threads, each fetching ``key`` once ``after`` is set; returns
+    the threads and the list their outcomes (page or exception) go to."""
+    outcomes = []
+
+    def fetch():
+        assert after.wait(timeout=10.0)
+        try:
+            outcomes.append(pool.fetch(*key))
+        except Exception as exc:
+            outcomes.append(exc)
+
+    threads = [threading.Thread(target=fetch, daemon=True) for __ in range(n)]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
+def _disk_with_pages(pages):
+    disk = SimulatedDisk()
+    fid = disk.create_file()
+    for pno in range(pages):
+        disk.allocate_page(fid)
+        disk.write_page(fid, pno, _page_image(pno))
+    disk.stats.reset()
+    return disk, fid
+
+
+def test_fetchers_of_a_page_being_loaded_share_its_one_read():
+    """Seven threads ask for a page while an eighth is reading it in: they
+    wait for that read -- no second one -- and get the same Page."""
+    disk, fid = _disk_with_pages(2)
+    pool = BufferPool(disk, capacity=4)
+    read = _HeldRead(pool, n=7)
+    threads, outcomes = _fetch_in_threads(pool, (fid, 1), 7, read.started)
+    first = pool.fetch(fid, 1)  # returns once all seven are queued
+    for thread in threads:
+        thread.join(timeout=20.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert read.errors == []
+    assert len(outcomes) == 7 and all(page is first for page in outcomes)
+    assert bytes(first.data) == _page_image(1)
+    assert disk.stats.physical_reads == 1
+    assert disk.stats.logical_reads == 8 and disk.stats.buffer_hits == 7
+    pool.unpin_many([(fid, 1)] * 8)
+    assert pool.pinned_keys() == []
+
+
+def test_a_failed_load_wakes_its_waiters_and_leaves_nothing_behind():
+    """The read fails with three fetchers queued behind it: the loader
+    gets the fault, its frame leaves the table, and the fetchers retry --
+    one of them reads the page, the others share that read."""
+    disk, fid = _disk_with_pages(2)
+    pool = BufferPool(disk, capacity=4)
+    read = _HeldRead(pool, n=3, fail=True)
+    threads, outcomes = _fetch_in_threads(pool, (fid, 1), 3, read.started)
+    with pytest.raises(DiskFault):
+        pool.fetch(fid, 1)
+    for thread in threads:
+        thread.join(timeout=20.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert read.errors == []
+    page = pool.fetch(fid, 1)  # a hit by now
+    assert len(outcomes) == 3 and all(got is page for got in outcomes)
+    assert bytes(page.data) == _page_image(1)
+    assert disk.stats.physical_reads == 1  # the retry; the fault read nothing
+    pool.unpin_many([(fid, 1)] * 4)
+    assert pool.pinned_keys() == []
+    assert pool.resident_keys() == {(fid, 1)}
+
+
+def test_a_failed_load_without_waiters_leaves_no_frame():
+    disk, fid = _disk_with_pages(2)
+    pool = BufferPool(disk, capacity=1)
+    _HeldRead(pool, n=0, fail=True)
+    with pytest.raises(DiskFault):
+        pool.fetch(fid, 1)
+    assert pool._lookup((fid, 1)) is None
+    assert pool.resident_keys() == set() and pool.pinned_keys() == []
+    with pool.page(fid, 1) as page:  # the next fetch reads again
+        assert bytes(page.data) == _page_image(1)
+    assert disk.stats.physical_reads == 1
+    with pool.page(fid, 0):  # and the one frame is evictable
+        pass
+    assert pool.resident_keys() == {(fid, 0)}
+
+
+@pytest.mark.parametrize("read_ahead", [False, True])
+def test_eviction_never_selects_a_frame_being_loaded(read_ahead):
+    """While page 1 is being read in -- on demand, or by read-ahead, whose
+    frame ends up unpinned -- misses on a full pool evict around it, and
+    when it is all that is left they fail rather than take it."""
+    disk, fid = _disk_with_pages(5)
+    pool = BufferPool(disk, capacity=2)
+    with pool.page(fid, 0):
+        pass
+    read = _HeldRead(pool, n=1)
+    errors = []
+
+    def load():
+        try:
+            if read_ahead:
+                assert pool.prefetch(fid, [1]) == 1
+            else:
+                pool.fetch(fid, 1)
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(repr(exc))
+
+    loader = threading.Thread(target=load, daemon=True)
+    loader.start()
+    assert read.started.wait(timeout=10.0)
+    pool.fetch(fid, 2)  # full pool: evicts page 0, the only legal victim
+    assert pool.resident_keys() == {(fid, 1), (fid, 2)}
+    with pytest.raises(BufferPoolError, match="all buffer frames are pinned"):
+        pool.fetch(fid, 3)
+    assert pool.prefetch(fid, [4]) == 0  # read-ahead just gives up
+    assert pool.resident_keys() == {(fid, 1), (fid, 2)}
+    # let the read finish: one fetcher queued on the frame releases it
+    threads, outcomes = _fetch_in_threads(pool, (fid, 1), 1, read.started)
+    for thread in threads + [loader]:
+        thread.join(timeout=20.0)
+    assert not loader.is_alive() and not threads[0].is_alive()
+    assert errors == [] and read.errors == []
+    assert bytes(outcomes[0].data) == _page_image(1)
+    assert disk.stats.physical_reads == 3 and disk.stats.evictions == 1
+    pool.unpin(fid, 2)
+    pool.unpin_many([(fid, 1)] * (1 if read_ahead else 2))
+    assert pool.pinned_keys() == []
 
 
 def test_concurrent_retrieves_never_share_a_result_file_name(company):

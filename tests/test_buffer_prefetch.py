@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BufferPoolError
+from repro.errors import BufferPoolError, DiskFault
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.stats import IOStatistics
@@ -51,6 +51,38 @@ def test_fetch_many_unwinds_pins_on_failure(disk):
     with pytest.raises(BufferPoolError):
         pool.fetch_many([(fid, 0), (fid, 1), (fid, 2)])
     assert pool.pinned_keys() == []
+
+
+class _FailNthRead:
+    """A ``disk.faults`` stand-in: the n-th physical read raises."""
+
+    armed = True
+
+    def __init__(self, n):
+        self._left = n
+
+    def resolve_read(self):
+        self._left -= 1
+        if self._left == 0:
+            raise DiskFault("injected read failure")
+
+
+def test_fetch_many_unwinds_pins_on_a_read_fault(disk):
+    """A disk fault on a later member of the group releases the pins the
+    earlier members took: left pinned, their frames could never be
+    evicted again."""
+    pool = BufferPool(disk, capacity=8)
+    fid = _file_with_pages(disk, 12)
+    disk.faults = _FailNthRead(3)
+    with pytest.raises(DiskFault):
+        pool.fetch_many([(fid, pno) for pno in range(4)])
+    assert pool.pinned_keys() == []
+    assert pool.resident_keys() == {(fid, 0), (fid, 1)}
+    for pno in range(4, 12):  # more misses than frames: the pool evicts
+        with pool.page(fid, pno):
+            pass
+    assert pool.resident_keys() == {(fid, pno) for pno in range(4, 12)}
+    assert pool.stats.evictions == 2
 
 
 # -- prefetch ----------------------------------------------------------------

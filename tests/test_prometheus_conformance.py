@@ -256,6 +256,62 @@ def test_wait_event_series_conform():
         _approx(0.001)
 
 
+def test_bound_child_and_labelled_inc_feed_one_series():
+    """``counter.labels(...)`` resolves a label set once; what its ``inc``
+    adds and what ``inc(**labels)`` adds is the same series -- one sample
+    line, the summed value -- and there is one child per label set."""
+    registry = MetricsRegistry()
+    counter = registry.counter("waits_total", "waits, by event")
+    child = counter.labels(event="buffer_io")
+    assert counter.labels(event="buffer_io") is child
+    assert counter.labels(event="cpu") is not child
+    assert counter.labels(b="2", a=1) is counter.labels(a="1", b=2)
+    # asking for a child does not create the series
+    assert "waits_total{" not in registry.render_prometheus()
+    child.inc()
+    counter.inc(2, event="buffer_io")
+    child.inc(0.5)
+    assert counter.value(event="buffer_io") == 3.5
+    assert counter.total() == 3.5
+    lines = [line for line in registry.render_prometheus().splitlines()
+             if line.startswith("waits_total")]
+    assert lines == ['waits_total{event="buffer_io"} 3.5']
+
+
+def test_wait_event_series_render_as_labelled_incs_would():
+    """The collector feeds ``wait_seconds_total`` / ``wait_events_total``
+    through bound children; the exposition is byte for byte what
+    ``inc(amount, event=...)`` per wait produces."""
+    from repro.telemetry.waitevents import WaitEventCollector
+
+    waits = [("buffer_io", 0.004, 2), ("lock:Emp1", 0.010, 1),
+             ("buffer_io", 0.0007, 1), ("wal_flush", 0.002, 1),
+             ('lock:odd"name', 0.001, 1), ("admission_wait", 0.0002, 1)]
+    registry = MetricsRegistry()
+    collector = WaitEventCollector(metrics=registry)
+    ctx = collector.begin_statement(1, "s1", "retrieve ( x )")
+    for event, seconds, count in waits:
+        collector.record(event, seconds, count)
+    cpu = collector.finish_statement(ctx, duration_s=0.05)["cpu"]
+
+    reference = MetricsRegistry()
+    seconds_total = reference.counter(
+        "wait_seconds_total", "time waited, by wait event")
+    events_total = reference.counter(
+        "wait_events_total", "wait occurrences, by wait event")
+    for event, seconds, count in waits + [("cpu", cpu, 1)]:
+        seconds_total.inc(seconds, event=event)
+        events_total.inc(count, event=event)
+
+    def wait_lines(text):
+        return [line for line in text.splitlines() if "wait_seconds_total"
+                in line or "wait_events_total" in line]
+
+    assert wait_lines(registry.render_prometheus()) == \
+        wait_lines(reference.render_prometheus())
+    assert len(wait_lines(reference.render_prometheus())) == 2 * (2 + 6)
+
+
 def test_alert_series_conform():
     """``alert_firing`` is a gauge flipping 0/1 per alert label;
     ``alert_transitions_total`` counts labelled state changes."""
