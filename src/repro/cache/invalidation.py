@@ -1,7 +1,7 @@
 """Resource-set computation for result-cache invalidation.
 
-The cache reuses the lock manager's footprint computation
-(:mod:`repro.server.locks`), which already expands a write with every
+The cache reuses the statement footprint computation
+(:mod:`repro.query.footprint`), which already expands a write with every
 replication-path structure the propagation rewrites -- the inverted-path
 index of the paper turned into a precise invalidation set.  This module
 provides the two extra pieces the cache needs:
@@ -15,9 +15,9 @@ provides the two extra pieces the cache needs:
   invalidate the owning set's cached reads before its applied LSN
   advances.
 
-Imports from ``repro.server.locks`` are function-level: the cache package
-is constructed by :class:`~repro.schema.database.Database`, which the
-server package itself imports.
+Imports from ``repro.query.footprint`` are function-level: the cache
+package is constructed by :class:`~repro.schema.database.Database`, which
+the query package itself imports.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def write_resources(db, set_name: str, fields) -> frozenset:
     force the statement to rewrite (source set, downstream type sets,
     replica set).
     """
-    from repro.server.locks import _write_propagation_locks
+    from repro.query.footprint import _write_propagation_locks
 
     exclusive = {set_name}
     _write_propagation_locks(db, set_name, set(fields), exclusive)
@@ -45,7 +45,7 @@ def structural_resources(db, set_name: str) -> frozenset:
     path sourced at the set maintains link entries in the downstream sets
     and rows in its replica set, so membership changes reach them all.
     """
-    from repro.server.locks import _sets_of_type
+    from repro.query.footprint import _sets_of_type
 
     exclusive = {set_name}
     for path in db.catalog.paths_on_source(set_name):
@@ -79,7 +79,7 @@ def file_resource_map(db) -> dict[int, str]:
     Heap files are named for their set; replication structures (replica
     sets, link files, lazy pending logs) and secondary indexes map to the
     resource their root set locks under -- the same convention
-    ``repro.server.locks`` uses.  Files absent from the map (unknown /
+    ``repro.query.footprint`` uses.  Files absent from the map (unknown /
     transient) make the caller fall back to a full invalidation.
     """
     mapping: dict[int, str] = {}

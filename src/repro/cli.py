@@ -406,33 +406,22 @@ class Shell:
         if self.client is not None:
             self._run_remote_statement(statement)
             return
-        first = statement.split(None, 1)[0]
-        if first == "explain":
-            rest = statement[len("explain"):].strip()
-            if rest.split(None, 1)[:1] == ["analyze"]:
-                from repro.query.analyze import render_analyze
+        from repro.schema.parser import (
+            _DDL_STARTERS,
+            _QUERY_STARTERS,
+            run_script_statement,
+        )
 
-                result = self.db.execute(rest[len("analyze"):].strip(),
-                                         analyze=True)
-                self.write(render_analyze(result))
-                tail = f"({len(result.rows)} row(s))   plan: {result.plan}"
-                if result.cache:
-                    tail += f"   cache: {result.cache}"
-                self.write(tail)
-                return
-            from repro.query.runner import explain_text
-
-            self.write(explain_text(self.db, rest))
-            return
-        from repro.schema.parser import _DDL_STARTERS, _QUERY_STARTERS, execute_ddl
-
-        if first in _QUERY_STARTERS:
-            self.write(render_result(self.db.execute(statement), self.limit))
-        elif first in _DDL_STARTERS:
-            execute_ddl(self.db, statement)
-            self.write("ok")
-        else:
+        if statement.split(None, 1)[0] not in _QUERY_STARTERS + _DDL_STARTERS:
             self.fail(f"unrecognised statement: {statement!r} (try \\help)")
+            return
+        result = run_script_statement(self.db, statement)
+        if result is None:
+            self.write("ok")
+        elif isinstance(result, str):
+            self.write(result)
+        else:
+            self.write(render_result(result, self.limit))
 
     def _run_remote_statement(self, statement: str) -> None:
         from repro.server.client import ClientResult

@@ -153,3 +153,12 @@ def render_analyze(result) -> str:
             f"({io.evictions} eviction(s), {io.dirty_writebacks} dirty write-back(s))"
         )
     return "\n".join(lines)
+
+
+def render_analyze_report(result) -> str:
+    """What ``explain analyze`` prints, in the shell and over the wire:
+    the operator table plus the row-count / plan / cache line."""
+    tail = f"({len(result.rows)} row(s))   plan: {result.plan}"
+    if result.cache:
+        tail += f"   cache: {result.cache}"
+    return render_analyze(result) + "\n" + tail

@@ -137,17 +137,12 @@ class FailoverOutcome:
 
 def _run_embedded(db, step) -> None:
     """Run one workload step against an in-process (oracle) database."""
-    from repro.query.runner import execute_text
-    from repro.schema.parser import _DDL_STARTERS, execute_ddl
+    from repro.schema.parser import run_script_statement
 
     if callable(step):
         step(db)
-        return
-    first = step.split(maxsplit=1)[0].lower() if step.split() else ""
-    if first in _DDL_STARTERS:
-        execute_ddl(db, step)
     else:
-        execute_text(db, step)
+        run_script_statement(db, step)
 
 
 def _run_served(primary, client, step) -> None:

@@ -50,6 +50,7 @@ from enum import IntEnum
 from repro.errors import WalError
 from repro.storage.constants import PAGE_SIZE
 from repro.telemetry.metrics import NULL_METRICS
+from repro.telemetry.tracing import NULL_SPAN
 from repro.telemetry.waitevents import WAL_FLUSH
 
 __all__ = ["WAL_MAGIC", "WalError", "WalRecord", "WalRecordType",
@@ -554,30 +555,24 @@ class WriteAheadLog:
         pending = target - self._flushed
         if pending <= 0:
             return
-        tracer = (self._telemetry.tracer
-                  if self._telemetry is not None else None)
-        waits = (self._telemetry.waits
-                 if self._telemetry is not None else None)
+        telemetry = self._telemetry
+        span = (telemetry.tracer.span("wal_flush", records=pending)
+                if telemetry is not None else NULL_SPAN)
+        waits = telemetry.waits if telemetry is not None else None
         started = (time.perf_counter()
                    if waits is not None and waits.enabled else None)
         try:
-            if tracer is not None and tracer.enabled:
-                with tracer.span("wal_flush", records=pending):
-                    self._force_inner(target)
-            else:
-                self._force_inner(target)
+            with span:
+                if self.faults is not None:
+                    self.faults.on_wal_flush()
+                self._flushed = target
+                for scope in self._scopes:
+                    if scope.records:
+                        scope.any_flushed = True
+                self._m_flushes.inc()
         finally:
             if started is not None:
                 waits.record(WAL_FLUSH, time.perf_counter() - started)
-
-    def _force_inner(self, target: int) -> None:
-        if self.faults is not None:
-            self.faults.on_wal_flush()
-        self._flushed = target
-        for scope in self._scopes:
-            if scope.records:
-                scope.any_flushed = True
-        self._m_flushes.inc()
 
     # -- replay / persistence ------------------------------------------------
 

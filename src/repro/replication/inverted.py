@@ -82,12 +82,8 @@ class InvertedPaths:
         """Membership insert; ``cascade=False`` for bulk builds that ensure
         every link of a chain explicitly."""
         self._m_link_touches.inc()
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            with tracer.span("link_maintenance", op="attach",
-                             link_id=link.link_id):
-                self._attach(link, owner_oid, member_oid, cascade)
-        else:
+        with self.telemetry.tracer.span("link_maintenance", op="attach",
+                                        link_id=link.link_id):
             self._attach(link, owner_oid, member_oid, cascade)
 
     def _attach(self, link: LinkDef, owner_oid: OID, member_oid: OID,
@@ -124,12 +120,8 @@ class InvertedPaths:
         withdrawn in turn.
         """
         self._m_link_touches.inc()
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            with tracer.span("link_maintenance", op="remove",
-                             link_id=link.link_id):
-                self._remove_membership(link, owner_oid, member_oid)
-        else:
+        with self.telemetry.tracer.span("link_maintenance", op="remove",
+                                        link_id=link.link_id):
             self._remove_membership(link, owner_oid, member_oid)
 
     def _remove_membership(self, link: LinkDef, owner_oid: OID,

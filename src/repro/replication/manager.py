@@ -508,22 +508,15 @@ class ReplicationManager:
                 self._m_replica_writes.inc()
                 # a separate-strategy propagation dirties one replica page
                 self.telemetry.repledger.charge(path.text, 1.0, fanout=1)
-                tracer = self.telemetry.tracer
-                if tracer.enabled:
-                    with tracer.span("update_propagation", path=path.text,
-                                     kind="replica_write"):
-                        self._write_replica(path, rentry, touched)
-                else:
-                    self._write_replica(path, rentry, touched)
+                with self.telemetry.tracer.span("update_propagation",
+                                                path=path.text,
+                                                kind="replica_write"):
+                    replica_set = self.replica_sets[path.path_id]
+                    replica = replica_set.read(rentry.replica_oid)
+                    for fname, value in touched.items():
+                        replica.set(fname, value)
+                    replica_set.raw_update(rentry.replica_oid, replica)
         return own_changes
-
-    def _write_replica(self, path: ReplicationPath, rentry,
-                       touched: dict[str, object]) -> None:
-        replica_set = self.replica_sets[path.path_id]
-        replica = replica_set.read(rentry.replica_oid)
-        for fname, value in touched.items():
-            replica.set(fname, value)
-        replica_set.raw_update(rentry.replica_oid, replica)
 
     def _propagate_through_link(self, path: ReplicationPath, position: int,
                                 link: LinkDef, oid: OID, old: StoredObject,
@@ -608,27 +601,19 @@ class ReplicationManager:
         source_set = self.catalog.get_set(path.source_set)
         targets = self.inverted.closure_to_source(link, oid)
         self._m_propagations.inc()
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            with tracer.span("update_propagation", path=path.text) as span:
-                fanout = self._apply_over_targets(source_set, targets, changes)
-                span.set("fanout", fanout)
-        else:
-            fanout = self._apply_over_targets(source_set, targets, changes)
+        fanout = 0
+        with self.telemetry.tracer.span("update_propagation",
+                                        path=path.text) as span:
+            for target in targets:
+                self.apply_hidden_changes(source_set, target, changes)
+                fanout += 1
+            span.set("fanout", fanout)
         self._m_fanout.inc(fanout)
         # the fan-out rewrite dirties at most one source page per distinct
         # target object -- the same sorted-probe bound the batched join obeys
         self.telemetry.repledger.charge(
             path.text, sorted_probe_pages(source_set.num_pages(), fanout),
             fanout=fanout)
-
-    def _apply_over_targets(self, source_set: ObjectSet, targets,
-                            changes: dict[str, object]) -> int:
-        fanout = 0
-        for target in targets:
-            self.apply_hidden_changes(source_set, target, changes)
-            fanout += 1
-        return fanout
 
     # ------------------------------------------------------------------
     # hidden-field writes (index-maintaining)

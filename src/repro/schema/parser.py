@@ -167,22 +167,42 @@ def split_script(text: str) -> list[str]:
     return [s.strip().rstrip(";").strip() for s in statements if s.strip()]
 
 
+def strip_explain_analyze(statement: str) -> tuple[str, bool]:
+    """``explain analyze <query>`` as ``(<query>, True)``; any other
+    statement as ``(statement, False)``."""
+    words = statement.split(None, 2)
+    if (len(words) == 3 and words[0].lower() == "explain"
+            and words[1] == "analyze"):
+        return words[2], True
+    return statement, False
+
+
+def run_script_statement(db: Database, statement: str):
+    """Run one statement by its first word, embedded: a query returns
+    its ``QueryResult``, ``explain`` the plan string, ``explain analyze``
+    the rendered operator report, DDL ``None``."""
+    first = statement.split(None, 1)[0] if statement.strip() else ""
+    if first == "explain":
+        from repro.query.analyze import render_analyze_report
+        from repro.query.runner import explain_text
+
+        query, analyze = strip_explain_analyze(statement)
+        if analyze:
+            return render_analyze_report(db.execute(query, analyze=True))
+        return explain_text(db, statement[len("explain"):].strip())
+    if first in _QUERY_STARTERS:
+        return db.execute(statement)
+    if first in _DDL_STARTERS:
+        execute_ddl(db, statement)
+        return None
+    raise ParseError(f"unrecognised statement: {statement!r}")
+
+
 def run_script(db: Database, text: str) -> list:
     """Run a mixed DDL / query script; returns the query results in order.
 
     ``explain <query>`` contributes the plan string instead of rows.
     """
-    results = []
-    for statement in split_script(text):
-        first_word = statement.split(None, 1)[0]
-        if first_word == "explain":
-            from repro.query.runner import explain_text
-
-            results.append(explain_text(db, statement[len("explain"):].strip()))
-        elif first_word in _QUERY_STARTERS:
-            results.append(db.execute(statement))
-        elif first_word in _DDL_STARTERS:
-            execute_ddl(db, statement)
-        else:
-            raise ParseError(f"unrecognised statement: {statement!r}")
-    return results
+    results = (run_script_statement(db, statement)
+               for statement in split_script(text))
+    return [result for result in results if result is not None]

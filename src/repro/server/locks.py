@@ -9,20 +9,10 @@ scan could observe half-propagated replicas unless both statements lock
 every set the propagation touches.
 
 A statement's **lock footprint** is therefore computed *before* it
-executes, from its plan plus the replication catalog:
-
-* a ``retrieve`` share-locks the scanned set, every set its functional
-  joins traverse, and the replica set behind each ``ReplicaFetch`` step
-  (reads answered from in-place hidden fields need nothing beyond the
-  scanned set -- that is the point of replication);
-* a ``replace`` on ``S.repfield`` exclusive-locks ``S``, ``S'``, and
-  every referencing set on a registered replication path (the sets whose
-  hidden fields / link entries / replica rows the propagation rewrites);
-* link files, inverted-path structures, and lazy queues are covered by
-  their root (source) set's lock -- they are only ever touched while it
-  is held;
-* DDL exclusive-locks the schema resource every statement share-locks,
-  so catalog changes serialize against everything.
+executes, from its plan plus the replication catalog --
+:mod:`repro.query.footprint` has the rules (what a ``retrieve``, a
+``replace`` on ``S.repfield``, a lazy read and DDL each hold); this
+module grants what that module declares.
 
 Lock requests are **all-or-nothing**: a statement's whole footprint is
 granted atomically or the requester waits.  Deadlocks can still arise
@@ -44,20 +34,13 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import DeadlockError, LockTimeoutError
-from repro.objects.types import FieldKind
-from repro.query.plan import (
-    DeletePlan,
-    FunctionalJoin,
-    HiddenRefJump,
-    ReplicaFetch,
-    RetrievePlan,
-    UpdatePlan,
+from repro.query.footprint import (
+    SCHEMA_RESOURCE,
+    LockFootprint,
+    footprint_for_plan,
 )
 from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.waitevents import LOCK_PREFIX, NULL_WAITS
-
-#: The catalog-wide resource: DML/queries take it shared, DDL exclusive.
-SCHEMA_RESOURCE = "__schema"
 
 SHARED = "S"
 EXCLUSIVE = "X"
@@ -66,181 +49,15 @@ EXCLUSIVE = "X"
 _WAIT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 
 
-@dataclass(frozen=True)
-class LockFootprint:
-    """The set-level resources one statement must hold."""
-
-    shared: frozenset = frozenset()
-    exclusive: frozenset = frozenset()
-
-    def __post_init__(self):
-        # an exclusive lock subsumes a shared one on the same resource
-        object.__setattr__(self, "shared", frozenset(self.shared) - frozenset(self.exclusive))
-        object.__setattr__(self, "exclusive", frozenset(self.exclusive))
-
-    def describe(self) -> str:
-        parts = []
-        if self.shared:
-            parts.append("S(" + ", ".join(sorted(self.shared)) + ")")
-        if self.exclusive:
-            parts.append("X(" + ", ".join(sorted(self.exclusive)) + ")")
-        return " ".join(parts) or "(none)"
-
-
-# ---------------------------------------------------------------------------
-# footprint computation
-# ---------------------------------------------------------------------------
-
-
-def _sets_of_type(db, type_name: str) -> set:
-    """Names of catalog sets whose member type resolves to ``type_name``."""
-    root = db.registry.root_name(type_name)
-    return {
-        s.name for s in db.catalog.sets.values()
-        if db.registry.root_name(s.type_name) == root
-    }
-
-
-def _walk_chain(db, start_type: str, chain, out: set) -> None:
-    """Share the sets of every type a ref chain traverses."""
-    tdef = db.registry.get(start_type)
-    for hop in chain:
-        try:
-            fdef = tdef.field_def(hop)
-        except Exception:
-            return  # execution will raise a proper error; no locks needed
-        if fdef.kind is not FieldKind.REF:
-            return
-        out |= _sets_of_type(db, fdef.ref_type)
-        tdef = db.registry.get(fdef.ref_type)
-
-
-def _step_locks(db, set_name: str, step, shared: set, exclusive: set) -> None:
-    if isinstance(step, FunctionalJoin):
-        _walk_chain(db, db.catalog.get_set(set_name).type_name, step.chain, shared)
-    elif isinstance(step, ReplicaFetch):
-        path = db.catalog.get_path(step.path_text)
-        if path.replica_set:
-            shared.add(path.replica_set)
-    elif isinstance(step, HiddenRefJump):
-        # the replicated value is itself a reference (collapsed path);
-        # the remaining functional joins start at its target type
-        path = db.catalog.get_path(step.path_text)
-        ref_field = path.resolved.replicated_fields[0]
-        if ref_field.ref_type:
-            shared |= _sets_of_type(db, ref_field.ref_type)
-            _walk_chain(db, ref_field.ref_type,
-                        step.remaining_chain, shared)
-    # LocalField / HiddenField read the scanned set only
-
-
-def _where_locks(db, set_name: str, where, shared: set, exclusive: set) -> None:
-    if where is None:
-        return
-    for clause in where.clauses:
-        chain = clause.ref.chain
-        if not chain:
-            continue
-        path = db.catalog.find_path(set_name, chain, clause.ref.field)
-        if path is None:
-            _walk_chain(db, db.catalog.get_set(set_name).type_name, chain, shared)
-        else:
-            _path_read_locks(db, path, shared, exclusive)
-
-
-def _path_read_locks(db, path, shared: set, exclusive: set) -> None:
-    if path.lazy:
-        # reading a lazy path drains its queue: hidden-field writes
-        exclusive.add(path.source_set)
-        if path.replica_set:
-            exclusive.add(path.replica_set)
-    elif path.replica_set:
-        shared.add(path.replica_set)
-
-
-def _write_propagation_locks(db, set_name: str, fields: set, exclusive: set) -> None:
-    """Expand a write on ``set_name``'s ``fields`` with every structure a
-    registered replication path forces the statement to rewrite."""
-    registry = db.registry
-    root = registry.root_name(db.catalog.get_set(set_name).type_name)
-    for path in db.catalog.paths.values():
-        resolved = path.resolved
-        involved = False
-        # terminal-value write: propagates into the source set's hidden
-        # fields (in-place) or the replica set's rows (separate)
-        if (registry.root_name(resolved.terminal_type) == root
-                and (fields & set(path.replicated_field_names)
-                     or resolved.is_full_object)):
-            involved = True
-        # reference surgery: rewriting a ref attribute anywhere on the
-        # chain restructures link entries in the downstream sets
-        for pos, hop in enumerate(resolved.ref_chain):
-            if hop not in fields:
-                continue
-            if pos == 0:
-                if path.source_set == set_name:
-                    involved = True
-            elif registry.root_name(resolved.type_names[pos]) == root:
-                involved = True
-        if involved:
-            exclusive.add(path.source_set)
-            for type_name in resolved.type_names[1:]:
-                exclusive |= _sets_of_type(db, type_name)
-            if path.replica_set:
-                exclusive.add(path.replica_set)
-
-
-def footprint_for_plan(db, plan) -> LockFootprint:
-    """Compute the lock footprint of one planned statement."""
-    shared: set = {SCHEMA_RESOURCE}
-    exclusive: set = set()
-    if isinstance(plan, RetrievePlan):
-        shared.add(plan.set_name)
-        steps = list(plan.steps) + list(plan.group_steps)
-        if plan.order_step is not None:
-            steps.append(plan.order_step)
-        for step in steps:
-            _step_locks(db, plan.set_name, step, shared, exclusive)
-        _where_locks(db, plan.set_name, plan.where, shared, exclusive)
-        for path_text in plan.refresh_paths:
-            _path_read_locks(db, db.catalog.get_path(path_text), shared, exclusive)
-    elif isinstance(plan, UpdatePlan):
-        exclusive.add(plan.set_name)
-        _where_locks(db, plan.set_name, plan.where, shared, exclusive)
-        fields = {name for name, __ in plan.assignments}
-        _write_propagation_locks(db, plan.set_name, fields, exclusive)
-    elif isinstance(plan, DeletePlan):
-        exclusive.add(plan.set_name)
-        _where_locks(db, plan.set_name, plan.where, shared, exclusive)
-        for path in db.catalog.paths_on_source(plan.set_name):
-            exclusive.add(path.source_set)
-            for type_name in path.resolved.type_names[1:]:
-                exclusive |= _sets_of_type(db, type_name)
-            if path.replica_set:
-                exclusive.add(path.replica_set)
-    else:
-        raise TypeError(f"not a plan: {plan!r}")
-    return LockFootprint(frozenset(shared), frozenset(exclusive))
-
-
 def footprint_for_statement(db, stmt) -> LockFootprint:
     """Plan a parsed statement and compute its footprint.
 
     ``stmt`` is a parsed :class:`~repro.query.language.Retrieve`,
     ``Replace``, or ``Delete``.  DDL takes :func:`ddl_footprint` instead.
     """
-    from repro.query.language import Delete, Replace, Retrieve
-    from repro.query.planner import plan_delete, plan_replace, plan_retrieve
+    from repro.query.runner import plan_statement
 
-    if isinstance(stmt, Retrieve):
-        plan = plan_retrieve(db, stmt)
-    elif isinstance(stmt, Replace):
-        plan = plan_replace(db, stmt)
-    elif isinstance(stmt, Delete):
-        plan = plan_delete(db, stmt)
-    else:
-        raise TypeError(f"not a statement: {stmt!r}")
-    return footprint_for_plan(db, plan)
+    return footprint_for_plan(db, plan_statement(db, stmt)[0])
 
 
 def ddl_footprint() -> LockFootprint:

@@ -246,10 +246,8 @@ class Server:
                    for cls, seconds in by_class.items()}
             out["waits.statement_seconds"] = round(
                 waits.statement_seconds, 6)
-            hold = metrics.value("admission_hold_seconds_total")
-            out["waits.admission_hold_seconds"] = hold
-            # legacy series name, kept so old dashboards keep plotting
-            out["waits.engine_latch_hold_seconds"] = hold
+            out["waits.admission_hold_seconds"] = metrics.value(
+                "admission_hold_seconds_total")
             return out
 
         def replication() -> dict:
@@ -669,10 +667,9 @@ class Server:
             },
             "waits": {
                 **telemetry.waits.snapshot(),
-                # keys keep their legacy latch_* names for old clients
-                "latch_wait_seconds": round(metrics.histogram(
+                "admission_wait_seconds": round(metrics.histogram(
                     "admission_wait_seconds").sum(), 6),
-                "latch_hold_seconds": round(metrics.value(
+                "admission_hold_seconds": round(metrics.value(
                     "admission_hold_seconds_total"), 6),
             },
             "ash": {

@@ -7,25 +7,21 @@ Statements execute on the :class:`SessionManager`'s bounded
 queue surfaces as :class:`~repro.errors.ServerBusyError` (explicit
 backpressure, never unbounded queueing).
 
-Tracing is **per statement, per session**: a traced statement gets its
-own fresh :class:`~repro.telemetry.tracing.Tracer` (seeded with the
-client-minted ``trace_id`` when one came over the wire), installed as a
-*thread-local* engine tracer for the duration of the statement.
-Concurrent sessions therefore never share tracer state -- the old
-shared enable/disable toggle could interleave two sessions' spans or
-silently untrace one when the other's ``finally: disable()`` fired
-mid-flight.  The span tree travels back to the client in the result
-object, so a trace crosses the process boundary intact.
-
-Isolation is layered the way a real DBMS layers it:
+A session does not have a statement path of its own.  ``run_statement``
+hands the text to the one lifecycle in :mod:`repro.query.runner` --
+whose epilogue is the only place a statement is recorded -- and passes
+*itself* as the isolation object: what an embedded caller leaves empty
+(``control``, ``acquire``, ``admitted``, ``release``, ``commit_lsn``,
+``await_quorum``) is what this module supplies, layered the way a real
+DBMS layers it:
 
 * **locks** (long-term, logical): the whole footprint of a statement is
   acquired before it runs -- shared schema lock first, so the catalog is
   stable while the plan-derived footprint is computed, then the data-set
-  locks.  Autocommit statements release at statement end; between
-  ``begin`` and ``commit`` the session holds everything it touched
-  (strict two-phase locking), which is what makes deadlock possible and
-  the detector necessary;
+  locks.  Autocommit statements release at statement end, whatever the
+  statement raised; between ``begin`` and ``commit`` the session holds
+  everything it touched (strict two-phase locking), which is what makes
+  deadlock possible and the detector necessary;
 * **admission** (short-term, physical): a statement whose footprint has
   been fully granted enters the :class:`~repro.server.admission.EngineGate`
   in shared mode and executes *concurrently* with every other granted
@@ -35,6 +31,13 @@ Isolation is layered the way a real DBMS layers it:
   mode quiesces the engine for maintenance (doctor refresh, failover,
   test harnesses).  The WAL's per-thread statement scopes keep each
   statement atomic even while their log appends interleave.
+
+Tracing is **per statement, per session**: a traced statement gets its
+own fresh :class:`~repro.telemetry.tracing.Tracer` (seeded with the
+client-minted ``trace_id`` when one came over the wire), installed as a
+*thread-local* engine tracer for the duration of the statement, so
+concurrent sessions never share tracer state.  The span tree travels
+back to the client in the result object.
 
 Transactions group *isolation*, not durability: each statement commits
 its own WAL scope, so ``commit`` releases locks while ``abort`` releases
@@ -56,29 +59,33 @@ from repro.errors import (
     ReproError,
     ServerBusyError,
 )
-from repro.query.runner import execute_statement
-from repro.schema.parser import _DDL_STARTERS, execute_ddl
+from repro.query.analyze import render_analyze_report
+from repro.query.executor import QueryResult
+from repro.query.language import Delete, Replace
+from repro.query.runner import (
+    SCHEMA_SHARED,
+    Statement,
+    explain_text,
+    run_statement,
+    wire_io,
+)
+from repro.schema.parser import (
+    _DDL_STARTERS,
+    execute_ddl,
+    strip_explain_analyze,
+)
 from repro.server.locks import (
-    SCHEMA_RESOURCE,
-    AcquireInfo,
-    LockFootprint,
     LockManager,
     ddl_footprint,
-    footprint_for_statement,
     maintenance_footprint,
 )
 from repro.server.admission import AdmissionController, EngineGate
 from repro.server.protocol import json_safe
 from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.tracing import Tracer
-from repro.telemetry.waitevents import (
-    NULL_WAITS,
-    QUEUE_WAIT,
-    REPL_ACK,
-)
+from repro.telemetry.waitevents import NULL_WAITS, REPL_ACK
 
 _QUERY_STARTERS = ("retrieve", "replace", "delete")
-_SCHEMA_SHARED = LockFootprint(shared=frozenset({SCHEMA_RESOURCE}))
 
 #: spans kept per session for ``\trace dump`` (oldest dropped first).
 _TRACE_LOG_SPANS = 2000
@@ -190,11 +197,7 @@ def serialize_result(result) -> dict:
         "columns": list(result.columns),
         "rows": [[json_safe(v) for v in row] for row in result.rows],
         "plan": result.plan,
-        "io": {
-            "reads": result.io.physical_reads,
-            "writes": result.io.physical_writes,
-            "total": result.io.total_io,
-        },
+        "io": wire_io(result.io),
     }
     if result.cache is not None:
         doc["cache"] = result.cache
@@ -202,7 +205,10 @@ def serialize_result(result) -> dict:
 
 
 class Session:
-    """One client's server-side state."""
+    """One client's server-side state, and the isolation object its
+    statements pass to :func:`repro.query.runner.run_statement`."""
+
+    root_span = "statement"
 
     def __init__(self, session_id: int, manager: "SessionManager",
                  name: str = "") -> None:
@@ -232,93 +238,92 @@ class Session:
         self.last_duration_ms = 0.0
         #: span dicts from this session's traced statements (``\trace dump``)
         self._trace_log: list[dict] = []
-        #: the active statement's tracer (None when untraced); statement-
-        #: scoped, so concurrent sessions never share tracer state
-        self._stmt_tracer: Tracer | None = None
-        self._stmt_lock_waits: list[dict] = []
-        #: WAL bytes the active statement appended, read from the WAL's
-        #: per-thread statement scope so concurrent statements can't
-        #: misattribute each other's appends
-        self._stmt_wal_bytes = 0
-        #: the active statement's wait ledger (None when the collector
-        #: is disabled or no statement is in flight)
-        self._stmt_waits = None
         #: cumulative per-event wait seconds across this session's life
         self.wait_totals: dict[str, float] = {}
         #: cumulative admission wait / execution occupancy seconds
-        #: (for ``\top``; the wire keys keep their legacy latch_* names)
-        self.latch_wait_s = 0.0
-        self.latch_hold_s = 0.0
+        self.admission_wait_s = 0.0
+        self.admission_hold_s = 0.0
         #: serializes this session's own statements (a pipelining client
         #: must not run two statements under one lock owner at once)
         self._mutex = threading.Lock()
 
-    # -- statement dispatch ------------------------------------------------
+    # -- statements ----------------------------------------------------------
 
     def run_statement(self, text: str, trace_id: str | None = None) -> dict:
         """Execute one statement; returns a wire result object.
 
         ``trace_id`` is the client-minted trace id from the request frame:
         when present (or when this session toggled ``\\trace on``) the
-        statement runs under a fresh per-statement :class:`Tracer` and the
-        result carries the span tree under ``result["trace"]``.
+        statement runs under a fresh per-statement :class:`Tracer`,
+        installed as this thread's engine tracer for the duration, and
+        the result carries the span tree under ``result["trace"]``.
+        ``explain analyze <query>`` is ``<query>`` run with per-operator
+        accounting: same lifecycle, same cache entry, same fingerprint.
 
-        Raises ReproError subclasses; the service maps them to structured
-        error frames.  Deadlock / lock-timeout errors abort the pending
-        transaction (locks released) before propagating.
+        Raises whatever the statement raised; the service maps ReproError
+        subclasses to structured error frames.  Deadlock / lock-timeout
+        errors abort the pending transaction (locks released) before
+        propagating.
         """
         with self._mutex:
             body = text.strip().rstrip(";").strip()
             if not body:
                 raise ParseError("empty statement")
+            query, analyze = strip_explain_analyze(body)
             tracer = None
             if trace_id is not None or self.trace:
                 tracer = Tracer(stats=self.db.stats, enabled=True,
                                 trace_id=trace_id, session_id=self.id)
-            self._stmt_tracer = tracer
-            self._stmt_lock_waits = []
-            self._stmt_wal_bytes = 0
-            waits = self.db.telemetry.waits
-            self._stmt_waits = waits.begin_statement(
-                self.id, self.name, " ".join(body.split()))
-            queued = current_queue_wait()
-            if queued > 0.0:
-                waits.record(QUEUE_WAIT, queued)
-            started = time.perf_counter()
-            outcome = "ok"
-            result = None
+            # read-your-writes: inside an explicit transaction that has
+            # written, every cached result predates this session's writes
+            ctx = Statement(
+                query, use_cache=self._cache_enabled(),
+                bypass="txn_write" if self.in_txn and self._txn_wrote else "",
+                queued=current_queue_wait())
             try:
-                if tracer is None:
-                    result = self._dispatch(body)
-                    return result
-                with tracer.span("statement",
-                                 statement=" ".join(body.split())) as root:
-                    queued = current_queue_wait()
-                    if queued > 0.0:
-                        tracer.record("queue_wait",
-                                      {"note": "bounded worker queue"},
-                                      duration_ms=queued * 1000.0)
-                    result = self._dispatch(body)
-                    root.set("kind", result.get("kind", ""))
+                with self.db.join_mode_scope(self.join_mode), \
+                        self.db.telemetry.tracer_scope(tracer):
+                    result = run_statement(self.db, ctx, self,
+                                           analyze=analyze)
+                if self.in_txn and isinstance(ctx.stmt, (Replace, Delete)):
+                    self._txn_wrote = True
+            finally:
+                self.statements += 1
+                if ctx.outcome != "ok":
+                    self.errors += 1
+                self.last_statement = body
+                self.last_duration_ms = ctx.duration_ms
+                for event, seconds in ctx.waits.items():
+                    self.wait_totals[event] = (
+                        self.wait_totals.get(event, 0.0) + seconds)
+                if tracer is not None:
+                    self._trace_log.extend(s.to_dict() for s in tracer.spans)
+                    del self._trace_log[:-_TRACE_LOG_SPANS]
+            if isinstance(result, QueryResult) and analyze:
+                result = {"kind": "text",
+                          "text": render_analyze_report(result)}
+            elif isinstance(result, QueryResult):
+                result = serialize_result(result)
+            if tracer is not None:
+                root = tracer.spans[-1]
+                root.set("kind", result.get("kind", ""))
                 result = dict(result)
                 result["trace"] = {"trace_id": root.trace_id,
                                    "spans": [s.to_dict() for s in tracer.spans]}
-                return result
-            except (DeadlockError, LockTimeoutError) as exc:
-                # the victim must let go or the cycle never breaks
-                outcome = type(exc).__name__
-                self._end_txn()
-                raise
-            except ReproError as exc:
-                outcome = type(exc).__name__
-                raise
-            finally:
-                duration_ms = (time.perf_counter() - started) * 1000.0
-                self._finish_statement(body, duration_ms, outcome, tracer,
-                                       result)
+            return result
 
-    def _dispatch(self, body: str) -> dict:
-        first = body.split(None, 1)[0].lower()
+    def _cache_enabled(self) -> bool:
+        """The effective cache switch: session override, else db default."""
+        if self.cache is not None:
+            return self.cache
+        return self.db.resultcache.enabled
+
+    # -- the isolation a served statement runs under -----------------------
+    # (what repro.query.runner.NoIsolation leaves empty)
+
+    def control(self, ctx: Statement) -> dict | None:
+        """Transaction control, DDL and ``explain``; None for a query."""
+        first = ctx.text.split(None, 1)[0].lower()
         guard = self.manager.access_guard
         if guard is not None:
             # a read replica admits reads (subject to its staleness bound)
@@ -328,343 +333,133 @@ class Session:
                 guard("write")
             elif first in ("retrieve", "explain"):
                 guard("read")
-        if first == "begin":
-            return self._begin()
-        if first == "commit":
-            return self._commit()
-        if first in ("abort", "rollback"):
-            return self._abort()
-        if first == "explain":
-            return self._explain(body)
         if first in _QUERY_STARTERS:
-            return self._query(body)
+            return None
+        if first == "begin":
+            if self.in_txn:
+                raise ReproError("already in a transaction")
+            self.in_txn = True
+            return {"kind": "ok", "detail": "begin"}
+        if first in ("commit", "abort", "rollback"):
+            if not self.in_txn:
+                raise ReproError("no transaction in progress")
+            self._end_txn()
+            return {"kind": "ok", "detail": "commit" if first == "commit" else
+                    "abort (locks released; statements already applied "
+                    "remain durable)"}
+        if first == "explain":
+            with self._isolated(ctx, SCHEMA_SHARED):
+                return {"kind": "text", "text": explain_text(
+                    self.db, ctx.source[len("explain"):].strip())}
         if first in _DDL_STARTERS:
-            return self._ddl(body)
-        raise ParseError(f"unrecognised statement: {body!r}")
+            return self._ddl(ctx)
+        raise ParseError(f"unrecognised statement: {ctx.source!r}")
 
-    def _finish_statement(self, body: str, duration_ms: float, outcome: str,
-                          tracer: Tracer | None, result) -> None:
-        """Statement epilogue: per-session stats, trace log, slow log."""
-        self.statements += 1
-        if outcome != "ok":
-            self.errors += 1
-        self.last_statement = body
-        self.last_duration_ms = duration_ms
-        if tracer is not None:
-            self._stmt_tracer = None
-            self._trace_log.extend(s.to_dict() for s in tracer.spans)
-            del self._trace_log[:-_TRACE_LOG_SPANS]
-        waits = self.db.telemetry.waits
-        breakdown = waits.finish_statement(self._stmt_waits,
-                                           duration_ms / 1000.0)
-        self._stmt_waits = None
-        for event, seconds in breakdown.items():
-            self.wait_totals[event] = (self.wait_totals.get(event, 0.0)
-                                       + seconds)
-        lock_wait_ms = sum(w["waited_ms"] for w in self._stmt_lock_waits)
-        plan, io, rows, cache = "", {}, None, ""
-        if isinstance(result, dict) and result.get("kind") == "rows":
-            plan = result.get("plan", "")
-            io = dict(result.get("io") or {})
-            rows = len(result.get("rows") or ())
-            cache = result.get("cache") or ""
-        fp = self.db.telemetry.statements.observe(
-            " ".join(body.split()), duration_ms, io=io, rows=rows,
-            lock_wait_ms=lock_wait_ms, wal_bytes=self._stmt_wal_bytes,
-            outcome=outcome, waits=breakdown)
-        slowlog = self.db.telemetry.slowlog
-        if duration_ms >= slowlog.threshold_ms:
-            slowlog.observe(
-                statement=" ".join(body.split()), duration_ms=duration_ms,
-                plan=plan, io=io, lock_wait_ms=lock_wait_ms,
-                lock_waits=list(self._stmt_lock_waits), session=self.name,
-                outcome=outcome, rows=rows, fingerprint=fp or "",
-                cache=cache, waits=breakdown)
-        self._stmt_lock_waits = []
-
-    # -- lock acquisition (traced) ----------------------------------------
-
-    def _acquire(self, footprint: LockFootprint) -> AcquireInfo:
-        """Acquire a footprint, recording a ``lock_acquire`` span (when
-        tracing) and the per-resource wait shares for the slow log."""
-        tracer = self._stmt_tracer
-        if tracer is None:
-            info = self.manager.locks.acquire(self.owner, footprint)
-        else:
-            with tracer.span("lock_acquire",
-                             resources=footprint.describe()) as span:
+    def acquire(self, ctx: Statement, footprint=None) -> None:
+        """Acquire a footprint (default: the one ``ctx`` declares from
+        its plan), recording a ``lock_acquire`` span when tracing and the
+        per-resource wait shares for the slow log.  A deadlock or
+        timeout victim ends its transaction: it must let go or the cycle
+        never breaks."""
+        if footprint is None:
+            footprint = ctx.declare(self.db)
+        tracer = self.db.telemetry.tracer
+        try:
+            with tracer.span("lock_acquire") as span:
                 info = self.manager.locks.acquire(self.owner, footprint)
-                span.set("waited_ms", round(info.waited * 1000.0, 3))
-                if info.contended:
-                    span.set("contended", info.wait_breakdown())
+                if tracer.enabled:
+                    span.set("resources", footprint.describe())
+                    span.set("waited_ms", round(info.waited * 1000.0, 3))
+                    if info.contended:
+                        span.set("contended", info.wait_breakdown())
+        except (DeadlockError, LockTimeoutError):
+            self._end_txn()
+            raise
         if info.waited:
-            self._stmt_lock_waits.extend(info.wait_breakdown())
-        return info
-
-    # -- statement admission (wait-accounted) ------------------------------
+            ctx.lock_waits.extend(info.wait_breakdown())
 
     @contextmanager
-    def _admitted(self):
+    def admitted(self):
         """Execute under statement admission.
 
         The footprint is already granted, so admission is normally
         instant; it blocks only while the engine is quiesced (doctor
         refresh, failover, an exclusive harness).  The wait feeds the
-        ``admission_wait`` event and this session's ``latch_wait_s``;
-        occupancy feeds ``latch_hold_s`` and the global counter.  The
+        ``admission_wait`` event and this session's ``admission_wait_s``;
+        occupancy feeds ``admission_hold_s`` and the global counter.  The
         ``statement_admitted`` / ``statement_finishing`` fault-injector
         probes bracket execution so tests can inject deterministic
         barriers and prove real statement overlap.
         """
         faults = self.db.faults
         with self.manager.admission.admitted() as grant:
-            self.latch_wait_s += grant.waited
+            self.admission_wait_s += grant.waited
             held_from = time.perf_counter()
             faults.probe("statement_admitted")
             try:
                 yield
             finally:
                 faults.probe("statement_finishing")
-                self.latch_hold_s += time.perf_counter() - held_from
+                self.admission_hold_s += time.perf_counter() - held_from
 
-    # -- transaction control ----------------------------------------------
-
-    def _begin(self) -> dict:
-        if self.in_txn:
-            raise ReproError("already in a transaction")
-        self.in_txn = True
-        self._txn_wrote = False
-        return {"kind": "ok", "detail": "begin"}
-
-    def _commit(self) -> dict:
-        if not self.in_txn:
-            raise ReproError("no transaction in progress")
-        self._end_txn()
-        return {"kind": "ok", "detail": "commit"}
-
-    def _abort(self) -> dict:
-        if not self.in_txn:
-            raise ReproError("no transaction in progress")
-        self._end_txn()
-        return {"kind": "ok", "detail": "abort (locks released; statements "
-                                        "already applied remain durable)"}
-
-    def _end_txn(self) -> None:
-        self.in_txn = False
-        self._txn_wrote = False
-        self.manager.locks.release_all(self.owner)
-
-    def _release_if_autocommit(self) -> None:
+    def release(self) -> None:
+        """Autocommit statements release at statement end; a transaction
+        holds everything it touched until ``commit`` / ``abort``."""
         if not self.in_txn:
             self.manager.locks.release_all(self.owner)
 
-    # -- statements --------------------------------------------------------
-
-    def _cache_enabled(self) -> bool:
-        """The effective cache switch: session override, else db default."""
-        if self.cache is not None:
-            return self.cache
-        return self.db.resultcache.enabled
-
-    def _serve_cached(self, entry, analyze: bool):
-        """Serve one probed cache entry under full isolation, or None.
-
-        The entry's stored footprint is reacquired in shared mode (the
-        same resources planning would lock -- DDL invalidates via the
-        schema resource every footprint carries, so a live entry's
-        footprint is current), then the entry is revalidated after the
-        lock grant: a writer that invalidated it between the lock-free
-        probe and our grant flipped ``alive`` while holding its X-locks,
-        so the post-lock check closes that race.  Returns None when the
-        entry died -- the caller falls through to normal execution,
-        keeping the shared locks it just acquired.
-        """
-        self._acquire(_SCHEMA_SHARED)
+    @contextmanager
+    def _isolated(self, ctx: Statement, footprint):
+        """acquire -> admit -> (the body) -> release, whatever the body
+        raises: what a statement that is not a query runs under."""
         try:
-            self._acquire(LockFootprint(shared=entry.footprint))
-            with self._admitted():
-                if self.db.resultcache.hit(entry) is None:
-                    return None
-                from repro.query.runner import serve_cached
-
-                result = self._traced(
-                    lambda: serve_cached(entry, analyze=analyze))
-        except (DeadlockError, LockTimeoutError):
-            raise
-        except ReproError:
-            self._release_if_autocommit()
-            raise
-        self._release_if_autocommit()
-        return self._render_rows(result, analyze)
-
-    def _render_rows(self, result, analyze: bool) -> dict:
-        if analyze:
-            from repro.query.analyze import render_analyze
-
-            text = (render_analyze(result)
-                    + f"\n({len(result.rows)} row(s))   plan: {result.plan}")
-            if result.cache:
-                text += f"   cache: {result.cache}"
-            return {"kind": "text", "text": text}
-        return serialize_result(result)
-
-    def _query(self, body: str, analyze: bool = False):
-        from repro.query.language import (
-            Delete,
-            Replace,
-            Retrieve,
-            parse_statement,
-        )
-
-        cache = self.db.resultcache
-        collapsed = " ".join(body.split())
-        is_retrieve = collapsed.split(None, 1)[:1] == ["retrieve"]
-        cache_on = is_retrieve and self._cache_enabled()
-        # read-your-writes: inside an explicit transaction that has
-        # written, every cached result predates this session's own writes
-        txn_dirty = self.in_txn and self._txn_wrote
-        if cache_on and txn_dirty:
-            cache.bypass("txn_write")
-        elif cache_on:
-            entry = cache.get(collapsed)
-            if entry is not None:
-                served = self._serve_cached(entry, analyze)
-                if served is not None:
-                    return served
-        stmt = parse_statement(body)
-        # schema lock first: the catalog is stable while the footprint is
-        # computed from the plan, and stays stable through execution
-        self._acquire(_SCHEMA_SHARED)
-        stmt_lsn = 0
-        try:
-            footprint = footprint_for_statement(self.db, stmt)
-            self._acquire(footprint)
-            # a retrieve with a purely shared footprint cannot touch the
-            # WAL (a lazy refresh would have an exclusive footprint), so
-            # it skips the WAL statement scope entirely
-            read_only = isinstance(stmt, Retrieve) and not footprint.exclusive
-            with self._admitted():
-                try:
-                    result = self._traced(
-                        lambda: execute_statement(self.db, stmt,
-                                                  analyze=analyze,
-                                                  read_only=read_only))
-                finally:
-                    # per-thread WAL scope accounting: exact even while
-                    # other statements append to the log concurrently
-                    self._stmt_wal_bytes = (
-                        0 if read_only
-                        else self.db.recovery.last_statement_wal_bytes())
-                if isinstance(stmt, Retrieve) and cache_on and not txn_dirty:
-                    # fill while still holding the shared footprint locks:
-                    # no writer can race the stored rows
-                    if footprint.exclusive:
-                        cache.bypass("lazy_refresh")
-                        result.cache = "bypass"
-                    else:
-                        cache.miss(collapsed)
-                        cache.fill(collapsed, result.columns, result.rows,
-                                   result.plan, footprint.shared)
-                        result.cache = "miss"
-                elif isinstance(stmt, Retrieve) and cache_on:
-                    result.cache = "bypass"
-                if not read_only and self.db.recovery.last_statement_lsn() > 0:
-                    # this statement committed WAL work: ack only once
-                    # the replication log has reached at least its head
-                    stmt_lsn = self._hub_lsn()
-            if isinstance(stmt, (Replace, Delete)) and self.in_txn:
-                self._txn_wrote = True
-        except (DeadlockError, LockTimeoutError):
-            raise
-        except ReproError:
-            self._release_if_autocommit()
-            raise
-        self._release_if_autocommit()
-        self._await_quorum(stmt_lsn)
-        return self._render_rows(result, analyze)
-
-    def _ddl(self, body: str) -> dict:
-        self._acquire(ddl_footprint())
-        stmt_lsn = 0
-        try:
-            # the exclusive schema lock quiesces every other statement,
-            # so the global before/after deltas below are exact
-            with self._admitted():
-                lsn_before = self._hub_lsn()
-                wal_before = self.db.telemetry.metrics.value("wal_bytes_total")
-                try:
-                    self._traced(lambda: execute_ddl(self.db, body))
-                finally:
-                    self._stmt_wal_bytes = (
-                        self.db.telemetry.metrics.value("wal_bytes_total")
-                        - wal_before)
-                lsn_after = self._hub_lsn()
-                stmt_lsn = lsn_after if lsn_after > lsn_before else 0
-            if self.in_txn:
-                self._txn_wrote = True
+            self.acquire(ctx, footprint)
+            with self.admitted():
+                yield
         finally:
-            self._release_if_autocommit()
-        self._await_quorum(stmt_lsn)
-        return {"kind": "ok", "detail": "ddl"}
+            self.release()
 
-    def _explain(self, body: str) -> dict:
-        rest = body[len("explain"):].strip()
-        if rest.split(None, 1)[:1] == ["analyze"]:
-            return self._query(rest[len("analyze"):].strip(), analyze=True)
-        from repro.query.runner import explain_text
-
-        self._acquire(_SCHEMA_SHARED)
-        try:
-            with self._admitted():
-                text = self._traced(lambda: explain_text(self.db, rest))
-        finally:
-            self._release_if_autocommit()
-        return {"kind": "text", "text": text}
-
-    # -- replication hooks -------------------------------------------------
-
-    def _hub_lsn(self) -> int:
+    def commit_lsn(self) -> int:
         """The replication log's head LSN (0 without a hub).  Under
         concurrency the head may include other statements' entries;
         waiting on it is conservative (never acks too early)."""
         hub = self.manager.hub
         return hub.log.last_lsn if hub is not None else 0
 
-    def _await_quorum(self, lsn: int) -> None:
+    def await_quorum(self, lsn: int) -> None:
         """Semi-synchronous commit: with ``sync_replicas=K`` the statement
         is only acknowledged once K followers have applied ``lsn``.
 
         Called after lock release -- a slow follower must never extend
         lock hold times, only the writer's own latency."""
         hub = self.manager.hub
-        if hub is None or lsn <= 0:
-            return
-        if hub.sync_replicas > 0:
+        if hub is not None and lsn > 0 and hub.sync_replicas > 0:
             with self.db.telemetry.waits.wait(REPL_ACK, f"lsn {lsn}"):
                 hub.wait_for_sync(lsn)
-        else:
-            hub.wait_for_sync(lsn)
 
-    def _traced(self, fn):
-        """Run ``fn`` with this statement's own tracer installed as the
-        engine tracer, and this session's join-mode override applied.
+    # -- transactions and DDL ----------------------------------------------
 
-        Both overrides are **thread-local scopes** (``tracer_scope`` /
-        ``join_mode_scope``): engine code deep in the stack reads
-        ``db.telemetry.tracer`` / ``db.join_mode`` and sees this
-        statement's values, while concurrently executing statements on
-        other threads see their own (or the defaults).  One session's
-        statement can never truncate or interleave another's trace --
-        every traced statement owns its :class:`Tracer` -- and a
-        session's ``\\set joinmode`` never leaks into statements of
-        other sessions.
-        """
-        with self.db.join_mode_scope(self.join_mode):
-            tracer = self._stmt_tracer
-            if tracer is None:
-                return fn()
-            with self.db.telemetry.tracer_scope(tracer):
-                return fn()
+    def _end_txn(self) -> None:
+        self.in_txn = False
+        self._txn_wrote = False
+        self.manager.locks.release_all(self.owner)
+
+    def _ddl(self, ctx: Statement) -> dict:
+        metrics = self.db.telemetry.metrics
+        # the exclusive schema lock quiesces every other statement, so
+        # the global before/after deltas below are exact
+        with self._isolated(ctx, ddl_footprint()):
+            lsn_before = self.commit_lsn()
+            wal_before = metrics.value("wal_bytes_total")
+            try:
+                execute_ddl(self.db, ctx.source)
+            finally:
+                ctx.wal_bytes = metrics.value("wal_bytes_total") - wal_before
+            lsn = self.commit_lsn()
+            if self.in_txn:
+                self._txn_wrote = True
+        self.await_quorum(lsn if lsn > lsn_before else 0)
+        return {"kind": "ok", "detail": "ddl"}
 
     # -- meta commands -----------------------------------------------------
 
@@ -672,24 +467,19 @@ class Session:
         """Server-side meta commands; returns a ``text`` result object."""
         with self._mutex:
             if command == "trace":
-                return {"kind": "text", "text": self._meta_trace(args)}
-            if command == "set":
-                return {"kind": "text", "text": self._meta_set(args)}
-            if command in ("waits", "ash", "alerts"):
+                text = self._meta_trace(args)
+            elif command == "set":
+                text = self._meta_set(args)
+            elif command in ("waits", "ash", "alerts"):
                 # observability reads: counters and rings under their own
-                # mutexes -- no locks, no engine latch, no page I/O
-                return {"kind": "text",
-                        "text": self._meta_observability(command, args)}
-            footprint = (maintenance_footprint()
-                         if command in ("verify", "doctor", "recover", "cold")
-                         else _SCHEMA_SHARED)
-            locks = self.manager.locks
-            locks.acquire(self.owner, footprint)
-            try:
-                with self._admitted():
+                # mutexes -- no locks, no admission, no page I/O
+                text = self._meta_observability(command, args)
+            else:
+                footprint = (maintenance_footprint() if command in
+                             ("verify", "doctor", "recover", "cold")
+                             else SCHEMA_SHARED)
+                with self._isolated(Statement("\\" + command), footprint):
                     text = self._meta_text(command, args)
-            finally:
-                self._release_if_autocommit()
             return {"kind": "text", "text": text}
 
     def _meta_text(self, command: str, args: list[str]) -> str:
@@ -702,15 +492,13 @@ class Session:
             if args and args[0] == "prom":
                 return db.telemetry.metrics.render_prometheus().rstrip("\n")
             stats = db.stats
-            effective = self.join_mode or db.join_mode
-            source = "session" if self.join_mode else "server default"
             return "\n".join([
                 f"physical reads {stats.physical_reads}, writes "
                 f"{stats.physical_writes}, logical reads {stats.logical_reads}, "
                 f"buffer hits {stats.buffer_hits}",
                 f"evictions {stats.evictions}, "
                 f"dirty writebacks {stats.dirty_writebacks}",
-                f"join mode {effective} ({source})",
+                self._join_mode_text(),
                 db.telemetry.metrics.render_text(),
             ])
         if command == "monitor":
@@ -798,19 +586,17 @@ class Session:
                              " | \\set cache on|off|default")
         if args[0] == "cache":
             return self._meta_set_cache(args[1:])
-        if len(args) < 2:
-            effective = self.join_mode or self.db.join_mode
-            source = "session" if self.join_mode else "server default"
-            return f"join mode {effective} ({source})"
-        value = args[1]
-        if value == "default":
-            self.join_mode = None
-            return f"join mode {self.db.join_mode} (server default)"
-        if value not in ("naive", "batched"):
-            raise ReproError(
-                f"join mode must be 'naive' or 'batched', not {value!r}")
-        self.join_mode = value
-        return f"join mode {value} (session)"
+        if len(args) >= 2:
+            value = args[1]
+            if value not in ("naive", "batched", "default"):
+                raise ReproError(
+                    f"join mode must be 'naive' or 'batched', not {value!r}")
+            self.join_mode = None if value == "default" else value
+        return self._join_mode_text()
+
+    def _join_mode_text(self) -> str:
+        source = "session" if self.join_mode else "server default"
+        return f"join mode {self.join_mode or self.db.join_mode} ({source})"
 
     def _meta_set_cache(self, args: list[str]) -> str:
         """``\\set cache on|off|default`` -- per-session cache override."""
@@ -854,8 +640,8 @@ class Session:
             "last_duration_ms": round(self.last_duration_ms, 3),
             "top_wait": top_wait,
             "top_wait_ms": round(top_wait_s * 1000.0, 3),
-            "latch_wait_ms": round(self.latch_wait_s * 1000.0, 3),
-            "latch_hold_ms": round(self.latch_hold_s * 1000.0, 3),
+            "admission_wait_ms": round(self.admission_wait_s * 1000.0, 3),
+            "admission_hold_ms": round(self.admission_hold_s * 1000.0, 3),
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -879,9 +665,8 @@ class SessionManager:
         waits = getattr(db.telemetry, "waits", NULL_WAITS)
         self.locks = LockManager(timeout=lock_timeout, metrics=metrics,
                                  waits=waits)
-        #: the admission gate (kept under the historical ``latch`` name:
-        #: ``with sessions.latch:`` still quiesces the engine, but
-        #: statements now enter it *shared* and execute concurrently)
+        #: the admission gate: statements enter it shared and execute
+        #: concurrently; ``with sessions.latch:`` quiesces the engine
         self.latch = EngineGate()
         self.admission = AdmissionController(self.latch, waits=waits,
                                              metrics=metrics)

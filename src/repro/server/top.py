@@ -87,8 +87,8 @@ def render_top(stats: dict, prev: dict | None = None,
             + "  ".join(parts))
         admission = stats.get("admission") or {}
         lines.append(
-            f"admission  wait {waits.get('latch_wait_seconds', 0.0):.3f}s  "
-            f"hold {waits.get('latch_hold_seconds', 0.0):.3f}s  "
+            f"admission  wait {waits.get('admission_wait_seconds', 0.0):.3f}s  "
+            f"hold {waits.get('admission_hold_seconds', 0.0):.3f}s  "
             f"active {admission.get('concurrent_statements', 0.0):.0f} "
             f"(peak {admission.get('concurrent_statements_peak', 0.0):.0f})  "
             f"queued {admission.get('queue_depth', 0.0):.0f}")

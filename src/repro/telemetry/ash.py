@@ -36,7 +36,7 @@ import time
 from collections import deque
 
 from repro.telemetry.statstats import fingerprint
-from repro.telemetry.waitevents import CLIENT_NET, canonical_event
+from repro.telemetry.waitevents import CLIENT_NET
 
 #: default ring capacity: at 1 Hz and 8 sessions, ~8.5 minutes of history.
 DEFAULT_CAPACITY = 4096
@@ -114,12 +114,8 @@ class ActiveSessionHistory:
 
         ``event`` matches exactly, or -- for lock waits -- by the
         resource alone (``event="lock:Emp1"``) or the whole class
-        (``event="lock"`` matches every ``lock:<resource>``).  Legacy
-        event names are accepted (``engine_latch`` matches today's
-        ``admission_wait`` samples).
+        (``event="lock"`` matches every ``lock:<resource>``).
         """
-        if event is not None:
-            event = canonical_event(event)
         with self._mutex:
             items = list(self._ring)
         out = []

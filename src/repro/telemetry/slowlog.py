@@ -8,9 +8,9 @@ buffer is bounded (``capacity`` newest records are kept), so a
 long-running server's log never grows without limit.
 
 The log lives on :class:`repro.telemetry.Telemetry` next to the tracer
-and the metrics registry; the server records into it from the session
-layer (where lock waits are known) and the embedded engine from
-:func:`repro.query.runner.execute_text`.  ``slow_queries_total`` counts
+and the metrics registry; its one caller is the epilogue of the
+statement lifecycle, :func:`repro.query.runner.run_statement`, embedded
+and served alike.  ``slow_queries_total`` counts
 every record ever taken, so a scrape sees slow-query *rate* even after
 the ring has wrapped.
 

@@ -9,9 +9,11 @@ happened while it was open, read straight off the engine's shared
 query's cost exactly the way the paper's cost terms do -- but measured,
 not modelled.
 
-Tracing is off by default and costs one attribute check per guarded call
-site when disabled.  Enabled, spans are kept in memory in completion
-order and exported as JSON-lines via :meth:`Tracer.to_jsonl` /
+Tracing is off by default; disabled, :meth:`Tracer.span` hands every
+caller the same do-nothing :data:`NULL_SPAN`, so call sites are written
+once -- ``with tracer.span(...) as span:`` -- and not once per
+traced/untraced.  Enabled, spans are kept in memory in completion order
+and exported as JSON-lines via :meth:`Tracer.to_jsonl` /
 :meth:`Tracer.export`.
 
 Two kinds of spans exist:
@@ -88,6 +90,25 @@ class Span:
         }
 
 
+class _NullSpan:
+    """What a disabled tracer's ``span()`` returns: it measures nothing
+    and ``set`` drops its argument."""
+
+    __slots__ = ()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def set(self, key: str, value) -> None:
+        pass
+
+
+NULL_SPAN = _NullSpan()
+
+
 class Tracer:
     """Collects spans for one database instance (or one server session).
 
@@ -130,12 +151,15 @@ class Tracer:
             return dict.fromkeys(_IO_FIELDS, 0)
         return {name: getattr(stats, name) for name in _IO_FIELDS}
 
-    @contextmanager
     def span(self, name: str, **attrs):
-        """Open a live span; yields it for attribute updates."""
+        """Open a live span (a context manager yielding it for attribute
+        updates); :data:`NULL_SPAN` when tracing is off."""
         if not self.enabled:
-            yield None
-            return
+            return NULL_SPAN
+        return self._live_span(name, attrs)
+
+    @contextmanager
+    def _live_span(self, name: str, attrs: dict):
         if self._stack:
             trace_id = self._stack[-1].trace_id
         elif self.trace_id is not None:
@@ -143,7 +167,6 @@ class Tracer:
         else:
             trace_id = self._next_trace_id
             self._next_trace_id += 1
-        attrs = dict(attrs)
         if self.session_id is not None:
             attrs.setdefault("session_id", self.session_id)
         span = Span(

@@ -1,13 +1,11 @@
 """Wait-event accounting: where statements spend their time.
 
-Every second of a served statement's wall-clock time is attributed to
+Every second of a statement's wall-clock time is attributed to
 exactly one *wait event* -- the Oracle / Postgres ``pg_stat_activity``
 taxonomy adapted to this engine's actual blocking points:
 
 * ``admission_wait``   -- waiting in the admission scheduler for a
-  slot to execute (formerly ``engine_latch``, back when one global
-  latch serialized every statement; ``engine_latch`` remains accepted
-  as a query alias so old dashboards keep working);
+  slot to execute;
 * ``lock:<resource>``  -- waiting in the 2PL lock manager, attributed
   per contended resource (a multi-resource wait splits its time evenly
   across the resources that actually blocked it);
@@ -35,11 +33,12 @@ engine is threaded with.  Accumulation has two independent sinks:
   the ``admission_wait_seconds`` histogram; always fed, even for
   engine work outside any statement (embedded execution, recovery);
 * **the active statement context** -- a ``threading.local`` slot the
-  session layer installs around each served statement; engine code deep
-  in the stack (buffer pool, WAL, lock manager) records into it without
-  any plumbing, and the session folds the finished breakdown into its
-  per-session totals, the per-fingerprint statement statistics, and the
-  slow-query log.
+  statement lifecycle installs around every statement, embedded or
+  served; engine code deep in the stack (buffer pool, WAL, lock manager)
+  records into it without any plumbing, and the lifecycle's epilogue
+  folds the finished breakdown into the per-fingerprint statement
+  statistics and the slow-query log (a session adds it to its own
+  totals).
 
 The context also carries the *current* wait (event, detail, since) so
 the ASH sampler can snapshot in-flight waits -- a session blocked on a
@@ -60,10 +59,6 @@ import time
 from repro.telemetry.metrics import NULL_METRICS
 
 ADMISSION_WAIT = "admission_wait"
-#: legacy name for :data:`ADMISSION_WAIT` (pre-admission-scheduler the
-#: blocking point was one global engine latch); accepted everywhere an
-#: event name is read, normalised on the way in.
-ENGINE_LATCH = "engine_latch"
 BUFFER_IO = "buffer_io"
 WAL_FLUSH = "wal_flush"
 QUEUE_WAIT = "queue_wait"
@@ -87,12 +82,6 @@ LATCH_WAIT_BUCKETS = (0.00005, 0.0001, 0.0005, 0.001, 0.005, 0.01,
 def base_event(event: str) -> str:
     """Collapse ``lock:<resource>`` to ``lock``; other events pass through."""
     return "lock" if event.startswith(LOCK_PREFIX) else event
-
-
-def canonical_event(event: str) -> str:
-    """Normalise legacy event names (``engine_latch`` ->
-    ``admission_wait``); canonical names pass through unchanged."""
-    return ADMISSION_WAIT if event == ENGINE_LATCH else event
 
 
 class StatementWaitContext:
@@ -285,10 +274,6 @@ class WaitEventCollector:
         if self.enabled:
             self._m_latch_hold.inc(held_s)
 
-    # legacy names (pre-admission-scheduler callers)
-    latch_acquired = admission_granted
-    latch_released = admission_released
-
     def _count(self, event: str, seconds: float, count: int) -> None:
         """Add to the global sinks: the totals table and the two metric
         series of ``event``."""
@@ -356,7 +341,7 @@ class WaitEventCollector:
 
     def total_for(self, event: str) -> float:
         with self._mutex:
-            slot = self._totals.get(canonical_event(event))
+            slot = self._totals.get(event)
             return slot[0] if slot is not None else 0.0
 
     def lock_wait_seconds(self) -> float:
@@ -435,9 +420,6 @@ class NullWaitCollector:
 
     def admission_released(self, held_s) -> None:
         pass
-
-    latch_acquired = admission_granted
-    latch_released = admission_released
 
     def sample(self) -> list:
         return []

@@ -76,7 +76,7 @@ def test_client_minted_trace_id_returns_full_span_tree(server):
         assert spans[0]["name"] == "client_request"
         assert spans[0]["span_id"] == 0 and spans[0]["parent_id"] is None
         names = {s["name"] for s in spans}
-        assert {"client_request", "statement", "lock_acquire",
+        assert {"client_request", "statement", "parse", "lock_acquire",
                 "execute"} <= names
         # the server root is re-parented under the client root
         (statement,) = [s for s in spans if s["name"] == "statement"]

@@ -1,6 +1,7 @@
 """Sessions: statement dispatch, transactions, backpressure, tracing."""
 
 import threading
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.errors import (
 )
 from repro.server.locks import SCHEMA_RESOURCE
 from repro.server.session import SessionManager, WorkerPool
+from repro.telemetry.statstats import fingerprint
 
 
 @pytest.fixture()
@@ -98,6 +100,64 @@ def test_failed_statement_releases_autocommit_locks(manager):
     with pytest.raises(ReproError):
         session.run_statement("retrieve (Emp1.no_such_field)")
     assert manager.locks.held_by(session.owner) == {}
+
+
+def _engine_bug(*args, **kwargs):
+    raise KeyError("engine bug")
+
+
+def _recorded_errors(db, text):
+    return db.telemetry.statements.get(fingerprint(text)[0])["errors"]
+
+
+def test_engine_bug_releases_autocommit_locks_and_is_recorded_failed(
+        manager, monkeypatch):
+    """A statement that dies of something that is not a ReproError still
+    propagates (the service reports it and keeps serving), lets go of its
+    autocommit locks, and counts as failed -- in the session and in its
+    fingerprint."""
+    monkeypatch.setattr("repro.query.runner.execute_update", _engine_bug)
+    one, two = manager.open_session("one"), manager.open_session("two")
+    with pytest.raises(KeyError):
+        one.run_statement("replace (Emp1.age = 5)")
+    assert manager.locks.held_by(one.owner) == {}
+    assert one.errors == 1
+    assert _recorded_errors(manager.db, "replace (Emp1.age = 5)") == 1
+    # a leaked X(Emp1) would hold this up for the 2 s lock timeout and fail it
+    started = time.perf_counter()
+    assert two.run_statement("retrieve (Emp1.name)")["kind"] == "rows"
+    assert time.perf_counter() - started < 1.0
+
+
+def test_engine_bug_while_serving_a_cached_hit_releases_locks(
+        manager, monkeypatch):
+    one, two = manager.open_session("one"), manager.open_session("two")
+    one.cache = True
+    assert one.run_statement("retrieve (Emp1.name)")["cache"] == "miss"
+    monkeypatch.setattr("repro.query.runner.serve_cached", _engine_bug)
+    with pytest.raises(KeyError):
+        one.run_statement("retrieve (Emp1.name)")
+    assert manager.locks.held_by(one.owner) == {}
+    assert one.errors == 1
+    assert _recorded_errors(manager.db, "retrieve (Emp1.name)") == 1
+    started = time.perf_counter()
+    two.run_statement("replace (Emp1.age = 5)")
+    assert time.perf_counter() - started < 1.0
+
+
+def test_engine_bug_inside_a_transaction_keeps_locks_until_commit(
+        manager, monkeypatch):
+    monkeypatch.setattr("repro.query.runner.execute_update", _engine_bug)
+    one = manager.open_session("one")
+    one.run_statement("begin")
+    with pytest.raises(KeyError):
+        one.run_statement("replace (Emp1.age = 5)")
+    # strict 2PL: what the transaction touched stays locked until it ends
+    assert manager.locks.held_by(one.owner).get("Emp1") == "X"
+    assert one.in_txn and one.errors == 1
+    assert _recorded_errors(manager.db, "replace (Emp1.age = 5)") == 1
+    one.run_statement("commit")
+    assert manager.locks.held_by(one.owner) == {}
 
 
 def test_conflicting_transactions_deadlock_and_victim_recovers(manager):

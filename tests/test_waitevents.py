@@ -1,6 +1,5 @@
 """Wait-event accounting: attribution completeness, the admission-wait
-instrumentation (with its engine_latch legacy aliases), per-resource
-lock waits, and the wait columns riding on the slow-query log and the
+instrumentation, per-resource lock waits, and the wait columns riding on the slow-query log and the
 per-fingerprint statement statistics."""
 
 import threading
@@ -17,13 +16,11 @@ from repro.telemetry.waitevents import (
     ADMISSION_WAIT,
     BUFFER_IO,
     CPU,
-    ENGINE_LATCH,
     LOCK_PREFIX,
     NULL_WAITS,
     QUEUE_WAIT,
     WaitEventCollector,
     base_event,
-    canonical_event,
 )
 
 
@@ -72,10 +69,10 @@ def test_disabled_collector_is_a_noop():
     collector.record(BUFFER_IO, 1.0)
     with collector.wait(BUFFER_IO):
         pass
-    collector.latch_acquired(1.0)
+    collector.admission_granted(1.0)
     assert collector.finish_statement(None, 1.0) == {}
     assert collector.totals() == []
-    assert collector.mark_waiting(ENGINE_LATCH) is None
+    assert collector.mark_waiting(ADMISSION_WAIT) is None
     assert collector.snapshot()["statements"] == 0
 
 
@@ -142,12 +139,8 @@ def test_latch_instrumentation_feeds_histogram_and_hold_counter():
     assert registry.value("admission_hold_seconds_total") == \
         pytest.approx(0.004)
     assert collector.total_for(ADMISSION_WAIT) == pytest.approx(0.002)
-    # the legacy event name still reads the same totals (alias)
-    assert canonical_event(ENGINE_LATCH) == ADMISSION_WAIT
-    assert collector.total_for(ENGINE_LATCH) == pytest.approx(0.002)
-    # ...and the legacy method names still record (old callers)
-    collector.latch_acquired(0.001)
-    collector.latch_released(0.001)
+    collector.admission_granted(0.001)
+    collector.admission_released(0.001)
     assert registry.histogram("admission_wait_seconds").count() == 2
 
 
@@ -214,7 +207,7 @@ def test_session_info_and_wait_totals_accumulate(server):
     row = detail[0]
     assert row["top_wait"] != ""
     assert row["top_wait_ms"] >= 0.0
-    assert row["latch_hold_ms"] >= 0.0
+    assert row["admission_hold_ms"] >= 0.0
 
 
 def test_stats_verb_carries_waits_ash_alerts_documents(server):
@@ -223,7 +216,7 @@ def test_stats_verb_carries_waits_ash_alerts_documents(server):
         stats = client.stats()
     assert stats["waits"]["statements"] >= 1
     assert stats["waits"]["coverage"] >= 0.95
-    assert {"latch_wait_seconds", "latch_hold_seconds"} <= \
+    assert {"admission_wait_seconds", "admission_hold_seconds"} <= \
         set(stats["waits"])
     assert stats["ash"]["interval_s"] == 0
     assert stats["alerts"]["evaluations"] == 0
