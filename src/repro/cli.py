@@ -43,6 +43,9 @@ with ``;`` or a blank line.  Connected to a server, ``begin`` / ``commit``
                        states over the last SECS seconds (connected only)
     \\alerts            threshold alerts: firing/resolved state plus the
                        recent transition history (connected only)
+    \\replication       WAL-shipping topology: role, LSNs, per-follower
+                       lag (connected only)
+    \\promote           turn a connected follower into a primary
     \\set joinmode M    functional-join strategy: ``naive`` (row-at-a-time
                        OID probes) or ``batched`` (sort-and-dedupe sweeps;
                        the default); connected, ``default`` reverts the
@@ -199,8 +202,7 @@ class Shell:
             self._set_limit(args)
         elif command == "shutdown":
             if self.client is None:
-                self.fail("error: \\shutdown needs a connected server "
-                          "(--connect host:port)")
+                self._needs_server(command)
                 return
             self.write(self.client.shutdown() or "server draining")
             self.done = True
@@ -217,66 +219,27 @@ class Shell:
                 self.write(self.client.meta(command, *args))
             else:
                 self.fail(f"unknown meta-command \\{command} (try \\help)")
-        elif command == "describe":
-            from repro.schema.describe import describe_database
-
-            self.write(describe_database(self.db) or "(empty schema)")
-        elif command == "stats":
-            if args and args[0] == "prom":
-                self.write(self.db.telemetry.metrics.render_prometheus().rstrip("\n"))
-                return
-            stats = self.db.stats
-            self.write(
-                f"physical reads {stats.physical_reads}, writes "
-                f"{stats.physical_writes}, logical reads {stats.logical_reads}, "
-                f"buffer hits {stats.buffer_hits}"
-            )
-            self.write(
-                f"evictions {stats.evictions}, "
-                f"dirty writebacks {stats.dirty_writebacks}"
-            )
-            self.write(f"join mode {self.db.join_mode}")
-            self.write(self.db.telemetry.metrics.render_text())
         elif command == "trace":
             self.run_trace(args)
         elif command == "set":
             self._run_set(args)
-        elif command == "monitor":
-            self.write(self.db.monitor.report())
-        elif command == "fingerprints":
-            self.write(self.db.telemetry.statements.render_text(
-                cache_rates=self.db.resultcache.fingerprint_rates()))
-        elif command == "cache":
-            if args and args[0] == "clear":
-                dropped = self.db.resultcache.invalidate_all(reason="all")
-                self.write(f"result cache cleared ({dropped} entries "
-                           f"dropped)")
-            else:
-                self.write(self.db.resultcache.render_text())
-        elif command == "ledger":
-            self.write(self.db.telemetry.repledger.render_text())
-        elif command == "waits":
-            self.write(self.db.telemetry.waits.render_text())
         elif command in ("ash", "alerts"):
-            self.fail(f"error: \\{command} needs a connected server "
-                      "(--connect host:port); embedded sessions have no "
-                      "sampler")
-        elif command == "verify":
-            self.db.verify()
-            self.write("all replication invariants hold")
-        elif command == "doctor":
-            report = self.db.doctor(repair=bool(args) and args[0] == "repair")
-            self.write(report.render())
-        elif command == "recover":
-            if not self.db.recovery.needs_recovery:
-                self.write("nothing to recover (no crash since the last recovery)")
-            else:
-                self.write(str(self.db.recover()))
-        elif command == "cold":
-            self.db.cold_cache()
-            self.write("buffer pool flushed and emptied")
+            self._needs_server(command, "; embedded sessions have no sampler")
+        elif command in ("replication", "promote"):
+            self._needs_server(command)
         else:
-            self.fail(f"unknown meta-command \\{command} (try \\help)")
+            from repro.server.session import meta_text
+
+            text = meta_text(self.db, command, args,
+                             f"join mode {self.db.join_mode}")
+            if text is None:
+                self.fail(f"unknown meta-command \\{command} (try \\help)")
+            else:
+                self.write(text)
+
+    def _needs_server(self, command: str, why: str = "") -> None:
+        self.fail(f"error: \\{command} needs a connected server "
+                  f"(--connect host:port){why}")
 
     def _set_limit(self, args: list[str]) -> None:
         if not args:
@@ -388,8 +351,7 @@ class Shell:
 
     def _run_top(self, args: list[str]) -> None:
         if self.client is None:
-            self.fail("error: \\top needs a connected server "
-                      "(--connect host:port)")
+            self._needs_server("top")
             return
         try:
             iterations = int(args[0]) if args else 1

@@ -5,8 +5,8 @@
     python -m repro.server --port 7878 --snapshot company.frdb
     python -m repro.server --port 0            # ephemeral port, printed
     python -m repro.server --port 7878 --metrics-port 9187
-                                               # + HTTP /metrics /health
-                                               #   /slow /statements
+                                               # + the HTTP sidecar
+                                               #   (httpexpo.ENDPOINTS)
 
 The server answers SIGTERM / SIGINT (and a client's ``\\shutdown``) with
 a graceful drain: in-flight statements finish, the worker pool empties,
@@ -30,6 +30,7 @@ import sys
 import threading
 
 from repro.errors import ReproError
+from repro.server.httpexpo import ENDPOINTS
 from repro.server.service import Server
 from repro.snapshot import open_database, save_database
 
@@ -52,9 +53,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="lock-wait bound in seconds")
     parser.add_argument("--metrics-port", type=int, default=None,
                         metavar="N",
-                        help="serve HTTP /metrics, /health, /slow, "
-                             "/statements on this port (0 picks an "
-                             "ephemeral port)")
+                        help=f"serve HTTP {', '.join(ENDPOINTS)} on this "
+                             "port (0 picks an ephemeral port)")
     parser.add_argument("--health-ttl", type=float, default=30.0,
                         metavar="SECONDS",
                         help="re-run the /health doctor check at most once "

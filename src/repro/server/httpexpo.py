@@ -1,5 +1,4 @@
-"""HTTP sidecar: /metrics, /health, /slow, /statements, /replication,
-/cache, /ash, /timeseries, /alerts.
+"""HTTP sidecar: the read-only endpoints named in :data:`ENDPOINTS`.
 
 A :class:`MetricsHTTPServer` runs a stdlib ``ThreadingHTTPServer`` on a
 daemon thread next to the TCP server and exposes read-only endpoints
@@ -32,8 +31,8 @@ latch.  The one bounded exception is /health's doctor verdict, which is
 re-computed (under the engine latch) at most once per ``health_ttl``
 seconds rather than per-scrape: running the doctor on every scrape would
 drag pages through the buffer pool and change the physical I/O of
-unrelated queries (the observability benchmarks pin scrape overhead to
-zero inside one TTL window).
+unrelated queries (``tests/test_observer_neutrality.py`` pins scrape
+overhead to zero page I/O inside one TTL window).
 
 Metric reads are snapshot-safe without locking: the registry's sample
 iteration takes atomic ``sorted(dict)`` snapshots under CPython, and
@@ -46,6 +45,11 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
+
+#: every route the sidecar answers -- the 404 body and both servers'
+#: ``--metrics-port`` help are built from this.
+ENDPOINTS = ("/metrics", "/health", "/slow", "/statements", "/replication",
+             "/cache", "/ash", "/timeseries", "/alerts")
 
 #: the content type Prometheus expects from a text-format scrape.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -143,10 +147,7 @@ def _make_handler(server) -> type:
                 else:
                     self._send_json(404, {
                         "error": "not found",
-                        "endpoints": ["/metrics", "/health", "/slow",
-                                      "/statements", "/replication",
-                                      "/cache", "/ash", "/timeseries",
-                                      "/alerts"],
+                        "endpoints": list(ENDPOINTS),
                     })
             except BrokenPipeError:
                 pass  # scraper went away mid-response

@@ -62,6 +62,7 @@ from repro.cache import invalidate_applied_entry
 from repro.recovery.wal import WalRecordType
 from repro.schema.parser import execute_ddl
 from repro.server import protocol
+from repro.server.httpexpo import ENDPOINTS
 from repro.server.replog import ReplicationEntry, ReplicationHub
 from repro.server.service import Server
 
@@ -538,7 +539,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lock-timeout", type=float, default=10.0)
     parser.add_argument("--health-ttl", type=float, default=30.0)
     parser.add_argument("--metrics-port", type=int, default=None, metavar="N",
-                        help="HTTP /metrics /health /replication sidecar")
+                        help=f"serve HTTP {', '.join(ENDPOINTS)} on this "
+                             "port (0 picks an ephemeral port)")
     parser.add_argument("--chaos-seed", type=int, default=None, metavar="N",
                         help="arm the link fault injector with this seed")
     parser.add_argument("--chaos-drop", type=float, default=0.0)

@@ -92,6 +92,64 @@ _TRACE_LOG_SPANS = 2000
 
 
 # ---------------------------------------------------------------------------
+# meta commands that need only the database
+# ---------------------------------------------------------------------------
+
+
+def meta_text(db, command: str, args: list[str],
+              join_mode_line: str) -> str | None:
+    """The text of one database-level meta command -- the same for a
+    served session and the embedded shell, which differ only in the
+    ``join_mode_line`` ``\\stats`` prints.  None for a command that is
+    not one of these; the caller owns locking and the error wording."""
+    if command == "describe":
+        from repro.schema.describe import describe_database
+
+        return describe_database(db) or "(empty schema)"
+    if command == "stats":
+        if args and args[0] == "prom":
+            return db.telemetry.metrics.render_prometheus().rstrip("\n")
+        stats = db.stats
+        return "\n".join([
+            f"physical reads {stats.physical_reads}, writes "
+            f"{stats.physical_writes}, logical reads {stats.logical_reads}, "
+            f"buffer hits {stats.buffer_hits}",
+            f"evictions {stats.evictions}, "
+            f"dirty writebacks {stats.dirty_writebacks}",
+            join_mode_line,
+            db.telemetry.metrics.render_text(),
+        ])
+    if command == "monitor":
+        return db.monitor.report()
+    if command == "fingerprints":
+        return db.telemetry.statements.render_text(
+            cache_rates=db.resultcache.fingerprint_rates())
+    if command == "cache":
+        if args and args[0] == "clear":
+            dropped = db.resultcache.invalidate_all(reason="all")
+            return f"result cache cleared ({dropped} entries dropped)"
+        return db.resultcache.render_text()
+    if command == "ledger":
+        return db.telemetry.repledger.render_text()
+    if command == "waits":
+        return db.telemetry.waits.render_text()
+    if command == "verify":
+        db.verify()
+        return "all replication invariants hold"
+    if command == "doctor":
+        report = db.doctor(repair=bool(args) and args[0] == "repair")
+        return report.render()
+    if command == "recover":
+        if not db.recovery.needs_recovery:
+            return "nothing to recover (no crash since the last recovery)"
+        return str(db.recover())
+    if command == "cold":
+        db.cold_cache()
+        return "buffer pool flushed and emptied"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # the worker pool
 # ---------------------------------------------------------------------------
 
@@ -475,6 +533,12 @@ class Session:
                 # mutexes -- no locks, no admission, no page I/O
                 text = self._meta_observability(command, args)
             else:
+                guard = self.manager.access_guard
+                if (guard is not None and command == "doctor"
+                        and args[:1] == ["repair"]):
+                    # the one meta that rewrites replicated pages: a
+                    # follower's pages are the primary's WAL stream
+                    guard("write")
                 footprint = (maintenance_footprint() if command in
                              ("verify", "doctor", "recover", "cold")
                              else SCHEMA_SHARED)
@@ -483,26 +547,6 @@ class Session:
             return {"kind": "text", "text": text}
 
     def _meta_text(self, command: str, args: list[str]) -> str:
-        db = self.db
-        if command == "describe":
-            from repro.schema.describe import describe_database
-
-            return describe_database(db) or "(empty schema)"
-        if command == "stats":
-            if args and args[0] == "prom":
-                return db.telemetry.metrics.render_prometheus().rstrip("\n")
-            stats = db.stats
-            return "\n".join([
-                f"physical reads {stats.physical_reads}, writes "
-                f"{stats.physical_writes}, logical reads {stats.logical_reads}, "
-                f"buffer hits {stats.buffer_hits}",
-                f"evictions {stats.evictions}, "
-                f"dirty writebacks {stats.dirty_writebacks}",
-                self._join_mode_text(),
-                db.telemetry.metrics.render_text(),
-            ])
-        if command == "monitor":
-            return db.monitor.report()
         if command == "replication":
             status_fn = self.manager.replication_status
             if status_fn is None:
@@ -510,30 +554,10 @@ class Session:
             from repro.server.replog import render_status
 
             return render_status(status_fn())
-        if command == "fingerprints":
-            return db.telemetry.statements.render_text(
-                cache_rates=db.resultcache.fingerprint_rates())
-        if command == "cache":
-            if args and args[0] == "clear":
-                dropped = db.resultcache.invalidate_all(reason="all")
-                return f"result cache cleared ({dropped} entries dropped)"
-            return db.resultcache.render_text()
-        if command == "ledger":
-            return db.telemetry.repledger.render_text()
-        if command == "verify":
-            db.verify()
-            return "all replication invariants hold"
-        if command == "doctor":
-            report = db.doctor(repair=bool(args) and args[0] == "repair")
-            return report.render()
-        if command == "recover":
-            if not db.recovery.needs_recovery:
-                return "nothing to recover (no crash since the last recovery)"
-            return str(db.recover())
-        if command == "cold":
-            db.cold_cache()
-            return "buffer pool flushed and emptied"
-        raise ReproError(f"unknown meta-command \\{command}")
+        text = meta_text(self.db, command, args, self._join_mode_text())
+        if text is None:
+            raise ReproError(f"unknown meta-command \\{command}")
+        return text
 
     def _meta_observability(self, command: str, args: list[str]) -> str:
         """``\\waits``, ``\\ash [SECONDS]``, ``\\alerts`` -- latch-free."""

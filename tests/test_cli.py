@@ -2,7 +2,7 @@
 
 import io
 
-from repro.cli import Shell, render_result
+from repro.cli import _FORWARDED_META, Shell, render_result
 
 
 def run(text: str) -> str:
@@ -50,8 +50,16 @@ def test_error_does_not_kill_session():
 def test_unknown_meta_and_statement():
     out = run("\\bogus")
     assert "unknown meta-command" in out
+    # answered when connected, so embedded they are not "unknown"
+    assert "unknown meta-command" not in run("\\replication\n\\promote")
     out = run("frobnicate the database")
     assert "unrecognised statement" in out
+
+
+def test_help_lists_every_meta_command():
+    out = run("\\help")
+    for name in _FORWARDED_META + ("promote", "top"):
+        assert f"\\{name}" in out, name
 
 
 def test_stats_and_cold():
@@ -385,3 +393,7 @@ def test_local_shell_rejects_shutdown():
     shell.run_block("\\shutdown")
     assert "needs a connected server" in out.getvalue()
     assert shell.errors == 1
+    for errors, meta in enumerate(("replication", "promote"), start=2):
+        shell.run_block("\\" + meta)
+        assert f"\\{meta} needs a connected server" in out.getvalue()
+        assert shell.errors == errors

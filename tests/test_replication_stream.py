@@ -175,6 +175,19 @@ def test_replica_refuses_writes_with_stable_code(topology):
     assert err.value.code == "read_only_replica"
 
 
+def test_unpromoted_follower_refuses_doctor_repair(topology):
+    primary, follower, client = topology
+    with connect(*follower.address) as rc:
+        with pytest.raises(RemoteError) as err:
+            rc.meta("doctor", "repair")
+        assert err.value.code == "read_only_replica"
+        # diagnosis touches no replicated page and stays allowed
+        assert "doctor" in rc.meta("doctor")
+        primary.die()
+        rc.promote()
+        assert "doctor" in rc.meta("doctor", "repair")
+
+
 def test_stale_replica_refuses_reads_with_stable_code(topology):
     primary, follower, client = topology
     replica = follower.replica
