@@ -30,6 +30,7 @@ from repro.objects.instance import (
     LinkEntry,
     ReplicaEntry,
     StoredObject,
+    _check_value,
     _default_for,
 )
 from repro.objects.registry import TypeRegistry
@@ -133,6 +134,38 @@ def decode_object(registry: TypeRegistry, data: bytes,
         replicas.append(ReplicaEntry(oid, refcount, path_id))
         pos += _REPLICA_ENTRY_BYTES
     return StoredObject.trusted(type_def, values, links, replicas)
+
+
+def encode_fields(type_def: TypeDefinition,
+                  changes: dict[str, object]) -> list[tuple]:
+    """``(field definition, offset in the value section, encoded value)``
+    per changed field: each value kind-checked and encoded once, to be
+    written over that field in any number of records laid out by
+    ``type_def`` (every field is fixed-width).  Raises what
+    :meth:`StoredObject.set` and :func:`encode_object` would."""
+    out = []
+    for name, value in changes.items():
+        fdef = type_def.field_def(name)
+        _check_value(type_def.name, name, fdef.kind, value)
+        out.append((fdef, type_def.layout[name][1], _encode_value(fdef, value)))
+    return out
+
+
+def value_section(data, tag: int, type_def: TypeDefinition) -> int | None:
+    """Where the field values start in the encoded object ``data`` -- if
+    its fields may be overwritten where they lie: the record carries
+    ``tag`` and holds exactly the fields of ``type_def``.  ``None`` for a
+    record of another type or one written before a widening (shorter than
+    the layout), which only a decode and a full re-encode can bring to
+    ``type_def``.  Reads the 20-byte header and nothing else."""
+    if len(data) < OBJECT_HEADER_BYTES:
+        return None
+    record_tag, n_links, n_replicas = _HEADER.unpack_from(data, 0)
+    base = (OBJECT_HEADER_BYTES + n_links * _LINK_ENTRY_BYTES
+            + n_replicas * _REPLICA_ENTRY_BYTES)
+    if record_tag != tag or len(data) != base + type_def.data_width:
+        return None
+    return base
 
 
 def peek_type_tag(data: bytes) -> int:

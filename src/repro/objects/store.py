@@ -4,6 +4,13 @@ An :class:`ObjectStore` sits between the storage manager and the set layer:
 it encodes/decodes objects, turns heap-file record ids into physically
 based OIDs (``file_id`` + record id), and resolves OID dereferences --
 the primitive underneath every *functional join*.
+
+Two ways to change stored objects: :meth:`ObjectStore.update` writes a
+whole object back (decode, change, encode: the general path, which may
+grow and relocate the record), and :meth:`ObjectStore.overwrite_fields`
+sets fixed-width fields of many objects by overwriting their bytes where
+they lie, one pin per page -- what an update propagation does to the *f*
+referencers of a changed object.
 """
 
 from __future__ import annotations
@@ -11,9 +18,16 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import DanglingReferenceError, RecordNotFoundError
-from repro.objects.encoding import decode_object, encode_object
+from repro.objects.encoding import (
+    _decode_value,
+    decode_object,
+    encode_fields,
+    encode_object,
+    value_section,
+)
 from repro.objects.instance import StoredObject
 from repro.objects.registry import TypeRegistry
+from repro.objects.types import TypeDefinition
 from repro.storage.heapfile import HeapFile
 from repro.storage.manager import StorageManager
 from repro.storage.oid import OID
@@ -60,6 +74,76 @@ class ObjectStore:
             heap.update((oid.page_no, oid.slot), encode_object(self.registry, obj))
         except RecordNotFoundError:
             raise DanglingReferenceError(f"dangling reference {oid}") from None
+
+    def overwrite_fields(self, heap: HeapFile, type_def: TypeDefinition,
+                         oids, changes: dict[str, object], general,
+                         indexes: dict | None = None) -> int:
+        """Set ``changes`` (field name -> value) in every object of
+        ``oids`` by overwriting those fields' bytes where they lie.
+
+        ``oids`` name objects in ``heap`` laid out by ``type_def``, the
+        set's current type, and should arrive in page order: a home page
+        is pinned once for the consecutive objects on it and an object
+        behind a forward stub costs one more pin (see
+        :meth:`HeapFile.in_place`).  Each value is kind-checked and
+        encoded once, before the first page is pinned, so a value that
+        cannot be stored touches nothing.  Per object the 20-byte header
+        is read for the type tag and the two entry counts, which give
+        where the values start; nothing is decoded and nothing re-encoded.
+
+        An object that cannot be overwritten where it lies -- stored in
+        chunks, of another type, or written before a widening and so
+        shorter than the layout -- goes to ``general(oid)``, the decode
+        -> set -> encode path, there and then, with no page pinned.
+
+        ``indexes`` maps a changed field's name to the index on it.  The
+        old value of such a field (that field alone) is decoded and
+        ``index.update(old, new, oid)`` runs with no page pinned, between
+        a read and the write of the object's page -- where the general
+        path has it -- so index maintenance never meets a pinned page.
+
+        Returns the number of home pages visited.  Never holds more than
+        one pin.
+        """
+        tag = self.registry.tag_of(type_def.name)
+        fields = encode_fields(type_def, changes)
+        indexed = [(fdef, offset, indexes[fdef.name], changes[fdef.name])
+                   for fdef, offset, __ in fields
+                   if fdef.name in indexes] if indexes else ()
+        pages = 0
+        home = None
+        with heap.in_place() as records:
+
+            def payload(oid: OID):
+                try:
+                    return records.payload((oid.page_no, oid.slot))
+                except RecordNotFoundError:
+                    raise DanglingReferenceError(
+                        f"dangling reference {oid}") from None
+
+            for oid in oids:
+                if oid.page_no != home:
+                    home = oid.page_no
+                    pages += 1
+                view = payload(oid)
+                base = (None if view is None
+                        else value_section(view, tag, type_def))
+                if base is None:
+                    records.release()
+                    general(oid)
+                    continue
+                if indexed:
+                    olds = [_decode_value(fdef, bytes(
+                        view[base + offset:base + offset + fdef.width]), 0)
+                        for fdef, offset, __, __ in indexed]
+                    records.release()
+                    for (__, __, index, value), old in zip(indexed, olds):
+                        index.update(old, value, oid)
+                    view = payload(oid)
+                for __, offset, data in fields:
+                    view[base + offset:base + offset + len(data)] = data
+                records.wrote()
+        return pages
 
     def delete(self, oid: OID) -> None:
         """Remove the object at ``oid``."""

@@ -74,6 +74,16 @@ class WalRecordType(IntEnum):
     COMMIT = 5
 
 
+#: framed bytes of a record of each type, less its page image and note
+_FIXED_BYTES = {
+    WalRecordType.BEGIN: _FRAME.size + _BODY_HEAD.size + _NOTE_LEN.size,
+    WalRecordType.PAGE_BEFORE: _FRAME.size + _BODY_HEAD.size + _PAGE_HEAD.size,
+    WalRecordType.PAGE_AFTER: _FRAME.size + _BODY_HEAD.size + _PAGE_HEAD.size,
+    WalRecordType.ALLOC: _FRAME.size + _BODY_HEAD.size + _PAGE_HEAD.size,
+    WalRecordType.COMMIT: _FRAME.size + _BODY_HEAD.size,
+}
+
+
 @dataclass(frozen=True, slots=True)
 class WalRecord:
     """One log record; ``image`` is empty except for PAGE_* records."""
@@ -230,12 +240,17 @@ class WriteAheadLog:
         self.faults = faults
         #: group-commit window in milliseconds (0 = force immediately).
         self.group_commit_ms = group_commit_ms
-        self._m_records = metrics.counter(
+        # an update appends a hundred records: hold the bound series, one
+        # per record type, whose inc() builds no label key per call
+        records = metrics.counter(
             "wal_records_total", "records appended to the write-ahead log")
+        self._m_records = {rtype: records.labels(kind=rtype.name.lower())
+                           for rtype in WalRecordType}
         self._m_flushes = metrics.counter(
             "wal_flushes_total", "log forces (WAL-before-data and commits)")
         self._m_bytes = metrics.counter(
-            "wal_bytes_total", "bytes appended to the write-ahead log")
+            "wal_bytes_total", "bytes appended to the write-ahead log"
+        ).labels()
         self._m_group_joins = metrics.counter(
             "wal_group_commit_joins_total",
             "commits that joined another leader's flush batch")
@@ -642,16 +657,11 @@ class WriteAheadLog:
         self.records.append(record)
         if scope is not None:
             scope.records.append(record)
-        self._m_records.inc(kind=record.type.name.lower())
+        self._m_records[record.type].inc()
         # size accounting without re-encoding full images on the hot path
-        size = (
-            _FRAME.size + _BODY_HEAD.size + len(record.image)
-            + (len(record.note.encode("utf-8")) + _NOTE_LEN.size
-               if record.type is WalRecordType.BEGIN else 0)
-            + (_PAGE_HEAD.size
-               if record.type in (WalRecordType.PAGE_BEFORE,
-                                  WalRecordType.PAGE_AFTER,
-                                  WalRecordType.ALLOC) else 0))
+        size = _FIXED_BYTES[record.type] + len(record.image)
+        if record.note:  # BEGIN records only
+            size += len(record.note.encode("utf-8"))
         self._m_bytes.inc(size)
         if scope is not None:
             scope.bytes += size

@@ -193,18 +193,28 @@ class InvertedPaths:
     # closure
     # ------------------------------------------------------------------
 
-    def closure_to_source(self, link: LinkDef, owner_oid: OID) -> list[OID]:
+    def closure_to_source(self, link: LinkDef, owner_oid: OID,
+                          owner: StoredObject | None = None) -> list[OID]:
         """Source-set OIDs reachable from ``owner`` down this link chain.
 
         The result is sorted, so callers propagate in clustered order --
-        the point of keeping OIDs physically based (Section 4.1).
+        the point of keeping OIDs physically based (Section 4.1): an
+        update propagation pins each page of referencers once.
+
+        ``owner`` is the object at ``owner_oid`` for a caller that holds
+        it; the walk then starts from it instead of reading it back.  Only
+        a caller whose last page access was that very object may pass it:
+        it must be the object as stored, and leaving out any other read
+        would change what the buffer pool evicts next.
         """
-        out = self._closure(link, owner_oid)
+        out = self._closure(link, owner_oid, owner)
         out.sort()
         return out
 
-    def _closure(self, link: LinkDef, owner_oid: OID) -> list[OID]:
-        owner = self.store.read(owner_oid)
+    def _closure(self, link: LinkDef, owner_oid: OID,
+                 owner: StoredObject | None = None) -> list[OID]:
+        if owner is None:
+            owner = self.store.read(owner_oid)
         entry = owner.link_entry_for(link.link_id)
         if entry is None:
             return []

@@ -15,6 +15,15 @@ lands in.  It owns:
   every replicated value and every link/replica structure from the forward
   paths and raises :class:`~repro.errors.IntegrityError` on any drift.
 
+A value propagation is the paper's update model made literal -- *f*
+referencers, *k* bytes each, in page order: one
+:meth:`~repro.objects.store.ObjectStore.overwrite_fields` call over the
+sorted closure, which overwrites the hidden field where it lies under one
+pin per page.  :meth:`ReplicationManager.apply_hidden_changes` is the
+general single-object path (decode, set, encode) for everything else:
+bulk builds, the doctor, a source object's own fresh values, and the
+referencers a propagation cannot overwrite in place.
+
 Updates are propagated eagerly unless a path was registered with
 ``lazy=True`` (the paper's future-work variant), in which case source
 updates are queued and drained on the next read through
@@ -474,11 +483,16 @@ class ReplicationManager:
         whose reference attribute moved gets fresh replicated values).
         """
         own_changes: dict[str, object] = {}
+        # Until this method reads or writes anything, ``new`` is the object
+        # as stored and its page the last one the statement touched: the
+        # first propagation may walk the inverted path from ``new`` itself.
+        fresh = True
         # 1. This object is a source-set member whose first hop changed.
         for path in self.catalog.paths_on_source(obj_set.name):
             first = path.resolved.ref_chain[0]
             if first not in changed:
                 continue
+            fresh = False
             if path.collapsed:
                 own_changes.update(
                     self.collapsed.on_source_ref_change(path, oid, old, new)
@@ -491,11 +505,13 @@ class ReplicationManager:
         for lentry in list(new.link_entries):
             link = self.catalog.get_link(lentry.base_id)
             if link.collapsed:
+                fresh = False
                 self.collapsed.on_owner_update(link, oid, old, new, changed)
                 continue
             for use in self.catalog.paths_using_link(link.link_id):
                 self._propagate_through_link(use.path, use.position, link,
-                                             oid, old, new, changed)
+                                             oid, old, new, changed, fresh)
+                fresh = False
         # 3. This object is the terminal of separate paths (replica entries).
         for rentry in list(new.replica_entries):
             path = self.catalog.get_path_by_id(rentry.path_id)
@@ -520,13 +536,14 @@ class ReplicationManager:
 
     def _propagate_through_link(self, path: ReplicationPath, position: int,
                                 link: LinkDef, oid: OID, old: StoredObject,
-                                new: StoredObject, changed: set[str]) -> None:
+                                new: StoredObject, changed: set[str],
+                                fresh: bool) -> None:
         chain = path.resolved.ref_chain
         if path.strategy is Strategy.IN_PLACE:
             if position == path.level:
                 touched = [f for f in path.replicated_field_names if f in changed]
                 if touched:
-                    self._propagate_values(path, link, oid, new)
+                    self._propagate_values(path, link, oid, new, fresh)
             if position < path.level and chain[position] in changed:
                 self._ref_surgery(path, position, link, oid, old, new)
                 self._propagate_values(path, link, oid, new)
@@ -567,25 +584,29 @@ class ReplicationManager:
             self.inverted.ensure_membership(child, new_target, oid)
 
     def _propagate_values(self, path: ReplicationPath, link: LinkDef, oid: OID,
-                          new: StoredObject) -> None:
+                          new: StoredObject, fresh: bool = False) -> None:
         """Push current terminal values to every source object under ``oid``."""
         if path.lazy:
             self.lazy.invalidate(path, oid)
             return
-        self.push_values(path, link, oid, new)
+        self.push_values(path, link, oid, new, fresh)
 
     def push_values(self, path: ReplicationPath, link: LinkDef, oid: OID,
-                    at_object: StoredObject) -> None:
+                    at_object: StoredObject, fresh: bool = False) -> None:
         """Eagerly rewrite hidden values over the closure under ``oid``.
 
         ``at_object`` is the (current) object owning ``link``; the terminal
         is reached from it through the remaining forward references.
+        ``fresh``: the caller read or wrote ``at_object`` last of all, so
+        reading it back to start the closure walk would fetch the page
+        just touched and decode the same object again.
         """
         position = len(link.prefix)
         chain = path.resolved.ref_chain
         if position == path.level:
             terminal = at_object
         else:
+            fresh = False
             terminal = self.store.traverse(at_object, list(chain[position:]))
         changes = {}
         for fname, hname in zip(path.replicated_field_names, path.hidden_fields):
@@ -594,20 +615,39 @@ class ReplicationManager:
                 else _default_value(self.store.registry.get(path.resolved.terminal_type)
                                     .field_def(fname))
             )
-        self._rewrite_hidden_over_closure(path, link, oid, changes)
+        self._rewrite_hidden_over_closure(path, link, oid, changes,
+                                          at_object if fresh else None)
 
     def _rewrite_hidden_over_closure(self, path: ReplicationPath, link: LinkDef,
-                                     oid: OID, changes: dict[str, object]) -> None:
+                                     oid: OID, changes: dict[str, object],
+                                     owner: StoredObject | None = None) -> None:
+        """The paper's update model, literally: the *f* referencers under
+        ``oid``, the *k* bytes of each hidden field, in page order.
+
+        One :meth:`ObjectStore.overwrite_fields` call over the sorted
+        closure; :meth:`apply_hidden_changes` is what it falls back to for
+        a referencer that cannot be overwritten where it lies.  ``owner``
+        is ``oid``'s current object when the caller holds it (see
+        :meth:`InvertedPaths.closure_to_source`).
+        """
         source_set = self.catalog.get_set(path.source_set)
-        targets = self.inverted.closure_to_source(link, oid)
+        targets = self.inverted.closure_to_source(link, oid, owner)
         self._m_propagations.inc()
-        fanout = 0
+        fanout = len(targets)
+        indexes = {}
+        for fname in changes:
+            info = self.catalog.index_on_field(source_set.name, fname)
+            if info is not None:
+                indexes[fname] = info.index
         with self.telemetry.tracer.span("update_propagation",
                                         path=path.text) as span:
-            for target in targets:
-                self.apply_hidden_changes(source_set, target, changes)
-                fanout += 1
+            pages = self.store.overwrite_fields(
+                source_set.heap, source_set.type_def, targets, changes,
+                general=lambda target: self.apply_hidden_changes(
+                    source_set, target, changes),
+                indexes=indexes)
             span.set("fanout", fanout)
+            span.set("pages", pages)
         self._m_fanout.inc(fanout)
         # the fan-out rewrite dirties at most one source page per distinct
         # target object -- the same sorted-probe bound the batched join obeys
@@ -622,7 +662,13 @@ class ReplicationManager:
     def apply_hidden_changes(self, obj_set: ObjectSet, oid: OID,
                              changes: dict[str, object],
                              maintain_indexes: bool = True) -> None:
-        """Write hidden-field changes, keeping path indexes consistent."""
+        """Write hidden-field changes to one object, keeping path indexes
+        consistent: the general decode -> set -> encode path, which brings
+        a record written before a widening to the current layout (growing
+        and, if need be, relocating it).  Bulk builds, the doctor and a
+        source object's own fresh values come here; an update propagation
+        comes here only for the referencers it cannot overwrite in place.
+        """
         obj = self.store.read(oid)
         for fname, value in changes.items():
             if maintain_indexes:
@@ -677,7 +723,8 @@ class ReplicationManager:
         for owner_oid in self.lazy.drain(path):
             if not self.store.exists(owner_oid):
                 continue
-            self.push_values(path, link, owner_oid, self.store.read(owner_oid))
+            self.push_values(path, link, owner_oid,
+                             self.store.read(owner_oid), fresh=True)
             refreshed += 1
         return refreshed
 

@@ -22,6 +22,12 @@ Two framing layers are applied to every stored record:
   handling multi-page payloads.
 
 Scans surface every record exactly once, under its home rid, assembled.
+
+Two ways to change a stored record: :meth:`HeapFile.update` replaces the
+whole payload (any size; it may relocate the record), and
+:meth:`HeapFile.in_place` overwrites bytes *inside* payloads where they
+lie, for a caller that changes fixed-width fields of many records -- an
+update propagation -- and hands the record ids over in page order.
 """
 
 from __future__ import annotations
@@ -136,10 +142,19 @@ class HeapFile:
         return self.read(rid)
 
     def update(self, rid: RID, payload: bytes) -> None:
-        """Replace the record payload; relocates on overflow, rid stays valid."""
+        """Replace the record payload; relocates on overflow, rid stays
+        valid.  A plain record whose new image fits its page is rewritten
+        under the pin that read its marker."""
         page_no, slot = rid
         with self.pool.page(self.file_id, page_no) as page:
-            raw = page.read(slot)
+            offset, length = page.span(slot)
+            data = page.data
+            if (data[offset] == _NORMAL and data[offset + 1] == _PLAIN
+                    and len(payload) <= _INLINE_LIMIT
+                    and self._rewrite(page, rid,
+                                      bytes((_NORMAL, _PLAIN)) + payload)):
+                return
+            raw = bytes(data[offset:offset + length])
         marker = raw[0]
         if marker == _FORWARD:
             self._free_payload(self._read_raw(_rid_unpack(raw[1:]))[1:])
@@ -148,6 +163,11 @@ class HeapFile:
             return
         self._free_payload(raw[1:])
         self._update_at(rid, _NORMAL, payload, home=rid)
+
+    def in_place(self) -> "_InPlace":
+        """``with heap.in_place() as records``: overwrite bytes inside
+        records where they lie, one pin per page (see :class:`_InPlace`)."""
+        return _InPlace(self)
 
     def delete(self, rid: RID) -> None:
         """Remove the record (chunks and relocated payload included)."""
@@ -285,15 +305,9 @@ class HeapFile:
     def _update_at(self, rid: RID, marker: int, payload: bytes, home: RID) -> None:
         """Write a fresh payload at ``rid``, relocating if it cannot fit."""
         body = self._wrap(payload)
-        page_no, slot = rid
-        with self.pool.page(self.file_id, page_no) as page:
-            try:
-                page.update(slot, bytes([marker]) + body)
-                self.pool.mark_dirty(self.file_id, page_no)
-                self._free_space[page_no] = page.total_free()
+        with self.pool.page(self.file_id, rid[0]) as page:
+            if self._rewrite(page, rid, bytes([marker]) + body):
                 return
-            except PageFullError:
-                pass
         # Relocate: park the payload elsewhere, stub at home.
         if rid != home:
             self._delete_slot(rid)
@@ -303,6 +317,17 @@ class HeapFile:
             page.update(hslot, bytes([_FORWARD]) + _rid_pack(target))
             self.pool.mark_dirty(self.file_id, hpage)
             self._free_space[hpage] = page.total_free()
+
+    def _rewrite(self, page: Page, rid: RID, record: bytes) -> bool:
+        """Replace the record at ``rid`` on its pinned ``page``; False
+        (and nothing changed) when the page cannot absorb the growth."""
+        try:
+            page.update(rid[1], record)
+        except PageFullError:
+            return False
+        self.pool.mark_dirty(self.file_id, rid[0])
+        self._free_space[rid[0]] = page.total_free()
+        return True
 
     # -- low-level helpers ----------------------------------------------------
 
@@ -360,10 +385,84 @@ class HeapFile:
                 self._free_space[page_no] = page.total_free()
 
 
+class _InPlace:
+    """Overwrites bytes inside stored records where they lie.
+
+    :meth:`payload` hands out a writable view of one record's payload on
+    its pinned page; the caller assigns same-length slices of it and then
+    calls :meth:`wrote`.  The view ends where the payload ends and a
+    slice assignment cannot change a length, so no byte outside the
+    record is reachable and the slot directory, the record's length and
+    the page's space accounting stay as they are.  The page is written by
+    the ordinary ``pool.fetch`` -> mutate -> ``pool.mark_dirty`` sequence
+    (the WAL's before-image is its fetch-time snapshot) and marked dirty
+    once per pin.
+
+    One page is pinned at a time.  It stays pinned across consecutive
+    records that lie on it, so record ids taken in page order cost one
+    pin per home page.  Following a forward stub lets go of the home page
+    and pins the page the payload was moved to: a stub costs two pins,
+    and the pool sees the pages one :meth:`HeapFile.read` per record
+    would touch, in that order, less the immediate repeats -- so the same
+    frames are evicted.  :meth:`release` unpins early, for a caller that
+    is about to touch other pages.
+    """
+
+    __slots__ = ("_heap", "_page_no", "_page", "_marked")
+
+    def __init__(self, heap: HeapFile) -> None:
+        self._heap = heap
+        self._page_no: int | None = None  # the page this cursor pins
+        self._page: Page | None = None
+        self._marked = False
+
+    def __enter__(self) -> "_InPlace":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+    def payload(self, rid: RID) -> memoryview | None:
+        """The payload of the record at ``rid`` as a writable view, valid
+        until the next call on this cursor -- or ``None`` for a record
+        stored in chunks, which has no one place to overwrite."""
+        page = self._pin(rid[0])
+        offset, length = page.span(rid[1])
+        if page.data[offset] == _FORWARD:
+            target = _rid_unpack(page.data, offset + 1)
+            page = self._pin(target[0])
+            offset, length = page.span(target[1])
+            if page.data[offset] != _MOVED:
+                raise RecordNotFoundError(f"dangling forward stub at {rid}")
+        if page.data[offset + 1] != _PLAIN:
+            return None
+        return memoryview(page.data)[offset + 2:offset + length]
+
+    def wrote(self) -> None:
+        """The view :meth:`payload` last returned was written to."""
+        if not self._marked:
+            self._heap.pool.mark_dirty(self._heap.file_id, self._page_no)
+            self._marked = True
+
+    def release(self) -> None:
+        """Unpin the page this cursor holds, if any."""
+        if self._page_no is not None:
+            self._heap.pool.unpin(self._heap.file_id, self._page_no)
+            self._page_no = self._page = None
+            self._marked = False
+
+    def _pin(self, page_no: int) -> Page:
+        if page_no != self._page_no:
+            self.release()
+            self._page = self._heap.pool.fetch(self._heap.file_id, page_no)
+            self._page_no = page_no
+        return self._page
+
+
 def _rid_pack(rid: RID) -> bytes:
     return _FWD.pack(rid[0], rid[1])
 
 
-def _rid_unpack(data: bytes) -> RID:
-    page_no, slot = _FWD.unpack_from(data, 0)
+def _rid_unpack(data, offset: int = 0) -> RID:
+    page_no, slot = _FWD.unpack_from(data, offset)
     return (page_no, slot)

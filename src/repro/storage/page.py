@@ -160,11 +160,19 @@ class Page:
         self._live_bytes += length
         return slot
 
-    def read(self, slot: int) -> bytes:
-        """Return the record stored in ``slot``."""
+    def span(self, slot: int) -> tuple[int, int]:
+        """``(offset, length)`` of the record stored in ``slot``: where in
+        :attr:`data` it lies.  A caller that overwrites bytes inside that
+        extent, and nowhere else, leaves the slot directory and the space
+        accounting as they are."""
         offset, length = self._read_slot(slot)
         if offset == EMPTY_SLOT_OFFSET:
             raise RecordNotFoundError(f"slot {slot} is empty")
+        return offset, length
+
+    def read(self, slot: int) -> bytes:
+        """Return the record stored in ``slot``."""
+        offset, length = self.span(slot)
         return bytes(self.data[offset:offset + length])
 
     def delete(self, slot: int) -> None:

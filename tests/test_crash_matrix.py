@@ -1,7 +1,8 @@
 """Crash-matrix torture tests: crash at every write, recover, verify.
 
-Each sweep takes one replication workload (in-place, separate, and two
-paths over a shared prefix), counts the physical page writes a clean run
+Each sweep takes one replication workload (in-place, separate, two paths
+over a shared prefix, and in-place over a set loaded before the path
+existed), counts the physical page writes a clean run
 performs, then re-runs it once per sampled write index with
 ``fail_after_writes(k)`` armed.  After every injected crash the database
 must recover to *exactly* the statement-aligned prefix of the workload:
@@ -24,7 +25,10 @@ STRIDE = int(os.environ.get("CRASH_MATRIX_STRIDE", "3"))
 WIDE = 1800  # char-field width: ~2 records/page, so the workload moves pages
 
 
-def build_db(paths):
+def build_db(paths, preloaded=0):
+    """``preloaded`` Emps are inserted *before* the paths are replicated:
+    ``replicate`` then widens them on their full pages, and the ones that
+    no longer fit move out behind a forward stub."""
     db = Database(wal=True, buffer_frames=5)
     db.define_type(TypeDefinition("ORG", [char_field("name", WIDE),
                                           int_field("budget")]))
@@ -39,8 +43,12 @@ def build_db(paths):
     db.create_set("Emp", "EMP")
     orgs = [db.insert("Org", {"name": f"org{i}", "budget": 1000 + i})
             for i in range(2)]
-    for i in range(2):
-        db.insert("Dept", {"name": f"dept{i}", "budget": i, "org": orgs[i]})
+    depts = [db.insert("Dept", {"name": f"dept{i}", "budget": i,
+                                "org": orgs[i]})
+             for i in range(2)]
+    for i in range(preloaded):
+        db.insert("Emp", {"name": f"old{i}", "salary": i,
+                          "dept": depts[i % 2]})
     for text, strategy in paths:
         db.replicate(text, strategy=strategy)
     db.checkpoint()
@@ -101,7 +109,13 @@ WORKLOADS = {
     "separate": [("Emp.dept.org.budget", "separate")],
     "shared-prefix": [("Emp.dept.name", "inplace"),
                       ("Emp.dept.org.budget", "separate")],
+    # Emp loaded first, the path replicated afterwards: the steps above
+    # insert every Emp *after* ``replicate``, so without this entry no
+    # propagation target is ever behind a forward stub
+    "inplace-loaded-first": [("Emp.dept.name", "inplace")],
 }
+#: Emps the builder inserts ahead of ``replicate``, by workload
+PRELOADED = {"inplace-loaded-first": 4}
 
 
 def check(db, completed):
@@ -110,8 +124,17 @@ def check(db, completed):
 
 def sweep(name, torn):
     paths = WORKLOADS[name]
-    outcomes = crash_matrix(lambda: build_db(paths), run_steps,
-                            stride=STRIDE, torn=torn, check=check)
+    preloaded = PRELOADED.get(name, 0)
+
+    def check_beside_preloaded(db, completed):
+        """``check``, the builder's own Emps counted in."""
+        assert db.catalog.get_set("Emp").count() \
+            == preloaded + EXPECTED_COUNT[completed]
+
+    outcomes = crash_matrix(lambda: build_db(paths, preloaded), run_steps,
+                            stride=STRIDE, torn=torn,
+                            check=check_beside_preloaded if preloaded
+                            else check)
     assert outcomes, "workload produced no physical writes to crash on"
     assert any(o.crashed for o in outcomes)
     # at least one crash must land mid-workload, not only at the edges
@@ -138,6 +161,22 @@ def test_crash_matrix_discards_or_replays_every_statement():
     crashed = [o for o in outcomes if o.crashed]
     assert any(o.statements_discarded for o in crashed)
     assert any(o.statements_replayed for o in crashed)
+
+
+def test_loaded_first_workload_propagates_through_forward_stubs():
+    """What the fourth workload is there for: its renames reach
+    referencers that ``replicate`` moved out of their home pages."""
+    from repro.storage.heapfile import _FORWARD
+
+    name = "inplace-loaded-first"
+    db = build_db(WORKLOADS[name], PRELOADED[name])
+    emp = db.catalog.get_set("Emp")
+    forwarded = 0
+    for oid, __ in emp.scan():
+        with db.storage.pool.page(emp.file_id, oid.page_no) as page:
+            forwarded += page.data[page.span(oid.slot)[0]] == _FORWARD
+    assert 0 < forwarded <= PRELOADED[name]
+    assert db.storage.pool.pinned_keys() == []
 
 
 def test_workload_is_write_heavy_enough():

@@ -66,6 +66,137 @@ def test_refused_delete_rolls_back_cleanly():
 
 
 # ---------------------------------------------------------------------------
+# a propagation that fails half-way: no pin, no half-written page
+# ---------------------------------------------------------------------------
+
+
+def loaded_then_replicated(buffer_frames: int, index: bool = False):
+    """Emp is loaded before the path exists, so ``replicate`` widens
+    records on full pages: some stay, the rest move out behind a forward
+    stub.  Returns the sorted closure under ``depts[0]`` too."""
+    db = make_db(buffer_frames=buffer_frames)
+    depts, oids = populate(db, emps=60)
+    path = db.replicate("Emp.dept.name")
+    if index:
+        db.build_index("Emp.dept.name")
+    db.checkpoint()
+    link = db.catalog.get_link(path.link_sequence[0])
+    closure = db.replication.inverted.closure_to_source(link, depts[0])
+    assert len(closure) == 20
+    return db, depts, closure, path.hidden_field_for("name")
+
+
+def all_pages(db) -> dict:
+    db.storage.pool.flush_all()
+    disk = db.storage.disk
+    return {(fid, page_no): disk.peek_page(fid, page_no)
+            for fid in disk.file_ids()
+            for page_no in range(disk.num_pages(fid))}
+
+
+def test_logical_failure_mid_propagation_rolls_every_page_back():
+    db, depts, closure, hidden = loaded_then_replicated(8, index=True)
+    index = db.catalog.index_on_path("Emp.dept.name").index
+    entries = list(index.items())
+    before = all_pages(db)
+    maintain = index.update
+    calls = []
+
+    def update(old, new, oid):
+        calls.append(oid)
+        if len(calls) == 7:  # the 7th of 20 referencers
+            raise RuntimeError("index refused the entry")
+        maintain(old, new, oid)
+
+    index.update = update
+    with pytest.raises(RuntimeError, match="index refused"):
+        db.update("Dept", depts[0], {"name": "renamed"})
+    del index.update
+    assert calls == closure[:7]  # six referencers were rewritten already
+    assert db.storage.pool.pinned_keys() == []
+    assert all_pages(db) == before  # the six, and the index, byte for byte
+    assert list(index.items()) == entries
+    assert not db.recovery.wal.has_records
+    db.verify()
+    # the session goes on, no recovery step
+    db.update("Dept", depts[0], {"name": "renamed"})
+    assert {db.get("Emp", oid).values[hidden] for oid in closure} \
+        == {"renamed"}
+    db.verify()
+
+
+def test_disk_fault_mid_propagation_leaves_no_pin_and_no_statement():
+    from repro.recovery.faults import MAX_READ_RETRIES
+    from repro.storage.heapfile import _FORWARD, _rid_unpack
+
+    db, depts, closure, hidden = loaded_then_replicated(4)
+    pool = db.storage.pool
+    emp_file = closure[0].file_id
+    # the first page, some way into the closure, that the propagation
+    # reaches only by following a forward stub
+    touched, victim = set(), None
+    for position, oid in enumerate(closure):
+        touched.add(oid.page_no)
+        with pool.page(emp_file, oid.page_no) as page:
+            offset, __ = page.span(oid.slot)
+            moved_to = (_rid_unpack(page.data, offset + 1)[0]
+                        if page.data[offset] == _FORWARD else None)
+        if moved_to is not None:
+            if position >= 3 and moved_to not in touched and victim is None:
+                victim = moved_to
+            touched.add(moved_to)
+    assert victim is not None
+    db.cold_cache()
+    fetch = pool.fetch
+
+    def faulty_fetch(file_id, page_no):
+        if (file_id, page_no) == (emp_file, victim):
+            # every read now exhausts its retries: a hard fault
+            db.faults.transient_read_errors(
+                1.0, fail_count=MAX_READ_RETRIES + 1)
+        return fetch(file_id, page_no)
+
+    pool.fetch = faulty_fetch
+    with pytest.raises(DiskFault, match="retries"):
+        db.update("Dept", depts[0], {"name": "renamed"})
+    del pool.fetch
+    assert pool.pinned_keys() == []
+    assert db.recovery.needs_recovery
+    with pytest.raises(DiskFault):
+        db.insert("Dept", {"name": "x", "budget": 1})
+    report = db.recover()
+    assert report.verified and report.statements_discarded == 1
+    # the statement is wholly absent: not the source, not one referencer
+    assert db.get("Dept", depts[0]).values["name"] == "dept0"
+    assert {db.get("Emp", oid).values[hidden] for oid in closure} \
+        == {"dept0"}
+    assert pool.pinned_keys() == []
+    db.verify()
+    db.update("Dept", depts[0], {"name": "renamed"})
+    db.verify()
+
+
+def test_a_value_that_cannot_be_stored_touches_no_page():
+    """Kind and width are checked before the first page is pinned."""
+    from repro.errors import FieldError, SerializationError
+
+    db, depts, closure, hidden = loaded_then_replicated(8)
+    emp = db.catalog.get_set("Emp")
+    db.cold_cache()
+    for bad, error in ((7, FieldError), ("x" * 201, SerializationError)):
+        before = db.stats.snapshot()
+        with pytest.raises(error):
+            with db.recovery.statement("manual"):
+                db.store.overwrite_fields(emp.heap, emp.type_def, closure,
+                                          {hidden: bad}, general=None)
+        io = db.stats.snapshot() - before
+        assert (io.logical_reads, io.physical_reads) == (0, 0)
+        assert not db.recovery.wal.has_records
+    assert db.storage.pool.pinned_keys() == []
+    db.verify()
+
+
+# ---------------------------------------------------------------------------
 # crash + recover
 # ---------------------------------------------------------------------------
 

@@ -172,6 +172,14 @@ def test_update_propagation_and_link_spans(company):
     (prop,) = tracer.spans_named("update_propagation")
     assert prop.attrs["fanout"] == 2
     assert prop.attrs["path"] == "Emp1.dept.name"
+    # the paper's update model: f referencers, visited a page at a time
+    toys = company["depts"]["toys"]
+    link = db.catalog.get_link(
+        db.catalog.get_path("Emp1.dept.name").link_sequence[0])
+    closure = db.replication.inverted.closure_to_source(link, toys)
+    assert prop.attrs["pages"] == len({(t.file_id, t.page_no)
+                                       for t in closure})
+    assert prop.attrs["pages"] <= prop.attrs["fanout"] == len(closure)
 
 
 def test_trace_jsonl_roundtrip(company, tmp_path):
