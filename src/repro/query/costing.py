@@ -12,7 +12,9 @@ I/O, so measured query costs stay clean.
 
 The feature is **opt-in** (``Database(cost_based_planning=True)``): the
 paper's model assumes every query drives through its index, so the default
-planner does too, keeping the reproduction faithful.
+planner does too, keeping the reproduction faithful.  It is also
+embedded-only: the planner's member count is a full scan, which a
+served statement may not run before it enters the engine mutex.
 """
 
 from __future__ import annotations

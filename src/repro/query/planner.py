@@ -190,6 +190,11 @@ def _plan_access(db: Database, set_name: str, where: Where | None):
     All indexable clauses on the *same* field combine into one bounded
     range scan (``x >= a and x <= b``); the full predicate is kept as a
     residual filter for safety.
+
+    ``cost_based_planning`` is embedded-only: its estimate counts the
+    set's members with a full scan through the buffer pool, and a served
+    statement plans *before* it enters the engine mutex, where no page
+    may be touched.
     """
     if where is None:
         return FileScan(set_name), None

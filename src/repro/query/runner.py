@@ -281,8 +281,8 @@ def run_statement(db: Database, ctx: Statement, iso=EMBEDDED,
                                 db, ctx.stmt, ctx.plan, run, analyze=analyze,
                                 read_only=ctx.read_only)
                         finally:
-                            # this thread's WAL scope: exact even while
-                            # other statements append concurrently
+                            # the bytes of this thread's last WAL scope:
+                            # this statement's, read inside the engine
                             if not ctx.read_only:
                                 ctx.wal_bytes = (
                                     db.recovery.last_statement_wal_bytes())

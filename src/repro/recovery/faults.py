@@ -17,14 +17,12 @@ store has to survive:
   only raises :class:`DiskFault` when the retry budget is exhausted;
 * **WAL flush failures** -- the (N+1)-th WAL force raises
   :class:`DiskFault` before any record is marked durable, modelling a
-  log-device hiccup at commit time (the group-commit leader/follower
-  error-propagation case).
+  log-device hiccup at commit time.
 
 The injector also exposes *execution probes* -- named no-op callbacks
 fired from fixed points in the engine (statement start/finish).  Tests
-hook them to inject barriers and prove scheduling properties (two
-disjoint-footprint statements really overlap) deterministically instead
-of by timing luck.
+hook them to prove scheduling properties (no two statements are ever
+inside the engine at once) deterministically instead of by timing luck.
 
 Everything is deterministic: the write counter makes crash points exact,
 and the read glitches come from a private seeded RNG, so a failing crash
@@ -89,8 +87,7 @@ class FaultInjector:
 
         The failure is a *log-device* hiccup: it does not take the data
         disk down, and it fires exactly once -- the flush that retries
-        after :meth:`disarm` (or a new group-commit leader re-forcing
-        the same batch) decides its own fate.
+        after :meth:`disarm` decides its own fate.
         """
         if n < 0:
             raise ValueError("fault point must be >= 0")

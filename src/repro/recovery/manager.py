@@ -67,8 +67,8 @@ class RecoveryManager:
                                   telemetry=db.telemetry,
                                   faults=db.faults)
                     if wal else None)
-        # statement scopes nest per executing thread now that statements
-        # run concurrently; so does the last-statement attribution below
+        # statement scopes nest per executing thread (a served statement
+        # runs on a worker thread); so does the last-statement attribution
         self._local = threading.local()
         self._m_recoveries = db.telemetry.metrics.counter(
             "recoveries_total", "crash-recovery passes completed")
@@ -117,10 +117,9 @@ class RecoveryManager:
             try:
                 self._local.last_lsn = self.wal.commit(self._current_image)
             except DiskFault:
-                # the commit force failed (or a group-commit leader failed
-                # the batch our records rode in): the mutation is applied
-                # in memory but not durable -- only recovery, which rolls
-                # the statement back from its before-images, may touch the
+                # the commit force failed: the mutation is applied in
+                # memory but not durable -- only recovery, which rolls the
+                # statement back from its before-images, may touch the
                 # database now
                 self.wal.mark_crashed()
                 raise

@@ -183,12 +183,11 @@ class StatementLog:
 class _Scope:
     """Per-thread bookkeeping of one active WAL statement.
 
-    Statements from different sessions now run concurrently, so the
-    single-writer instance fields became one scope object per executing
-    thread.  The global log (``records``) interleaves records from all
-    scopes in append order; each scope also remembers *its* records (by
-    identity) so commit/abort/read-only-removal touch exactly the right
-    entries no matter how the tail interleaved.
+    One scope object per executing thread (a served statement runs on a
+    worker thread, inside the engine mutex).  The global log
+    (``records``) holds every scope's records in append order; each
+    scope also remembers *its* records (by identity) so
+    commit/abort/read-only-removal touch exactly the right entries.
     """
 
     __slots__ = ("stmt_id", "note", "records", "snapshots", "dirty",
@@ -213,22 +212,17 @@ class _Scope:
 class WriteAheadLog:
     """The statement-scoped physical log of one database.
 
-    Thread-safe: concurrent statements append to the shared tail under
-    one short ``_log_mutex``; per-statement state lives in thread-local
-    :class:`_Scope` objects.  Commit-listener dispatch happens under a
-    separate ``_commit_mutex`` *after* the commit is durable, so the
-    replication hub observes commits in LSN order with no gaps.
-
-    ``group_commit_ms > 0`` enables group commit: the first committer to
-    reach :meth:`flush` becomes the *leader*, waits up to the window for
-    followers to append their records, then forces the whole batch with
-    one flush.  A flush failure is propagated to every committer whose
-    records were in the failed batch.  The default (0) forces each
-    commit immediately -- bit-for-bit the pre-group-commit behavior.
+    A served engine runs one statement at a time (the engine mutex), so
+    records are appended by one statement at a time; the short
+    ``_log_mutex`` keeps the tail consistent for the threads that read
+    it meanwhile (a snapshot, the replication hub), and per-statement
+    state lives in thread-local :class:`_Scope` objects.  Commit-listener
+    dispatch happens under a separate ``_commit_mutex`` *after* the
+    commit is durable, so the replication hub observes commits in LSN
+    order with no gaps.  Every commit forces the log immediately.
     """
 
-    def __init__(self, metrics=None, telemetry=None,
-                 group_commit_ms: float = 0.0, faults=None) -> None:
+    def __init__(self, metrics=None, telemetry=None, faults=None) -> None:
         metrics = metrics if metrics is not None else NULL_METRICS
         #: optional Telemetry bundle: when its tracer is enabled, real log
         #: forces are recorded as ``wal_flush`` spans (the WAL is accounted
@@ -238,8 +232,6 @@ class WriteAheadLog:
         #: :meth:`on_wal_flush` hook fires inside :meth:`flush` *before*
         #: any record is marked durable.
         self.faults = faults
-        #: group-commit window in milliseconds (0 = force immediately).
-        self.group_commit_ms = group_commit_ms
         # an update appends a hundred records: hold the bound series, one
         # per record type, whose inc() builds no label key per call
         records = metrics.counter(
@@ -251,12 +243,6 @@ class WriteAheadLog:
         self._m_bytes = metrics.counter(
             "wal_bytes_total", "bytes appended to the write-ahead log"
         ).labels()
-        self._m_group_joins = metrics.counter(
-            "wal_group_commit_joins_total",
-            "commits that joined another leader's flush batch")
-        self._m_group_fail = metrics.counter(
-            "wal_group_commit_failures_total",
-            "commits that saw a group-flush failure (leader or follower)")
         self.records: list[WalRecord] = []
         self._flushed = 0  # records known durable
         self._next_stmt_id = 1
@@ -270,19 +256,14 @@ class WriteAheadLog:
         #: durable, with the statement's full record tuple -- the tail
         #: stream replication ships to followers.  Listeners run inside
         #: the committing thread under ``_commit_mutex``, so entries are
-        #: observed in commit order even with concurrent committers.
+        #: observed in commit order.
         self.commit_listeners: list = []
-        # -- concurrency state ------------------------------------------
         # _log_mutex guards records/_flushed/_next_stmt_id/_scopes; it is
-        # an RLock so scope teardown can run from paths that already hold
-        # it.  _flush_cond coordinates group commit on the same lock.
+        # an RLock so scope teardown can run from paths that already hold it
         self._log_mutex = threading.RLock()
-        self._flush_cond = threading.Condition(self._log_mutex)
         self._commit_mutex = threading.Lock()
         self._local = threading.local()
         self._scopes: list[_Scope] = []
-        self._flush_leader: int | None = None
-        self._flush_error: tuple = (None, 0)
         #: set when a statement died on a :class:`DiskFault`; the log keeps
         #: its incomplete tail and the database must ``recover()``.
         self.needs_recovery = False
@@ -344,7 +325,7 @@ class WriteAheadLog:
             self._append_locked(
                 WalRecord(WalRecordType.COMMIT, scope.stmt_id), scope)
         try:
-            self.flush(group=True)
+            self.flush()
         except BaseException:
             # the force failed before these records became durable: a
             # crash at this instant loses the redo tail, leaving an
@@ -510,56 +491,11 @@ class WriteAheadLog:
         scope.records = [r for r in scope.records if id(r) not in doomed]
 
     def before_data_write(self) -> None:
-        """WAL ordering rule: force the log before a dirty page hits disk.
-
-        Always an immediate force (never windowed): the data write is
-        already decided, so waiting to batch would only delay it."""
+        """WAL ordering rule: force the log before a dirty page hits disk."""
         self.flush()
 
-    def flush(self, group: bool = False) -> None:
+    def flush(self) -> None:
         """Make every appended record durable (accounted, instantaneous).
-
-        ``group=True`` (commits only) enables the ``group_commit_ms``
-        window: one leader collects concurrently appended records and
-        forces them with a single flush for all waiters.
-        """
-        with self._flush_cond:
-            target = len(self.records)
-            if self._flushed >= target:
-                return
-            window_s = self.group_commit_ms / 1000.0
-            if not group or window_s <= 0.0:
-                self._force(target)
-                return
-            if self._flush_leader is not None:
-                self._m_group_joins.inc()
-            while self._flush_leader is not None:
-                self._flush_cond.wait()
-                if self._flushed >= target:
-                    return  # the leader's batch covered us
-                error, covered = self._flush_error
-                if error is not None and target <= covered:
-                    # our records were in the failed batch
-                    self._m_group_fail.inc()
-                    raise error
-                # leader gone without covering us: contend for leadership
-            self._flush_leader = threading.get_ident()
-            self._flush_error = (None, 0)
-            try:
-                self._flush_cond.wait(window_s)  # collect followers
-                target = len(self.records)       # ... the whole batch
-                try:
-                    self._force(target)
-                except BaseException as exc:
-                    self._flush_error = (exc, target)
-                    self._m_group_fail.inc()
-                    raise
-            finally:
-                self._flush_leader = None
-                self._flush_cond.notify_all()
-
-    def _force(self, target: int) -> None:
-        """Force the log through ``target`` records (log mutex held).
 
         Ordering matters for failure accounting: the fault hook fires
         (and may raise) *inside* the tracer span and **before**
@@ -567,27 +503,29 @@ class WriteAheadLog:
         failed force is observable as exactly that -- no records marked
         durable, no flush counted.
         """
-        pending = target - self._flushed
-        if pending <= 0:
-            return
-        telemetry = self._telemetry
-        span = (telemetry.tracer.span("wal_flush", records=pending)
-                if telemetry is not None else NULL_SPAN)
-        waits = telemetry.waits if telemetry is not None else None
-        started = (time.perf_counter()
-                   if waits is not None and waits.enabled else None)
-        try:
-            with span:
-                if self.faults is not None:
-                    self.faults.on_wal_flush()
-                self._flushed = target
-                for scope in self._scopes:
-                    if scope.records:
-                        scope.any_flushed = True
-                self._m_flushes.inc()
-        finally:
-            if started is not None:
-                waits.record(WAL_FLUSH, time.perf_counter() - started)
+        with self._log_mutex:
+            target = len(self.records)
+            pending = target - self._flushed
+            if pending <= 0:
+                return
+            telemetry = self._telemetry
+            span = (telemetry.tracer.span("wal_flush", records=pending)
+                    if telemetry is not None else NULL_SPAN)
+            waits = telemetry.waits if telemetry is not None else None
+            started = (time.perf_counter()
+                       if waits is not None and waits.enabled else None)
+            try:
+                with span:
+                    if self.faults is not None:
+                        self.faults.on_wal_flush()
+                    self._flushed = target
+                    for scope in self._scopes:
+                        if scope.records:
+                            scope.any_flushed = True
+                    self._m_flushes.inc()
+            finally:
+                if started is not None:
+                    waits.record(WAL_FLUSH, time.perf_counter() - started)
 
     # -- replay / persistence ------------------------------------------------
 

@@ -52,7 +52,12 @@ from repro.telemetry import Telemetry
 
 
 class Database:
-    """One object-oriented database instance with field replication."""
+    """One object-oriented database instance with field replication.
+
+    An embedded instance is single-threaded: a caller that shares one
+    between threads must serialise them itself, as a served database
+    does with its engine mutex (:mod:`repro.server.admission`).
+    """
 
     def __init__(self, buffer_frames: int = DEFAULT_BUFFER_FRAMES,
                  inline_singleton_links: bool = False,
@@ -130,9 +135,9 @@ class Database:
     def join_mode_scope(self, value: str | None):
         """Override ``join_mode`` for this thread only.
 
-        Served sessions carry per-session join-mode settings; with
-        statements executing concurrently, a session must not flip the
-        database-wide default under another session's feet.
+        Served sessions carry per-session join-mode settings, and one
+        session plans while another executes: a session must not flip
+        the database-wide default under another session's feet.
         """
         if value is not None and value not in ("naive", "batched"):
             raise ValueError(f"join_mode must be 'naive' or 'batched', "

@@ -1,7 +1,9 @@
-"""``repro.server``: the concurrent client/server layer.
+"""``repro.server``: the multi-client server layer.
 
 The engine itself (:class:`repro.schema.database.Database`) is a single
-in-process session.  This package turns it into a multi-client database:
+in-process session.  This package turns it into a multi-client database
+whose statements run one at a time inside the engine
+(:mod:`repro.server.admission`):
 
 * :mod:`repro.server.protocol` -- the length-prefixed, CRC'd JSON frame
   format both sides speak (the WAL's ``FRWAL001`` discipline, on a wire);

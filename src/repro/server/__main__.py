@@ -96,12 +96,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="graceful-shutdown bound on flushing the WAL "
                              "tail to connected followers")
-    parser.add_argument("--group-commit-ms", type=float, default=0.0,
-                        metavar="MS",
-                        help="WAL group-commit window: a committing "
-                             "statement leads one force for every commit "
-                             "that arrives within this window (0: each "
-                             "commit forces immediately)")
     args = parser.parse_args(argv)
 
     try:
@@ -118,8 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         db.resultcache.capacity_bytes = max(1, args.cache_bytes)
     if args.slow_ms is not None:
         db.telemetry.slowlog.configure(threshold_ms=args.slow_ms)
-    if args.group_commit_ms > 0 and db.recovery.wal is not None:
-        db.recovery.wal.group_commit_ms = args.group_commit_ms
     server = Server(db, host=args.host, port=args.port,
                     max_connections=args.max_connections,
                     workers=args.workers, queue_depth=args.queue_depth,

@@ -1,209 +1,56 @@
-"""Footprint-admission scheduling: concurrent statements, one engine.
+"""The engine mutex: one statement inside a served engine at a time.
 
-Historically the served engine ran one statement at a time under a
-single global latch -- correct, and the single biggest serialization
-point in the server (the old ``engine_latch`` wait event).  The engine
-internals are now thread-safe at their natural grain (per-frame buffer
-latches, a short WAL append mutex with group commit, locked metrics),
-so execution itself can overlap.  What remains is a *scheduling* rule:
+A served statement acquires its whole 2PL footprint in the lock manager
+first, then enters the engine through :class:`EngineGate` for the
+duration of its execution.  Every maintenance pass that needs a frozen
+engine -- the background doctor refresh, a follower applying the
+replication stream or being promoted, a test harness driving the engine
+directly -- enters the same mutex with ``with sessions.latch:``.  So
+exactly one thread is ever inside a served engine, and the buffer pool,
+the catalog and the engine's other in-memory structures need no latches
+of their own.
 
-    a statement whose 2PL footprint has been fully granted may execute
-    immediately, concurrently with any other granted statement.
+Why not let granted statements overlap: CPython serialises their CPU
+work, the simulated disk never blocks and the WAL force costs nothing,
+so there is nothing for an overlap to hide (docs/ARCHITECTURE.md
+section 9 has the measurement).
 
-The lock manager already guarantees that two granted footprints do not
-conflict -- every footprint includes a shared schema lock, and writers
-hold exclusive locks on the sets they mutate -- so overlapping granted
-statements touch disjoint (or read-only-shared) data.  Admission is
-therefore a *reader-writer gate*, not a mutex:
-
-* **shared mode** (statement admission): taken by every statement after
-  its locks are granted, for the duration of execution.  Any number of
-  statements hold it together; ``concurrent_statements`` counts them.
-* **exclusive mode** (engine quiesce): drains the engine to zero active
-  statements and keeps new ones out.  Used by the background doctor
-  refresh, failover promotion, and test harnesses that need a frozen
-  engine -- exactly the callers that used to grab the global latch
-  directly via ``with sessions.latch:``, which still works verbatim
-  because :class:`EngineGate` keeps the context-manager surface (and
-  the ``latch`` attribute name) of the lock it replaced.
-
-Lock ordering (see ARCHITECTURE.md): 2PL locks are acquired *before*
-entering the gate and never inside it, and the exclusive side takes no
-2PL locks at all -- so active statements always drain and the gate can
-never deadlock against the lock manager.
+Lock ordering: 2PL locks are acquired *before* entering the mutex and
+never inside it, so the thread inside never waits for a lock another
+waiter holds, and the mutex cannot deadlock against the lock manager.
+The mutex is reentrant: a thread holding it for maintenance may run
+statements of its own.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
 
-from repro.telemetry.metrics import NULL_METRICS
-from repro.telemetry.waitevents import ADMISSION_WAIT, NULL_WAITS
-
-__all__ = ["EngineGate", "AdmissionController", "AdmissionGrant"]
+__all__ = ["EngineGate"]
 
 
 class EngineGate:
-    """A writer-priority reader-writer gate over the engine.
+    """The reentrant engine mutex.
 
-    Shared entries are statement admissions; the exclusive side (used
-    via the plain ``with gate:`` context-manager protocol, or
-    ``acquire()``/``release()``) quiesces the engine.  Exclusive mode is
-    reentrant for its owner thread, and a thread holding the gate
-    exclusively may also enter shared mode (its own statements run
-    against the quiesced engine) -- both mirror what the old reentrant
-    global latch allowed.
-
-    Writer priority: once an exclusive requester is waiting, new shared
-    entries queue behind it, so a doctor refresh cannot be starved by a
-    stream of short statements.
+    :meth:`enter_shared` / :meth:`exit_shared` bracket one statement
+    (the names are older than the mutex; the benchmark harness times
+    admission by wrapping them); ``with gate:`` takes the same mutex for
+    a maintenance pass.
     """
 
     def __init__(self) -> None:
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
-        #: statements currently admitted (shared holders)
-        self._active = 0
-        #: threads blocked in :meth:`enter_shared`
-        self._queued = 0
-        self._excl_owner: int | None = None
-        self._excl_count = 0
-        self._excl_waiting = 0
-
-    # -- shared (statement) side -------------------------------------------
+        self._mutex = threading.RLock()
 
     def enter_shared(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._excl_owner == me:
-                # the quiescing thread running its own statement
-                self._active += 1
-                return
-            self._queued += 1
-            try:
-                while self._excl_owner is not None or self._excl_waiting:
-                    self._cond.wait()
-                self._active += 1
-            finally:
-                self._queued -= 1
+        """Wait until no other thread is inside the engine, then enter."""
+        self._mutex.acquire()
 
     def exit_shared(self) -> None:
-        with self._cond:
-            self._active -= 1
-            if self._active == 0:
-                self._cond.notify_all()
-
-    # -- exclusive (quiesce) side ------------------------------------------
-
-    def acquire(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._excl_owner == me:
-                self._excl_count += 1
-                return
-            self._excl_waiting += 1
-            try:
-                while self._excl_owner is not None or self._active:
-                    self._cond.wait()
-                self._excl_owner = me
-                self._excl_count = 1
-            finally:
-                self._excl_waiting -= 1
-
-    def release(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._excl_owner != me:
-                raise RuntimeError("EngineGate.release() by a non-owner")
-            self._excl_count -= 1
-            if self._excl_count == 0:
-                self._excl_owner = None
-                self._cond.notify_all()
+        self._mutex.release()
 
     def __enter__(self) -> "EngineGate":
-        self.acquire()
+        self.enter_shared()
         return self
 
     def __exit__(self, *exc) -> None:
-        self.release()
-
-    # -- introspection (advisory reads, no lock) ---------------------------
-
-    @property
-    def active(self) -> int:
-        """Statements currently executing (shared holders)."""
-        return self._active
-
-    @property
-    def queued(self) -> int:
-        """Threads currently blocked waiting for admission."""
-        return self._queued
-
-
-class AdmissionGrant:
-    """What one admitted statement learns about its wait."""
-
-    __slots__ = ("waited",)
-
-    def __init__(self, waited: float) -> None:
-        #: seconds spent blocked before admission (0.0 when uncontended)
-        self.waited = waited
-
-
-class AdmissionController:
-    """The gate plus its observability: wait attribution and gauges.
-
-    * ``concurrent_statements``      -- statements executing right now;
-    * ``concurrent_statements_peak`` -- high-water mark (ratchet; the
-      concurrency stress soak asserts it exceeded 1);
-    * ``admission_queue_depth``      -- statements blocked at the gate.
-
-    Admission waits feed the ``admission_wait`` event (histogram +
-    per-statement ledger) exactly like the engine latch they replace.
-    """
-
-    def __init__(self, gate: EngineGate | None = None, waits=None,
-                 metrics=None) -> None:
-        self.gate = gate if gate is not None else EngineGate()
-        self.waits = waits if waits is not None else NULL_WAITS
-        metrics = metrics if metrics is not None else NULL_METRICS
-        self._g_active = metrics.gauge(
-            "concurrent_statements", "statements executing concurrently")
-        self._g_peak = metrics.gauge(
-            "concurrent_statements_peak",
-            "high-water mark of concurrently executing statements")
-        self._g_queued = metrics.gauge(
-            "admission_queue_depth", "statements waiting for admission")
-
-    @contextmanager
-    def admitted(self):
-        """Admit one statement for the duration of the block.
-
-        Yields an :class:`AdmissionGrant`; the caller folds its
-        ``waited`` into session accounting.  Hold time is charged to the
-        global occupancy counter on exit.
-        """
-        waits = self.waits
-        gate = self.gate
-        started = time.perf_counter()
-        token = waits.mark_waiting(ADMISSION_WAIT)
-        self._g_queued.set(gate.queued + 1)
-        try:
-            gate.enter_shared()
-        finally:
-            self._g_queued.set(gate.queued)
-            waits.unmark_waiting(token)
-        waited = time.perf_counter() - started
-        waits.admission_granted(waited)
-        active = gate.active
-        self._g_active.set(active)
-        self._g_peak.set_max(active)
-        held_from = time.perf_counter()
-        try:
-            yield AdmissionGrant(waited)
-        finally:
-            gate.exit_shared()
-            self._g_active.set(gate.active)
-            waits.admission_released(time.perf_counter() - held_from)
+        self.exit_shared()

@@ -22,6 +22,14 @@ the youngest waiter with :class:`~repro.errors.DeadlockError`.  Every
 wait is bounded by a configurable timeout
 (:class:`~repro.errors.LockTimeoutError`).
 
+**Writer priority**: a shared request waits behind an exclusive request
+that was already waiting for the same resource, unless that waiter is
+blocked by a lock the requester holds.  Statements hold their whole
+footprint while they queue for the engine mutex
+(:mod:`repro.server.admission`), so without it a few readers in a loop
+keep a set share-locked with no gap between them, and a writer starves
+until its timeout.
+
 Telemetry: ``lock_waits_total``, ``lock_wait_seconds``,
 ``deadlocks_total``, ``lock_timeouts_total``.
 """
@@ -194,6 +202,9 @@ class LockManager:
         self._cv = threading.Condition(self._mutex)
         self._holders: dict = {}               # resource -> {owner_id: mode}
         self._owners: dict[int, LockOwner] = {}
+        #: owners blocked in :meth:`acquire` right now (their ``needed``
+        #: is set): the wait-for graph's nodes, and the writer-priority queue
+        self._waiting: dict[int, LockOwner] = {}
         self._ids = itertools.count(1)
         self._births = itertools.count(1)
         self._m_waits = metrics.counter(
@@ -259,8 +270,8 @@ class LockManager:
                         raise DeadlockError(
                             f"{owner.name or owner.id}: chosen as deadlock "
                             f"victim (youngest waiter in the cycle)")
-                    blockers = self._blockers(owner, needed)
-                    if not blockers:
+                    conflicts = self._conflicts(owner, needed)
+                    if not conflicts:
                         for resource, mode in needed.items():
                             self._holders.setdefault(resource, {})[owner.id] = mode
                             owner.held[resource] = mode
@@ -268,9 +279,10 @@ class LockManager:
                             waited=(time.monotonic() - wait_start)
                             if waited else 0.0,
                             contended=tuple(sorted(contended.items())))
-                    for resource, mode in self._contended(owner, needed).items():
-                        contended.setdefault(resource, mode)
+                    for resource in conflicts:
+                        contended.setdefault(resource, needed[resource])
                     owner.needed = needed
+                    self._waiting[owner.id] = owner
                     if not waited:
                         waited = True
                         self._m_waits.inc()
@@ -291,12 +303,13 @@ class LockManager:
                         raise LockTimeoutError(
                             f"{owner.name or owner.id}: timed out waiting for "
                             f"{footprint.describe()} (held by "
-                            f"{sorted(self._owner_names(blockers))})")
+                            f"{sorted(self._owner_names(self._blockers(owner, needed)))})")
                     # short slices keep the detector live even when no
                     # release wakes us (a cycle formed elsewhere)
                     self._cv.wait(min(remaining, 0.05))
             finally:
                 owner.needed = None
+                self._waiting.pop(owner.id, None)
                 if waited:
                     elapsed = time.monotonic() - wait_start
                     self._m_wait_seconds.observe(elapsed)
@@ -338,33 +351,43 @@ class LockManager:
 
     # -- internals (mutex held) -------------------------------------------
 
-    def _blockers(self, owner: LockOwner, needed: dict) -> set:
-        blockers = set()
+    def _conflicts(self, owner: LockOwner, needed: dict) -> dict:
+        """Resource -> the owners keeping ``owner`` from it: holders in a
+        conflicting mode and, for a shared request, exclusive requests
+        that were waiting for the resource before ``owner`` was (writer
+        priority) -- unless that waiter is itself blocked by a lock
+        ``owner`` holds, which would make the two wait for each other."""
+        conflicts = {}
         for resource, mode in needed.items():
-            for other_id, other_mode in self._holders.get(resource, {}).items():
-                if other_id == owner.id:
-                    continue  # upgrading our own shared lock
-                if mode == EXCLUSIVE or other_mode == EXCLUSIVE:
-                    blockers.add(other_id)
-        return blockers
+            ids = {other_id for other_id, other_mode
+                   in self._holders.get(resource, {}).items()
+                   if other_id != owner.id  # upgrading our own shared lock
+                   and (mode == EXCLUSIVE or other_mode == EXCLUSIVE)}
+            if mode == SHARED:
+                for waiter in self._waiting.values():  # oldest wait first
+                    if waiter is owner:
+                        break
+                    if (waiter.needed.get(resource) == EXCLUSIVE
+                            and not self._holds_against(owner, waiter.needed)):
+                        ids.add(waiter.id)
+            if ids:
+                conflicts[resource] = ids
+        return conflicts
 
-    def _contended(self, owner: LockOwner, needed: dict) -> dict:
-        """The subset of ``needed`` that currently has conflicting holders
-        (resource -> requested mode)."""
-        contended = {}
-        for resource, mode in needed.items():
-            for other_id, other_mode in self._holders.get(resource, {}).items():
-                if other_id == owner.id:
-                    continue
-                if mode == EXCLUSIVE or other_mode == EXCLUSIVE:
-                    contended[resource] = mode
-                    break
-        return contended
+    def _blockers(self, owner: LockOwner, needed: dict) -> set:
+        return set().union(*self._conflicts(owner, needed).values())
+
+    @staticmethod
+    def _holds_against(owner: LockOwner, needed: dict) -> bool:
+        """Whether ``owner`` holds a lock that conflicts with ``needed``."""
+        return any(owner.held.get(resource) is not None
+                   and (mode == EXCLUSIVE or owner.held[resource] == EXCLUSIVE)
+                   for resource, mode in needed.items())
 
     def _find_deadlock_victim(self, start: LockOwner) -> LockOwner | None:
         """Find a wait-for cycle through ``start``; return the youngest
         waiter on it (the victim), or None."""
-        waiting = {o.id: o for o in self._owners.values() if o.needed is not None}
+        waiting = self._waiting
         path: list[LockOwner] = []
         seen: set[int] = set()
 

@@ -187,8 +187,8 @@ class Replica:
         #: into its log so a promoted node can serve the stream onward
         self.hub = ReplicationHub(db, max_entries=repl_log_entries,
                                   attach=False)
-        #: replaced by ReplicaServer with the admission gate: applying
-        #: an entry then quiesces the served engine (exclusive mode)
+        #: replaced by ReplicaServer with its engine mutex: applying an
+        #: entry then runs alone in the served engine, like a statement
         self.latch = threading.RLock()
         self.server: Server | None = None
         self.applied_lsn = 0

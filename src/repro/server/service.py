@@ -145,10 +145,10 @@ class Server:
     def _run_doctor(self) -> None:
         """Run the doctor against a quiesced engine and cache its verdict.
 
-        ``sessions.latch`` is the admission gate: holding it exclusively
-        drains in-flight statements and keeps new ones out, so the doctor
-        reads a *consistent* snapshot of pages and session state -- no
-        2PL locks are taken, so draining can never deadlock (statements
+        ``sessions.latch`` is the engine mutex: holding it waits out the
+        statement inside the engine and keeps the next one out, so the
+        doctor reads a *consistent* snapshot of pages and session state --
+        no 2PL locks are taken, so this can never deadlock (statements
         acquire all their locks before admission, never inside)."""
         with self.sessions.latch:
             try:
@@ -658,13 +658,6 @@ class Server:
             "cache": db.resultcache.snapshot(),
             "ledger": telemetry.repledger.entries(),
             "replication": self._replication_status(),
-            "admission": {
-                "concurrent_statements": metrics.value(
-                    "concurrent_statements"),
-                "concurrent_statements_peak": metrics.value(
-                    "concurrent_statements_peak"),
-                "queue_depth": metrics.value("admission_queue_depth"),
-            },
             "waits": {
                 **telemetry.waits.snapshot(),
                 "admission_wait_seconds": round(metrics.histogram(

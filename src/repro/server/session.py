@@ -23,14 +23,11 @@ DBMS layers it:
   everything it touched (strict two-phase locking), which is what makes
   deadlock possible and the detector necessary;
 * **admission** (short-term, physical): a statement whose footprint has
-  been fully granted enters the :class:`~repro.server.admission.EngineGate`
-  in shared mode and executes *concurrently* with every other granted
-  statement -- the engine internals (buffer pool, WAL, metrics) are
-  thread-safe at their natural grain, and the lock manager already
-  guarantees granted footprints don't conflict.  The gate's exclusive
-  mode quiesces the engine for maintenance (doctor refresh, failover,
-  test harnesses).  The WAL's per-thread statement scopes keep each
-  statement atomic even while their log appends interleave.
+  been fully granted enters the engine mutex
+  (:class:`~repro.server.admission.EngineGate`) and executes alone; the
+  next granted statement waits for it to leave.  Maintenance (doctor
+  refresh, replica apply, failover, test harnesses) takes the same
+  mutex, so exactly one thread is ever inside the engine.
 
 Tracing is **per statement, per session**: a traced statement gets its
 own fresh :class:`~repro.telemetry.tracing.Tracer` (seeded with the
@@ -79,11 +76,11 @@ from repro.server.locks import (
     ddl_footprint,
     maintenance_footprint,
 )
-from repro.server.admission import AdmissionController, EngineGate
+from repro.server.admission import EngineGate
 from repro.server.protocol import json_safe
 from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.tracing import Tracer
-from repro.telemetry.waitevents import NULL_WAITS, REPL_ACK
+from repro.telemetry.waitevents import ADMISSION_WAIT, NULL_WAITS, REPL_ACK
 
 _QUERY_STARTERS = ("retrieve", "replace", "delete")
 
@@ -438,27 +435,41 @@ class Session:
 
     @contextmanager
     def admitted(self):
-        """Execute under statement admission.
+        """Execute inside the engine mutex, alone.
 
-        The footprint is already granted, so admission is normally
-        instant; it blocks only while the engine is quiesced (doctor
-        refresh, failover, an exclusive harness).  The wait feeds the
-        ``admission_wait`` event and this session's ``admission_wait_s``;
-        occupancy feeds ``admission_hold_s`` and the global counter.  The
+        The footprint is already granted; admission waits only for
+        whoever is inside the engine now (another statement, or a
+        maintenance pass).  The wait feeds the ``admission_wait`` event
+        and this session's ``admission_wait_s``; the time inside feeds
+        ``admission_hold_s`` and the global counter.  The
         ``statement_admitted`` / ``statement_finishing`` fault-injector
-        probes bracket execution so tests can inject deterministic
-        barriers and prove real statement overlap.
+        probes fire inside the mutex, so tests can observe
+        deterministically that no two statements are ever inside at once.
         """
+        waits = self.db.telemetry.waits
+        gate = self.manager.latch
+        started = time.perf_counter()
+        token = waits.mark_waiting(ADMISSION_WAIT)
+        try:
+            gate.enter_shared()
+        finally:
+            waits.unmark_waiting(token)
+        held_from = time.perf_counter()
+        waited = held_from - started
+        waits.admission_granted(waited)
+        self.admission_wait_s += waited
         faults = self.db.faults
-        with self.manager.admission.admitted() as grant:
-            self.admission_wait_s += grant.waited
-            held_from = time.perf_counter()
+        try:
             faults.probe("statement_admitted")
             try:
                 yield
             finally:
                 faults.probe("statement_finishing")
-                self.admission_hold_s += time.perf_counter() - held_from
+        finally:
+            gate.exit_shared()
+            held = time.perf_counter() - held_from
+            self.admission_hold_s += held
+            waits.admission_released(held)
 
     def release(self) -> None:
         """Autocommit statements release at statement end; a transaction
@@ -478,9 +489,8 @@ class Session:
             self.release()
 
     def commit_lsn(self) -> int:
-        """The replication log's head LSN (0 without a hub).  Under
-        concurrency the head may include other statements' entries;
-        waiting on it is conservative (never acks too early)."""
+        """The replication log's head LSN (0 without a hub).  Read inside
+        the engine mutex, so the head is this statement's own entry."""
         hub = self.manager.hub
         return hub.log.last_lsn if hub is not None else 0
 
@@ -679,7 +689,7 @@ class Session:
 
 
 class SessionManager:
-    """Owns the lock manager, the admission gate, the worker pool, and
+    """Owns the lock manager, the engine mutex, the worker pool, and
     the set of live sessions of one served database."""
 
     def __init__(self, db, lock_timeout: float = 10.0, workers: int = 4,
@@ -689,11 +699,9 @@ class SessionManager:
         waits = getattr(db.telemetry, "waits", NULL_WAITS)
         self.locks = LockManager(timeout=lock_timeout, metrics=metrics,
                                  waits=waits)
-        #: the admission gate: statements enter it shared and execute
-        #: concurrently; ``with sessions.latch:`` quiesces the engine
+        #: the engine mutex: every statement runs inside it, one at a
+        #: time; ``with sessions.latch:`` takes it for maintenance
         self.latch = EngineGate()
-        self.admission = AdmissionController(self.latch, waits=waits,
-                                             metrics=metrics)
         #: the server's ReplicationHub (None when replication is off);
         #: sessions bracket statements with its log head for semi-sync acks
         self.hub = None

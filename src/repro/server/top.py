@@ -9,9 +9,8 @@ Polls the server's ``stats`` verb and renders one screenful per tick:
 sessions and connection state, statement throughput (computed from the
 delta between polls), buffer hit rate, lock waits with the hottest
 resources, the wait-event profile (where statement wall-clock went,
-with admission wait/hold time and live intra-engine parallelism:
-``concurrent_statements`` now and at peak, plus the admission queue
-depth), WAL posture, the slow-query tail
+with the time statements waited for the engine mutex and held it),
+WAL posture, the slow-query tail
 grouped by fingerprint, the hottest statement fingerprints, the
 replication ledger's measured net benefit per path, the active session
 history profile, and any firing alerts.  The connected shell's ``\\top``
@@ -85,13 +84,9 @@ def render_top(stats: dict, prev: dict | None = None,
             f"waits  coverage {waits.get('coverage', 0.0) * 100:.1f}% of "
             f"{waits.get('statement_seconds', 0.0):.3f}s  "
             + "  ".join(parts))
-        admission = stats.get("admission") or {}
         lines.append(
             f"admission  wait {waits.get('admission_wait_seconds', 0.0):.3f}s  "
-            f"hold {waits.get('admission_hold_seconds', 0.0):.3f}s  "
-            f"active {admission.get('concurrent_statements', 0.0):.0f} "
-            f"(peak {admission.get('concurrent_statements_peak', 0.0):.0f})  "
-            f"queued {admission.get('queue_depth', 0.0):.0f}")
+            f"hold {waits.get('admission_hold_seconds', 0.0):.3f}s")
     lines.append(
         f"wal  {'on' if wal.get('enabled') else 'off'}  "
         f"records {wal.get('records', 0)}  "

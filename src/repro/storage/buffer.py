@@ -1,4 +1,4 @@
-"""A concurrent LRU buffer pool with per-frame latches and pin counts.
+"""An LRU buffer pool with pin counts.
 
 The pool caches :class:`~repro.storage.page.Page` images keyed by
 ``(file_id, page_no)``.  Clients access pages through the :meth:`BufferPool.page`
@@ -15,56 +15,33 @@ to evict a dirty victim) -- exactly the accounting the paper's analytical
 model abstracts.  The bookkeeping around a miss costs a constant amount of
 work, whatever the pool's size.
 
-Design (statements execute in parallel inside one engine):
+Design:
 
 * the page table **is** the recency list: one ``OrderedDict`` from key to
   frame, coldest first.  A frame enters at the MRU end when it is loaded or
   allocated, moves there on every hit, and leaves on eviction or discard.
-  Its length is the resident count.  Every change of it -- insert, move,
-  pop, and the victim walk -- happens under one **table mutex**; a lookup
-  is a single lock-free ``get``, revalidated under the frame's latch;
-* each frame carries its own **latch** guarding pin count, dirty flag,
-  life-cycle state and the frame's own page transfers: a load holds the
-  new frame's latch across its disk read, an eviction holds the victim's
-  across its write-back.  There is no pool-wide lock around I/O;
+  Its length is the resident count;
 * the eviction victim is the first unpinned frame from the cold end of the
-  list.  It is picked by reading pin counts without latches and then
-  *revalidated under its own latch*: a frame that got pinned or killed in
-  between is skipped and the walk repeats, so a pinned frame is never
-  evicted, races or not;
-* a miss inserts its frame *pinned and latched* before reading, so a
-  concurrent fetch of the same page finds it, blocks on the latch until the
-  one read is done and then takes the hit path (or, if the read failed,
-  finds the frame dead and retries the read itself), and eviction -- which
-  only ever looks at unpinned frames -- cannot choose a half-loaded frame;
-* whoever finds a frame dead *under its latch* just looks the key up
-  again: by the time a killer lets go of the latch (eviction, failed load)
-  or takes it (discard) the table no longer maps the key to that frame;
-* dirty frames are also listed in a small **dirty index** (its own leaf
-  mutex), so :meth:`flush_all` costs what is dirty, not what is resident;
-  a key leaves the index only after its write-back succeeded.  Each touch
-  also stamps the frame from a monotonic counter, for one purpose: sorting
-  the few dirty frames coldest first when they are flushed.
+  list, so a pinned frame is never evicted;
+* dirty frames are also listed in a small **dirty index**, so
+  :meth:`flush_all` costs what is dirty, not what is resident; a key leaves
+  the index only after its write-back succeeded.  Each touch also stamps
+  the frame from a monotonic counter, for one purpose: sorting the few
+  dirty frames coldest first when they are flushed.
 
-What each path locks: a hit takes the frame's latch and, under it, the
-statistics mutex and the table mutex (one ``move_to_end``); a miss takes
-the table mutex to pick a victim, the victim's latch (and under it the
-table mutex again, for the pop) to evict, then the new frame's latch and
-under it the table mutex for the insert.
-
-Latch ordering (documented in ARCHITECTURE.md): the frame latch is below
-the admission gate and above the WAL log mutex.  The table mutex, the
-dirty-index mutex and the statistics mutex are leaves: each may be taken
-under a frame latch, nothing is acquired under any of them, and no path
-waits on a frame latch while holding one -- :meth:`discard_pages` pops
-its frames under the table mutex and marks them dead only after releasing
-it.  No thread holds two frame latches at once.
+The pool takes no lock.  A served engine runs one statement at a time
+(the engine mutex, :mod:`repro.server.admission`), and an embedded
+:class:`~repro.schema.database.Database` is single-threaded unless its
+caller serialises; so every pin, load and eviction happens on the one
+thread inside the engine, and a pool whose every frame is pinned is
+pinned by that thread's own statement.  The I/O statistics the pool
+bumps keep their own leaf mutex, because observer threads read them
+while a statement runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import OrderedDict
 
 from repro.errors import BufferPoolError
@@ -78,12 +55,9 @@ _PageKey = tuple[int, int]
 
 
 class _Frame:
-    __slots__ = ("page", "dirty", "pin_count", "prefetched", "stamp",
-                 "latch", "dead")
+    __slots__ = ("page", "dirty", "pin_count", "prefetched", "stamp")
 
-    def __init__(self, page: Page | None, pin_count: int) -> None:
-        #: None only while the frame's disk read is in flight -- and for
-        #: that long its loader holds the latch and the pin
+    def __init__(self, page: Page, pin_count: int) -> None:
         self.page = page
         self.dirty = False
         self.pin_count = pin_count
@@ -91,9 +65,6 @@ class _Frame:
         self.prefetched = False
         #: monotonic recency stamp (smaller = colder); orders flush_all
         self.stamp = 0
-        self.latch = threading.Lock()
-        #: the frame was evicted/discarded; racing fetchers must re-lookup
-        self.dead = False
 
 
 class _PinnedPage:
@@ -134,15 +105,11 @@ class BufferPool:
         #: wait-event collector; page transfers between the pool and the
         #: disk are timed as ``buffer_io`` (the database wires this up)
         self.waits = NULL_WAITS
-        #: page table and recency list in one, coldest first; changed only
-        #: under ``_table_lock`` (a leaf mutex, see the module docstring)
+        #: page table and recency list in one, coldest first
         self._frames: OrderedDict[_PageKey, _Frame] = OrderedDict()
-        self._table_lock = threading.Lock()
         self._clock = itertools.count(1)
-        #: key -> frame for every live dirty frame; guarded by its own
-        #: leaf mutex (see the module docstring)
+        #: key -> frame for every dirty frame
         self._dirty: dict[_PageKey, _Frame] = {}
-        self._dirty_lock = threading.Lock()
         metrics = metrics if metrics is not None else NULL_METRICS
 
         def counter(name: str, help_: str):
@@ -173,12 +140,6 @@ class BufferPool:
         """The shared I/O statistics object (owned by the disk)."""
         return self.disk.stats
 
-    def _lookup(self, key: _PageKey) -> _Frame | None:
-        # no table mutex: one dict.get is atomic, and whatever it returns
-        # is revalidated under the frame's latch (the mutex guards the
-        # list's changes and the victim walk, not single reads)
-        return self._frames.get(key)
-
     # -- pin / unpin --------------------------------------------------------
 
     def fetch(self, file_id: int, page_no: int) -> Page:
@@ -188,100 +149,54 @@ class BufferPool:
         prefer the :meth:`page` context manager.
         """
         key = (file_id, page_no)
-        frames = self._frames
+        frame = self._frames.get(key)
         stats = self.disk.stats
-        missed = False  # the logical read is counted once, hit or miss
-        while True:
-            frame = frames.get(key)  # lock-free, see _lookup
-            if frame is None:
-                if not missed:
-                    stats.count_logical_read()
-                    missed = True
-                self._make_room()
-                page = self._load(key)
-                if page is not None:
-                    return page
-                continue  # lost the insert race: the other load is a hit
-            # a frame whose read is in flight keeps its latch until the
-            # page is there (or the frame is dead): this is the wait
-            with frame.latch:
-                if frame.dead:
-                    continue  # gone from the table already: look up again
-                if missed:
-                    stats.count_buffer_hit()
-                else:
-                    stats.count_hit_pin()
-                self._m_hits.inc()
-                if frame.prefetched:
-                    frame.prefetched = False
-                    stats.count_prefetch_hit()
-                    self._m_prefetch_hits.inc()
-                with self._table_lock:
-                    try:
-                        frames.move_to_end(key)
-                    except KeyError:
-                        pass  # a discard popped the frame a moment ago
-                frame.stamp = next(self._clock)
-                if self.wal is not None:
-                    # snapshot on first contact: clients mutate the
-                    # frame in place before (or without) calling
-                    # mark_dirty, so the pre-statement image must be
-                    # captured here.
-                    self.wal.observe_fetch(key, frame.page.data)
-                frame.pin_count += 1
-                return frame.page
+        if frame is None:
+            stats.count_logical_read()
+            self._make_room()
+            return self._load(key)
+        stats.count_hit_pin()
+        self._m_hits.inc()
+        if frame.prefetched:
+            frame.prefetched = False
+            stats.count_prefetch_hit()
+            self._m_prefetch_hits.inc()
+        self._frames.move_to_end(key)
+        frame.stamp = next(self._clock)
+        if self.wal is not None:
+            # snapshot on first contact: clients mutate the frame in place
+            # before (or without) calling mark_dirty, so the pre-statement
+            # image must be captured here.
+            self.wal.observe_fetch(key, frame.page.data)
+        frame.pin_count += 1
+        return frame.page
 
-    def _load(self, key: _PageKey, prefetch: bool = False) -> Page | None:
-        """Read ``key`` from disk into a fresh frame; the caller made room.
-
-        Returns the (pinned, unless prefetching) page, or ``None`` if a
-        concurrent load won the table insert (the caller retries and
-        takes the hit path).  The frame goes into the table *pinned and
-        latched* before the read: same-key fetchers block on the latch
-        instead of reading the page a second time, and the evictor, who
-        looks at unpinned frames only, passes it by.
-        """
-        frame = _Frame(None, pin_count=1)
-        frames = self._frames
-        with frame.latch:
-            with self._table_lock:
-                if key in frames:
-                    return None
-                frames[key] = frame
-            frame.stamp = next(self._clock)
-            try:
-                with self.waits.wait(BUFFER_IO,
-                                     "prefetch" if prefetch else "read"):
-                    data = self.disk.read_page(*key)
-            except BaseException:
-                with self._table_lock:
-                    if frames.get(key) is frame:
-                        del frames[key]
-                frame.dead = True
-                raise
-            page = frame.page = Page(data)
-            if prefetch:
-                frame.prefetched = True
-                frame.pin_count = 0
-            elif self.wal is not None:
-                self.wal.observe_fetch(key, data)
+    def _load(self, key: _PageKey, prefetch: bool = False) -> Page:
+        """Read ``key`` from disk into a fresh frame at the MRU end; the
+        caller made room.  Returns the page, pinned unless read ahead.  A
+        failed read raises and leaves no frame behind."""
+        with self.waits.wait(BUFFER_IO, "prefetch" if prefetch else "read"):
+            data = self.disk.read_page(*key)
+        frame = _Frame(Page(data), pin_count=0 if prefetch else 1)
+        frame.stamp = next(self._clock)
+        self._frames[key] = frame
         if prefetch:
+            frame.prefetched = True
             self.stats.count_prefetch()
             self._m_prefetch_issued.inc()
         else:
+            if self.wal is not None:
+                self.wal.observe_fetch(key, data)
             self._m_misses.inc()
-        self._g_resident.set(len(frames))
-        return page
+        self._g_resident.set(len(self._frames))
+        return frame.page
 
     def unpin(self, file_id: int, page_no: int) -> None:
         """Release one pin on the page."""
-        frame = self._lookup((file_id, page_no))
-        if frame is not None:
-            with frame.latch:
-                if frame.pin_count > 0:
-                    frame.pin_count -= 1
-                    return
-        raise BufferPoolError(f"page ({file_id},{page_no}) is not pinned")
+        frame = self._frames.get((file_id, page_no))
+        if frame is None or frame.pin_count == 0:
+            raise BufferPoolError(f"page ({file_id},{page_no}) is not pinned")
+        frame.pin_count -= 1
 
     def fetch_many(self, keys) -> dict[_PageKey, Page]:
         """Pin a group of pages in one call (the batched join's group-fetch).
@@ -291,8 +206,7 @@ class BufferPool:
         are pinned once; the caller balances with :meth:`unpin_many` over the
         returned mapping's keys.  While the group is being assembled the
         already-pinned members are protected by their pins, so a later miss
-        can never evict an earlier member -- pins, not a pool lock, carry
-        the invariant, so it holds under concurrent eviction races too.
+        can never evict an earlier member.
         """
         pages: dict[_PageKey, Page] = {}
         try:
@@ -326,13 +240,13 @@ class BufferPool:
         protected: set[_PageKey] = set()
         for page_no in page_nos:
             key = (file_id, page_no)
-            if self._lookup(key) is not None:
+            if key in self._frames:
                 continue
             protected.add(key)
             if not self._make_room(protected, best_effort=True):
                 break
-            if self._load(key, prefetch=True) is not None:
-                loaded += 1
+            self._load(key, prefetch=True)
+            loaded += 1
         return loaded
 
     def page(self, file_id: int, page_no: int) -> _PinnedPage:
@@ -341,16 +255,15 @@ class BufferPool:
 
     def mark_dirty(self, file_id: int, page_no: int) -> None:
         """Record that the cached image differs from the disk image."""
-        frame = self._lookup((file_id, page_no))
-        if frame is None or frame.dead:
+        key = (file_id, page_no)
+        frame = self._frames.get(key)
+        if frame is None:
             raise BufferPoolError(f"page ({file_id},{page_no}) is not resident")
-        with frame.latch:
-            if not frame.dirty:
-                frame.dirty = True
-                with self._dirty_lock:
-                    self._dirty[(file_id, page_no)] = frame
+        if not frame.dirty:
+            frame.dirty = True
+            self._dirty[key] = frame
         if self.wal is not None:
-            self.wal.observe_dirty((file_id, page_no))
+            self.wal.observe_dirty(key)
 
     # -- allocation ---------------------------------------------------------
 
@@ -367,10 +280,8 @@ class BufferPool:
         frame = _Frame(Page(), pin_count=1)
         frame.dirty = True
         frame.stamp = next(self._clock)
-        with self._table_lock:
-            self._frames[(file_id, page_no)] = frame
-        with self._dirty_lock:
-            self._dirty[(file_id, page_no)] = frame
+        self._frames[(file_id, page_no)] = frame
+        self._dirty[(file_id, page_no)] = frame
         self.stats.count_logical_read()
         self._g_resident.set(len(self._frames))
         return page_no, frame.page
@@ -378,31 +289,24 @@ class BufferPool:
     # -- flushing / eviction ------------------------------------------------
 
     def _write_back(self, key: _PageKey, frame: _Frame) -> None:
-        """Write one dirty frame to disk; the caller holds its latch."""
+        """Write one dirty frame to disk; it stays resident."""
         if self.wal is not None:
-            # per frame, not once per flush: a concurrent statement may
-            # dirty (and log) a page after an earlier force; sequentially
-            # this is one force exactly as before
+            # a no-op once the log is forced: only the first write-back of
+            # a flush pays for the force
             self.wal.before_data_write()
         with self.waits.wait(BUFFER_IO, "writeback"):
             self.disk.write_page(key[0], key[1], bytes(frame.page.data))
         self.stats.count_writeback()
         self._m_writebacks.inc()
         frame.dirty = False
-        with self._dirty_lock:
-            if self._dirty.get(key) is frame:
-                del self._dirty[key]
+        del self._dirty[key]
 
     def flush_all(self) -> None:
         """Write back every dirty frame (frames stay resident), coldest
         first -- the order a walk over all frames in LRU order gave."""
-        with self._dirty_lock:
-            dirty = list(self._dirty.items())
-        dirty.sort(key=lambda kv: kv[1].stamp)
-        for key, frame in dirty:
-            with frame.latch:
-                if not frame.dead and frame.dirty:
-                    self._write_back(key, frame)
+        for key, frame in sorted(self._dirty.items(),
+                                 key=lambda kv: kv[1].stamp):
+            self._write_back(key, frame)
 
     def drop_file_pages(self, file_id: int) -> None:
         """Discard (without writing back) all frames of a dropped file.
@@ -424,40 +328,26 @@ class BufferPool:
 
     def resident_keys(self) -> set[_PageKey]:
         """Keys of all currently cached pages (for tests)."""
-        with self._table_lock:
-            return set(self._frames)
+        return set(self._frames)
 
     def pinned_keys(self) -> list[_PageKey]:
         """Keys of every frame with a nonzero pin count (debug/regression
         accessor: after a statement completes this must be empty)."""
-        with self._table_lock:
-            return [key for key, frame in self._frames.items()
-                    if frame.pin_count]
+        return [key for key, frame in self._frames.items() if frame.pin_count]
 
     # -- recovery primitives (uncharged) ------------------------------------
 
     def peek_frame(self, key: _PageKey):
         """The resident image for ``key`` (no pin, no charge), else None."""
-        frame = self._lookup(key)
-        if frame is None or frame.dead or frame.page is None:
-            return None
-        return frame.page.data
+        frame = self._frames.get(key)
+        return frame.page.data if frame is not None else None
 
     def discard_pages(self, keys) -> None:
         """Drop frames without writeback (their disk images were restored,
         or their file is being dropped)."""
-        keys = list(keys)
-        with self._table_lock:
-            frames = [self._frames.pop(key, None) for key in keys]
-        with self._dirty_lock:
-            for key in keys:
-                self._dirty.pop(key, None)
-        # only now, holding no mutex (see the module docstring): the latch
-        # waits out an eviction write-back in flight on the frame
-        for frame in frames:
-            if frame is not None:
-                with frame.latch:
-                    frame.dead = True
+        for key in keys:
+            self._frames.pop(key, None)
+            self._dirty.pop(key, None)
         self._g_resident.set(len(self._frames))
 
     def discard_all(self) -> None:
@@ -476,48 +366,26 @@ class BufferPool:
 
         The victim is the first unpinned frame from the cold end of the
         recency list, so the walk is as long as the pinned or protected
-        frames colder than it are many.  Pin counts are read without the
-        frames' latches and the victim is *revalidated under its own*: a
-        frame that got pinned or killed in between is skipped and the
-        walk repeats.  Only the victim's latch is held during writeback.
+        frames colder than it are many.  Every pin belongs to the thread
+        inside the engine, so the error below is a self-deadlock check:
+        the calling statement's own pins fill the pool.
         """
-        frames = self._frames
-        while True:
-            # the length is advisory (a racing load may overshoot by one)
-            if len(frames) < self.capacity:
-                return True
-            victim = None
-            with self._table_lock:
-                for key, frame in frames.items():
-                    if (frame.pin_count == 0 and not frame.dead
-                            and key not in protected):
-                        victim = key, frame
-                        break
-            if victim is None:
-                if best_effort:
-                    return False
-                raise BufferPoolError("all buffer frames are pinned")
-            if self._evict(*victim):
-                return True
-            # lost a race (victim pinned/vanished meanwhile): walk again
+        if len(self._frames) < self.capacity:
+            return True
+        for key, frame in self._frames.items():
+            if frame.pin_count == 0 and key not in protected:
+                return self._evict(key, frame)
+        if best_effort:
+            return False
+        raise BufferPoolError("all buffer frames are pinned")
 
     def _evict(self, key: _PageKey, frame: _Frame) -> bool:
-        """Kill one victim frame; True if this thread actually evicted it."""
-        with frame.latch:
-            if frame.dead or frame.pin_count > 0:
-                return False
-            # dead from here on, so that a concurrent walk passes the
-            # frame by instead of queueing on its latch for the write-back
-            frame.dead = True
-            if frame.dirty:
-                try:
-                    self._write_back(key, frame)
-                except BaseException:
-                    frame.dead = False  # keep the frame; the fault surfaces
-                    raise
-            with self._table_lock:
-                if self._frames.get(key) is frame:
-                    del self._frames[key]
+        """Drop one unpinned victim frame, written back first if dirty (a
+        write-back fault keeps the frame and surfaces).  The one eviction
+        site; returns True."""
+        if frame.dirty:
+            self._write_back(key, frame)
+        del self._frames[key]
         self.stats.count_eviction()
         self._m_evictions.inc()
         return True

@@ -100,7 +100,7 @@ class IOSnapshot:
 class IOStatistics:
     """Mutable I/O counters shared by a disk and its buffer pool.
 
-    Counted from concurrently executing statements, so every mutation
+    Observer threads read them while a statement runs, so every mutation
     happens under one small mutex (a leaf lock: nothing is called while
     it is held).  ``snapshot`` takes the same mutex so a reader never
     sees a half-applied update.

@@ -20,10 +20,11 @@ Components that can be constructed standalone (a bare ``BufferPool`` in a
 unit test) default to :data:`NULL_METRICS`, a no-op registry with the same
 surface.
 
-Every metric carries its own small mutex: statements now execute
-concurrently inside one engine, so counter bumps from different worker
-threads must not lose increments.  The locks are leaves in the engine's
-lock hierarchy -- no metric callback takes any other lock.
+Every metric carries its own small mutex: counters are bumped from the
+statement inside the engine, from the lock manager, the connection
+threads and the sampler at once, and scraped meanwhile, so no increment
+may be lost.  The locks are leaves in the engine's lock hierarchy -- no
+metric callback takes any other lock.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Every second of a statement's wall-clock time is attributed to
 exactly one *wait event* -- the Oracle / Postgres ``pg_stat_activity``
 taxonomy adapted to this engine's actual blocking points:
 
-* ``admission_wait``   -- waiting in the admission scheduler for a
-  slot to execute;
+* ``admission_wait``   -- waiting for the engine mutex: the statement
+  (or maintenance pass) inside the engine to finish;
 * ``lock:<resource>``  -- waiting in the 2PL lock manager, attributed
   per contended resource (a multi-resource wait splits its time evenly
   across the resources that actually blocked it);
@@ -73,8 +73,8 @@ WAIT_EVENTS = (ADMISSION_WAIT, LOCK_PREFIX + "<resource>", BUFFER_IO,
                WAL_FLUSH, QUEUE_WAIT, CLIENT_NET, REPL_ACK, CPU)
 
 #: admission wait histogram bounds (seconds): admission is normally
-#: uncontended (microseconds), but under conflicting footprints waits
-#: reach tens of milliseconds -- the buckets must resolve both regimes.
+#: uncontended (microseconds), but behind a long statement or a doctor
+#: pass waits reach tens of milliseconds -- the buckets must resolve both.
 LATCH_WAIT_BUCKETS = (0.00005, 0.0001, 0.0005, 0.001, 0.005, 0.01,
                       0.05, 0.1, 0.5, 1.0)
 

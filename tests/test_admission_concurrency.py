@@ -1,20 +1,20 @@
-"""Intra-engine concurrency: the admission scheduler, the concurrent
-buffer pool, and WAL group commit.
+"""One statement in the engine at a time: the engine mutex, the buffer
+pool that relies on it, and the WAL force every commit pays.
 
-The scheduling properties are proved *deterministically* with barriers
-injected through the fault injector's execution probes
-(``statement_admitted`` fires inside the admission gate), never by
-timing luck:
+The scheduling properties are proved *deterministically* with the fault
+injector's execution probes (``statement_admitted`` and
+``statement_finishing`` fire inside the engine mutex), never by timing
+luck:
 
-* two statements with disjoint granted footprints really overlap in
-  time (both are inside the gate at the same instant);
-* two conflicting statements never do (the second blocks in the lock
-  manager, before admission);
-* 16 threads hammering one small buffer pool keep every invariant:
-  pinned frames are never evicted, every fetch is exactly one hit or
-  one miss, and page images stay intact;
-* concurrent commits share one WAL force under a group-commit window,
-  and an injected flush failure keeps statement atomicity: whatever
+* eight clients on disjoint sets never have two statements inside the
+  engine at once, even when all of them are waiting at its door;
+* two conflicting statements never do either (the second blocks in the
+  lock manager, before admission);
+* the thread holding the mutex for maintenance may run statements of
+  its own (the mutex is reentrant);
+* two connections hammering an 8-frame pool never see the pool run out
+  of frames: every pin belongs to the one statement inside;
+* a commit whose log force fails keeps statement atomicity: whatever
   reported success survives recovery, whatever raised rolls back.
 """
 
@@ -23,16 +23,16 @@ import threading
 
 import pytest
 
-from repro.errors import BufferPoolError, DiskFault
+from repro.errors import DiskFault, RemoteError
 from repro.schema.database import Database
 from repro.server import connect
-from repro.server.admission import AdmissionController, EngineGate
+from repro.server.admission import EngineGate
 from repro.server.service import Server
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import PAGE_SIZE
 from repro.storage.disk import SimulatedDisk
-from repro.telemetry.metrics import MetricsRegistry
 from tests.conftest import define_employee_schema
+from tests.test_observer_neutrality import _build
 
 
 @pytest.fixture()
@@ -45,93 +45,97 @@ def server(company):
 
 
 # ---------------------------------------------------------------------------
-# the gate itself
+# the engine mutex: nobody overlaps, the owner may re-enter
 # ---------------------------------------------------------------------------
 
 
-def test_engine_gate_shared_entries_overlap_and_exclusive_drains():
-    gate = EngineGate()
-    gate.enter_shared()
-    gate.enter_shared()  # two statements in at once
-    assert gate.active == 2
-    blocked = threading.Event()
-    entered = threading.Event()
-
-    def quiesce():
-        blocked.set()
-        with gate:  # must wait for both shared holders
-            entered.set()
-
-    t = threading.Thread(target=quiesce, daemon=True)
-    t.start()
-    blocked.wait(5.0)
-    gate.exit_shared()
-    assert not entered.wait(0.05)  # one shared holder still in
-    gate.exit_shared()
-    assert entered.wait(5.0)
-    t.join(5.0)
-    assert gate.active == 0
-
-
-def test_engine_gate_exclusive_is_reentrant_and_admits_its_owner():
-    gate = EngineGate()
+def test_engine_gate_exclusive_is_reentrant_and_admits_its_owner(server):
+    """The thread holding the engine mutex for maintenance runs its own
+    statement inside it; once it lets go, another thread gets in."""
+    gate = server.sessions.latch
+    session = server.sessions.open_session("maintenance")
     with gate:
         with gate:  # reentrant
-            gate.enter_shared()  # the quiescing thread's own statement
-            assert gate.active == 1
-            gate.exit_shared()
-    # fully released: a plain shared entry must not block
-    gate.enter_shared()
-    gate.exit_shared()
+            rows = session.run_statement("retrieve (Emp1.name)")["rows"]
+    assert len(rows) == 6
+    entered = threading.Event()
+
+    def statement():
+        gate.enter_shared()
+        entered.set()
+        gate.exit_shared()
+
+    thread = threading.Thread(target=statement, daemon=True)
+    thread.start()
+    assert entered.wait(10.0)
+    thread.join(10.0)
 
 
-def test_admission_controller_tracks_peak():
-    registry = MetricsRegistry()
-    ctl = AdmissionController(metrics=registry)
-    with ctl.admitted() as grant:
-        assert grant.waited >= 0.0
-        with ctl.admitted():
-            assert registry.value("concurrent_statements") == 2
-    assert registry.value("concurrent_statements") == 0
-    assert registry.value("concurrent_statements_peak") == 2
+def test_disjoint_footprint_statements_never_overlap(company, monkeypatch):
+    """Eight clients read the four sets -- no two footprints conflict --
+    and still only one statement is ever inside the engine.  The first
+    one admitted stays there until all eight have reached the mutex, so
+    every other client is at its door while it runs."""
+    clients, rounds = 8, 25
+    db = company["db"]
+    srv = Server(db, max_connections=clients, workers=clients,
+                 sample_interval=0).start()
+    counts = {"arrived": 0, "admitted": 0, "inside": 0, "peak": 0}
+    mutex = threading.Lock()
+    everyone_waits = threading.Event()
+    stalled = []
+    enter_shared = EngineGate.enter_shared
 
+    def arrive(gate):
+        with mutex:
+            counts["arrived"] += 1
+            if counts["arrived"] == clients:
+                everyone_waits.set()
+        enter_shared(gate)
 
-# ---------------------------------------------------------------------------
-# deterministic interleaving: disjoint footprints overlap, conflicts don't
-# ---------------------------------------------------------------------------
+    def admitted():
+        with mutex:
+            counts["admitted"] += 1
+            counts["inside"] += 1
+            counts["peak"] = max(counts["peak"], counts["inside"])
+            first = counts["admitted"] == 1
+        if first and not everyone_waits.wait(10.0):
+            stalled.append("the other clients never reached the mutex")
 
+    def finishing():
+        with mutex:
+            counts["inside"] -= 1
 
-def test_disjoint_footprint_statements_overlap_in_time(server):
-    """Both retrieves must be inside the admission gate at the same
-    instant: each blocks on a two-party barrier fired from the
-    ``statement_admitted`` probe, which only releases when the *other*
-    statement is admitted too.  Under the old global latch this would
-    deadlock the barrier (and the test would fail on its timeout)."""
-    db = server.db
-    barrier = threading.Barrier(2, timeout=10.0)
-    db.faults.probes["statement_admitted"] = barrier.wait
+    monkeypatch.setattr(EngineGate, "enter_shared", arrive)
+    db.faults.probes.update(statement_admitted=admitted,
+                            statement_finishing=finishing)
+    start = threading.Barrier(clients, timeout=10.0)
     errors = []
+    sets = ["Org", "Dept", "Emp1", "Emp2"]
 
-    def run(query):
+    def run(idx):
         try:
-            with connect(*server.address) as client:
-                client.execute(query)
+            with connect(*srv.address) as client:
+                start.wait()
+                for __ in range(rounds):
+                    client.execute(f"retrieve ({sets[idx % 4]}.name)")
         except Exception as exc:  # pragma: no cover - failure detail
             errors.append(repr(exc))
 
-    threads = [
-        threading.Thread(target=run, args=("retrieve (Emp1.name)",)),
-        threading.Thread(target=run, args=("retrieve (Emp2.name)",)),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(15.0)
-    db.faults.probes.clear()
-    assert errors == []
-    assert not barrier.broken
-    metrics = db.telemetry.metrics
-    assert metrics.value("concurrent_statements_peak") >= 2
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(clients)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        db.faults.probes.clear()
+        srv.shutdown()
+    assert errors == [] and stalled == []
+    assert not any(t.is_alive() for t in threads)
+    assert counts["admitted"] == clients * rounds
+    assert counts["peak"] == 1
 
 
 def test_conflicting_statements_never_overlap(server):
@@ -164,357 +168,11 @@ def test_conflicting_statements_never_overlap(server):
     assert rows and rows[0].rows == [(1,)]
 
 
-# ---------------------------------------------------------------------------
-# the concurrent buffer pool under stress
-# ---------------------------------------------------------------------------
-
-
-def _page_image(page_no: int) -> bytes:
-    return bytes([page_no % 251]) * PAGE_SIZE
-
-
-def test_buffer_pool_latch_stress_keeps_invariants():
-    """16 threads fetch/unpin over a pool far smaller than the working
-    set, with four frames pinned throughout and a prefetch mixed in.
-    Invariants: pinned frames are never evicted, page images never tear,
-    and the hit/miss accounting stays exact (hits + misses == logical
-    reads, physical reads == misses + prefetched pages)."""
-    disk = SimulatedDisk()
-    fid = disk.create_file()
-    pages = 48
-    for pno in range(pages):
-        assert disk.allocate_page(fid) == pno
-        disk.write_page(fid, pno, _page_image(pno))
-    disk.stats.reset()
-    pool = BufferPool(disk, capacity=8)
-
-    # pin four frames for the whole run: eviction must always skip them
-    pinned = [0, 1, 2, 3]
-    for pno in pinned:
-        pool.fetch(fid, pno)
-
-    threads, errors = 16, []
-
-    def worker(idx):
-        try:
-            rng_pages = [(idx * 7 + i * 3) % (pages - 4) + 4
-                         for i in range(150)]
-            for pno in rng_pages:
-                with pool.page(fid, pno) as page:
-                    assert bytes(page.data) == _page_image(pno), \
-                        f"torn image for page {pno}"
-            if idx % 4 == 0:  # a few read-ahead bursts in the mix
-                pool.prefetch(fid, range(4, 12))
-        except Exception as exc:  # pragma: no cover - failure detail
-            errors.append(repr(exc))
-
-    workers = [threading.Thread(target=worker, args=(i,), daemon=True)
-               for i in range(threads)]
-    for thread in workers:
-        thread.start()
-    # join before asserting, so what a worker raised is what the failure
-    # shows
-    for thread in workers:
-        thread.join(timeout=60.0)
-    assert errors == []
-    assert not any(thread.is_alive() for thread in workers)
-
-    # the long-pinned frames were never evicted (still resident, and
-    # their pins are still accounted)
-    resident = pool.resident_keys()
-    for pno in pinned:
-        assert (fid, pno) in resident
-        assert (fid, pno) in pool.pinned_keys()
-        pool.unpin(fid, pno)
-    assert pool.pinned_keys() == []
-
-    stats = disk.stats.snapshot()
-    # every fetch resolved as exactly one hit or one miss
-    fetches = 4 + threads * 150
-    assert stats.logical_reads == fetches
-    misses = fetches - stats.buffer_hits
-    # a page moves from disk exactly when a demand miss or a prefetch
-    # loads it -- nothing is read twice without an eviction in between
-    assert stats.physical_reads == misses + stats.prefetch_issued
-    assert stats.physical_writes == 0  # nothing was dirtied
-
-
-def test_buffer_pool_never_evicts_concurrently_pinned_frames():
-    """The no-evict-pinned invariant under a race: a frame pinned after
-    the victim scan but before the kill must be skipped (revalidation
-    under the frame latch), never evicted out from under its pin."""
-    disk = SimulatedDisk()
-    fid = disk.create_file()
-    for pno in range(6):
-        disk.allocate_page(fid)
-        disk.write_page(fid, pno, _page_image(pno))
-    pool = BufferPool(disk, capacity=2)
-    pool.fetch(fid, 0)  # pinned: never a victim
-    with pool.page(fid, 1):
-        pass  # resident, unpinned: the only legal victim
-    # filling a third frame must evict page 1, not page 0
-    with pool.page(fid, 2):
-        resident = pool.resident_keys()
-        assert (fid, 0) in resident
-        assert (fid, 1) not in resident
-    pool.unpin(fid, 0)
-
-
-class _ProbeLatch:
-    """A frame latch that reports when a second thread wants it."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.contended = threading.Event()
-
-    def __enter__(self):
-        if not self._lock.acquire(blocking=False):
-            self.contended.set()
-            self._lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._lock.release()
-
-
-def test_evicting_a_frame_of_a_file_being_dropped_cannot_deadlock():
-    """Eviction takes the victim's latch and then its shard lock; dropping
-    the victim's file used to take the shard lock and then the latch.
-    The schedule that deadlocked, step by step: the evictor is inside the
-    victim's write-back (latch held) when the dropper reaches that frame,
-    and only continues once the dropper is waiting for the latch."""
-    disk = SimulatedDisk()
-    file_a, file_b = disk.create_file(), disk.create_file()
-    for pno in range(8):
-        disk.allocate_page(file_a)
-    disk.allocate_page(file_b)
-    pool = BufferPool(disk, capacity=8)
-    for pno in range(8):  # a full pool; (A, 0) is the coldest and dirty
-        with pool.page(file_a, pno):
-            if pno == 0:
-                pool.mark_dirty(file_a, 0)
-    latch = pool._lookup((file_a, 0)).latch = _ProbeLatch()
-
-    in_writeback = threading.Event()
-    write_page = disk.write_page
-    errors = []
-
-    def held_write(file_id, page_no, data):
-        in_writeback.set()
-        if not latch.contended.wait(timeout=10.0):
-            errors.append("the dropper never asked for the victim's latch")
-        write_page(file_id, page_no, data)
-
-    disk.write_page = held_write
-
-    def run(step):
-        try:
-            step()
-        except Exception as exc:  # pragma: no cover - failure detail
-            errors.append(repr(exc))
-
-    def evict():
-        with pool.page(file_b, 0):  # a miss on a full pool evicts (A, 0)
-            pass
-
-    def drop():
-        assert in_writeback.wait(timeout=10.0)
-        pool.drop_file_pages(file_a)
-
-    threads = [threading.Thread(target=run, args=(step,), daemon=True)
-               for step in (evict, drop)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=20.0)
-    assert errors == []
-    assert not any(thread.is_alive() for thread in threads), "deadlock"
-    assert pool.resident_keys() == {(file_b, 0)}
-    assert pool.pinned_keys() == []
-    pool.flush_all()  # the dropped file left nothing to write back
-    assert disk.stats.physical_writes == 1
-
-
-class _CountingLatch:
-    """Stands in for a frame latch that is held right now: the same lock,
-    but a thread that has to wait for it is counted before it blocks."""
-
-    def __init__(self, lock):
-        self._lock = lock
-        self.waiters = threading.Semaphore(0)
-
-    def __enter__(self):
-        if not self._lock.acquire(blocking=False):
-            self.waiters.release()
-            self._lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._lock.release()
-
-
-class _HeldRead:
-    """Replaces ``disk.read_page``: the first read stops half-way, until
-    the test has queued ``n`` more fetchers of the page on its frame's
-    latch; then it completes, or fails if ``fail`` is set."""
-
-    def __init__(self, pool, n, fail=False):
-        self.pool, self.n, self.fail = pool, n, fail
-        self.started = threading.Event()
-        self.latch = None
-        self.errors = []
-        self._read_page = pool.disk.read_page
-        pool.disk.read_page = self
-
-    def __call__(self, file_id, page_no):
-        if not self.started.is_set():
-            # the frame is in the table by now, latched by this thread
-            frame = self.pool._lookup((file_id, page_no))
-            self.latch = frame.latch = _CountingLatch(frame.latch)
-            self.started.set()
-            for __ in range(self.n):
-                if not self.latch.waiters.acquire(timeout=10.0):
-                    self.errors.append("a fetcher never reached the latch")
-            if self.fail:
-                raise DiskFault("injected read failure")
-        return self._read_page(file_id, page_no)
-
-
-def _fetch_in_threads(pool, key, n, after):
-    """``n`` threads, each fetching ``key`` once ``after`` is set; returns
-    the threads and the list their outcomes (page or exception) go to."""
-    outcomes = []
-
-    def fetch():
-        assert after.wait(timeout=10.0)
-        try:
-            outcomes.append(pool.fetch(*key))
-        except Exception as exc:
-            outcomes.append(exc)
-
-    threads = [threading.Thread(target=fetch, daemon=True) for __ in range(n)]
-    for thread in threads:
-        thread.start()
-    return threads, outcomes
-
-
-def _disk_with_pages(pages):
-    disk = SimulatedDisk()
-    fid = disk.create_file()
-    for pno in range(pages):
-        disk.allocate_page(fid)
-        disk.write_page(fid, pno, _page_image(pno))
-    disk.stats.reset()
-    return disk, fid
-
-
-def test_fetchers_of_a_page_being_loaded_share_its_one_read():
-    """Seven threads ask for a page while an eighth is reading it in: they
-    wait for that read -- no second one -- and get the same Page."""
-    disk, fid = _disk_with_pages(2)
-    pool = BufferPool(disk, capacity=4)
-    read = _HeldRead(pool, n=7)
-    threads, outcomes = _fetch_in_threads(pool, (fid, 1), 7, read.started)
-    first = pool.fetch(fid, 1)  # returns once all seven are queued
-    for thread in threads:
-        thread.join(timeout=20.0)
-    assert not any(thread.is_alive() for thread in threads)
-    assert read.errors == []
-    assert len(outcomes) == 7 and all(page is first for page in outcomes)
-    assert bytes(first.data) == _page_image(1)
-    assert disk.stats.physical_reads == 1
-    assert disk.stats.logical_reads == 8 and disk.stats.buffer_hits == 7
-    pool.unpin_many([(fid, 1)] * 8)
-    assert pool.pinned_keys() == []
-
-
-def test_a_failed_load_wakes_its_waiters_and_leaves_nothing_behind():
-    """The read fails with three fetchers queued behind it: the loader
-    gets the fault, its frame leaves the table, and the fetchers retry --
-    one of them reads the page, the others share that read."""
-    disk, fid = _disk_with_pages(2)
-    pool = BufferPool(disk, capacity=4)
-    read = _HeldRead(pool, n=3, fail=True)
-    threads, outcomes = _fetch_in_threads(pool, (fid, 1), 3, read.started)
-    with pytest.raises(DiskFault):
-        pool.fetch(fid, 1)
-    for thread in threads:
-        thread.join(timeout=20.0)
-    assert not any(thread.is_alive() for thread in threads)
-    assert read.errors == []
-    page = pool.fetch(fid, 1)  # a hit by now
-    assert len(outcomes) == 3 and all(got is page for got in outcomes)
-    assert bytes(page.data) == _page_image(1)
-    assert disk.stats.physical_reads == 1  # the retry; the fault read nothing
-    pool.unpin_many([(fid, 1)] * 4)
-    assert pool.pinned_keys() == []
-    assert pool.resident_keys() == {(fid, 1)}
-
-
-def test_a_failed_load_without_waiters_leaves_no_frame():
-    disk, fid = _disk_with_pages(2)
-    pool = BufferPool(disk, capacity=1)
-    _HeldRead(pool, n=0, fail=True)
-    with pytest.raises(DiskFault):
-        pool.fetch(fid, 1)
-    assert pool._lookup((fid, 1)) is None
-    assert pool.resident_keys() == set() and pool.pinned_keys() == []
-    with pool.page(fid, 1) as page:  # the next fetch reads again
-        assert bytes(page.data) == _page_image(1)
-    assert disk.stats.physical_reads == 1
-    with pool.page(fid, 0):  # and the one frame is evictable
-        pass
-    assert pool.resident_keys() == {(fid, 0)}
-
-
-@pytest.mark.parametrize("read_ahead", [False, True])
-def test_eviction_never_selects_a_frame_being_loaded(read_ahead):
-    """While page 1 is being read in -- on demand, or by read-ahead, whose
-    frame ends up unpinned -- misses on a full pool evict around it, and
-    when it is all that is left they fail rather than take it."""
-    disk, fid = _disk_with_pages(5)
-    pool = BufferPool(disk, capacity=2)
-    with pool.page(fid, 0):
-        pass
-    read = _HeldRead(pool, n=1)
-    errors = []
-
-    def load():
-        try:
-            if read_ahead:
-                assert pool.prefetch(fid, [1]) == 1
-            else:
-                pool.fetch(fid, 1)
-        except Exception as exc:  # pragma: no cover - failure detail
-            errors.append(repr(exc))
-
-    loader = threading.Thread(target=load, daemon=True)
-    loader.start()
-    assert read.started.wait(timeout=10.0)
-    pool.fetch(fid, 2)  # full pool: evicts page 0, the only legal victim
-    assert pool.resident_keys() == {(fid, 1), (fid, 2)}
-    with pytest.raises(BufferPoolError, match="all buffer frames are pinned"):
-        pool.fetch(fid, 3)
-    assert pool.prefetch(fid, [4]) == 0  # read-ahead just gives up
-    assert pool.resident_keys() == {(fid, 1), (fid, 2)}
-    # let the read finish: one fetcher queued on the frame releases it
-    threads, outcomes = _fetch_in_threads(pool, (fid, 1), 1, read.started)
-    for thread in threads + [loader]:
-        thread.join(timeout=20.0)
-    assert not loader.is_alive() and not threads[0].is_alive()
-    assert errors == [] and read.errors == []
-    assert bytes(outcomes[0].data) == _page_image(1)
-    assert disk.stats.physical_reads == 3 and disk.stats.evictions == 1
-    pool.unpin(fid, 2)
-    pool.unpin_many([(fid, 1)] * (1 if read_ahead else 2))
-    assert pool.pinned_keys() == []
-
-
 def test_concurrent_retrieves_never_share_a_result_file_name(company):
-    """Eight threads, each inside the gate in shared mode as a served
-    read-only statement is, materialise results at once: every result
-    file needs a name of its own (the name used to come from an increment
-    followed by a separate read)."""
+    """Eight threads, each inside the engine mutex as a served statement
+    is, materialise results in turn: every result file needs a name of
+    its own (the name used to come from an increment followed by a
+    separate read)."""
     db = company["db"]
     gate = EngineGate()
     errors = []
@@ -549,70 +207,132 @@ def test_concurrent_retrieves_never_share_a_result_file_name(company):
 
 
 # ---------------------------------------------------------------------------
-# WAL group commit and flush-failure accounting
+# the pool under the mutex: a shortage is the statement's own
 # ---------------------------------------------------------------------------
 
 
-def _wal_db(group_commit_ms: float = 0.0) -> Database:
-    db = Database(wal=True)
-    define_employee_schema(db)
-    if group_commit_ms:
-        db.recovery.wal.group_commit_ms = group_commit_ms
-    return db
+def _page_image(page_no: int) -> bytes:
+    return bytes([page_no % 251]) * PAGE_SIZE
 
 
-def test_group_commit_batches_concurrent_forces():
-    """Four statements committing inside one window share the leader's
-    force: strictly fewer physical forces than commits, with at least
-    one follower join recorded."""
-    db = _wal_db(group_commit_ms=250.0)
-    metrics = db.telemetry.metrics
-    flushes_before = metrics.value("wal_flushes_total")
-    start = threading.Barrier(4, timeout=10.0)
-    errors = []
-    # one set per writer: embedded inserts bypass the lock manager, so
-    # each thread must own its heap file outright
-    records = {
-        "Org": {"name": "w-org", "budget": 7},
-        "Dept": {"name": "w-dept", "budget": 7, "org": None},
-        "Emp1": {"name": "w1", "age": 20, "salary": 1, "dept": None},
-        "Emp2": {"name": "w2", "age": 21, "salary": 2, "dept": None},
-    }
+def test_buffer_pool_never_evicts_concurrently_pinned_frames():
+    """A frame pinned while a miss looks for a victim is never the
+    victim: the miss takes the unpinned frame behind it."""
+    disk = SimulatedDisk()
+    fid = disk.create_file()
+    for pno in range(6):
+        disk.allocate_page(fid)
+        disk.write_page(fid, pno, _page_image(pno))
+    pool = BufferPool(disk, capacity=2)
+    pool.fetch(fid, 0)  # pinned: never a victim
+    with pool.page(fid, 1):
+        pass  # resident, unpinned: the only legal victim
+    # filling a third frame must evict page 1, not page 0
+    with pool.page(fid, 2):
+        resident = pool.resident_keys()
+        assert (fid, 0) in resident
+        assert (fid, 1) not in resident
+    pool.unpin(fid, 0)
 
-    def insert(set_name, record):
+
+def test_a_failed_load_without_waiters_leaves_no_frame():
+    """A read that faults leaves no frame behind: the next fetch reads
+    the page again, and the one frame stays evictable."""
+    disk = SimulatedDisk()
+    fid = disk.create_file()
+    for pno in range(2):
+        disk.allocate_page(fid)
+        disk.write_page(fid, pno, _page_image(pno))
+    disk.stats.reset()
+    pool = BufferPool(disk, capacity=1)
+    read_page = disk.read_page
+
+    def faulty_read(file_id, page_no):
+        disk.read_page = read_page  # fail once
+        raise DiskFault("injected read failure")
+
+    disk.read_page = faulty_read
+    with pytest.raises(DiskFault):
+        pool.fetch(fid, 1)
+    assert pool.resident_keys() == set() and pool.pinned_keys() == []
+    with pool.page(fid, 1) as page:  # the next fetch reads again
+        assert bytes(page.data) == _page_image(1)
+    assert disk.stats.physical_reads == 1
+    with pool.page(fid, 0):  # and the one frame is evictable
+        pass
+    assert pool.resident_keys() == {(fid, 0)}
+
+
+def test_a_small_pool_never_fails_a_statement_for_want_of_frames():
+    """Two connections interleave 200 retrieves and replaces each over an
+    8-frame pool that the scanned set overflows.  No statement fails for
+    want of a frame, and once each statement is done -- still inside the
+    engine, so nobody else's pins can be there -- no frame is pinned."""
+    db = _build(wal=True)
+    srv = Server(db, workers=2, lock_timeout=30.0, sample_interval=0).start()
+    leaked, errors = [], []
+    pool = db.storage.pool
+
+    def finishing():
+        if pool.pinned_keys():
+            leaked.append(pool.pinned_keys())
+
+    db.faults.probes["statement_finishing"] = finishing
+    start = threading.Barrier(2, timeout=10.0)
+
+    def run(conn):
         try:
-            start.wait()
-            db.insert(set_name, record)
+            with connect(*srv.address) as client:
+                start.wait()
+                for i in range(100):
+                    rows = client.execute(
+                        "retrieve (Emp.name, Emp.dept.name)").rows
+                    assert len(rows) == 120
+                    client.execute(
+                        f'replace (Dept.name = "c{conn}-{i}") '
+                        f"where Dept.budget = {100 + conn}")
+        except RemoteError as exc:
+            errors.append(f"{exc.code}: {exc}")
         except Exception as exc:  # pragma: no cover - failure detail
             errors.append(repr(exc))
 
-    threads = [threading.Thread(target=insert, args=item)
-               for item in records.items()]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(15.0)
-    assert errors == []
-    forced = metrics.value("wal_flushes_total") - flushes_before
-    joins = metrics.value("wal_group_commit_joins_total")
-    assert forced >= 1
-    assert forced + joins >= 4  # every commit either led or joined
-    assert joins >= 1 and forced < 4
-    for set_name, record in records.items():
-        rows = db.execute(f'retrieve ({set_name}.name) '
-                        f'where {set_name}.name = "{record["name"]}"').rows
-        assert rows == [(record["name"],)]
+    threads = [threading.Thread(target=run, args=(conn,), daemon=True)
+               for conn in range(2)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120.0)
+    finally:
+        db.faults.probes.clear()
+        srv.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and leaked == []
+    assert db.telemetry.metrics.value(
+        "server_requests_total", kind="statement") == 400
+    assert pool.pinned_keys() == []
+    db.verify()
 
 
-def test_group_commit_zero_window_forces_each_commit():
-    db = _wal_db()  # group_commit_ms = 0.0 -- exact legacy behavior
+# ---------------------------------------------------------------------------
+# the commit force and flush-failure accounting
+# ---------------------------------------------------------------------------
+
+
+def _wal_db() -> Database:
+    db = Database(wal=True)
+    define_employee_schema(db)
+    return db
+
+
+def test_each_commit_forces_the_log_once():
+    db = _wal_db()
     metrics = db.telemetry.metrics
     flushes_before = metrics.value("wal_flushes_total")
     for i in range(3):
         db.insert("Emp1", {"name": f"s{i}", "age": 30, "salary": 1,
                            "dept": None})
     assert metrics.value("wal_flushes_total") - flushes_before == 3
-    assert metrics.value("wal_group_commit_joins_total") == 0
 
 
 def test_flush_fault_fires_inside_accounting_not_after():
@@ -637,41 +357,65 @@ def test_flush_fault_fires_inside_accounting_not_after():
     assert "keep" in names and "lost" not in names
 
 
-def test_group_commit_flush_fault_preserves_statement_atomicity():
-    """A flush fault under a group-commit window: the leader (and any
-    follower whose records the failed force covered) sees the error.
-    Whatever reported success must survive recovery; whatever raised
-    must be rolled back -- the client's view is always truthful."""
-    db = _wal_db(group_commit_ms=150.0)
+@pytest.fixture()
+def wal_server():
+    db = _wal_db()
+    db.insert("Org", {"name": "acme", "budget": 1_000_000})
+    for i, name in enumerate(["alice", "bob"]):
+        db.insert("Emp1", {"name": name, "age": 30 + i,
+                           "salary": 50_000 + 10_000 * i, "dept": None})
+    srv = Server(db, workers=2, sample_interval=0).start()
+    yield srv
+    srv.shutdown()
+
+
+def test_commit_flush_fault_preserves_statement_atomicity(wal_server):
+    """Two clients write disjoint sets at once and the first commit
+    force fails.  Whatever was acknowledged survives recovery; whatever
+    raised -- the statement whose force failed, and any statement the
+    crashed engine then refused -- is rolled back: the client's view is
+    always truthful."""
+    db = wal_server.db
+    with connect(*wal_server.address) as client:
+        client.execute('replace (Emp1.salary = 7) where Emp1.name = "alice"')
     db.faults.fail_after_flushes(0)
     start = threading.Barrier(2, timeout=10.0)
     succeeded, failed = [], []
+    # (set, field, name, value before)
+    writes = [("Emp1", "salary", "bob", 60_000),
+              ("Org", "budget", "acme", 1_000_000)]
 
-    def insert(idx, set_name):
+    def write(write):
+        set_name, field, name, __ = write
         try:
-            start.wait()
-            db.insert(set_name, {"name": f"g{idx}", "age": 40,
-                                 "salary": idx, "dept": None})
-            succeeded.append((set_name, f"g{idx}"))
-        except DiskFault:
-            failed.append((set_name, f"g{idx}"))
+            with connect(*wal_server.address) as client:
+                start.wait()
+                client.execute(f"replace ({set_name}.{field} = 99) "
+                               f'where {set_name}.name = "{name}"')
+            succeeded.append(write)
+        except RemoteError:
+            failed.append(write)
 
-    threads = [threading.Thread(target=insert, args=(i, "Emp1" if i
-                                                     else "Emp2"))
-               for i in range(2)]
+    threads = [threading.Thread(target=write, args=(item,), daemon=True)
+               for item in writes]
     for t in threads:
         t.start()
     for t in threads:
         t.join(15.0)
     assert failed  # the injected fault hit at least one committer
     db.faults.disarm()
-    if db.recovery.needs_recovery:
-        db.recover()
-    for set_name, name in succeeded:
-        rows = db.execute(f'retrieve ({set_name}.name) '
-                        f'where {set_name}.name = "{name}"').rows
-        assert rows == [(name,)], f"acked statement {name} lost"
-    for set_name, name in failed:
-        rows = db.execute(f'retrieve ({set_name}.name) '
-                        f'where {set_name}.name = "{name}"').rows
-        assert rows == [], f"failed statement {name} leaked"
+    with connect(*wal_server.address) as client:
+        client.meta("recover")
+
+        def value(set_name, field, name):
+            return client.execute(f"retrieve ({set_name}.{field}) "
+                                  f'where {set_name}.name = "{name}"').rows
+
+        # acknowledged before the fault
+        assert value("Emp1", "salary", "alice") == [(7,)]
+        for set_name, field, name, __ in succeeded:
+            assert value(set_name, field, name) == [(99,)], \
+                f"acked statement on {name} lost"
+        for set_name, field, name, before in failed:
+            assert value(set_name, field, name) == [(before,)], \
+                f"failed statement on {name} leaked"

@@ -215,6 +215,74 @@ def test_release_wakes_waiters():
     thread.join()
 
 
+class _Blocked:
+    """A wait-event collector that only notes that an acquire blocked."""
+
+    def __init__(self):
+        self.event = threading.Event()
+
+    def mark_waiting(self, event, detail=""):
+        self.event.set()
+
+    def unmark_waiting(self, token):
+        pass
+
+    def record(self, event, seconds, count=1):
+        pass
+
+
+def _blocked_acquire(lm, owner, footprint):
+    """Run ``owner``'s acquire on a thread; return (thread, outcome) once
+    it has blocked.  ``outcome`` gets "granted" or the exception."""
+    blocked = lm.waits = _Blocked()
+    outcome = []
+
+    def acquire():
+        try:
+            lm.acquire(owner, footprint)
+            outcome.append("granted")
+        except (DeadlockError, LockTimeoutError) as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=acquire, daemon=True)
+    thread.start()
+    assert blocked.event.wait(5.0)
+    return thread, outcome
+
+
+def test_new_readers_queue_behind_a_waiting_writer():
+    """Readers that keep arriving would otherwise keep the resource
+    share-locked for ever: one arriving after the writer began to wait
+    waits for the writer."""
+    lm = LockManager(timeout=5.0)
+    r1, w, r2 = lm.owner("r1"), lm.owner("w"), lm.owner("r2")
+    lm.acquire(r1, S("r"))
+    thread, outcome = _blocked_acquire(lm, w, X("r"))
+    with pytest.raises(LockTimeoutError, match=r"\['w'\]"):
+        lm.acquire(r2, S("r"), timeout=0.05)
+    lm.release_all(r1)
+    thread.join(5.0)
+    assert outcome == ["granted"]
+    lm.release_all(w)
+    lm.acquire(r2, S("r"))
+    assert lm.held_by(r2) == {"r": SHARED}
+
+
+def test_a_holder_never_queues_behind_a_writer_that_waits_for_it():
+    """A transaction holding S(a) asks for S(b) while a writer waits for
+    X(a, b): queueing it behind the writer would be a deadlock, so it is
+    granted, and the writer gets in once the transaction ends."""
+    lm = LockManager(timeout=5.0)
+    txn, w = lm.owner("txn"), lm.owner("w")
+    lm.acquire(txn, S("a"))
+    thread, outcome = _blocked_acquire(lm, w, X("a", "b"))
+    lm.acquire(txn, S("b"), timeout=0.05)
+    assert lm.held_by(txn) == {"a": SHARED, "b": SHARED}
+    lm.release_all(txn)
+    thread.join(5.0)
+    assert outcome == ["granted"]
+
+
 def test_deadlock_aborts_the_youngest_waiter():
     """a (older txn) and b (younger) form a cycle; b is the victim."""
     lm = LockManager(timeout=5.0)
