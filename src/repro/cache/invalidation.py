@@ -11,9 +11,9 @@ provides the two extra pieces the cache needs:
   directly by API users and per-row by the bulk executors -- so every
   mutation path invalidates, not just the text statements;
 * a **file -> resource** mapping for replica coherence: a follower
-  applies the primary's redo frames, which carry file ids, and must
-  invalidate the owning set's cached reads before its applied LSN
-  advances.
+  applies the primary's redo frames, whose spans and allocations carry
+  file ids, and must invalidate the owning set's cached reads before its
+  applied LSN advances.
 
 Imports from ``repro.query.footprint`` are function-level: the cache
 package is constructed by :class:`~repro.schema.database.Database`, which
@@ -120,13 +120,17 @@ def invalidate_applied_entry(db, entry) -> int:
         return cache.invalidate_all(reason="replica")
     from repro.recovery.wal import WalRecordType
 
+    file_ids: set[int] = set()
+    for record in entry.records():
+        if record.type is WalRecordType.ALLOC:
+            file_ids.add(record.file_id)
+        elif record.type is WalRecordType.REDO:
+            file_ids.update(span[0] for span in record.spans)
+        # BEGIN/COMMIT carry no file
     mapping = file_resource_map(db)
     resources: set[str] = set()
-    for record in entry.records():
-        if record.type not in (WalRecordType.PAGE_AFTER,
-                               WalRecordType.ALLOC):
-            continue  # BEGIN/COMMIT carry no file
-        resource = mapping.get(record.file_id)
+    for file_id in file_ids:
+        resource = mapping.get(file_id)
         if resource is None:
             return cache.invalidate_all(reason="replica")
         resources.add(resource)

@@ -3,7 +3,9 @@
 The package splits the crash-safety story into four small pieces:
 
 * :mod:`repro.recovery.faults` -- deterministic disk failure injection;
-* :mod:`repro.recovery.wal` -- the page-level write-ahead log;
+* :mod:`repro.recovery.wal` -- the write-ahead log: one redo record of
+  byte spans per statement, a page image on first touch after a
+  checkpoint;
 * :mod:`repro.recovery.manager` -- statement atomicity and restart
   recovery for one database;
 * :mod:`repro.recovery.doctor` -- diagnosis and repair of replicated

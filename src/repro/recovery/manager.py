@@ -6,19 +6,25 @@ fault-injected disk into a usable contract:
 * :meth:`statement` wraps every DML statement (and the replication /
   link / index maintenance it cascades into) in one WAL statement scope.
   A logical error (refused delete, bad field, dangling reference) rolls
-  the statement back *live*: before-images are restored, allocations are
-  truncated, and the session keeps going.  A :class:`DiskFault` instead
-  leaves the incomplete tail in the log and flags the database as
-  crashed -- only :meth:`recover` (the "restart") makes it usable again.
-* :meth:`recover` discards the buffer pool (a crash loses memory),
-  redoes every committed statement from its after-images, rolls the
-  trailing incomplete statement back from its before-images, truncates
-  its page allocations, rebuilds session caches (heap free-space maps,
-  B+-tree meta, lazy-queue mirrors), and re-verifies replication.
+  the statement back *live*: the pages it dirtied go back to the images
+  the statement's fetches captured, allocations are truncated, and the
+  session keeps going.  A :class:`DiskFault` instead leaves the
+  incomplete tail in the log and flags the database as crashed -- only
+  :meth:`recover` (the "restart") makes it usable again.
+* :meth:`recover` discards the buffer pool (a crash loses memory) and is
+  redo-only: every page the log names is rebuilt from its first image
+  since the checkpoint (or a fresh page for an ``ALLOC``) plus the spans
+  of the committed statements in log order, which also heals torn pages;
+  the trailing incomplete statement contributes nothing and its page
+  allocations are truncated.  Then session caches (heap free-space maps,
+  B+-tree meta, lazy-queue mirrors) are rebuilt and replication is
+  re-verified.
 * :meth:`checkpoint` flushes the pool and truncates the log; DDL
-  statements checkpoint implicitly so the log only ever describes DML.
+  statements checkpoint implicitly so the log only ever describes DML,
+  and a served primary checkpoints between statements once the log
+  outgrows the data (:mod:`repro.server.session`).
 
-Redo/undo writes bypass the I/O statistics: recovery I/O is reported in
+Recovery writes bypass the I/O statistics: recovery I/O is reported in
 the :class:`RecoveryReport` instead, so the paper's per-query figures
 stay clean.
 """
@@ -39,7 +45,9 @@ class RecoveryReport:
 
     statements_replayed: int = 0
     statements_discarded: int = 0
+    #: pages rebuilt with at least one committed span
     pages_redone: int = 0
+    #: pages reset to their image: only the incomplete statement changed them
     pages_rolled_back: int = 0
     pages_truncated: int = 0
     files_touched: set = field(default_factory=set)
@@ -144,33 +152,33 @@ class RecoveryManager:
         """WAL bytes appended by the last statement scope on this thread."""
         return self.wal.last_statement_bytes() if self.wal is not None else 0
 
-    def _current_image(self, key) -> bytes:
+    def _current_image(self, key):
         """The statement's final image of a page (frame, else disk)."""
-        pool = self.db.storage.pool
-        frame_data = pool.peek_frame(key)
+        storage = self.db.storage
+        frame_data = storage.pool.peek_frame(key)
         if frame_data is not None:
-            return bytes(frame_data)
-        return self.db.storage.disk.peek_page(key[0], key[1])
+            return frame_data
+        return storage.disk.peek_page(key[0], key[1])
 
     def _rollback_live(self) -> None:
-        """Undo the active statement in a running (non-crashed) engine."""
-        befores, allocs = self.wal.abort()
+        """Undo the active statement in a running (non-crashed) engine:
+        its dirtied pages go back to their fetch snapshots, its
+        allocations are truncated."""
+        images, allocated = self.wal.abort()
         disk = self.db.storage.disk
         affected = set()
         # file ids are never reused, so a missing file was dropped after
-        # its records were written -- nothing of it is left to roll back
-        for record in reversed(befores):
-            if not disk.file_exists(record.file_id):
-                continue
-            disk.restore_page(record.file_id, record.page_no, record.image)
-            affected.add((record.file_id, record.page_no))
+        # the statement touched it -- nothing of it is left to roll back
+        for key, image in images.items():
+            if disk.file_exists(key[0]):
+                disk.restore_page(key[0], key[1], image)
+                affected.add(key)
         truncations: dict[int, int] = {}
-        for record in allocs:
-            if not disk.file_exists(record.file_id):
-                continue
-            affected.add((record.file_id, record.page_no))
-            new_size = truncations.get(record.file_id, record.page_no)
-            truncations[record.file_id] = min(new_size, record.page_no)
+        for file_id, page_no in allocated:
+            if disk.file_exists(file_id):
+                affected.add((file_id, page_no))
+                truncations[file_id] = min(truncations.get(file_id, page_no),
+                                           page_no)
         self.db.storage.pool.discard_pages(affected)
         for file_id, new_size in truncations.items():
             disk.truncate_file(file_id, new_size)
@@ -179,7 +187,9 @@ class RecoveryManager:
     # -- crash recovery ------------------------------------------------------
 
     def recover(self, verify: bool = True) -> RecoveryReport:
-        """Restart after a crash: redo committed work, discard the rest."""
+        """Restart after a crash: rebuild every page the log describes
+        from its first image and the committed statements' spans, and
+        truncate what the incomplete statement allocated."""
         if self.wal is None:
             raise DiskFault(
                 "recovery requires the write-ahead log (Database(wal=True))")
@@ -188,43 +198,37 @@ class RecoveryManager:
         pool = self.db.storage.pool
         disk = self.db.storage.disk
         pool.discard_all()  # the crash lost every in-memory frame
+        # records for files dropped after they were written (temp files,
+        # dropped indexes) describe storage that no longer exists
+        live = disk.file_exists
+        pages, redone = self.wal.replay(live)
+        truncations: dict[int, int] = {}
         for stmt in self.wal.statements():
-            # records for files dropped after they were written (temp files,
-            # dropped indexes) describe storage that no longer exists
             if stmt.committed:
-                for record in stmt.allocs:
-                    if not disk.file_exists(record.file_id):
-                        continue
-                    disk.ensure_pages(record.file_id, record.page_no + 1)
-                    report.files_touched.add(record.file_id)
-                for record in stmt.afters:
-                    if not disk.file_exists(record.file_id):
-                        continue
-                    disk.restore_page(record.file_id, record.page_no,
-                                      record.image)
-                    report.pages_redone += 1
-                    report.files_touched.add(record.file_id)
                 report.statements_replayed += 1
             else:
-                for record in reversed(stmt.befores):
-                    if not disk.file_exists(record.file_id):
-                        continue
-                    disk.restore_page(record.file_id, record.page_no,
-                                      record.image)
-                    report.pages_rolled_back += 1
-                    report.files_touched.add(record.file_id)
-                truncations: dict[int, int] = {}
-                for record in stmt.allocs:
-                    if not disk.file_exists(record.file_id):
-                        continue
-                    report.files_touched.add(record.file_id)
-                    new_size = truncations.get(record.file_id, record.page_no)
-                    truncations[record.file_id] = min(new_size, record.page_no)
-                for file_id, new_size in truncations.items():
-                    report.pages_truncated += (
-                        disk.num_pages(file_id) - new_size)
-                    disk.truncate_file(file_id, new_size)
                 report.statements_discarded += 1
+            for record in stmt.allocs:
+                if not live(record.file_id):
+                    continue
+                if stmt.committed:
+                    disk.ensure_pages(record.file_id, record.page_no + 1)
+                else:
+                    truncations[record.file_id] = min(
+                        truncations.get(record.file_id, record.page_no),
+                        record.page_no)
+        for (file_id, page_no), image in pages.items():
+            if page_no >= truncations.get(file_id, page_no + 1):
+                continue  # the incomplete statement's own new page
+            disk.restore_page(file_id, page_no, bytes(image))
+            report.files_touched.add(file_id)
+            if (file_id, page_no) in redone:
+                report.pages_redone += 1
+            else:
+                report.pages_rolled_back += 1
+        for file_id, new_size in truncations.items():
+            report.pages_truncated += disk.num_pages(file_id) - new_size
+            disk.truncate_file(file_id, new_size)
         self.wal.needs_recovery = False
         self.wal.checkpoint()  # the disk image is now the whole truth
         self._refresh_session_caches(None)
@@ -259,7 +263,7 @@ class RecoveryManager:
     def refresh_caches(self, file_ids: set | None = None) -> None:
         """Public entry point for out-of-band page restores.
 
-        A replication follower applies shipped after-images straight to
+        A replication follower applies shipped redo spans straight to
         the disk (same redo primitives as :meth:`recover`), so it must
         rebuild the derived in-memory state of the touched files the same
         way recovery does.  ``file_ids=None`` refreshes everything.

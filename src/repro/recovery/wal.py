@@ -1,26 +1,35 @@
-"""A page-level write-ahead log with statement-scoped commit records.
+"""A page-level write-ahead log with statement-scoped redo records.
 
 Replication maintenance is exactly the kind of multi-page mutation the
 paper's update-cost analysis is about: one in-place update touches up to
 *f* referencing objects plus link pages (Section 4.1), and a separate-path
 update must keep ``S'`` in lockstep with ``S`` (Section 5.2).  The WAL
 makes each DML statement -- *including every propagation it triggers* --
-an atomic unit:
+an atomic unit, and it logs what the statement changed, not the pages it
+changed it on:
 
 * when a statement first touches a page, the pre-statement image is
   captured (at fetch time, before the client can mutate the frame) and
-  written as a ``PAGE_BEFORE`` record the moment the page is dirtied;
-* pages the statement allocates are logged as ``ALLOC`` records;
-* at commit, the statement's final image of every page it dirtied is
-  written as ``PAGE_AFTER`` records followed by a ``COMMIT`` record;
+  held in memory for live rollback;
+* the first time a page is dirtied after a checkpoint, that image is
+  also logged, as a ``PAGE_BEFORE`` record: the base recovery rebuilds
+  the page from (so a torn page always heals);
+* pages the statement allocates are logged as ``ALLOC`` records (a
+  fresh page is its own base);
+* each write site reports the byte span it changed with
+  ``pool.mark_dirty(file, page, (offset, length))``, or nothing, which
+  means the whole page; at commit the statement appends **one** ``REDO``
+  record holding ``(file, page, offset, after-bytes)`` for every span,
+  sliced from the frames, followed by a ``COMMIT`` record;
 * the buffer pool calls :meth:`WriteAheadLog.before_data_write` before
   any dirty page reaches the disk, enforcing the WAL rule: *log records
   describing a change are durable before the changed page is*.
 
-Recovery (see :mod:`repro.recovery.manager`) redoes committed statements
-from their after-images and rolls the (at most one, single-writer) trailing
-incomplete statement back from its before-images -- so torn or half-flushed
-pages are always overwritten by a full known-good image.
+Recovery (see :mod:`repro.recovery.manager`) is redo-only: every page the
+log names starts from its first image (or a fresh page for an ``ALLOC``)
+and gets the spans of the committed statements in log order; the
+(at most one, single-writer) trailing incomplete statement contributes
+nothing but the images it logged.
 
 The log itself lives on a dedicated durable device: appends never touch
 the simulated data disk, never count against the paper's I/O figures, and
@@ -28,14 +37,20 @@ survive injected data-disk faults -- mirroring a real log on its own
 spindle/NVRAM.  Its I/O is accounted separately (``wal_records_total``,
 ``wal_flushes_total``, ``wal_bytes_total``).
 
-Record wire format (also used when a snapshot carries a WAL tail)::
+Record wire format (also used when a snapshot carries a WAL tail, and on
+the replication stream)::
 
-    frame  := length:u32 crc32:u32 body
-    body   := type:u8 stmt_id:u64 payload
-    BEGIN  := note_len:u16 note(utf-8)
-    PAGE_* := file_id:u32 page_no:u32 image[PAGE_SIZE]
-    ALLOC  := file_id:u32 page_no:u32
-    COMMIT := (empty)
+    frame       := length:u32 crc32:u32 body
+    body        := type:u8 stmt_id:u64 payload
+    BEGIN       := note_len:u16 note(utf-8)
+    PAGE_BEFORE := file_id:u32 page_no:u32 image[PAGE_SIZE]
+    REDO        := count:u32 span{count}
+    span        := file_id:u32 page_no:u32 offset:u16 length:u16 bytes[length]
+    ALLOC       := file_id:u32 page_no:u32
+    COMMIT      := (empty)
+
+A serialized log starts with :data:`WAL_MAGIC`, which names the format
+version; a log in another version is refused, not misread.
 """
 
 from __future__ import annotations
@@ -62,31 +77,41 @@ _FRAME = struct.Struct(">II")
 _BODY_HEAD = struct.Struct(">BQ")
 _NOTE_LEN = struct.Struct(">H")
 _PAGE_HEAD = struct.Struct(">II")
+_SPAN_COUNT = struct.Struct(">I")
+_SPAN_HEAD = struct.Struct(">IIHH")
 
-WAL_MAGIC = b"FRWAL001"
+#: the format version a serialized log carries; bumped whenever a record
+#: layout changes (FRWAL001 logged every dirtied page's after-image)
+WAL_MAGIC = b"FRWAL002"
+_MAGIC_FAMILY = WAL_MAGIC[:5]
 
 
 class WalRecordType(IntEnum):
     BEGIN = 1
     PAGE_BEFORE = 2
-    PAGE_AFTER = 3
     ALLOC = 4
     COMMIT = 5
+    REDO = 6
 
 
-#: framed bytes of a record of each type, less its page image and note
+#: framed bytes of a record of each type, less its image, note and payload
 _FIXED_BYTES = {
     WalRecordType.BEGIN: _FRAME.size + _BODY_HEAD.size + _NOTE_LEN.size,
     WalRecordType.PAGE_BEFORE: _FRAME.size + _BODY_HEAD.size + _PAGE_HEAD.size,
-    WalRecordType.PAGE_AFTER: _FRAME.size + _BODY_HEAD.size + _PAGE_HEAD.size,
     WalRecordType.ALLOC: _FRAME.size + _BODY_HEAD.size + _PAGE_HEAD.size,
     WalRecordType.COMMIT: _FRAME.size + _BODY_HEAD.size,
+    WalRecordType.REDO: _FRAME.size + _BODY_HEAD.size,
 }
+
+#: the one range of a page whose write site named no span
+_WHOLE_PAGE = ((0, PAGE_SIZE),)
 
 
 @dataclass(frozen=True, slots=True)
 class WalRecord:
-    """One log record; ``image`` is empty except for PAGE_* records."""
+    """One log record.  ``image`` is a PAGE_BEFORE's page; ``payload`` is
+    a REDO's spans, packed as on the wire (build one with :meth:`redo`,
+    read them back with :attr:`spans`)."""
 
     type: WalRecordType
     stmt_id: int
@@ -94,6 +119,28 @@ class WalRecord:
     page_no: int = 0
     image: bytes = b""
     note: str = ""
+    payload: bytes = b""
+
+    @classmethod
+    def redo(cls, stmt_id: int, spans) -> "WalRecord":
+        """A REDO record of ``(file_id, page_no, offset, after_bytes)``
+        spans, each of which must lie inside its page."""
+        if not spans:
+            raise WalError("a REDO record needs at least one span")
+        parts = [_SPAN_COUNT.pack(len(spans))]
+        for file_id, page_no, offset, data in spans:
+            if not data or offset + len(data) > PAGE_SIZE:
+                raise WalError(
+                    f"redo span of {len(data)} byte(s) at offset {offset} "
+                    f"does not lie inside a page")
+            parts.append(_SPAN_HEAD.pack(file_id, page_no, offset, len(data)))
+            parts.append(data)
+        return cls(WalRecordType.REDO, stmt_id, payload=b"".join(parts))
+
+    @property
+    def spans(self) -> tuple:
+        """A REDO's ``(file_id, page_no, offset, after_bytes)`` spans."""
+        return _decode_spans(self.payload) if self.payload else ()
 
     def encode(self) -> bytes:
         """Serialize to the framed wire format (length + crc + body)."""
@@ -101,11 +148,13 @@ class WalRecord:
         if self.type is WalRecordType.BEGIN:
             raw = self.note.encode("utf-8")
             body += _NOTE_LEN.pack(len(raw)) + raw
-        elif self.type in (WalRecordType.PAGE_BEFORE, WalRecordType.PAGE_AFTER):
+        elif self.type is WalRecordType.PAGE_BEFORE:
             if len(self.image) != PAGE_SIZE:
                 raise WalError(
                     f"page image must be {PAGE_SIZE} bytes, got {len(self.image)}")
             body += _PAGE_HEAD.pack(self.file_id, self.page_no) + self.image
+        elif self.type is WalRecordType.REDO:
+            body += self.payload
         elif self.type is WalRecordType.ALLOC:
             body += _PAGE_HEAD.pack(self.file_id, self.page_no)
         return _FRAME.pack(len(body), zlib.crc32(body)) + body
@@ -116,7 +165,8 @@ class WalRecord:
 
         Raises :class:`WalError` -- and only :class:`WalError` -- on *any*
         malformed input: truncated frames, bad CRCs, unknown record types,
-        short or oversized payloads, undecodable notes.  Records now also
+        short or oversized payloads, undecodable notes, redo spans that
+        leave their page or disagree with their count.  Records also
         arrive off the replication wire, so a struct/Unicode exception
         escaping here would let one corrupted frame kill a follower's
         apply loop instead of tripping its reconnect path.
@@ -139,7 +189,7 @@ class WalRecord:
             raise WalError(f"malformed WAL record: {exc}") from None
         pos = _BODY_HEAD.size
         file_id = page_no = 0
-        image = b""
+        image = payload = b""
         note = ""
         try:
             if rtype is WalRecordType.BEGIN:
@@ -151,11 +201,14 @@ class WalRecord:
                         f"record body ({len(body) - pos - _NOTE_LEN.size} "
                         f"byte(s) present)")
                 note = body[pos + _NOTE_LEN.size:end].decode("utf-8")
-            elif rtype in (WalRecordType.PAGE_BEFORE, WalRecordType.PAGE_AFTER):
+            elif rtype is WalRecordType.PAGE_BEFORE:
                 file_id, page_no = _PAGE_HEAD.unpack_from(body, pos)
                 image = body[pos + _PAGE_HEAD.size:]
                 if len(image) != PAGE_SIZE:
                     raise WalError("WAL page image has the wrong size")
+            elif rtype is WalRecordType.REDO:
+                payload = body[pos:]
+                _decode_spans(payload)  # refuses what it cannot read
             elif rtype is WalRecordType.ALLOC:
                 file_id, page_no = _PAGE_HEAD.unpack_from(body, pos)
                 if pos + _PAGE_HEAD.size != len(body):
@@ -165,7 +218,60 @@ class WalRecord:
                     f"{rtype.name} record carries trailing bytes")
         except (struct.error, UnicodeDecodeError) as exc:
             raise WalError(f"malformed WAL record payload: {exc}") from None
-        return cls(rtype, stmt_id, file_id, page_no, image, note), start + length
+        return (cls(rtype, stmt_id, file_id, page_no, image, note, payload),
+                start + length)
+
+
+def _decode_spans(payload: bytes) -> tuple:
+    """A REDO payload's spans, each checked to lie inside its page."""
+    (count,) = _SPAN_COUNT.unpack_from(payload, 0)
+    pos = _SPAN_COUNT.size
+    if count == 0:
+        raise WalError("REDO record carries no span")
+    # every span is a head and at least one byte: a count the payload
+    # cannot hold is refused before the loop trusts it
+    if count * (_SPAN_HEAD.size + 1) > len(payload) - pos:
+        raise WalError(
+            f"REDO span count {count} disagrees with the record body "
+            f"({len(payload) - pos} byte(s) present)")
+    spans = []
+    for __ in range(count):
+        file_id, page_no, offset, length = _SPAN_HEAD.unpack_from(payload, pos)
+        pos += _SPAN_HEAD.size
+        if length == 0:
+            raise WalError("REDO span is empty")
+        if offset + length > PAGE_SIZE:
+            raise WalError(
+                f"REDO span [{offset}, {offset + length}) runs past the "
+                f"{PAGE_SIZE}-byte page")
+        if pos + length > len(payload):
+            raise WalError("REDO span is truncated")
+        spans.append((file_id, page_no, offset, payload[pos:pos + length]))
+        pos += length
+    if pos != len(payload):
+        raise WalError("REDO record carries trailing bytes")
+    return tuple(spans)
+
+
+def _record_bytes(record: WalRecord) -> int:
+    """Framed size of ``record``, without encoding it."""
+    size = (_FIXED_BYTES[record.type] + len(record.image)
+            + len(record.payload))
+    if record.note:  # BEGIN records only
+        size += len(record.note.encode("utf-8"))
+    return size
+
+
+def _merged(ranges: list) -> list:
+    """``(offset, length)`` ranges sorted, with overlapping and adjacent
+    ones joined."""
+    out: list[list[int]] = []
+    for offset, length in sorted(ranges):
+        if out and offset <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], offset + length)
+        else:
+            out.append([offset, offset + length])
+    return [(start, end - start) for start, end in out]
 
 
 @dataclass
@@ -176,7 +282,7 @@ class StatementLog:
     note: str = ""
     committed: bool = False
     befores: list[WalRecord] = field(default_factory=list)
-    afters: list[WalRecord] = field(default_factory=list)
+    redo: list[WalRecord] = field(default_factory=list)
     allocs: list[WalRecord] = field(default_factory=list)
 
 
@@ -190,17 +296,23 @@ class _Scope:
     commit/abort/read-only-removal touch exactly the right entries.
     """
 
-    __slots__ = ("stmt_id", "note", "records", "snapshots", "dirty",
-                 "dirty_set", "allocated", "any_flushed", "bytes")
+    __slots__ = ("stmt_id", "note", "records", "snapshots", "spans",
+                 "allocated", "imaged", "any_flushed", "bytes")
 
     def __init__(self, note: str = "") -> None:
         self.stmt_id = 0
         self.note = note
         self.records: list[WalRecord] = []
+        #: pre-statement image of every page the statement fetched: what
+        #: a live rollback restores
         self.snapshots: dict[_PageKey, bytes] = {}
-        self.dirty: list[_PageKey] = []
-        self.dirty_set: set[_PageKey] = set()
+        #: every page the statement dirtied, in dirtying order, with the
+        #: ``(offset, length)`` ranges its write sites reported -- or None
+        #: for the whole page
+        self.spans: dict[_PageKey, list | None] = {}
         self.allocated: set[_PageKey] = set()
+        #: pages whose first image since the checkpoint this scope logged
+        self.imaged: list[_PageKey] = []
         #: a log force made (at least) this scope's BEGIN durable; a
         #: read-only commit must then retain its records instead of
         #: silently un-writing durable bytes.
@@ -232,8 +344,8 @@ class WriteAheadLog:
         #: :meth:`on_wal_flush` hook fires inside :meth:`flush` *before*
         #: any record is marked durable.
         self.faults = faults
-        # an update appends a hundred records: hold the bound series, one
-        # per record type, whose inc() builds no label key per call
+        # hold the bound series, one per record type, whose inc() builds
+        # no label key per call
         records = metrics.counter(
             "wal_records_total", "records appended to the write-ahead log")
         self._m_records = {rtype: records.labels(kind=rtype.name.lower())
@@ -244,8 +356,14 @@ class WriteAheadLog:
             "wal_bytes_total", "bytes appended to the write-ahead log"
         ).labels()
         self.records: list[WalRecord] = []
+        #: framed bytes of ``records``: what the log holds since the last
+        #: checkpoint (a served primary's checkpoint trigger reads it)
+        self.log_bytes = 0
         self._flushed = 0  # records known durable
         self._next_stmt_id = 1
+        #: pages whose image (or ALLOC) the log holds since the last
+        #: checkpoint: a later statement dirtying one logs spans only
+        self._imaged: set[_PageKey] = set()
         #: durable log-sequence number: committed statements since this
         #: log was created.  Monotonic across :meth:`checkpoint` (which
         #: truncates ``records`` but never rewinds the stream position),
@@ -300,52 +418,59 @@ class WriteAheadLog:
         return scope.stmt_id
 
     def commit(self, read_image) -> int:
-        """Log after-images of every dirty page, then the commit record.
+        """Log the statement's redo spans, then the commit record.
 
-        ``read_image((file_id, page_no)) -> bytes`` must return the
-        statement's final image of the page (buffer frame or disk).
-        Returns the commit LSN for a mutating statement, else 0.
+        ``read_image((file_id, page_no))`` must return the statement's
+        final image of the page (buffer frame or disk); each span's
+        after-bytes are sliced from it.  Returns the commit LSN for a
+        mutating statement, else 0.
         """
         scope = self._require_scope()
-        if not scope.dirty:
+        if not scope.spans:
             with self._log_mutex:
                 if not scope.any_flushed:
                     # read-only statement: leave no trace in the log
-                    self._remove_scope_records(scope)
+                    self._discard(list(scope.records))
                     self._end_scope(scope)
                     return 0
             # a force made the BEGIN durable mid-statement; close the
             # statement with an (empty) commit record instead
-        afters = [(key, bytes(read_image(key))) for key in scope.dirty]
+        # the REDO payload, packed as it goes: one head and one slice of
+        # the final image per span
+        parts = [b""]
+        for key, ranges in scope.spans.items():
+            image = read_image(key)
+            if ranges is None:
+                ranges = _WHOLE_PAGE
+            elif len(ranges) > 1:
+                ranges = _merged(ranges)
+            for offset, length in ranges:
+                if length:
+                    parts.append(_SPAN_HEAD.pack(key[0], key[1], offset,
+                                                 length))
+                    parts.append(image[offset:offset + length])
+        count = (len(parts) - 1) // 2
+        tail = [WalRecord(WalRecordType.COMMIT, scope.stmt_id)]
+        if count:
+            parts[0] = _SPAN_COUNT.pack(count)
+            tail.insert(0, WalRecord(WalRecordType.REDO, scope.stmt_id,
+                                     payload=b"".join(parts)))
         with self._log_mutex:
-            for key, image in afters:
-                self._append_locked(
-                    WalRecord(WalRecordType.PAGE_AFTER, scope.stmt_id,
-                              key[0], key[1], image), scope)
-            self._append_locked(
-                WalRecord(WalRecordType.COMMIT, scope.stmt_id), scope)
+            for record in tail:
+                self._append_locked(record, scope)
         try:
             self.flush()
         except BaseException:
             # the force failed before these records became durable: a
             # crash at this instant loses the redo tail, leaving an
-            # incomplete statement that recovery rolls back from its
-            # (already-durable, WAL-before-data) before-images.
+            # incomplete statement that recovery discards (its images,
+            # already durable by WAL-before-data, stay the pages' bases)
             with self._log_mutex:
-                doomed = {id(r) for r in scope.records
-                          if r.type in (WalRecordType.PAGE_AFTER,
-                                        WalRecordType.COMMIT)}
-                self.records[:] = [r for r in self.records
-                                   if id(r) not in doomed]
-                self._flushed = min(self._flushed, len(self.records))
-                scope.records = [r for r in scope.records
-                                 if id(r) not in doomed]
+                self._discard(tail)
             raise
         shipped = tuple(scope.records)
-        mutated = any(r.type in (WalRecordType.PAGE_AFTER,
-                                 WalRecordType.ALLOC) for r in shipped)
         self._end_scope(scope)
-        if not mutated:
+        if not count:
             return 0
         with self._commit_mutex:
             self.commit_lsn += 1
@@ -356,22 +481,25 @@ class WriteAheadLog:
                 listener(lsn, note, shipped)
         return lsn
 
-    def abort(self) -> tuple[list[WalRecord], list[WalRecord]]:
+    def abort(self) -> tuple[dict[_PageKey, bytes], list[_PageKey]]:
         """Roll the active statement out of the log (live rollback).
 
-        Returns ``(before_records, alloc_records)`` in log order so the
-        caller can restore images (reversed) and truncate allocations; the
-        statement's records are dropped from the tail.
+        Returns ``(images, allocated)``: the pre-statement image of every
+        page the statement dirtied (from its fetch snapshots) and the
+        pages it allocated, so the caller can restore the one and
+        truncate the other; the statement's records are dropped from the
+        tail, and the pages it imaged first will be imaged again by the
+        next statement to dirty them.
         """
         scope = self._require_scope()
         with self._log_mutex:
-            self._remove_scope_records(scope)
-        befores = [r for r in scope.records
-                   if r.type is WalRecordType.PAGE_BEFORE]
-        allocs = [r for r in scope.records
-                  if r.type is WalRecordType.ALLOC]
+            self._discard(list(scope.records))
+            self._imaged.difference_update(scope.imaged)
+        images = {key: scope.snapshots[key] for key in scope.spans
+                  if key not in scope.allocated}
+        allocated = [key for key in scope.spans if key in scope.allocated]
         self._end_scope(scope)
-        return befores, allocs
+        return images, allocated
 
     def mark_crashed(self) -> None:
         """A disk fault killed the statement: keep the incomplete tail."""
@@ -396,61 +524,67 @@ class WriteAheadLog:
         self._local.scope = None
         self._local.last_bytes = scope.bytes
 
-    def _remove_scope_records(self, scope: _Scope) -> None:
-        """Drop ``scope``'s records from the shared tail (mutex held).
+    def _discard(self, doomed: list[WalRecord]) -> None:
+        """Drop ``doomed`` (records of the active scope) from the shared
+        tail and from their scope (mutex held).
 
-        Sequentially the scope's records are exactly the tail, so the
-        fast path is a tail truncation -- byte-identical to the old
-        single-writer ``del records[stmt_start:]``.  Under concurrency
-        they may interleave with other scopes' records and are removed
-        by identity.
+        Sequentially they are exactly the tail, so the fast path is a
+        tail truncation; otherwise they are removed by identity.
         """
-        n = len(scope.records)
+        n = len(doomed)
         if n == 0:
             return
+        ids = {id(r) for r in doomed}
         if len(self.records) >= n and all(
-                a is b for a, b in zip(self.records[-n:], scope.records)):
+                a is b for a, b in zip(self.records[-n:], doomed)):
             del self.records[-n:]
         else:
-            doomed = {id(r) for r in scope.records}
-            self.records[:] = [r for r in self.records
-                               if id(r) not in doomed]
+            self.records[:] = [r for r in self.records if id(r) not in ids]
         self._flushed = min(self._flushed, len(self.records))
+        self.log_bytes -= sum(_record_bytes(r) for r in doomed)
+        scope = self._scope()
+        if scope is not None:
+            scope.records = [r for r in scope.records if id(r) not in ids]
 
     # -- buffer-pool hooks ---------------------------------------------------
 
     def observe_fetch(self, key: _PageKey, data) -> None:
         """Capture the pre-statement image of a page on first contact."""
-        scope = self._scope()
+        scope = getattr(self._local, "scope", None)  # every pin: inlined
         if scope is None:
             return
-        if key in scope.snapshots or key in scope.dirty_set:
+        if key in scope.snapshots or key in scope.allocated:
             return
         scope.snapshots[key] = bytes(data)
 
-    def observe_dirty(self, key: _PageKey) -> None:
-        """A fetched page was mutated: promote its snapshot to an undo record."""
-        scope = self._scope()
+    def observe_dirty(self, key: _PageKey, span=None) -> None:
+        """A fetched page was mutated inside ``span`` (``(offset,
+        length)``; None: anywhere).  The first time since the checkpoint
+        that a page is dirtied, its snapshot is logged as its image."""
+        scope = getattr(self._local, "scope", None)
         if scope is None:
             return
-        if key in scope.dirty_set:
+        spans = scope.spans
+        if key in spans:
+            ranges = spans[key]
+            if ranges is not None:
+                if span is None:
+                    spans[key] = None
+                else:
+                    ranges.append(span)
             return
-        if key in scope.allocated:
-            scope.dirty.append(key)
-            scope.dirty_set.add(key)
-            return
-        try:
-            image = scope.snapshots.pop(key)
-        except KeyError:
+        image = scope.snapshots.get(key)
+        if image is None:
             raise WalError(
-                f"page {key} dirtied without a prior fetch in this statement"
-            ) from None
-        with self._log_mutex:
-            self._append_locked(
-                WalRecord(WalRecordType.PAGE_BEFORE, scope.stmt_id,
-                          key[0], key[1], image), scope)
-        scope.dirty.append(key)
-        scope.dirty_set.add(key)
+                f"page {key} dirtied without a prior fetch in this statement")
+        if key not in self._imaged:
+            with self._log_mutex:
+                self._append_locked(
+                    WalRecord(WalRecordType.PAGE_BEFORE, scope.stmt_id,
+                              key[0], key[1], image), scope)
+            self._imaged.add(key)
+            scope.imaged.append(key)
+        spans[key] = None if span is None else [span]
 
     def observe_alloc(self, file_id: int, page_no: int) -> None:
         """A page is about to be allocated for the active statement."""
@@ -463,32 +597,34 @@ class WriteAheadLog:
                           file_id, page_no), scope)
         key = (file_id, page_no)
         scope.allocated.add(key)
-        scope.dirty.append(key)
-        scope.dirty_set.add(key)
+        scope.spans[key] = None
+        if key not in self._imaged:
+            self._imaged.add(key)
+            scope.imaged.append(key)
 
     def observe_drop_file(self, file_id: int) -> None:
         """A file was dropped mid-statement (e.g. a query's materialised
         temp file): forget everything the active statement knows about it,
-        including already-appended undo/alloc records."""
+        including already-appended image/alloc records."""
         scope = self._scope()
         if scope is None:
             return
-        scope.dirty = [k for k in scope.dirty if k[0] != file_id]
-        scope.dirty_set = {k for k in scope.dirty_set if k[0] != file_id}
+        scope.spans = {k: v for k, v in scope.spans.items()
+                       if k[0] != file_id}
         scope.allocated = {k for k in scope.allocated if k[0] != file_id}
         scope.snapshots = {k: v for k, v in scope.snapshots.items()
                            if k[0] != file_id}
-        doomed = {id(r) for r in scope.records
+        gone = [k for k in scope.imaged if k[0] == file_id]
+        if gone:
+            self._imaged.difference_update(gone)
+            scope.imaged = [k for k in scope.imaged if k[0] != file_id]
+        doomed = [r for r in scope.records
                   if r.type in (WalRecordType.PAGE_BEFORE,
                                 WalRecordType.ALLOC)
-                  and r.file_id == file_id}
-        if not doomed:
-            return
-        with self._log_mutex:
-            self.records[:] = [r for r in self.records
-                               if id(r) not in doomed]
-            self._flushed = min(self._flushed, len(self.records))
-        scope.records = [r for r in scope.records if id(r) not in doomed]
+                  and r.file_id == file_id]
+        if doomed:
+            with self._log_mutex:
+                self._discard(doomed)
 
     def before_data_write(self) -> None:
         """WAL ordering rule: force the log before a dirty page hits disk."""
@@ -545,13 +681,52 @@ class WriteAheadLog:
                 stmt.note = record.note
             elif record.type is WalRecordType.PAGE_BEFORE:
                 stmt.befores.append(record)
-            elif record.type is WalRecordType.PAGE_AFTER:
-                stmt.afters.append(record)
+            elif record.type is WalRecordType.REDO:
+                stmt.redo.append(record)
             elif record.type is WalRecordType.ALLOC:
                 stmt.allocs.append(record)
             elif record.type is WalRecordType.COMMIT:
                 stmt.committed = True
         return out
+
+    def replay(self, live=None) -> tuple[dict[_PageKey, bytearray], set]:
+        """Every page the log describes, rebuilt from the log alone.
+
+        A page starts from its first image, or from a fresh page at its
+        first ``ALLOC``, and takes the spans of the committed statements
+        in log order; an incomplete statement contributes only the images
+        it logged.  Returns ``(pages, redone)``: the rebuilt pages and the
+        keys at least one committed span reached.  ``live(file_id)``
+        filters out files dropped since their records were written.  A
+        span on a page with no image is a :class:`WalError`: the log
+        cannot say what the rest of that page holds.
+        """
+        pages: dict[_PageKey, bytearray] = {}
+        redone: set[_PageKey] = set()
+        for stmt in self.statements():
+            for record in stmt.befores:
+                key = (record.file_id, record.page_no)
+                if key not in pages and (live is None or live(key[0])):
+                    pages[key] = bytearray(record.image)
+            for record in stmt.allocs:
+                key = (record.file_id, record.page_no)
+                if key not in pages and (live is None or live(key[0])):
+                    pages[key] = bytearray(PAGE_SIZE)
+            if not stmt.committed:
+                continue
+            for record in stmt.redo:
+                for file_id, page_no, offset, data in record.spans:
+                    if live is not None and not live(file_id):
+                        continue
+                    page = pages.get((file_id, page_no))
+                    if page is None:
+                        raise WalError(
+                            f"statement {stmt.stmt_id} logs a span on page "
+                            f"({file_id},{page_no}), which has no image in "
+                            f"the log")
+                    page[offset:offset + len(data)] = data
+                    redone.add((file_id, page_no))
+        return pages, redone
 
     def serialize(self) -> bytes:
         """The whole log as bytes (magic + framed records)."""
@@ -564,7 +739,13 @@ class WriteAheadLog:
         with self._log_mutex:
             if self._scopes:
                 raise WalError("cannot load a WAL while a statement is active")
-            if data[:len(WAL_MAGIC)] != WAL_MAGIC:
+            magic = data[:len(WAL_MAGIC)]
+            if magic != WAL_MAGIC:
+                if magic[:len(_MAGIC_FAMILY)] == _MAGIC_FAMILY:
+                    raise WalError(
+                        f"WAL format {magic.decode('ascii', 'replace')} is "
+                        f"not readable by this build (it reads "
+                        f"{WAL_MAGIC.decode('ascii')})")
                 raise WalError("bad WAL magic")
             records: list[WalRecord] = []
             offset = len(WAL_MAGIC)
@@ -572,7 +753,9 @@ class WriteAheadLog:
                 record, offset = WalRecord.decode(data, offset)
                 records.append(record)
             self.records = records
+            self.log_bytes = sum(_record_bytes(r) for r in records)
             self._flushed = len(records)
+            self._imaged.clear()
             if records:
                 self._next_stmt_id = max(r.stmt_id for r in records) + 1
             return len(records)
@@ -583,7 +766,9 @@ class WriteAheadLog:
             if self._scopes:
                 raise WalError("cannot checkpoint mid-statement")
             self.records.clear()
+            self.log_bytes = 0
             self._flushed = 0
+            self._imaged.clear()
 
     @property
     def has_records(self) -> bool:
@@ -596,10 +781,9 @@ class WriteAheadLog:
         if scope is not None:
             scope.records.append(record)
         self._m_records[record.type].inc()
-        # size accounting without re-encoding full images on the hot path
-        size = _FIXED_BYTES[record.type] + len(record.image)
-        if record.note:  # BEGIN records only
-            size += len(record.note.encode("utf-8"))
+        # size accounting without encoding the record
+        size = _record_bytes(record)
         self._m_bytes.inc(size)
+        self.log_bytes += size
         if scope is not None:
             scope.bytes += size

@@ -6,7 +6,7 @@ whose statements run one at a time inside the engine
 (:mod:`repro.server.admission`):
 
 * :mod:`repro.server.protocol` -- the length-prefixed, CRC'd JSON frame
-  format both sides speak (the WAL's ``FRWAL001`` discipline, on a wire);
+  format both sides speak (the WAL's record discipline, on a wire);
 * :mod:`repro.server.locks`    -- a set-granularity reader-writer lock
   manager; a statement's footprint is computed *before* execution from
   its plan plus the replication catalog, and lock cycles are broken by a

@@ -1,9 +1,9 @@
 """The wire protocol: length-prefixed, versioned, CRC'd JSON frames.
 
 The server and client exchange *frames* with the same framing discipline
-as the write-ahead log's ``FRWAL001`` records -- a length, a checksum,
-then the body -- so a torn or corrupted frame is detected before any of
-it is interpreted::
+as the write-ahead log's records -- a length, a checksum, then the body
+-- so a torn or corrupted frame is detected before any of it is
+interpreted::
 
     frame   := length:u32 crc32:u32 payload
     payload := JSON object, utf-8

@@ -12,13 +12,14 @@ its own clients.  The pieces:
   frame reads optionally pass through a
   :class:`~repro.recovery.faults.NetFaultInjector`, so a test can drop,
   delay, duplicate, or truncate exactly the frame it means to;
-* :class:`Replica` -- the apply loop.  DML entries replay through the
-  same redo primitives crash recovery uses (``ensure_pages`` /
-  ``restore_page`` / cache refresh); DDL entries re-execute their
-  statement text after adopting the primary's file-id cursor.  The link
-  retries with capped exponential backoff plus deterministic jitter and
-  re-subscribes idempotently from the last *applied* LSN -- duplicated
-  entries are skipped by LSN, a gap forces a reconnect;
+* :class:`Replica` -- the apply loop.  DML entries patch their redo
+  spans into the pages on disk through the primitives crash recovery
+  uses (``ensure_pages`` / ``restore_page`` / cache refresh); DDL
+  entries re-execute their statement text after adopting the primary's
+  file-id cursor.  The link retries with capped exponential backoff plus
+  deterministic jitter and re-subscribes idempotently from the last
+  *applied* LSN -- duplicated entries are skipped by LSN, a gap forces a
+  reconnect;
 * :class:`ReplicaServer` -- a :class:`~repro.server.service.Server` whose
   sessions admit reads (subject to the staleness bound) and refuse writes
   with ``read_only_replica``.  A read finding ``lag > max_lag_statements``
@@ -350,6 +351,7 @@ class Replica:
                 f"entry {entry.lsn} is not a complete committed statement")
         disk = self.db.storage.disk
         affected: set[tuple[int, int]] = set()
+        pages: dict[tuple[int, int], bytearray] = {}
         for record in records:
             # files dropped again on the primary after these records were
             # written describe storage neither engine keeps
@@ -357,11 +359,19 @@ class Replica:
                 if disk.file_exists(record.file_id):
                     disk.ensure_pages(record.file_id, record.page_no + 1)
                     affected.add((record.file_id, record.page_no))
-            elif record.type is WalRecordType.PAGE_AFTER:
-                if disk.file_exists(record.file_id):
-                    disk.restore_page(record.file_id, record.page_no,
-                                      record.image)
-                    affected.add((record.file_id, record.page_no))
+            elif record.type is WalRecordType.REDO:
+                for file_id, page_no, offset, data in record.spans:
+                    if not disk.file_exists(file_id):
+                        continue
+                    key = (file_id, page_no)
+                    page = pages.get(key)
+                    if page is None:
+                        page = pages[key] = bytearray(
+                            disk.peek_page(file_id, page_no))
+                    page[offset:offset + len(data)] = data
+        for (file_id, page_no), page in pages.items():
+            disk.restore_page(file_id, page_no, page)
+            affected.add((file_id, page_no))
         self.db.storage.pool.discard_pages(affected)
         self.db.recovery.refresh_caches({fid for fid, __ in affected})
 

@@ -7,10 +7,15 @@ node.  Every committed statement on the primary becomes one
 :class:`ReplicationLog`:
 
 * **DML** entries carry the statement's redo records -- the WAL's
-  ``BEGIN`` / ``ALLOC`` / ``PAGE_AFTER`` / ``COMMIT`` frames, base64 on
-  the wire -- captured by a :attr:`WriteAheadLog.commit_listeners` hook
-  the moment the commit is durable (under the engine latch, so entries
-  are appended in commit order);
+  ``BEGIN`` frame, its ``ALLOC`` frames for files that still exist, its
+  one ``REDO`` frame (the ``(file, page, offset, after-bytes)`` spans the
+  statement changed) and its ``COMMIT`` frame, base64 on the wire -- but
+  never a page image: a follower patches the spans into the pages it
+  already holds.  An update that changes *k* bytes of *f* referencers
+  ships about *f* record payloads, not *f* pages.  Entries are captured
+  by a :attr:`WriteAheadLog.commit_listeners` hook the moment the commit
+  is durable (under the engine latch, so entries are appended in commit
+  order);
 * **DDL** entries carry the statement text: DDL runs outside WAL
   statement scope (it checkpoints), so it ships logically and followers
   re-execute it -- deterministic, because both sides apply the same
@@ -286,19 +291,20 @@ class ReplicationHub:
         self.db.ddl_listeners.append(self._on_ddl)
 
     def _on_commit(self, lsn: int, note: str, records: tuple) -> None:
-        # befores are undo-only (followers redo), and records for files
-        # already dropped again describe storage neither side keeps --
-        # most importantly every retrieve's transient output file, whose
-        # pages would otherwise ship a full result set per query.  A
-        # statement whose entire footprint was transient ships nothing.
+        # images are the primary's recovery bases (followers patch the
+        # pages they hold), and ALLOCs for files already dropped again
+        # describe storage neither side keeps.  The WAL scrubbed a file
+        # dropped mid-statement from the REDO record (a retrieve's
+        # output file), so a statement that changed no live file ships
+        # nothing; a follower skips spans of files dropped since.
         disk = self.db.storage.disk
         kept = [
             r for r in records
-            if r.type in (WalRecordType.BEGIN, WalRecordType.COMMIT)
-            or (r.type in (WalRecordType.ALLOC, WalRecordType.PAGE_AFTER)
-                and disk.file_exists(r.file_id))
+            if r.type is not WalRecordType.PAGE_BEFORE
+            and (r.type is not WalRecordType.ALLOC
+                 or disk.file_exists(r.file_id))
         ]
-        if not any(r.type in (WalRecordType.ALLOC, WalRecordType.PAGE_AFTER)
+        if not any(r.type in (WalRecordType.ALLOC, WalRecordType.REDO)
                    for r in kept):
             return
         frames = b"".join(r.encode() for r in kept)

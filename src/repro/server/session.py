@@ -39,6 +39,11 @@ back to the client in the result object.
 Transactions group *isolation*, not durability: each statement commits
 its own WAL scope, so ``commit`` releases locks while ``abort`` releases
 them without undoing already-applied statements (documented limitation).
+
+A served engine keeps its log bounded: after a statement, still inside
+the engine mutex, the session checkpoints once the log holds
+:data:`CHECKPOINT_LOG_MULTIPLE` times the database's data bytes (an
+embedded database checkpoints only on DDL, snapshot save and recovery).
 """
 
 from __future__ import annotations
@@ -86,6 +91,13 @@ _QUERY_STARTERS = ("retrieve", "replace", "delete")
 
 #: spans kept per session for ``\trace dump`` (oldest dropped first).
 _TRACE_LOG_SPANS = 2000
+
+#: a served engine checkpoints once its log holds this many times the
+#: database's data bytes.  Each page's image is logged at most once
+#: between two checkpoints, so the images are at most the data bytes --
+#: no more than a quarter of the log at the trigger; the rest is redo
+#: spans.  A larger multiple checkpoints less often and holds more log.
+CHECKPOINT_LOG_MULTIPLE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +477,8 @@ class Session:
                 yield
             finally:
                 faults.probe("statement_finishing")
+            # between statements: this one is done, none other is inside
+            self.manager.checkpoint_if_due()
         finally:
             gate.exit_shared()
             held = time.perf_counter() - held_from
@@ -741,6 +755,16 @@ class SessionManager:
     def sessions(self) -> list[Session]:
         with self._mutex:
             return list(self._sessions.values())
+
+    def checkpoint_if_due(self) -> None:
+        """Checkpoint once the log holds more than
+        :data:`CHECKPOINT_LOG_MULTIPLE` times the data bytes.  Called
+        inside the engine mutex with no statement in flight."""
+        wal = self.db.recovery.wal
+        if (wal is not None and not wal.needs_recovery
+                and not wal.in_statement and wal.log_bytes
+                > CHECKPOINT_LOG_MULTIPLE * self.db.storage.disk.data_bytes()):
+            self.db.checkpoint()
 
     def run(self, fn, timeout: float | None = None):
         """Execute ``fn`` on the worker pool and wait for its result.

@@ -301,7 +301,8 @@ def _load_database(path: str, verify: bool) -> Database:
             try:
                 db.recovery.wal.load(blob)
             except WalError as exc:
-                raise SnapshotError(f"corrupt snapshot WAL tail: {exc}") from None
+                raise SnapshotError(
+                    f"unreadable snapshot WAL tail: {exc}") from None
             db.recovery.wal.needs_recovery = True
             # the catalog is empty at this point, so this is a pure
             # page-level replay; caches/verification follow naturally

@@ -253,8 +253,13 @@ class BufferPool:
         """Context manager that pins a page for the duration of the block."""
         return _PinnedPage(self, file_id, page_no)
 
-    def mark_dirty(self, file_id: int, page_no: int) -> None:
-        """Record that the cached image differs from the disk image."""
+    def mark_dirty(self, file_id: int, page_no: int, span=None) -> None:
+        """Record that the cached image differs from the disk image.
+
+        ``span`` is ``(offset, length)``, the bytes the caller changed,
+        when it changed nothing else (slot directory included); None
+        means the whole page.  The WAL logs what it is told here.
+        """
         key = (file_id, page_no)
         frame = self._frames.get(key)
         if frame is None:
@@ -263,7 +268,7 @@ class BufferPool:
             frame.dirty = True
             self._dirty[key] = frame
         if self.wal is not None:
-            self.wal.observe_dirty(key)
+            self.wal.observe_dirty(key, span)
 
     # -- allocation ---------------------------------------------------------
 

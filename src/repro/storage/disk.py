@@ -39,6 +39,8 @@ class SimulatedDisk:
         self.faults = faults
         self._mutex = threading.RLock()
         self._files: dict[int, list[bytearray]] = {}
+        #: live pages across all files
+        self._pages = 0
         self._next_file_id = 1
         metrics = metrics if metrics is not None else NULL_METRICS
         self._m_reads = metrics.counter(
@@ -96,6 +98,7 @@ class SimulatedDisk:
             pages = self._require(file_id)
             del self._files[file_id]
             self._g_files.set(len(self._files))
+            self._pages -= len(pages)
             self._g_pages.inc(-len(pages))
 
     def file_exists(self, file_id: int) -> bool:
@@ -107,6 +110,10 @@ class SimulatedDisk:
         """Number of pages currently allocated to ``file_id``."""
         with self._mutex:
             return len(self._require(file_id))
+
+    def data_bytes(self) -> int:
+        """Bytes of every live page of every file: the database's size."""
+        return PAGE_SIZE * self._pages
 
     # -- page I/O -----------------------------------------------------------
 
@@ -120,6 +127,7 @@ class SimulatedDisk:
             pages = self._require(file_id)
             pages.append(bytearray(PAGE_SIZE))
             self._m_allocs.inc()
+            self._pages += 1
             self._g_pages.inc()
             return len(pages) - 1
 
@@ -188,6 +196,7 @@ class SimulatedDisk:
             while len(pages) < count:
                 pages.append(bytearray(PAGE_SIZE))
                 self._m_allocs.inc()
+                self._pages += 1
                 self._g_pages.inc()
 
     def truncate_file(self, file_id: int, num_pages: int) -> None:
@@ -197,6 +206,7 @@ class SimulatedDisk:
             if num_pages < 0:
                 raise ValueError("cannot truncate to a negative size")
             if num_pages < len(pages):
+                self._pages += num_pages - len(pages)
                 self._g_pages.inc(num_pages - len(pages))
                 del pages[num_pages:]
 

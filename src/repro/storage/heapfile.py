@@ -320,12 +320,17 @@ class HeapFile:
 
     def _rewrite(self, page: Page, rid: RID, record: bytes) -> bool:
         """Replace the record at ``rid`` on its pinned ``page``; False
-        (and nothing changed) when the page cannot absorb the growth."""
+        (and nothing changed) when the page cannot absorb the growth.
+        A record of the same length is overwritten where it lies, so only
+        its bytes changed; any other length changes the slot directory."""
+        offset, length = page.span(rid[1])
         try:
             page.update(rid[1], record)
         except PageFullError:
             return False
-        self.pool.mark_dirty(self.file_id, rid[0])
+        self.pool.mark_dirty(self.file_id, rid[0],
+                             (offset, length) if len(record) == length
+                             else None)
         self._free_space[rid[0]] = page.total_free()
         return True
 
@@ -395,8 +400,8 @@ class _InPlace:
     record is reachable and the slot directory, the record's length and
     the page's space accounting stay as they are.  The page is written by
     the ordinary ``pool.fetch`` -> mutate -> ``pool.mark_dirty`` sequence
-    (the WAL's before-image is its fetch-time snapshot) and marked dirty
-    once per pin.
+    (the WAL's before-image is its fetch-time snapshot), and each
+    :meth:`wrote` reports the payload it handed out as the span changed.
 
     One page is pinned at a time.  It stays pinned across consecutive
     records that lie on it, so record ids taken in page order cost one
@@ -408,13 +413,14 @@ class _InPlace:
     is about to touch other pages.
     """
 
-    __slots__ = ("_heap", "_page_no", "_page", "_marked")
+    __slots__ = ("_heap", "_page_no", "_page", "_span")
 
     def __init__(self, heap: HeapFile) -> None:
         self._heap = heap
         self._page_no: int | None = None  # the page this cursor pins
         self._page: Page | None = None
-        self._marked = False
+        #: ``(offset, length)`` in the page of the payload last handed out
+        self._span: tuple[int, int] | None = None
 
     def __enter__(self) -> "_InPlace":
         return self
@@ -436,20 +442,19 @@ class _InPlace:
                 raise RecordNotFoundError(f"dangling forward stub at {rid}")
         if page.data[offset + 1] != _PLAIN:
             return None
+        self._span = (offset + 2, length - 2)
         return memoryview(page.data)[offset + 2:offset + length]
 
     def wrote(self) -> None:
         """The view :meth:`payload` last returned was written to."""
-        if not self._marked:
-            self._heap.pool.mark_dirty(self._heap.file_id, self._page_no)
-            self._marked = True
+        self._heap.pool.mark_dirty(self._heap.file_id, self._page_no,
+                                   self._span)
 
     def release(self) -> None:
         """Unpin the page this cursor holds, if any."""
         if self._page_no is not None:
             self._heap.pool.unpin(self._heap.file_id, self._page_no)
             self._page_no = self._page = None
-            self._marked = False
 
     def _pin(self, page_no: int) -> Page:
         if page_no != self._page_no:

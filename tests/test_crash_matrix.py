@@ -1,8 +1,10 @@
 """Crash-matrix torture tests: crash at every write, recover, verify.
 
 Each sweep takes one replication workload (in-place, separate, two paths
-over a shared prefix, and in-place over a set loaded before the path
-existed), counts the physical page writes a clean run
+over a shared prefix, in-place over a set loaded before the path
+existed, and two paths with checkpoints between the statements, so that
+crashes land inside a checkpoint's flush), counts the physical page
+writes a clean run
 performs, then re-runs it once per sampled write index with
 ``fail_after_writes(k)`` armed.  After every injected crash the database
 must recover to *exactly* the statement-aligned prefix of the workload:
@@ -104,6 +106,29 @@ def run_steps(db):
 # Emp cardinality after each fully completed step (prefix-aligned oracle)
 EXPECTED_COUNT = [0, 1, 2, 3, 4, 5, 6, 6, 6, 6, 6, 6, 6, 6, 5, 6]
 
+#: ``run_steps`` indexes the checkpointed workload checkpoints after
+CHECKPOINT_AFTER = (2, 6, 9, 13)
+
+
+def run_steps_checkpointed(db):
+    """``run_steps`` with a checkpoint step after some of its statements:
+    a crash inside one must recover to the statements before it, whatever
+    part of the flush reached the disk (clean or torn)."""
+    steps = []
+    for index, step in enumerate(run_steps(db)):
+        steps.append(step)
+        if index in CHECKPOINT_AFTER:
+            steps.append(db.checkpoint)
+    return steps
+
+
+def statements_in(completed):
+    """``run_steps`` statements among the first ``completed`` steps of
+    ``run_steps_checkpointed``."""
+    checkpoints = sum(1 for index, after in enumerate(CHECKPOINT_AFTER)
+                      if after + index + 1 < completed)
+    return completed - checkpoints
+
 WORKLOADS = {
     "inplace": [("Emp.dept.name", "inplace")],
     "separate": [("Emp.dept.org.budget", "separate")],
@@ -113,9 +138,15 @@ WORKLOADS = {
     # insert every Emp *after* ``replicate``, so without this entry no
     # propagation target is ever behind a forward stub
     "inplace-loaded-first": [("Emp.dept.name", "inplace")],
+    # recovery is not impacted by the exact time of the failure, and that
+    # includes the middle of a checkpoint
+    "shared-prefix-checkpointed": [("Emp.dept.name", "inplace"),
+                                   ("Emp.dept.org.budget", "separate")],
 }
 #: Emps the builder inserts ahead of ``replicate``, by workload
 PRELOADED = {"inplace-loaded-first": 4}
+#: workloads whose steps are not ``run_steps``
+STEPS = {"shared-prefix-checkpointed": run_steps_checkpointed}
 
 
 def check(db, completed):
@@ -125,15 +156,21 @@ def check(db, completed):
 def sweep(name, torn):
     paths = WORKLOADS[name]
     preloaded = PRELOADED.get(name, 0)
+    steps = STEPS.get(name, run_steps)
 
     def check_beside_preloaded(db, completed):
         """``check``, the builder's own Emps counted in."""
         assert db.catalog.get_set("Emp").count() \
             == preloaded + EXPECTED_COUNT[completed]
 
-    outcomes = crash_matrix(lambda: build_db(paths, preloaded), run_steps,
+    def check_statements(db, completed):
+        """``check`` of the statements among the completed steps."""
+        check(db, statements_in(completed))
+
+    outcomes = crash_matrix(lambda: build_db(paths, preloaded), steps,
                             stride=STRIDE, torn=torn,
-                            check=check_beside_preloaded if preloaded
+                            check=check_statements if steps is not run_steps
+                            else check_beside_preloaded if preloaded
                             else check)
     assert outcomes, "workload produced no physical writes to crash on"
     assert any(o.crashed for o in outcomes)
@@ -161,6 +198,24 @@ def test_crash_matrix_discards_or_replays_every_statement():
     crashed = [o for o in outcomes if o.crashed]
     assert any(o.statements_discarded for o in crashed)
     assert any(o.statements_replayed for o in crashed)
+
+
+@pytest.mark.tortured
+@pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+def test_crash_matrix_lands_inside_checkpoints(torn):
+    """What the fifth workload is there for: some of its crash points
+    fall inside a checkpoint's flush, and those recover too."""
+    name = "shared-prefix-checkpointed"
+    outcomes = sweep(name, torn)
+    db = build_db(WORKLOADS[name])
+    checkpoints = {index for index, step in
+                   enumerate(run_steps_checkpointed(db))
+                   if step == db.checkpoint}
+    assert len(checkpoints) == len(CHECKPOINT_AFTER)
+    inside = [o for o in outcomes if o.crashed
+              and o.steps_completed in checkpoints]
+    # in two checkpoints or more
+    assert len({o.steps_completed for o in inside}) >= 2
 
 
 def test_loaded_first_workload_propagates_through_forward_stubs():

@@ -22,7 +22,7 @@ IMAGE_B = bytes(reversed(IMAGE_A))
         WalRecord(WalRecordType.BEGIN, 2, note=""),
         WalRecord(WalRecordType.BEGIN, 3, note="unicode éè note"),
         WalRecord(WalRecordType.PAGE_BEFORE, 4, 7, 12, IMAGE_A),
-        WalRecord(WalRecordType.PAGE_AFTER, 5, 0, 0, IMAGE_B),
+        WalRecord.redo(5, ((0, 0, 0, IMAGE_B), (7, 12, 100, b"k" * 20))),
         WalRecord(WalRecordType.ALLOC, 6, 3, 999),
         WalRecord(WalRecordType.COMMIT, 7),
     ],
@@ -38,7 +38,7 @@ def test_records_round_trip_concatenated():
     records = [
         WalRecord(WalRecordType.BEGIN, 9, note="x"),
         WalRecord(WalRecordType.ALLOC, 9, 1, 0),
-        WalRecord(WalRecordType.PAGE_AFTER, 9, 1, 0, IMAGE_A),
+        WalRecord.redo(9, ((1, 0, 0, IMAGE_A),)),
         WalRecord(WalRecordType.COMMIT, 9),
     ]
     blob = b"".join(r.encode() for r in records)
@@ -50,7 +50,7 @@ def test_records_round_trip_concatenated():
 
 
 def test_decode_rejects_corrupted_body():
-    blob = bytearray(WalRecord(WalRecordType.PAGE_AFTER, 1, 2, 3, IMAGE_A).encode())
+    blob = bytearray(WalRecord(WalRecordType.PAGE_BEFORE, 1, 2, 3, IMAGE_A).encode())
     blob[20] ^= 0xFF  # flip one byte inside the body
     with pytest.raises(WalError, match="CRC"):
         WalRecord.decode(bytes(blob))
@@ -105,10 +105,14 @@ def test_read_only_statement_leaves_no_trace():
 
 
 def test_write_statement_logs_before_after_commit():
+    """The first touch since the checkpoint logs the page's image; commit
+    logs one REDO record with every span, then COMMIT."""
     wal = WriteAheadLog()
     wal.begin("update")
     wal.observe_fetch((1, 0), IMAGE_A)
-    wal.observe_dirty((1, 0))
+    wal.observe_dirty((1, 0), (100, 20))
+    wal.observe_dirty((1, 0), (110, 30))   # overlaps: merged with the first
+    wal.observe_dirty((1, 0), (300, 4))
     wal.observe_alloc(1, 5)
     wal.commit(lambda key: IMAGE_B)
     types = [r.type for r in wal.records]
@@ -116,13 +120,31 @@ def test_write_statement_logs_before_after_commit():
         WalRecordType.BEGIN,
         WalRecordType.PAGE_BEFORE,
         WalRecordType.ALLOC,
-        WalRecordType.PAGE_AFTER,  # page (1,0)
-        WalRecordType.PAGE_AFTER,  # page (1,5)
+        WalRecordType.REDO,
         WalRecordType.COMMIT,
     ]
     before = wal.records[1]
     assert (before.file_id, before.page_no, before.image) == (1, 0, IMAGE_A)
-    assert all(r.image == IMAGE_B for r in wal.records[3:5])
+    assert wal.records[3].spans == (
+        (1, 0, 100, IMAGE_B[100:140]),
+        (1, 0, 300, IMAGE_B[300:304]),
+        (1, 5, 0, IMAGE_B),             # an allocated page: all of it
+    )
+    # a later statement dirtying the same page logs its span, no image
+    wal.begin("again")
+    wal.observe_fetch((1, 0), IMAGE_B)
+    wal.observe_dirty((1, 0), (8, 2))
+    wal.commit(lambda key: IMAGE_A)
+    assert [r.type for r in wal.records[5:]] == [
+        WalRecordType.BEGIN, WalRecordType.REDO, WalRecordType.COMMIT]
+    # a span-less mark_dirty means the whole page
+    wal.begin("whole")
+    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.observe_dirty((1, 0), (8, 2))
+    wal.observe_dirty((1, 0))
+    wal.commit(lambda key: IMAGE_B)
+    assert wal.records[-2].spans == ((1, 0, 0, IMAGE_B),)
+    assert wal.log_bytes == len(wal.serialize()) - len(WAL_MAGIC)
 
 
 def test_dirty_without_fetch_is_an_error():
@@ -136,13 +158,20 @@ def test_abort_returns_undo_records_and_drops_tail():
     wal = WriteAheadLog()
     wal.begin("doomed")
     wal.observe_fetch((2, 1), IMAGE_A)
-    wal.observe_dirty((2, 1))
+    wal.observe_fetch((2, 2), IMAGE_B)   # fetched, never dirtied
+    wal.observe_dirty((2, 1), (0, 8))
     wal.observe_alloc(2, 7)
-    befores, allocs = wal.abort()
-    assert [(r.file_id, r.page_no) for r in befores] == [(2, 1)]
-    assert befores[0].image == IMAGE_A
-    assert [(r.file_id, r.page_no) for r in allocs] == [(2, 7)]
-    assert not wal.has_records
+    images, allocated = wal.abort()
+    assert images == {(2, 1): IMAGE_A}
+    assert allocated == [(2, 7)]
+    assert not wal.has_records and wal.log_bytes == 0
+    # the image went with the statement: the next one to dirty the page
+    # logs it again
+    wal.begin("next")
+    wal.observe_fetch((2, 1), IMAGE_A)
+    wal.observe_dirty((2, 1), (0, 8))
+    assert [r.type for r in wal.records] == [WalRecordType.BEGIN,
+                                            WalRecordType.PAGE_BEFORE]
 
 
 def test_observe_drop_file_forgets_mid_statement_state():
@@ -157,9 +186,10 @@ def test_observe_drop_file_forgets_mid_statement_state():
     assert [r.type for r in wal.records] == [
         WalRecordType.BEGIN,
         WalRecordType.PAGE_BEFORE,
-        WalRecordType.PAGE_AFTER,
+        WalRecordType.REDO,
         WalRecordType.COMMIT,
     ]
+    assert wal.records[2].spans == ((1, 0, 0, IMAGE_B),)
 
 
 def test_statements_groups_records_in_order():
@@ -169,12 +199,15 @@ def test_statements_groups_records_in_order():
     wal.commit(lambda key: IMAGE_A)
     wal.begin("second")
     wal.observe_fetch((1, 0), IMAGE_A)
-    wal.observe_dirty((1, 0))
+    wal.observe_dirty((1, 0))          # its ALLOC is its image
+    wal.observe_fetch((2, 0), IMAGE_B)
+    wal.observe_dirty((2, 0))
     wal.mark_crashed()
     stmts = wal.statements()
     assert [s.note for s in stmts] == ["first", "second"]
     assert stmts[0].committed and not stmts[1].committed
-    assert len(stmts[1].befores) == 1
+    assert (len(stmts[0].allocs), len(stmts[0].redo)) == (1, 1)
+    assert [(r.file_id, r.page_no) for r in stmts[1].befores] == [(2, 0)]
     assert wal.needs_recovery
 
 
@@ -195,6 +228,8 @@ def test_serialize_load_round_trip():
 def test_load_rejects_bad_magic_and_garbage():
     with pytest.raises(WalError, match="magic"):
         WriteAheadLog().load(b"NOTAWAL!")
+    with pytest.raises(WalError, match="FRWAL001"):
+        WriteAheadLog().load(b"FRWAL001")  # the page-image format
     with pytest.raises(WalError):
         WriteAheadLog().load(WAL_MAGIC + b"\x01\x02\x03")
 
@@ -208,3 +243,61 @@ def test_checkpoint_truncates_but_not_mid_statement():
     wal.commit(lambda key: IMAGE_A)
     wal.checkpoint()
     assert not wal.has_records
+
+
+# ---------------------------------------------------------------------------
+# redo-only replay
+# ---------------------------------------------------------------------------
+
+
+def test_replay_rebuilds_pages_from_images_and_committed_spans():
+    wal = WriteAheadLog()
+    wal.begin("one")
+    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.observe_dirty((1, 0), (10, 3))
+    wal.observe_alloc(1, 1)
+    wal.commit(lambda key: IMAGE_B)
+    wal.begin("two")
+    wal.observe_fetch((1, 0), IMAGE_B)
+    wal.observe_dirty((1, 0), (20, 2))
+    wal.commit(lambda key: IMAGE_A)
+    wal.begin("crashed")                  # never commits
+    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.observe_dirty((1, 0), (0, 4))
+    wal.observe_fetch((1, 2), IMAGE_B)
+    wal.observe_dirty((1, 2))
+    wal.mark_crashed()
+    pages, redone = wal.replay()
+    expected = bytearray(IMAGE_A)
+    expected[10:13] = IMAGE_B[10:13]
+    expected[20:22] = IMAGE_A[20:22]
+    assert pages == {(1, 0): expected, (1, 1): bytearray(IMAGE_B),
+                     (1, 2): bytearray(IMAGE_B)}
+    assert redone == {(1, 0), (1, 1)}     # (1, 2): the crashed one's image
+    # a dropped file's records are skipped
+    pages, redone = wal.replay(live=lambda file_id: file_id != 1)
+    assert pages == {} and redone == set()
+
+
+def test_replay_refuses_a_span_without_an_image():
+    wal = WriteAheadLog()
+    wal.begin("one")
+    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.observe_dirty((1, 0), (0, 4))
+    wal.commit(lambda key: IMAGE_B)
+    del wal.records[1]                    # lose the page's image
+    with pytest.raises(WalError, match="no image"):
+        wal.replay()
+
+
+def test_checkpoint_forgets_which_pages_have_images():
+    wal = WriteAheadLog()
+    for __ in range(2):
+        wal.begin("touch")
+        wal.observe_fetch((1, 0), IMAGE_A)
+        wal.observe_dirty((1, 0), (0, 4))
+        wal.commit(lambda key: IMAGE_B)
+        assert sum(r.type is WalRecordType.PAGE_BEFORE
+                   for r in wal.records) == 1
+        wal.checkpoint()
+        assert wal.log_bytes == 0

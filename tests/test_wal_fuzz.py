@@ -23,9 +23,10 @@ def _sample_records() -> list[WalRecord]:
     return [
         WalRecord(WalRecordType.BEGIN, 1, note="insert Emp1"),
         WalRecord(WalRecordType.ALLOC, 1, file_id=3, page_no=7),
-        WalRecord(WalRecordType.PAGE_AFTER, 1, file_id=3, page_no=7,
-                  image=bytes(PAGE_SIZE)),
+        WalRecord.redo(1, ((3, 7, 0, bytes(PAGE_SIZE)), (3, 2, 40, b"k" * 20))),
         WalRecord(WalRecordType.COMMIT, 1),
+        WalRecord(WalRecordType.PAGE_BEFORE, 1, file_id=3, page_no=2,
+                  image=bytes(range(256)) * (PAGE_SIZE // 256)),
     ]
 
 
@@ -43,7 +44,27 @@ def test_round_trip_all_record_types():
         seen.append(record)
     assert [r.type for r in seen] == [r.type for r in _sample_records()]
     assert seen[0].note == "insert Emp1"
-    assert seen[2].image == bytes(PAGE_SIZE)
+    assert seen[2].spans[0] == (3, 7, 0, bytes(PAGE_SIZE))
+    assert seen == _sample_records()
+
+
+#: one redo span: file, page, and bytes that lie inside the page
+_SPANS = st.integers(min_value=1, max_value=PAGE_SIZE).flatmap(
+    lambda length: st.tuples(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=PAGE_SIZE - length),
+        st.binary(min_size=length, max_size=length)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.lists(_SPANS, min_size=1, max_size=6))
+def test_redo_records_round_trip(stmt_id, spans):
+    record = WalRecord.redo(stmt_id, spans)
+    assert record.spans == tuple(spans)
+    blob = record.encode()
+    assert WalRecord.decode(blob) == (record, len(blob))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +82,7 @@ def test_decode_garbage_never_crashes(data, offset):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=3),
+@given(st.integers(min_value=0, max_value=4),
        st.integers(min_value=0, max_value=4200),
        st.integers(min_value=0, max_value=255))
 def test_single_byte_corruption_is_rejected_or_reframed(which, pos, value):
@@ -81,7 +102,7 @@ def test_single_byte_corruption_is_rejected_or_reframed(which, pos, value):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=3), st.data())
+@given(st.integers(min_value=0, max_value=4), st.data())
 def test_truncated_tail_is_rejected(which, data):
     blob = _sample_records()[which].encode()
     cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
@@ -136,7 +157,7 @@ def test_begin_note_invalid_utf8_rejected():
 
 
 def test_short_page_image_rejected():
-    body = struct.pack(">BQ", int(WalRecordType.PAGE_AFTER), 1)
+    body = struct.pack(">BQ", int(WalRecordType.PAGE_BEFORE), 1)
     body += struct.pack(">II", 3, 7) + b"short"
     with pytest.raises(WalError):
         WalRecord.decode(_frame(body))
@@ -146,3 +167,41 @@ def test_commit_trailing_bytes_rejected():
     body = struct.pack(">BQ", int(WalRecordType.COMMIT), 1) + b"junk"
     with pytest.raises(WalError):
         WalRecord.decode(_frame(body))
+
+
+def _redo(count: int, *spans: tuple, tail: bytes = b"") -> bytes:
+    """A REDO body claiming ``count`` spans, each ``(offset, length,
+    bytes)`` on page (3, 7), then ``tail``."""
+    body = struct.pack(">BQI", int(WalRecordType.REDO), 1, count)
+    for offset, length, data in spans:
+        body += struct.pack(">IIHH", 3, 7, offset, length) + data
+    return _frame(body + tail)
+
+
+def test_redo_well_formed_body_accepted():
+    record, __ = WalRecord.decode(_redo(2, (0, 3, b"abc"), (4093, 3, b"xyz")))
+    assert record.spans == ((3, 7, 0, b"abc"), (3, 7, 4093, b"xyz"))
+
+
+@pytest.mark.parametrize("blob", [
+    _redo(1, (PAGE_SIZE - 2, 3, b"abc")),          # runs past the page
+    _redo(1, (PAGE_SIZE, 1, b"a")),                # starts past the page
+    _redo(1, (0, 0, b"")),                         # empty span
+    _redo(2, (0, 3, b"abc")),                      # count claims one more
+    _redo(1, (0, 3, b"abc"), tail=b"\x00"),        # trailing byte
+    _redo(1, (0, 3, b"abc"), (5, 1, b"z")),        # count claims one fewer
+    _redo(1, (0, 5, b"abc")),                      # span truncated
+    _redo(0),                                      # no span at all
+    _redo(2**32 - 1, (0, 3, b"abc")),              # absurd count
+    _frame(struct.pack(">BQ", int(WalRecordType.REDO), 1) + b"\x00\x01"),
+], ids=["past-page", "offset-past-page", "empty", "count-high", "trailing",
+        "count-low", "truncated", "none", "absurd-count", "short-count"])
+def test_malformed_redo_body_rejected(blob):
+    with pytest.raises(WalError):
+        WalRecord.decode(blob)
+
+
+def test_redo_refuses_a_span_outside_the_page():
+    for spans in (((1, 2, PAGE_SIZE - 1, b"ab"),), ((1, 2, 0, b""),), ()):
+        with pytest.raises(WalError):
+            WalRecord.redo(1, spans)

@@ -7,14 +7,15 @@ and an encode to change *k* bytes.  It is now one
 ``ObjectStore.overwrite_fields`` call over the sorted closure, which
 overwrites the hidden field's bytes where they lie under one pin per page.
 The loop is kept in this file as the reference
-(:func:`_per_object_rewrite`): two identically built databases, one of
+(:func:`_per_object_rewrite`, and :func:`_per_member_rewrite` for a
+collapsed path's members): two identically built databases, one of
 them running the loop, are driven with the same statements, and must end
 with every page of every file byte-identical, equal path-index contents,
-a byte-identical write-ahead log, nothing pinned -- and, statement by
-statement, the same physical reads and writes, on a pool of 4 frames as
-on one of 64: the new path touches the pages the loop touched, in the
-loop's order, less the immediate repeats, so the pool evicts the same
-frames.
+write-ahead logs that replay to byte-identical pages, nothing pinned --
+and, statement by statement, the same physical reads and writes, on a
+pool of 4 frames as on one of 64: the new path touches the pages the
+loop touched, in the loop's order, less the immediate repeats, so the
+pool evicts the same frames.
 
 Page bytes and counters only, never wall-clock.
 """
@@ -65,11 +66,20 @@ def _per_object_rewrite(self, path, link, oid, changes, owner=None):
         fanout=fanout)
 
 
+def _per_member_rewrite(self, source_set, members, changes):
+    """``CollapsedPaths._rewrite_members`` as it was: the general rewrite
+    of one member at a time."""
+    for member in members:
+        self._apply(source_set, member, changes)
+
+
 def _database(frames: int, wal: bool, reference: bool) -> Database:
     db = Database(buffer_frames=frames, wal=wal)
     if reference:
         db.replication._rewrite_hidden_over_closure = types.MethodType(
             _per_object_rewrite, db.replication)
+        db.replication.collapsed._rewrite_members = types.MethodType(
+            _per_member_rewrite, db.replication.collapsed)
     return db
 
 
@@ -171,6 +181,13 @@ def _separate(db):
     return _company(db, after=[("Emp.dept.org.name", {"strategy": "separate"})])
 
 
+def _collapsed(db):
+    """A collapsed 2-level path (Section 4.3.3): one tagged link reaches
+    every referencer of an org, and moving a dept re-tags its members."""
+    return _company(db, pad=30, emps=240, clustered=True,
+                    after=[("Emp.dept.org.name", {"collapsed": True})])
+
+
 def _lazy(db):
     return _company(db, after=[("Emp.dept.name", {"lazy": True})])
 
@@ -256,6 +273,7 @@ CASES = {
     "two-level": (_two_level, TWO_LEVEL_SCRIPT),
     "two-level-stubs": (_two_level_stubs, TWO_LEVEL_SCRIPT),
     "separate": (_separate, TWO_LEVEL_SCRIPT),
+    "collapsed": (_collapsed, TWO_LEVEL_SCRIPT),
     "lazy": (_lazy, [("name", 0, "alpha"), ("name", 5, "beta"),
                      ("refresh",), ("name", 0, "gamma"), ("move", 10, 4),
                      ("cold",), ("name", 4, "delta"), ("refresh",)]),
@@ -292,7 +310,7 @@ def _drive(case: str, frames: int, wal: bool, reference: bool, script):
              for page_no in range(disk.num_pages(fid))}
     indexes = {name: list(info.index.items())
                for name, info in db.catalog.indexes.items()}
-    log = db.recovery.wal.serialize() if wal else b""
+    log = db.recovery.wal.replay()[0] if wal else {}
     db.verify()
     assert db.storage.pool.pinned_keys() == []
     return SimpleNamespace(db=db, ctx=ctx, per_statement=per_statement,
