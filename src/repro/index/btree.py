@@ -471,6 +471,7 @@ class BPlusTree:
 
     def _write_node(self, node: _Node) -> None:
         with self.pool.page(self.file_id, node.page_no) as page:
+            self.pool.writable(self.file_id, node.page_no)
             raw = page.data
             _NODE_HEADER.pack_into(raw, 0, int(node.is_leaf), len(node.keys), node.link)
             pos = NODE_HEADER_BYTES
@@ -487,6 +488,7 @@ class BPlusTree:
 
     def _write_meta(self) -> None:
         with self.pool.page(self.file_id, 0) as page:
+            self.pool.writable(self.file_id, 0)
             _META.pack_into(page.data, 0, self.root_page, self.key_width, self.height)
             self.pool.mark_dirty(self.file_id, 0)
 

@@ -581,16 +581,18 @@ def _join_from_metered(db: Database, oid: OID, chain, field_name: str,
 def _materialize(db: Database, rows: list[tuple]) -> None:
     """Write the result into a fresh output file T, then drop it.
 
-    Generating T is charged exactly like the model's C_generate/T term;
-    the file itself is temporary.  T is rendered once and appended a page
-    at a time.
+    Generating T is charged exactly like the model's C_generate/T term:
+    T is rendered once, appended a page at a time, and written back --
+    T's pages alone.  The file itself is temporary.  Pages an earlier
+    update left dirty stay dirty: eviction or a checkpoint writes them,
+    not this read.
     """
     name = f"__output{next(_output_ids)}"
     heap = db.storage.create_file(name)
     heap.insert_many([
         "\x1f".join([_render(v) for v in row]).encode("utf-8") or b"\x00"
         for row in rows])
-    db.storage.pool.flush_all()
+    db.storage.pool.flush_file(heap.file_id)
     db.storage.drop_file(name)
 
 

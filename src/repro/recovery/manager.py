@@ -7,10 +7,10 @@ fault-injected disk into a usable contract:
   link / index maintenance it cascades into) in one WAL statement scope.
   A logical error (refused delete, bad field, dangling reference) rolls
   the statement back *live*: the pages it dirtied go back to the images
-  the statement's fetches captured, allocations are truncated, and the
-  session keeps going.  A :class:`DiskFault` instead leaves the
-  incomplete tail in the log and flags the database as crashed -- only
-  :meth:`recover` (the "restart") makes it usable again.
+  the statement took as it declared them writable, allocations are
+  truncated, and the session keeps going.  A :class:`DiskFault` instead
+  leaves the incomplete tail in the log and flags the database as
+  crashed -- only :meth:`recover` (the "restart") makes it usable again.
 * :meth:`recover` discards the buffer pool (a crash loses memory) and is
   redo-only: every page the log names is rebuilt from its first image
   since the checkpoint (or a fresh page for an ``ALLOC``) plus the spans
@@ -162,7 +162,7 @@ class RecoveryManager:
 
     def _rollback_live(self) -> None:
         """Undo the active statement in a running (non-crashed) engine:
-        its dirtied pages go back to their fetch snapshots, its
+        its dirtied pages go back to their write-intent snapshots, its
         allocations are truncated."""
         images, allocated = self.wal.abort()
         disk = self.db.storage.disk

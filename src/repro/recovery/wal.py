@@ -8,9 +8,12 @@ makes each DML statement -- *including every propagation it triggers* --
 an atomic unit, and it logs what the statement changed, not the pages it
 changed it on:
 
-* when a statement first touches a page, the pre-statement image is
-  captured (at fetch time, before the client can mutate the frame) and
-  held in memory for live rollback;
+* when a statement first intends to write a page, the pre-statement
+  image is captured (``pool.writable``, before the writer mutates the
+  frame) and held in memory for live rollback; a page the statement only
+  reads is never copied, and dirtying a page with no such image is a
+  :class:`WalError`, so a write site that forgot to declare its intent
+  fails loudly instead of rolling back wrongly;
 * the first time a page is dirtied after a checkpoint, that image is
   also logged, as a ``PAGE_BEFORE`` record: the base recovery rebuilds
   the page from (so a torn page always heals);
@@ -303,8 +306,8 @@ class _Scope:
         self.stmt_id = 0
         self.note = note
         self.records: list[WalRecord] = []
-        #: pre-statement image of every page the statement fetched: what
-        #: a live rollback restores
+        #: pre-statement image of every page the statement declared
+        #: writable: what a live rollback restores
         self.snapshots: dict[_PageKey, bytes] = {}
         #: every page the statement dirtied, in dirtying order, with the
         #: ``(offset, length)`` ranges its write sites reported -- or None
@@ -485,7 +488,7 @@ class WriteAheadLog:
         """Roll the active statement out of the log (live rollback).
 
         Returns ``(images, allocated)``: the pre-statement image of every
-        page the statement dirtied (from its fetch snapshots) and the
+        page the statement dirtied (from its write-intent snapshots) and the
         pages it allocated, so the caller can restore the one and
         truncate the other; the statement's records are dropped from the
         tail, and the pages it imaged first will be imaged again by the
@@ -548,9 +551,10 @@ class WriteAheadLog:
 
     # -- buffer-pool hooks ---------------------------------------------------
 
-    def observe_fetch(self, key: _PageKey, data) -> None:
-        """Capture the pre-statement image of a page on first contact."""
-        scope = getattr(self._local, "scope", None)  # every pin: inlined
+    def writable(self, key: _PageKey, data) -> None:
+        """A page is about to be written: capture its pre-statement image,
+        unless the statement already holds one or allocated the page."""
+        scope = getattr(self._local, "scope", None)
         if scope is None:
             return
         if key in scope.snapshots or key in scope.allocated:
@@ -558,7 +562,7 @@ class WriteAheadLog:
         scope.snapshots[key] = bytes(data)
 
     def observe_dirty(self, key: _PageKey, span=None) -> None:
-        """A fetched page was mutated inside ``span`` (``(offset,
+        """A writable page was mutated inside ``span`` (``(offset,
         length)``; None: anywhere).  The first time since the checkpoint
         that a page is dirtied, its snapshot is logged as its image."""
         scope = getattr(self._local, "scope", None)
@@ -576,7 +580,8 @@ class WriteAheadLog:
         image = scope.snapshots.get(key)
         if image is None:
             raise WalError(
-                f"page {key} dirtied without a prior fetch in this statement")
+                f"page {key} dirtied without a prior writable() in this "
+                f"statement")
         if key not in self._imaged:
             with self._log_mutex:
                 self._append_locked(

@@ -5,15 +5,23 @@ The pool caches :class:`~repro.storage.page.Page` images keyed by
 context manager, which pins the frame for the duration of the block::
 
     with pool.page(fid, pno) as page:
+        pool.writable(fid, pno)
         page.insert(record)
         pool.mark_dirty(fid, pno)
 
-Unpinned frames are evicted in least-recently-used order; dirty frames are
-written back on eviction and on :meth:`flush_all`.  A hit costs nothing
+Unpinned frames are evicted in least-recently-used order.  A dirty frame
+is written back when it is evicted, when its file is flushed
+(:meth:`flush_file`: a query writes back its result file and nothing else)
+or by :meth:`flush_all` (checkpoint, snapshot save, doctor, cold cache);
+a read never pays for the pages an update left dirty.  A hit costs nothing
 physical; a miss costs one physical read (plus, possibly, one physical write
 to evict a dirty victim) -- exactly the accounting the paper's analytical
 model abstracts.  The bookkeeping around a miss costs a constant amount of
 work, whatever the pool's size.
+
+Under a WAL statement a writer calls :meth:`writable` before it first
+changes a pinned page, and the log takes the page's pre-statement image
+then; a pin, hit or miss, does not touch the log.
 
 Design:
 
@@ -24,8 +32,9 @@ Design:
 * the eviction victim is the first unpinned frame from the cold end of the
   list, so a pinned frame is never evicted;
 * dirty frames are also listed in a small **dirty index**, so
-  :meth:`flush_all` costs what is dirty, not what is resident; a key leaves
-  the index only after its write-back succeeded.  Each touch also stamps
+  :meth:`flush_all` costs what is dirty, not what is resident (and
+  :meth:`flush_file` what the file holds); a key leaves the index only
+  after its write-back succeeded.  Each touch also stamps
   the frame from a monotonic counter, for one purpose: sorting the few
   dirty frames coldest first when they are flushed.
 
@@ -63,7 +72,7 @@ class _Frame:
         self.pin_count = pin_count
         #: loaded by read-ahead and not yet demanded (prefetch-hit tracking)
         self.prefetched = False
-        #: monotonic recency stamp (smaller = colder); orders flush_all
+        #: monotonic recency stamp (smaller = colder); orders a flush
         self.stamp = 0
 
 
@@ -99,8 +108,9 @@ class BufferPool:
         self.disk = disk
         self.capacity = capacity
         #: optional :class:`repro.recovery.wal.WriteAheadLog`; when attached
-        #: the pool reports fetches/dirties/allocations to it and forces the
-        #: log before any dirty page reaches the disk (WAL-before-data).
+        #: the pool reports write intents, dirties and allocations to it
+        #: and forces the log before any dirty page reaches the disk
+        #: (WAL-before-data).
         self.wal = None
         #: wait-event collector; page transfers between the pool and the
         #: disk are timed as ``buffer_io`` (the database wires this up)
@@ -163,11 +173,6 @@ class BufferPool:
             self._m_prefetch_hits.inc()
         self._frames.move_to_end(key)
         frame.stamp = next(self._clock)
-        if self.wal is not None:
-            # snapshot on first contact: clients mutate the frame in place
-            # before (or without) calling mark_dirty, so the pre-statement
-            # image must be captured here.
-            self.wal.observe_fetch(key, frame.page.data)
         frame.pin_count += 1
         return frame.page
 
@@ -185,8 +190,6 @@ class BufferPool:
             self.stats.count_prefetch()
             self._m_prefetch_issued.inc()
         else:
-            if self.wal is not None:
-                self.wal.observe_fetch(key, data)
             self._m_misses.inc()
         self._g_resident.set(len(self._frames))
         return frame.page
@@ -253,22 +256,37 @@ class BufferPool:
         """Context manager that pins a page for the duration of the block."""
         return _PinnedPage(self, file_id, page_no)
 
+    def writable(self, file_id: int, page_no: int) -> None:
+        """The caller is about to change the pinned page: under a WAL
+        statement its pre-statement image is taken now, once per page and
+        statement (what live rollback restores and the page's first log
+        image).  Call it before the first mutation; a pin alone costs the
+        WAL nothing."""
+        key = (file_id, page_no)
+        frame = self._frames.get(key)
+        if frame is None:
+            raise BufferPoolError(f"page ({file_id},{page_no}) is not resident")
+        if self.wal is not None:
+            self.wal.writable(key, frame.page.data)
+
     def mark_dirty(self, file_id: int, page_no: int, span=None) -> None:
         """Record that the cached image differs from the disk image.
 
         ``span`` is ``(offset, length)``, the bytes the caller changed,
         when it changed nothing else (slot directory included); None
-        means the whole page.  The WAL logs what it is told here.
+        means the whole page.  The WAL logs what it is told here, and
+        refuses a page the statement changed without :meth:`writable`.
         """
         key = (file_id, page_no)
         frame = self._frames.get(key)
         if frame is None:
             raise BufferPoolError(f"page ({file_id},{page_no}) is not resident")
+        if self.wal is not None:
+            # first: a page the WAL refuses must not reach the disk
+            self.wal.observe_dirty(key, span)
         if not frame.dirty:
             frame.dirty = True
             self._dirty[key] = frame
-        if self.wal is not None:
-            self.wal.observe_dirty(key, span)
 
     # -- allocation ---------------------------------------------------------
 
@@ -309,8 +327,19 @@ class BufferPool:
     def flush_all(self) -> None:
         """Write back every dirty frame (frames stay resident), coldest
         first -- the order a walk over all frames in LRU order gave."""
-        for key, frame in sorted(self._dirty.items(),
-                                 key=lambda kv: kv[1].stamp):
+        self._flush(self._dirty.items())
+
+    def flush_file(self, file_id: int) -> None:
+        """Write back the dirty frames of one file, coldest first; other
+        files' dirty frames stay dirty.  Like :meth:`drop_file_pages`, the
+        cost follows the file, not the pool."""
+        dirty = self._dirty
+        keys = ((file_id, page_no)
+                for page_no in range(self.disk.num_pages(file_id)))
+        self._flush([(key, dirty[key]) for key in keys if key in dirty])
+
+    def _flush(self, items) -> None:
+        for key, frame in sorted(items, key=lambda kv: kv[1].stamp):
             self._write_back(key, frame)
 
     def drop_file_pages(self, file_id: int) -> None:

@@ -120,6 +120,7 @@ class HeapFile:
                     page_no = self._find_page_with_room(len(record))
                     page = pool.fetch(file_id, page_no)
                     is_top = page_no == max(self._free_space)
+                    pool.writable(file_id, page_no)
                     pool.mark_dirty(file_id, page_no)
                 rids.append((page_no, page.insert(record)))
         finally:
@@ -174,6 +175,7 @@ class HeapFile:
         page_no, slot = rid
         with self.pool.page(self.file_id, page_no) as page:
             raw = page.read(slot)
+            self.pool.writable(self.file_id, page_no)
             page.delete(slot)
             self.pool.mark_dirty(self.file_id, page_no)
             self._free_space[page_no] = page.total_free()
@@ -297,6 +299,7 @@ class HeapFile:
         record = bytes([marker]) + body
         page_no = self._find_page_with_room(len(record), avoid=avoid)
         with self.pool.page(self.file_id, page_no) as page:
+            self.pool.writable(self.file_id, page_no)
             slot = page.insert(record)
             self.pool.mark_dirty(self.file_id, page_no)
             self._free_space[page_no] = page.total_free()
@@ -314,6 +317,7 @@ class HeapFile:
         target = self._place(_MOVED, body, avoid=home[0])
         hpage, hslot = home
         with self.pool.page(self.file_id, hpage) as page:
+            self.pool.writable(self.file_id, hpage)
             page.update(hslot, bytes([_FORWARD]) + _rid_pack(target))
             self.pool.mark_dirty(self.file_id, hpage)
             self._free_space[hpage] = page.total_free()
@@ -324,6 +328,7 @@ class HeapFile:
         A record of the same length is overwritten where it lies, so only
         its bytes changed; any other length changes the slot directory."""
         offset, length = page.span(rid[1])
+        self.pool.writable(self.file_id, rid[0])
         try:
             page.update(rid[1], record)
         except PageFullError:
@@ -352,6 +357,7 @@ class HeapFile:
     def _delete_slot(self, rid: RID) -> None:
         page_no, slot = rid
         with self.pool.page(self.file_id, page_no) as page:
+            self.pool.writable(self.file_id, page_no)
             page.delete(slot)
             self.pool.mark_dirty(self.file_id, page_no)
             self._free_space[page_no] = page.total_free()
@@ -399,9 +405,11 @@ class _InPlace:
     slice assignment cannot change a length, so no byte outside the
     record is reachable and the slot directory, the record's length and
     the page's space accounting stay as they are.  The page is written by
-    the ordinary ``pool.fetch`` -> mutate -> ``pool.mark_dirty`` sequence
-    (the WAL's before-image is its fetch-time snapshot), and each
-    :meth:`wrote` reports the payload it handed out as the span changed.
+    the ordinary ``pool.fetch`` -> ``pool.writable`` -> mutate ->
+    ``pool.mark_dirty`` sequence (the view is handed out only after the
+    page was declared writable, which is when the WAL takes its
+    before-image), and each :meth:`wrote` reports the payload it handed
+    out as the span changed.
 
     One page is pinned at a time.  It stays pinned across consecutive
     records that lie on it, so record ids taken in page order cost one
@@ -442,6 +450,7 @@ class _InPlace:
                 raise RecordNotFoundError(f"dangling forward stub at {rid}")
         if page.data[offset + 1] != _PLAIN:
             return None
+        self._heap.pool.writable(self._heap.file_id, self._page_no)
         self._span = (offset + 2, length - 2)
         return memoryview(page.data)[offset + 2:offset + length]
 

@@ -167,11 +167,6 @@ class IOStatistics:
         with self._mutex:
             self.logical_reads += 1
 
-    def count_buffer_hit(self) -> None:
-        """Record one fetch served without touching the disk."""
-        with self._mutex:
-            self.buffer_hits += 1
-
     def count_hit_pin(self) -> None:
         """A page request served from the pool: the logical read and the
         hit in one mutex acquisition (the pool's hot path)."""

@@ -111,6 +111,12 @@ class _StampScanModel:
             if frame[DIRTY]:
                 self._write_back(frame)
 
+    def flush_file(self, fid):
+        for frame in sorted(frame for key, frame in self.frames.items()
+                            if key[0] == fid):
+            if frame[DIRTY]:
+                self._write_back(frame)
+
     def discard(self, keys):
         for key in keys:
             self.frames.pop(key, None)
@@ -175,7 +181,8 @@ class _Driver:
         rng, pool, model = self.rng, self.pool, self.model
         op = rng.choice(["fetch", "fetch", "fetch", "unpin", "unpin", "unpin",
                          "fetch_many", "new_page", "mark_dirty", "prefetch",
-                         "flush_all", "discard_pages", "drop_file_pages",
+                         "flush_all", "flush_file", "discard_pages",
+                         "drop_file_pages",
                          "arm_write_fault"])
         if op == "fetch":
             key = self._key()
@@ -213,6 +220,10 @@ class _Driver:
             assert len(set(loaded)) <= 1
         elif op == "flush_all":
             self.both(pool.flush_all, model.flush_all)
+        elif op == "flush_file":
+            fid = rng.choice(self.files)
+            self.both(lambda: pool.flush_file(fid),
+                      lambda: model.flush_file(fid))
         elif op == "discard_pages":
             unpinned = sorted(pool.resident_keys() - set(self.pins))
             keys = rng.sample(unpinned, min(len(unpinned), rng.randint(0, 3)))

@@ -35,8 +35,8 @@ from tests.test_observer_neutrality import _SCRIPT, _build
 from tests.test_replication_stream import SETUP_DDL
 
 #: every pool entry point that pins, loads, dirties, writes or drops a page
-_PAGE_ACCESS = ("fetch", "new_page", "mark_dirty", "flush_all",
-                "discard_pages", "prefetch")
+_PAGE_ACCESS = ("fetch", "new_page", "writable", "mark_dirty", "flush_all",
+                "flush_file", "discard_pages", "prefetch")
 
 
 class _Owners:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro import Database, TypeDefinition, char_field, int_field, ref_field
-from repro.errors import DiskFault
+from repro.errors import DiskFault, WalError
 from repro.objects.instance import ReplicaEntry
 from repro.snapshot import SnapshotError, load_database, save_database
+from repro.storage.buffer import BufferPool
 
 
 def make_db(**kwargs) -> Database:
@@ -122,6 +123,34 @@ def test_logical_failure_mid_propagation_rolls_every_page_back():
     db.update("Dept", depts[0], {"name": "renamed"})
     assert {db.get("Emp", oid).values[hidden] for oid in closure} \
         == {"renamed"}
+    db.verify()
+
+
+def test_a_write_site_that_skips_writable_fails_instead_of_rolling_back_wrong(
+        monkeypatch):
+    """The propagation's in-place writer, made to forget ``writable``,
+    changes an Emp page the statement holds no image of: its first
+    ``mark_dirty`` raises, the pages that do have images roll back, and
+    the page with none is never marked dirty, so nothing reaches the
+    disk -- a loud failure, not a rollback that silently keeps a change."""
+    db, depts, closure, hidden = loaded_then_replicated(8)
+    before = all_pages(db)
+    emp_file = closure[0].file_id
+    writable = BufferPool.writable
+
+    def forgetful(pool, file_id, page_no):
+        if file_id != emp_file:
+            writable(pool, file_id, page_no)
+
+    monkeypatch.setattr(BufferPool, "writable", forgetful)
+    with pytest.raises(WalError, match="without a prior writable"):
+        db.update("Dept", depts[0], {"name": "renamed"})
+    monkeypatch.undo()
+    assert db.storage.pool.pinned_keys() == []
+    assert not db.recovery.wal.has_records
+    assert all(key[0] != emp_file for key in db.storage.pool._dirty)
+    db.storage.pool.discard_all()  # drop the one frame changed in memory
+    assert all_pages(db) == before
     db.verify()
 
 

@@ -163,3 +163,27 @@ def test_drop_file_pages_discards_frames(disk):
     pool.unpin(fid, pno)
     pool.drop_file_pages(fid)
     assert (fid, pno) not in pool.resident_keys()
+
+
+def test_flush_file_writes_back_that_file_only(disk):
+    pool = BufferPool(disk, capacity=8)
+    ours, theirs = disk.create_file(), disk.create_file()
+    for fid in (ours, theirs, ours):
+        pno, page = pool.new_page(fid)
+        page.insert(b"x")
+        pool.unpin(fid, pno)
+    pool.flush_file(ours)
+    assert disk.stats.file_writes == {ours: 2}
+    assert {(theirs, 0)} == {key for key in pool._dirty}
+    pool.flush_file(ours)  # now clean: nothing new
+    assert disk.stats.physical_writes == 2
+
+
+def test_writable_needs_a_resident_page(disk):
+    pool = BufferPool(disk, capacity=2)
+    fid = disk.create_file()
+    with pytest.raises(BufferPoolError):
+        pool.writable(fid, 0)
+    pno = pool.new_page(fid)[0]
+    pool.writable(fid, pno)  # no WAL attached: nothing to capture
+    pool.unpin(fid, pno)

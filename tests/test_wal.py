@@ -99,7 +99,7 @@ def test_commit_without_begin_raises():
 def test_read_only_statement_leaves_no_trace():
     wal = WriteAheadLog()
     wal.begin("retrieve")
-    wal.observe_fetch((1, 0), IMAGE_A)  # fetched but never dirtied
+    wal.writable((1, 0), IMAGE_A)  # declared writable but never dirtied
     wal.commit(lambda key: IMAGE_A)
     assert not wal.has_records
 
@@ -109,7 +109,7 @@ def test_write_statement_logs_before_after_commit():
     logs one REDO record with every span, then COMMIT."""
     wal = WriteAheadLog()
     wal.begin("update")
-    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.writable((1, 0), IMAGE_A)
     wal.observe_dirty((1, 0), (100, 20))
     wal.observe_dirty((1, 0), (110, 30))   # overlaps: merged with the first
     wal.observe_dirty((1, 0), (300, 4))
@@ -132,14 +132,14 @@ def test_write_statement_logs_before_after_commit():
     )
     # a later statement dirtying the same page logs its span, no image
     wal.begin("again")
-    wal.observe_fetch((1, 0), IMAGE_B)
+    wal.writable((1, 0), IMAGE_B)
     wal.observe_dirty((1, 0), (8, 2))
     wal.commit(lambda key: IMAGE_A)
     assert [r.type for r in wal.records[5:]] == [
         WalRecordType.BEGIN, WalRecordType.REDO, WalRecordType.COMMIT]
     # a span-less mark_dirty means the whole page
     wal.begin("whole")
-    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.writable((1, 0), IMAGE_A)
     wal.observe_dirty((1, 0), (8, 2))
     wal.observe_dirty((1, 0))
     wal.commit(lambda key: IMAGE_B)
@@ -150,15 +150,15 @@ def test_write_statement_logs_before_after_commit():
 def test_dirty_without_fetch_is_an_error():
     wal = WriteAheadLog()
     wal.begin("x")
-    with pytest.raises(WalError, match="without a prior fetch"):
+    with pytest.raises(WalError, match="without a prior writable"):
         wal.observe_dirty((9, 9))
 
 
 def test_abort_returns_undo_records_and_drops_tail():
     wal = WriteAheadLog()
     wal.begin("doomed")
-    wal.observe_fetch((2, 1), IMAGE_A)
-    wal.observe_fetch((2, 2), IMAGE_B)   # fetched, never dirtied
+    wal.writable((2, 1), IMAGE_A)
+    wal.writable((2, 2), IMAGE_B)   # declared writable, never dirtied
     wal.observe_dirty((2, 1), (0, 8))
     wal.observe_alloc(2, 7)
     images, allocated = wal.abort()
@@ -168,7 +168,7 @@ def test_abort_returns_undo_records_and_drops_tail():
     # the image went with the statement: the next one to dirty the page
     # logs it again
     wal.begin("next")
-    wal.observe_fetch((2, 1), IMAGE_A)
+    wal.writable((2, 1), IMAGE_A)
     wal.observe_dirty((2, 1), (0, 8))
     assert [r.type for r in wal.records] == [WalRecordType.BEGIN,
                                             WalRecordType.PAGE_BEFORE]
@@ -178,7 +178,7 @@ def test_observe_drop_file_forgets_mid_statement_state():
     wal = WriteAheadLog()
     wal.begin("analyze")
     wal.observe_alloc(42, 0)          # temp file page
-    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.writable((1, 0), IMAGE_A)
     wal.observe_dirty((1, 0))
     wal.observe_drop_file(42)
     wal.commit(lambda key: IMAGE_B)
@@ -198,9 +198,9 @@ def test_statements_groups_records_in_order():
     wal.observe_alloc(1, 0)
     wal.commit(lambda key: IMAGE_A)
     wal.begin("second")
-    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.writable((1, 0), IMAGE_A)
     wal.observe_dirty((1, 0))          # its ALLOC is its image
-    wal.observe_fetch((2, 0), IMAGE_B)
+    wal.writable((2, 0), IMAGE_B)
     wal.observe_dirty((2, 0))
     wal.mark_crashed()
     stmts = wal.statements()
@@ -214,7 +214,7 @@ def test_statements_groups_records_in_order():
 def test_serialize_load_round_trip():
     wal = WriteAheadLog()
     wal.begin("persisted")
-    wal.observe_fetch((3, 2), IMAGE_A)
+    wal.writable((3, 2), IMAGE_A)
     wal.observe_dirty((3, 2))
     wal.commit(lambda key: IMAGE_B)
     blob = wal.serialize()
@@ -253,18 +253,18 @@ def test_checkpoint_truncates_but_not_mid_statement():
 def test_replay_rebuilds_pages_from_images_and_committed_spans():
     wal = WriteAheadLog()
     wal.begin("one")
-    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.writable((1, 0), IMAGE_A)
     wal.observe_dirty((1, 0), (10, 3))
     wal.observe_alloc(1, 1)
     wal.commit(lambda key: IMAGE_B)
     wal.begin("two")
-    wal.observe_fetch((1, 0), IMAGE_B)
+    wal.writable((1, 0), IMAGE_B)
     wal.observe_dirty((1, 0), (20, 2))
     wal.commit(lambda key: IMAGE_A)
     wal.begin("crashed")                  # never commits
-    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.writable((1, 0), IMAGE_A)
     wal.observe_dirty((1, 0), (0, 4))
-    wal.observe_fetch((1, 2), IMAGE_B)
+    wal.writable((1, 2), IMAGE_B)
     wal.observe_dirty((1, 2))
     wal.mark_crashed()
     pages, redone = wal.replay()
@@ -282,7 +282,7 @@ def test_replay_rebuilds_pages_from_images_and_committed_spans():
 def test_replay_refuses_a_span_without_an_image():
     wal = WriteAheadLog()
     wal.begin("one")
-    wal.observe_fetch((1, 0), IMAGE_A)
+    wal.writable((1, 0), IMAGE_A)
     wal.observe_dirty((1, 0), (0, 4))
     wal.commit(lambda key: IMAGE_B)
     del wal.records[1]                    # lose the page's image
@@ -294,7 +294,7 @@ def test_checkpoint_forgets_which_pages_have_images():
     wal = WriteAheadLog()
     for __ in range(2):
         wal.begin("touch")
-        wal.observe_fetch((1, 0), IMAGE_A)
+        wal.writable((1, 0), IMAGE_A)
         wal.observe_dirty((1, 0), (0, 4))
         wal.commit(lambda key: IMAGE_B)
         assert sum(r.type is WalRecordType.PAGE_BEFORE

@@ -1,18 +1,23 @@
 """The redo log records exactly what a statement changed.
 
-Each write site reports the bytes it changed as a span, or the whole
-page; the statement's one REDO record carries those spans' after-bytes.
-That is only safe if the spans *cover* every change: the oracle here
-wraps :meth:`WriteAheadLog.commit` and, for every page the statement
-fetched, patches the fetch-time snapshot with the statement's spans and
-requires the frame byte for byte -- over every parity case of
+Each write site declares its intent with ``pool.writable`` before it
+first changes a page -- that is when the statement's before-image is
+taken -- and reports the bytes it changed as a span, or the whole page;
+the statement's one REDO record carries those spans' after-bytes.  That
+is only safe if the images are pre-statement and the spans *cover* every
+change: the oracle here wraps :meth:`WriteAheadLog.commit` and requires,
+for every page the statement dirtied, a write-intent snapshot equal to
+the page as the statement first pinned it, and, for every page it pinned
+at all, that pre-statement page patched with the statement's spans to
+equal the frame byte for byte -- over every parity case of
 ``test_write_path.py`` at 4, 8 and 64 frames, and over inserts, deletes,
 relocations, B+-tree splits and DDL.
 
-Also here: a page first imaged by a statement that rolls back is imaged
-again by the next one (so a torn write of it still heals), a snapshot
-whose WAL tail is in the old format is refused by name, and a served
-primary keeps its log bounded by checkpointing.
+Also here: a read takes no snapshot and a write site that skips
+``writable`` is refused, a page first imaged by a statement that rolls
+back is imaged again by the next one (so a torn write of it still heals),
+a snapshot whose WAL tail is in the old format is refused by name, and a
+served primary keeps its log bounded by checkpointing.
 """
 
 from types import SimpleNamespace
@@ -20,9 +25,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro import Database, TypeDefinition, char_field, int_field, ref_field
-from repro.errors import DiskFault
+from repro.errors import DiskFault, WalError
 from repro.recovery.wal import WalRecordType, WriteAheadLog
 from repro.snapshot import SnapshotError, load_database, save_database
+from repro.storage.buffer import BufferPool
 from tests.test_write_path import CASES, FRAMES, _apply, _company, _database
 
 # ---------------------------------------------------------------------------
@@ -32,17 +38,36 @@ from tests.test_write_path import CASES, FRAMES, _apply, _company, _database
 
 @pytest.fixture()
 def spans_checked(monkeypatch):
-    """Check every commit's spans against its pages; yields the list of
-    statements checked (``(pages fetched, spans logged)`` each)."""
-    commit = WriteAheadLog.commit
+    """Check every commit's images and spans against its pages; yields the
+    list of statements checked (``(snapshots taken, spans logged)``
+    each)."""
+    begin, commit = WriteAheadLog.begin, WriteAheadLog.commit
+    fetch = BufferPool.fetch
+    pinned = {}  # page -> its image at the statement's first pin of it
     checked = []
+
+    def clearing_begin(self, note=""):
+        pinned.clear()
+        return begin(self, note)
+
+    def recording_fetch(pool, file_id, page_no):
+        page = fetch(pool, file_id, page_no)
+        if pool.wal is not None and pool.wal._scope() is not None:
+            pinned.setdefault((file_id, page_no), bytes(page.data))
+        return page
 
     def checking_commit(self, read_image):
         scope = self._scope()
         snapshots = dict(scope.snapshots) if scope is not None else {}
+        dirtied = ([key for key in scope.spans if key not in scope.allocated]
+                   if scope is not None else [])
         first = len(self.records)
         lsn = commit(self, read_image)
-        patched = {key: bytearray(image) for key, image in snapshots.items()}
+        for key in dirtied:
+            assert key in snapshots, f"page {key} dirtied with no image"
+            assert snapshots[key] == pinned[key], (
+                f"page {key}'s image is not its pre-statement image")
+        patched = {key: bytearray(image) for key, image in pinned.items()}
         spans = [span for record in self.records[first:]
                  if record.type is WalRecordType.REDO
                  for span in record.spans]
@@ -56,6 +81,8 @@ def spans_checked(monkeypatch):
         checked.append((len(snapshots), len(spans)))
         return lsn
 
+    monkeypatch.setattr(BufferPool, "fetch", recording_fetch)
+    monkeypatch.setattr(WriteAheadLog, "begin", clearing_begin)
     monkeypatch.setattr(WriteAheadLog, "commit", checking_commit)
     return checked
 
@@ -125,6 +152,52 @@ def test_a_propagation_logs_spans_not_pages():
     assert len(redo.spans) >= 120 + 1   # the referencers and the org
     assert all(len(data) < 200 for __, __, __, data in redo.spans)
     assert [r.type for r in records].count(WalRecordType.COMMIT) == 1
+
+
+def test_a_propagation_images_the_pages_it_writes_not_those_it_pins(
+        spans_checked):
+    """The update reads index nodes, link objects and the closure's
+    pages; only the pages it changes are copied."""
+    db = _database(64, wal=True, reference=False)
+    ctx = CASES["two-level"][0](db)
+    wal = db.recovery.wal
+    spans_checked.clear()
+    first = len(wal.records)
+    _apply(db, ctx, ("org", 0, "acme"))
+    (redo,) = [r for r in wal.records[first:]
+               if r.type is WalRecordType.REDO]
+    dirtied = {(file_id, page_no) for file_id, page_no, __, __ in redo.spans}
+    assert spans_checked[-1][0] == len(dirtied)
+
+
+# ---------------------------------------------------------------------------
+# write intent: a read copies nothing, a forgotten writable() is refused
+# ---------------------------------------------------------------------------
+
+
+def test_a_retrieve_in_a_wal_scope_takes_no_snapshot(monkeypatch):
+    db = _database(8, wal=True, reference=False)
+    CASES["two-level"][0](db)
+    db.storage.cold_cache()  # every pin of the read below is a miss
+    taken = []
+    commit = WriteAheadLog.commit
+    monkeypatch.setattr(WriteAheadLog, "commit", lambda self, read_image: (
+        taken.append(dict(self._scope().snapshots)),
+        commit(self, read_image))[1])
+    result = db.execute("retrieve (Emp.name, Emp.dept.name)")
+    assert len(result) > 0 and result.io.physical_reads > 0
+    assert taken == [{}]  # its result file T is allocated: no image
+
+
+def test_mark_dirty_without_writable_is_refused():
+    db = _database(8, wal=True, reference=False)
+    ctx = CASES["two-level"][0](db)
+    pool, oid = db.storage.pool, ctx.emps[0]
+    with pytest.raises(WalError, match="without a prior writable"):
+        with db.recovery.statement("forgetful"):
+            with pool.page(oid.file_id, oid.page_no):
+                pool.mark_dirty(oid.file_id, oid.page_no)
+    assert pool.pinned_keys() == [] and not db.recovery.wal.in_statement
 
 
 # ---------------------------------------------------------------------------
