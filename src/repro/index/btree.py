@@ -24,6 +24,12 @@ Duplicate logical keys are supported by suffixing the key with the value's
 OID (*composite keys*) at the :class:`~repro.index.secondary.SecondaryIndex`
 level; the raw tree requires unique byte-string keys.
 
+Reads (:meth:`BPlusTree.search`, :meth:`BPlusTree.range_scan`) work on the
+pinned page itself: a descent bisects the node's key slices, about
+log2(n) of them per node, and a leaf slices out only the entries the read
+returns.  :class:`_Node`, a node decoded whole, is the write path's image
+of a page: insertion, deletion and rebalancing edit it and write it back.
+
 Deletion rebalances: underfull nodes borrow from a sibling or merge with
 one, and the root collapses as the tree shrinks, so delete-heavy workloads
 keep nodes at least half full.  (Merged-away pages are not recycled; a
@@ -50,8 +56,37 @@ NODE_HEADER_BYTES = _NODE_HEADER.size
 VALUE_BYTES = 8  # packed OID
 
 
+def _bisect_left(raw, key: bytes, lo: int, hi: int, entry: int,
+                 width: int) -> int:
+    """The first entry index in ``[lo, hi)`` of the node image ``raw``
+    whose key is ``>= key`` (``hi`` if none): :func:`bisect.bisect_left`
+    over the page's key slices."""
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        pos = NODE_HEADER_BYTES + mid * entry
+        if raw[pos:pos + width] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _bisect_right(raw, key: bytes, lo: int, hi: int, entry: int,
+                  width: int) -> int:
+    """The first entry index in ``[lo, hi)`` whose key is ``> key``."""
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        pos = NODE_HEADER_BYTES + mid * entry
+        if key < raw[pos:pos + width]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class _Node:
-    """A decoded node image backed by the raw page bytes."""
+    """A node decoded whole from its page: the write path's image, which
+    insertion, deletion and rebalancing edit and write back."""
 
     __slots__ = ("page_no", "is_leaf", "link", "keys", "payloads")
 
@@ -215,10 +250,15 @@ class BPlusTree:
     def search(self, key: bytes) -> OID | None:
         """Exact lookup; returns the stored OID or None."""
         self._check_key(key)
-        node = self._descend_to_leaf(key)
-        idx = bisect.bisect_left(node.keys, key)
-        if idx < len(node.keys) and node.keys[idx] == key:
-            return OID.unpack(node.payloads[idx])
+        width, entry = self.key_width, self._leaf_entry
+        page_no = self._leaf_for(key)
+        with self.pool.page(self.file_id, page_no) as page:
+            raw = page.data
+            n_keys = self._leaf_header(raw, page_no)[0]
+            idx = _bisect_left(raw, key, 0, n_keys, entry, width)
+            pos = NODE_HEADER_BYTES + idx * entry
+            if idx < n_keys and raw[pos:pos + width] == key:
+                return OID.unpack(raw, pos + width)
         return None
 
     def delete(self, key: bytes) -> bool:
@@ -339,26 +379,35 @@ class BPlusTree:
 
         ``lo``/``hi`` may be shorter than the key width, acting as prefixes
         (``lo`` is right-padded with 0x00, ``hi`` with 0xFF when inclusive).
+
+        Each leaf is pinned once: the entries in range are sliced out under
+        the pin and yielded after it is released, so a scan abandoned
+        part-way holds no pin.  The next leaf is pinned only when the
+        caller asks past the last entry of this one.
         """
-        lo_full = (lo or b"").ljust(self.key_width, b"\x00")
-        node = self._descend_to_leaf(lo_full)
-        idx = bisect.bisect_left(node.keys, lo_full)
+        width, entry = self.key_width, self._leaf_entry
+        lo_full = (lo or b"").ljust(width, b"\x00")
+        bound = None if hi is None else \
+            hi.ljust(width, b"\xff" if include_hi else b"\x00")
+        # first entry past the bound: > an inclusive one, >= an exclusive one
+        past = _bisect_right if include_hi else _bisect_left
+        page_no = self._leaf_for(lo_full)
+        start_key = lo_full  # only the first leaf holds keys below lo
         while True:
-            while idx < len(node.keys):
-                key = node.keys[idx]
-                if hi is not None:
-                    bound = hi.ljust(self.key_width, b"\xff" if include_hi else b"\x00")
-                    if include_hi:
-                        if key > bound:
-                            return
-                    elif key >= bound:
-                        return
-                yield key, OID.unpack(node.payloads[idx])
-                idx += 1
-            if node.link == _NO_LINK:
+            with self.pool.page(self.file_id, page_no) as page:
+                raw = page.data
+                n_keys, link = self._leaf_header(raw, page_no)
+                start = 0 if start_key is None else \
+                    _bisect_left(raw, start_key, 0, n_keys, entry, width)
+                stop = n_keys if bound is None else \
+                    past(raw, bound, start, n_keys, entry, width)
+                hits = [(bytes(raw[pos:pos + width]), OID.unpack(raw, pos + width))
+                        for pos in range(NODE_HEADER_BYTES + start * entry,
+                                         NODE_HEADER_BYTES + stop * entry, entry)]
+            yield from hits
+            if stop < n_keys or link == _NO_LINK:
                 return
-            node = self._read_node(node.link)
-            idx = 0
+            page_no, start_key = link, None
 
     def items(self) -> Iterator[tuple[bytes, OID]]:
         """All entries in key order."""
@@ -441,13 +490,28 @@ class BPlusTree:
     # node / page I/O
     # ------------------------------------------------------------------
 
-    def _descend_to_leaf(self, key: bytes) -> _Node:
-        node = self._read_node(self.root_page)
-        while not node.is_leaf:
-            idx = bisect.bisect_right(node.keys, key)
-            child = node.link if idx == 0 else _CHILD.unpack(node.payloads[idx - 1])[0]
-            node = self._read_node(child)
-        return node
+    def _leaf_for(self, key: bytes) -> int:
+        """The page number of the leaf whose key range holds ``key``.  Each
+        internal node on the way down is pinned once and bisected where it
+        lies; the leaf is left for the caller to pin."""
+        page_no = self.root_page
+        width, entry = self.key_width, self._internal_entry
+        for __ in range(self.height - 1):
+            with self.pool.page(self.file_id, page_no) as page:
+                raw = page.data
+                __, n_keys, link = _NODE_HEADER.unpack_from(raw, 0)
+                idx = _bisect_right(raw, key, 0, n_keys, entry, width)
+                page_no = link if idx == 0 else _CHILD.unpack_from(
+                    raw, NODE_HEADER_BYTES + (idx - 1) * entry + width)[0]
+        return page_no
+
+    def _leaf_header(self, raw, page_no: int) -> tuple[int, int]:
+        """``(n_keys, link)`` of the pinned leaf image ``raw``."""
+        is_leaf, n_keys, link = _NODE_HEADER.unpack_from(raw, 0)
+        if not is_leaf:
+            raise StorageError(
+                f"index page {page_no} is not a leaf at tree height {self.height}")
+        return n_keys, link
 
     def _allocate_node(self) -> int:
         page_no, __ = self.pool.new_page(self.file_id)

@@ -16,6 +16,11 @@ Access path: an index scan when the (single) where-clause compares an
 indexed field of the queried set; a file scan otherwise.  An equality
 predicate may also be served by an index on a *replicated path* (Section
 3.3.4), mapping terminal values straight to source objects.
+
+A bound is applied once: a clause the index scan applies exactly -- an
+``int`` equality or bound on an ``INT`` index, matching the scan -- leaves
+the residual filter, which keeps every other clause (char, float and path
+indexes, ``!=``, a weaker bound).
 """
 
 from __future__ import annotations
@@ -188,8 +193,9 @@ def _plan_access(db: Database, set_name: str, where: Where | None):
     """Pick index scan vs file scan; returns (access, residual_filter).
 
     All indexable clauses on the *same* field combine into one bounded
-    range scan (``x >= a and x <= b``); the full predicate is kept as a
-    residual filter for safety.
+    range scan (``x >= a and x <= b``).  A clause leaves the residual
+    filter exactly when the scan applies it exactly (see
+    :func:`_applied_exactly`); the filter is None when nothing is left.
 
     ``cost_based_planning`` is embedded-only: its estimate counts the
     set's members with a full scan through the buffer pool, and a served
@@ -232,7 +238,9 @@ def _plan_access(db: Database, set_name: str, where: Where | None):
                 obj_set = db.catalog.get_set(set_name)
                 if not choose_access(scan, obj_set.num_pages(), obj_set.count()):
                     continue  # a full scan is expected to be cheaper
-            return scan, where
+            residual = tuple(c for c in where.clauses
+                             if not _applied_exactly(scan, c))
+            return scan, Where(residual) if residual else None
     # no usable index: scan and filter, but path-valued filters need either
     # replicated data or a per-object join (handled by the executor); a
     # totally unreplicated path filter is rejected to match the model.
@@ -247,19 +255,52 @@ def _plan_access(db: Database, set_name: str, where: Where | None):
 
 
 def _build_index_scan(info, clauses) -> IndexScan | None:
+    """The tightest scan the clauses allow: the equality if there is one,
+    else the highest lower and the lowest upper bound.  Of two bounds on
+    the same value the strict one wins, so the scan implies both."""
     eq = lo = hi = None
     lo_strict = hi_strict = False
     for clause in clauses:
+        strict = clause.op in (">", "<")
         if clause.op == "=":
             eq = clause.value
         elif clause.op in (">", ">="):
-            if lo is None or clause.value > lo:
-                lo, lo_strict = clause.value, clause.op == ">"
+            if lo is None or clause.value > lo \
+                    or (clause.value == lo and strict):
+                lo, lo_strict = clause.value, strict
         elif clause.op in ("<", "<="):
-            if hi is None or clause.value < hi:
-                hi, hi_strict = clause.value, clause.op == "<"
+            if hi is None or clause.value < hi \
+                    or (clause.value == hi and strict):
+                hi, hi_strict = clause.value, strict
     if eq is not None:
         return IndexScan(info, eq=eq)
     if lo is None and hi is None:
         return None
     return IndexScan(info, lo=lo, lo_strict=lo_strict, hi=hi, hi_strict=hi_strict)
+
+
+def _applied_exactly(scan: IndexScan, clause) -> bool:
+    """Whether ``scan`` returns exactly the rows ``clause`` admits, so the
+    residual filter need not test it again.
+
+    That takes a non-chained clause on the field of an ``INT`` index --
+    whose key codec is order-preserving and one-to-one over the 32-bit
+    range -- with an ``int`` value (not a ``bool``) that is the scan's
+    ``eq``, or its ``lo``/``hi`` with a strictness the scan's implies.
+    Every other clause stays in the filter: char keys (``hi`` is a prefix
+    bound), float keys, path indexes, ``!=`` and a weaker bound.
+    """
+    info = scan.index
+    value = clause.value
+    # a path index's clauses are chained: they never pass the first test
+    if (clause.ref.chain or clause.ref.field != info.field_name
+            or info.index.field.kind is not FieldKind.INT
+            or type(value) is not int):
+        return False
+    if scan.eq is not None:
+        return clause.op == "=" and value == scan.eq
+    if clause.op in (">", ">="):
+        return value == scan.lo and (scan.lo_strict or clause.op == ">=")
+    if clause.op in ("<", "<="):
+        return value == scan.hi and (scan.hi_strict or clause.op == "<=")
+    return False

@@ -33,6 +33,7 @@ update propagation -- and hands the record ids over in page order.
 from __future__ import annotations
 
 import struct
+from itertools import groupby
 from typing import Callable, Iterator
 
 from repro.errors import PageFullError, RecordNotFoundError
@@ -89,8 +90,12 @@ class HeapFile:
         them, holding one pin (and one ``mark_dirty``) per page filled
         instead of two pins per record.
 
-        A chunked payload pins pages of its own, so the append lets go of
-        its page around it.
+        While the page it holds is the file's top page, a run of records
+        goes onto it in one :meth:`Page.append`.  A record the append
+        refuses -- the page has a free slot, or room only after compaction
+        -- and every record bound for a lower page take the per-record
+        path, :meth:`Page.insert`.  A chunked payload pins pages of its
+        own, so the append lets go of its page around it.
         """
         pool, file_id = self.pool, self.file_id
         rids: list[RID] = []
@@ -104,25 +109,38 @@ class HeapFile:
                 pool.unpin(file_id, page_no)
                 page = None
 
+        head = bytes((_NORMAL, _PLAIN))
         try:
-            for payload in payloads:
-                if len(payload) > _INLINE_LIMIT:
-                    release()
-                    rids.append(self.insert(payload))
+            for chunked, run in groupby(
+                    payloads, key=lambda payload: len(payload) > _INLINE_LIMIT):
+                if chunked:
+                    for payload in run:
+                        release()
+                        rids.append(self.insert(payload))
                     continue
-                record = bytes((_NORMAL, _PLAIN)) + payload
-                # insert() offers every record to the top page first and
-                # only then looks further; so may this append, as long as
-                # the page it pins still is the top one and has room
-                if page is None or not is_top \
-                        or not page.has_room_for(len(record)):
-                    release()
-                    page_no = self._find_page_with_room(len(record))
-                    page = pool.fetch(file_id, page_no)
-                    is_top = page_no == max(self._free_space)
-                    pool.writable(file_id, page_no)
-                    pool.mark_dirty(file_id, page_no)
-                rids.append((page_no, page.insert(record)))
+                records = [head + payload for payload in run]
+                index = 0
+                while index < len(records):
+                    record = records[index]
+                    # insert() offers every record to the top page first
+                    # and only then looks further; so may this append, as
+                    # long as the page it pins still is the top one and
+                    # has room
+                    if page is None or not is_top \
+                            or not page.has_room_for(len(record)):
+                        release()
+                        page_no = self._find_page_with_room(len(record))
+                        page = pool.fetch(file_id, page_no)
+                        is_top = page_no == max(self._free_space)
+                        pool.writable(file_id, page_no)
+                        pool.mark_dirty(file_id, page_no)
+                    slots = page.append(records, index) if is_top else None
+                    if slots:
+                        rids.extend((page_no, slot) for slot in slots)
+                        index += len(slots)
+                    else:
+                        rids.append((page_no, page.insert(record)))
+                        index += 1
         finally:
             release()
         return rids

@@ -15,7 +15,10 @@ across deletions.
 
 Deletions leave holes in the data region; :meth:`Page.insert` compacts the
 page transparently when the contiguous free region is too small but the
-total free space suffices.
+total free space suffices.  :meth:`Page.append` stores a run of records
+the way a loop of :meth:`Page.insert` would while that loop would only
+append -- no free slot to reuse, no compaction -- at one header write for
+the run.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ _SLOT = struct.Struct(">HH")
 
 
 class Page:
-    """An in-memory image of one slotted disk page."""
+    """An in-memory image of one slotted disk page.
+
+    Records go in one at a time through :meth:`insert`, which reuses a
+    free slot and compacts as needed, or as a run through :meth:`append`,
+    which places them where those inserts would while no slot is free and
+    no compaction is needed.
+    """
 
     __slots__ = ("data", "_live_bytes", "_free_slots")
 
@@ -159,6 +168,42 @@ class Page:
         self._write_slot(slot, offset, length)
         self._live_bytes += length
         return slot
+
+    def append(self, records, start: int = 0) -> range:
+        """Store ``records[start:]`` one after another in the contiguous
+        free region, each under the next new slot, and stop at the first
+        record that does not fit there; returns the slots given, in order.
+
+        The records, slots and bytes are those a loop of :meth:`insert`
+        would produce: on a page with no free slot to reuse, ``insert``
+        places a record that fits the contiguous region exactly here.  A
+        page with a free slot takes nothing (``insert`` would reuse the
+        slot), and neither does a record that only fits after compaction.
+        """
+        self._ensure_space_cache()
+        num_slots, offset = _HEADER.unpack_from(self.data, 0)
+        if self._free_slots:
+            return range(num_slots, num_slots)
+        data = self.data
+        first = offset
+        # where the next record's slot entry goes; a record fits while its
+        # bytes end at or before that entry
+        entry_pos = PAGE_SIZE - (num_slots + 1) * SLOT_ENTRY_BYTES
+        index = start
+        while index < len(records):
+            record = records[index]
+            end = offset + len(record)
+            if end > entry_pos:
+                break
+            data[offset:end] = record
+            _SLOT.pack_into(data, entry_pos, offset, end - offset)
+            offset = end
+            entry_pos -= SLOT_ENTRY_BYTES
+            index += 1
+        appended = index - start
+        self._set_header(num_slots + appended, offset)
+        self._live_bytes += offset - first
+        return range(num_slots, num_slots + appended)
 
     def span(self, slot: int) -> tuple[int, int]:
         """``(offset, length)`` of the record stored in ``slot``: where in

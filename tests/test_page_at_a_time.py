@@ -27,9 +27,11 @@ from repro.objects.types import (
     int_field,
     ref_field,
 )
+from repro.storage.constants import PAGE_HEADER_BYTES, PAGE_SIZE, SLOT_ENTRY_BYTES
 from repro.storage.heapfile import _INLINE_LIMIT
 from repro.storage.manager import StorageManager
 from repro.storage.oid import OID
+from repro.storage.page import Page
 
 # ---------------------------------------------------------------------------
 # read_many
@@ -199,6 +201,43 @@ def _holed_file(storage):
     return heap
 
 
+#: a record's bytes on a page: marker and wrapper, payload, slot entry
+_RECORD_OVERHEAD = 2 + SLOT_ENTRY_BYTES
+#: the data and slot-directory bytes of an empty page
+_PAGE_ROOM = PAGE_SIZE - PAGE_HEADER_BYTES
+
+
+def _free_slot_file(storage):
+    """One page with room at its end and an interior slot free: a loop of
+    insert reuses the slot first, so the append must fall back."""
+    heap = storage.create_file("t")
+    rids = [heap.insert(bytes([i]) * 100) for i in range(10)]
+    heap.delete(rids[4])
+    with storage.pool.page(heap.file_id, 0) as page:
+        assert page._find_free_slot() == 4 and page.contiguous_free() > 2000
+    return heap
+
+
+def _room_below_top_file(storage):
+    """Two full pages of 250-byte payloads, then the last five records of
+    page 0 deleted: page 0 has room (and no free slot), the top page has
+    less than one such record's."""
+    heap = storage.create_file("t")
+    rids = [heap.insert(bytes([i]) * 250) for i in range(30)]
+    assert {page_no for page_no, __ in rids} == {0, 1}
+    for rid in rids[10:15]:
+        heap.delete(rid)
+    assert heap._free_space[1] < 250 + _RECORD_OVERHEAD < heap._free_space[0]
+    return heap
+
+
+STARTS = {
+    "fresh": lambda storage: storage.create_file("t"),
+    "holed": _holed_file,
+    "free-slot": _free_slot_file,
+    "room-below-top": _room_below_top_file,
+}
+
 PAYLOAD_SETS = {
     "none": [],
     "one": [b"solo"],
@@ -208,18 +247,33 @@ PAYLOAD_SETS = {
                 + [b"b" * 100] * 40 + [b"M" * (_INLINE_LIMIT + 1)]),
     "mixed-sizes": [bytes([i % 251]) * (1 + (i * 37) % 900)
                     for i in range(120)],
+    # on an empty page the fourth record ends at the slot directory's
+    # last entry: the page is full to its last byte
+    "last-byte": ([b"a" * 1000] * 3
+                  + [b"z" * (_PAGE_ROOM - 3 * (1000 + _RECORD_OVERHEAD)
+                             - _RECORD_OVERHEAD)]
+                  + [b"b" * 10] * 3),
+    "one-byte-over": ([b"a" * 1000] * 3
+                      + [b"z" * (_PAGE_ROOM - 3 * (1000 + _RECORD_OVERHEAD)
+                                 - _RECORD_OVERHEAD + 1)]
+                      + [b"b" * 10] * 3),
+    # the chunked payload arrives part-way through a page's run; its
+    # descriptor lands below the top page, and the run after it too
+    "chunked-mid-run": ([bytes([i]) * 300 for i in range(5)]
+                        + [b"C" * (_INLINE_LIMIT + 1)]
+                        + [bytes([i]) * 300 for i in range(30)]),
 }
 
 
 @pytest.mark.parametrize("frames", [2, 64])
-@pytest.mark.parametrize("holed", [False, True], ids=["fresh", "holed"])
+@pytest.mark.parametrize("start", list(STARTS))
 @pytest.mark.parametrize("name", list(PAYLOAD_SETS))
-def test_insert_many_equals_a_loop_of_insert(name, holed, frames):
+def test_insert_many_equals_a_loop_of_insert(name, start, frames):
     payloads = PAYLOAD_SETS[name]
     results = []
     for bulk in (True, False):
         storage = StorageManager(buffer_frames=frames)
-        heap = _holed_file(storage) if holed else storage.create_file("t")
+        heap = STARTS[start](storage)
         before = storage.stats.snapshot()
         rids = heap.insert_many(payloads) if bulk \
             else [heap.insert(payload) for payload in payloads]
@@ -243,6 +297,38 @@ def test_insert_many_pins_each_page_once():
     # record
     assert pins == 2 * heap.num_pages()
     assert heap.num_pages() == 3
+
+
+@pytest.mark.parametrize("name", ["last-byte", "one-byte-over",
+                                  "page-straddling", "empty-record"])
+def test_page_append_is_a_loop_of_page_insert(name):
+    records = [bytes((0, 0)) + payload for payload in PAYLOAD_SETS[name]]
+    appended, looped = Page(), Page()
+    slots = appended.append(records)
+    inserted = []
+    for record in records:
+        if not looped.has_room_for(len(record)):
+            break
+        inserted.append(looped.insert(record))
+    assert list(slots) == inserted
+    assert appended.data == looped.data
+    assert appended.total_free() == looped.total_free()
+    assert not appended.append(records, len(slots))
+    if name == "last-byte":
+        assert len(slots) == 4 and appended.contiguous_free() == 0
+    if name == "one-byte-over":
+        assert len(slots) == 3
+
+
+def test_page_append_takes_nothing_where_insert_reuses_a_slot():
+    page = Page()
+    for i in range(4):
+        page.insert(bytes([i]) * 10)
+    page.delete(1)
+    image = bytes(page.data)
+    assert page.append([b"new"]) == range(4, 4)
+    assert bytes(page.data) == image
+    assert page.insert(b"new") == 1
 
 
 # ---------------------------------------------------------------------------
