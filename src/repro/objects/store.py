@@ -10,7 +10,12 @@ whole object back (decode, change, encode: the general path, which may
 grow and relocate the record), and :meth:`ObjectStore.overwrite_fields`
 sets fixed-width fields of many objects by overwriting their bytes where
 they lie, one pin per page -- what an update propagation does to the *f*
-referencers of a changed object.
+referencers of a changed object.  :meth:`ObjectStore.update_many` is the
+general path for many objects at a pin per page (``replicate`` widening a
+loaded set).
+
+A :class:`ReadMemo` is an OID -> object map for one read-only sweep
+(``verify``, the doctor): each object it is asked for is decoded once.
 """
 
 from __future__ import annotations
@@ -48,6 +53,13 @@ class ObjectStore:
         rid = heap.insert(encode_object(self.registry, obj))
         return OID(heap.file_id, rid[0], rid[1])
 
+    def insert_many(self, heap: HeapFile, objs) -> list[OID]:
+        """Store new objects where a loop of :meth:`insert` would put them
+        (:meth:`HeapFile.insert_many`); returns their OIDs in order."""
+        rids = heap.insert_many([encode_object(self.registry, obj)
+                                 for obj in objs])
+        return [OID(heap.file_id, page_no, slot) for page_no, slot in rids]
+
     def read(self, oid: OID, page: Page | None = None,
              fields=None) -> StoredObject:
         """Dereference an OID.
@@ -74,6 +86,26 @@ class ObjectStore:
             heap.update((oid.page_no, oid.slot), encode_object(self.registry, obj))
         except RecordNotFoundError:
             raise DanglingReferenceError(f"dangling reference {oid}") from None
+
+    def update_many(self, heap: HeapFile, oids, change) -> None:
+        """Rewrite the objects of ``oids`` (in ``heap``, distinct) with
+        ``change(oid, obj)``, which edits the decoded object in place:
+        each object decoded from its pinned page and encoded once, and
+        placed where a loop of :meth:`update` would place it (see
+        :meth:`HeapFile.update_many`; ``oids`` in page order pin each page
+        once)."""
+        registry, file_id = self.registry, heap.file_id
+
+        def rewrite(rid, payload: bytes) -> bytes:
+            obj = decode_object(registry, payload)
+            change(OID(file_id, rid[0], rid[1]), obj)
+            return encode_object(registry, obj)
+
+        try:
+            heap.update_many(((oid.page_no, oid.slot) for oid in oids), rewrite)
+        except RecordNotFoundError:
+            raise DanglingReferenceError("dangling reference in a bulk "
+                                         "rewrite") from None
 
     def overwrite_fields(self, heap: HeapFile, type_def: TypeDefinition,
                          oids, changes: dict[str, object], general,
@@ -228,9 +260,66 @@ class ObjectStore:
         field, if any, is the caller's business.  Returns None as soon as a
         null reference is met.
         """
-        current: StoredObject | None = obj
-        for ref_name in path:
-            if current is None:
-                return None
-            current = self.follow(current, ref_name)
-        return current
+        return _traverse(self.read, obj, path)
+
+
+class ReadMemo:
+    """An OID -> object map for one read-only sweep over a store (a
+    ``verify``, a doctor pass): :meth:`read` decodes each object once,
+    however many referencers reach it, and :meth:`exists` asks the store
+    once per OID.
+
+    The objects it hands out are shared, so a caller must not change
+    them, and must :meth:`drop` the memo before it writes anything; from
+    then on every call goes to the store.
+    """
+
+    def __init__(self, store: ObjectStore) -> None:
+        self.store = store
+        self._objects: dict[OID, StoredObject] | None = {}
+        self._exists: dict[OID, bool] = {}
+
+    def read(self, oid: OID) -> StoredObject:
+        """:meth:`ObjectStore.read`, once per OID."""
+        if self._objects is None:
+            return self.store.read(oid)
+        obj = self._objects.get(oid)
+        if obj is None:
+            obj = self._objects[oid] = self.store.read(oid)
+        return obj
+
+    def exists(self, oid: OID) -> bool:
+        """:meth:`ObjectStore.exists`, once per OID."""
+        if self._objects is None:
+            return self.store.exists(oid)
+        if oid in self._objects:
+            return True
+        known = self._exists.get(oid)
+        if known is None:
+            known = self._exists[oid] = self.store.exists(oid)
+        return known
+
+    def current(self, oid: OID, obj: StoredObject) -> StoredObject:
+        """The object at ``oid``, given ``obj`` as this sweep read it
+        there: ``obj`` itself until the memo is dropped (nothing written
+        since), a fresh read after."""
+        return obj if self._objects is not None else self.store.read(oid)
+
+    def traverse(self, obj: StoredObject, path: list[str]) -> StoredObject | None:
+        """:meth:`ObjectStore.traverse` through :meth:`read`."""
+        return _traverse(self.read, obj, path)
+
+    def drop(self) -> None:
+        """Forget every object; later calls go to the store."""
+        self._objects = None
+        self._exists = {}
+
+
+def _traverse(read, obj: StoredObject, path) -> StoredObject | None:
+    current: StoredObject | None = obj
+    for ref_name in path:
+        if current is None:
+            return None
+        oid = current.ref(ref_name)
+        current = None if oid is None else read(oid)
+    return current

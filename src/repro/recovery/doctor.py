@@ -21,6 +21,12 @@ Structural damage (a heap page that no longer decodes, a dangling
 forward reference, a link file diverging from the forward references) is
 reported but never guessed at -- rebuilding those needs information the
 corruption destroyed.
+
+One pass reads each object it reaches once: the structure check, the
+path checks and the closing ``verify`` share one OID -> object map
+(:class:`~repro.objects.store.ReadMemo`), however many referencers lead to
+an object.  A repairing pass drops the map before its path checks, the
+first step that writes.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import IntegrityError, ReproError
+from repro.objects.store import ReadMemo
 from repro.objects.types import FieldKind
 from repro.replication.spec import Strategy
 
@@ -94,18 +101,21 @@ def run_doctor(db, repair: bool = False) -> DoctorReport:
         report.findings.append(Finding(
             "lazy-refresh", "refresh_all", f"lazy drain failed: {exc}"))
 
-    _check_structure(db, report)
+    reads = ReadMemo(db.store)
+    _check_structure(db, report, reads)
+    if repair:
+        reads.drop()  # the path checks write what they repair
     with db.recovery.statement("doctor repair" if repair else "doctor"):
         for path in db.catalog.paths.values():
             report.paths_checked += 1
             if path.strategy is Strategy.IN_PLACE:
-                _check_inplace_path(db, path, report, repair, repaired)
+                _check_inplace_path(db, path, report, repair, repaired, reads)
             else:
-                _check_separate_path(db, path, report, repair, repaired)
+                _check_separate_path(db, path, report, repair, repaired, reads)
 
     # residual divergence doctor cannot rebuild (link structure etc.)
     try:
-        manager.verify()
+        manager.verify(reads)
     except IntegrityError as exc:
         report.findings.append(Finding("integrity", "verify", str(exc)))
     except ReproError as exc:
@@ -154,7 +164,7 @@ def diff_databases(left, right, left_name: str = "left",
 # ---------------------------------------------------------------------------
 
 
-def _check_structure(db, report: DoctorReport) -> None:
+def _check_structure(db, report: DoctorReport, reads: ReadMemo) -> None:
     """Heap decodability, dangling references, unknown bookkeeping ids."""
     sets = list(db.catalog.sets.values()) + list(
         db.replication.replica_sets.values())
@@ -173,7 +183,7 @@ def _check_structure(db, report: DoctorReport) -> None:
                 if fdef.kind is not FieldKind.REF or fdef.hidden:
                     continue
                 target = obj.values.get(fdef.name)
-                if target is not None and not db.store.exists(target):
+                if target is not None and not reads.exists(target):
                     report.findings.append(Finding(
                         "dangling-ref", f"{obj_set.name}.{fdef.name} @ {oid}",
                         f"references missing object {target}"))
@@ -194,12 +204,12 @@ def _check_structure(db, report: DoctorReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_inplace_path(db, path, report, repair, repaired) -> None:
+def _check_inplace_path(db, path, report, repair, repaired, reads) -> None:
     manager = db.replication
     src = db.catalog.get_set(path.source_set)
     for oid, obj in list(src.scan()):
         try:
-            expected = manager._hidden_values_for(path, obj)
+            expected = manager._hidden_values_for(path, obj, reads)
         except ReproError as exc:
             report.findings.append(Finding(
                 "forward-path", f"{path.text} @ {oid}",
@@ -228,7 +238,7 @@ def _check_inplace_path(db, path, report, repair, repaired) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_separate_path(db, path, report, repair, repaired) -> None:
+def _check_separate_path(db, path, report, repair, repaired, reads) -> None:
     manager = db.replication
     src = db.catalog.get_set(path.source_set)
     replica_set = manager.replica_sets[path.path_id]
@@ -236,12 +246,12 @@ def _check_separate_path(db, path, report, repair, repaired) -> None:
     source_rows = list(src.scan())
     for oid, obj in source_rows:
         participant, terminal_oid = manager._separate_terminal_edge(
-            path, oid, obj)
+            path, oid, obj, reads)
         if terminal_oid is not None:
             expected_refs.setdefault(terminal_oid, set()).add(participant)
     live_replicas = set()
     for terminal_oid, participants in expected_refs.items():
-        terminal = db.store.read(terminal_oid)
+        terminal = reads.read(terminal_oid)
         entry = terminal.replica_entry_for(path.path_id)
         if entry is None or not replica_set.contains(entry.replica_oid):
             finding = Finding(
@@ -254,7 +264,7 @@ def _check_separate_path(db, path, report, repair, repaired) -> None:
                 repaired(finding)
             continue
         live_replicas.add(entry.replica_oid)
-        replica = replica_set.read(entry.replica_oid)
+        replica = reads.read(entry.replica_oid)
         stale = {
             fname: terminal.values[fname]
             for fname in path.replicated_field_names
@@ -287,12 +297,13 @@ def _check_separate_path(db, path, report, repair, repaired) -> None:
                 repaired(finding)
     # hidden replica references on source objects
     for oid, obj in source_rows:
-        __, terminal_oid = manager._separate_terminal_edge(path, oid, obj)
+        __, terminal_oid = manager._separate_terminal_edge(path, oid, obj,
+                                                           reads)
         want = None
         if terminal_oid is not None:
-            entry = db.store.read(terminal_oid).replica_entry_for(path.path_id)
+            entry = reads.read(terminal_oid).replica_entry_for(path.path_id)
             want = entry.replica_oid if entry is not None else None
-        have = db.store.read(oid).values.get(path.hidden_ref)
+        have = reads.current(oid, obj).values.get(path.hidden_ref)
         if have != want:
             finding = Finding(
                 "replica-ref", f"{path.text} @ {oid}",

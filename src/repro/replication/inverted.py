@@ -75,19 +75,12 @@ class InvertedPaths:
         member insertion happens.  Otherwise the owner newly enters the
         path and the entry ripples deeper.
         """
-        self.attach(link, owner_oid, member_oid, cascade=True)
-
-    def attach(self, link: LinkDef, owner_oid: OID, member_oid: OID,
-               cascade: bool = True) -> None:
-        """Membership insert; ``cascade=False`` for bulk builds that ensure
-        every link of a chain explicitly."""
         self._m_link_touches.inc()
         with self.telemetry.tracer.span("link_maintenance", op="attach",
                                         link_id=link.link_id):
-            self._attach(link, owner_oid, member_oid, cascade)
+            self._attach(link, owner_oid, member_oid)
 
-    def _attach(self, link: LinkDef, owner_oid: OID, member_oid: OID,
-                cascade: bool) -> None:
+    def _attach(self, link: LinkDef, owner_oid: OID, member_oid: OID) -> None:
         owner = self.store.read(owner_oid)
         entry = owner.link_entry_for(link.link_id)
         if entry is None:
@@ -99,8 +92,7 @@ class InvertedPaths:
                 link_oid = link.file.create(owner_oid, [member_oid])
                 owner.add_link_entry(LinkEntry(link_oid, link.link_id))
             self.store.update(owner_oid, owner)
-            if cascade:
-                self._cascade_enter(link, owner_oid, owner)
+            self._cascade_enter(link, owner_oid, owner)
             return
         if entry.inline:
             if entry.link_oid == member_oid:
@@ -188,6 +180,74 @@ class InvertedPaths:
             ):
                 out.append((path, path.resolved.ref_chain[-1]))
         return out
+
+    # ------------------------------------------------------------------
+    # bulk builds
+    # ------------------------------------------------------------------
+
+    def bulk_attach(self, links, memberships,
+                    owners: dict[OID, StoredObject]) -> dict[OID, list[LinkEntry]]:
+        """Enter every membership of a bulk build at once, cascade-free:
+        ``memberships`` holds one ``owner -> members`` map per link of
+        ``links`` (every link of the chain is passed), ``owners`` each
+        owner's current object.
+
+        Each new link object is written once, whole, in owner-OID order
+        (one :meth:`LinkFile.create_many` per link file); members new to
+        an owner's existing link object are merged into it with one read
+        and one write.  A §4.3.1 singleton becomes an inline entry.
+        Returns the link entries each owner must now carry; writing them
+        is the caller's business.
+        """
+        entries: dict[OID, list[LinkEntry]] = {}
+        creates: dict = {}  # link file -> [(link, owner, members)]
+        touched = 0
+        for link, members_of in zip(links, memberships):
+            for owner, members in sorted(members_of.items()):
+                entry = owners[owner].link_entry_for(link.link_id)
+                if entry is not None and not entry.inline:
+                    touched += link.file.merge(entry.link_oid, members)
+                    continue
+                held = set() if entry is None else {entry.link_oid}
+                if members <= held:
+                    continue
+                touched += len(members - held)
+                members = members | held
+                if self.inline_singletons and len(members) == 1:
+                    (member,) = members
+                    entries.setdefault(owner, []).append(
+                        LinkEntry(member, link.link_id | _INLINE))
+                else:
+                    creates.setdefault(link.file, []).append(
+                        (link, owner, members))
+        for link_file, batch in creates.items():
+            link_oids = link_file.create_many(
+                [(owner, members) for __, owner, members in batch])
+            for (link, owner, __), link_oid in zip(batch, link_oids):
+                entries.setdefault(owner, []).append(
+                    LinkEntry(link_oid, link.link_id))
+        self._m_link_touches.inc(touched)
+        return entries
+
+    def bulk_replicas(self, path: ReplicationPath, participants: dict,
+                      terminals: dict[OID, StoredObject]) -> dict[OID, ReplicaEntry]:
+        """Create the replica of every terminal of ``participants``
+        (terminal -> the level-(n-1) objects that reach it), in the order
+        given, with ``terminals`` holding their current objects; returns
+        each terminal's replica entry at its final reference count, for
+        the caller to write."""
+        replica_set = self.replica_sets[path.path_id]
+        names = path.replicated_field_names
+        replica_oids = self.store.insert_many(replica_set.heap, [
+            StoredObject(replica_set.type_def,
+                         {f: terminals[terminal].values[f] for f in names})
+            for terminal in participants])
+        self._m_replica_bumps.inc(sum(map(len, participants.values())))
+        return {
+            terminal: ReplicaEntry(replica_oid, len(reached), path.path_id)
+            for (terminal, reached), replica_oid
+            in zip(participants.items(), replica_oids)
+        }
 
     # ------------------------------------------------------------------
     # closure

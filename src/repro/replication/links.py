@@ -4,9 +4,16 @@ A *link object* implements one entry of an inverse mapping: for a
 referenced object D it holds the sorted OIDs of the objects that reference
 D across one link of an inverted path.  Link objects are stored in a
 *separate file per link* so that they never disrupt the clustering of the
-data sets (the paper stores them "in a separate set"), and -- when built in
-bulk -- in the same physical order as the objects that own them, so update
-propagation reads them in clustered order.
+data sets (the paper stores them "in a separate set").
+
+``replicate`` on a populated set writes each link object once, whole, in
+the order of the OIDs of the objects that own them
+(:meth:`LinkFile.create_many`), so a freshly built link file lies in the
+physical order of its owners and holds no forward stub; a co-located file
+(§4.3.2) holds one link's objects after the other's, each run in owner
+order.  Incremental maintenance then grows and shrinks link objects where
+they lie (:meth:`LinkFile.add` / :meth:`LinkFile.remove`) and appends new
+ones, so that order decays with updates.
 
 Record layout::
 
@@ -79,9 +86,16 @@ class LinkFile:
 
     def create(self, owner: OID, entries: list) -> OID:
         """Store a new link object; returns its (stable) link-OID."""
-        link = LinkObject(owner, sorted(entries))
-        rid = self.heap.insert(self._encode(link))
-        return OID(self.heap.file_id, rid[0], rid[1])
+        return self.create_many([(owner, entries)])[0]
+
+    def create_many(self, objects) -> list[OID]:
+        """Store ``(owner, entries)`` link objects one after another, in
+        the order given, each at its final size
+        (:meth:`HeapFile.insert_many`); returns their link-OIDs."""
+        rids = self.heap.insert_many([
+            self._encode(LinkObject(owner, sorted(entries)))
+            for owner, entries in objects])
+        return [OID(self.heap.file_id, page_no, slot) for page_no, slot in rids]
 
     def read(self, link_oid: OID) -> LinkObject:
         """Load a link object by its OID."""
@@ -111,6 +125,16 @@ class LinkFile:
         link.entries.insert(idx, entry)
         self.write(link_oid, link)
         return True
+
+    def merge(self, link_oid: OID, entries) -> int:
+        """Insert every entry of ``entries`` not yet present, with one read
+        and (if any is new) one write; returns how many were new."""
+        link = self.read(link_oid)
+        new = set(entries).difference(link.entries)
+        if new:
+            link.entries = sorted(new.union(link.entries))
+            self.write(link_oid, link)
+        return len(new)
 
     def remove(self, link_oid: OID, entry) -> tuple[bool, bool]:
         """Binary-search removal; returns ``(removed, now_empty)``.

@@ -6,14 +6,16 @@ lands in.  It owns:
 * **path registration** -- widening the source type with hidden fields
   through subtyping, allocating the link sequence (sharing links across
   paths with a common prefix), creating link files / replica sets, and
-  bulk-building structures over existing data;
+  bulk-building structures over existing data by sort (one scan, each
+  link object written whole, each record written once);
 * **operation hooks** -- the maintenance of Sections 4.1.1/4.1.2/5.2 for
   object insertion, deletion, and updates to both data fields and
   reference attributes, dispatched through the link IDs and replica
   entries stored in the affected object;
 * **consistency checking** -- :meth:`ReplicationManager.verify` recomputes
   every replicated value and every link/replica structure from the forward
-  paths and raises :class:`~repro.errors.IntegrityError` on any drift.
+  paths and raises :class:`~repro.errors.IntegrityError` on any drift,
+  reading each object it reaches once (:class:`~repro.objects.store.ReadMemo`).
 
 A value propagation is the paper's update model made literal -- *f*
 referencers, *k* bytes each, in page order: one
@@ -21,8 +23,8 @@ referencers, *k* bytes each, in page order: one
 sorted closure, which overwrites the hidden field where it lies under one
 pin per page.  :meth:`ReplicationManager.apply_hidden_changes` is the
 general single-object path (decode, set, encode) for everything else:
-bulk builds, the doctor, a source object's own fresh values, and the
-referencers a propagation cannot overwrite in place.
+collapsed bulk builds, the doctor, a source object's own fresh values,
+and the referencers a propagation cannot overwrite in place.
 
 Updates are propagated eagerly unless a path was registered with
 ``lazy=True`` (the paper's future-work variant), in which case source
@@ -38,7 +40,7 @@ from repro.errors import (
 )
 from repro.costmodel.sortedprobe import sorted_probe_pages
 from repro.objects.instance import StoredObject, _default_for
-from repro.objects.store import ObjectStore
+from repro.objects.store import ObjectStore, ReadMemo
 from repro.objects.types import FieldDef, FieldKind, TypeDefinition
 from repro.replication.collapse import CollapsedPaths
 from repro.replication.inverted import InvertedPaths
@@ -247,16 +249,34 @@ class ReplicationManager:
         )
 
     def _bulk_build(self, path: ReplicationPath) -> None:
-        """Build structures and fill hidden fields over existing members.
+        """Build the path's structures over the existing members, by sort.
 
-        Unlike incremental maintenance, the bulk build cannot rely on the
-        enter-cascade: when this path *shares* a pre-existing link, the
-        owners along it entered that link long ago, so every link of this
-        path's sequence is ensured explicitly, chain by chain.
+        1. **Scan once.**  The source set is scanned once, in page order,
+           and each forward chain resolved a hop at a time, every object
+           reached read once (:meth:`ObjectStore.read_many`).  That yields
+           each link's ``owner -> members`` map and each source's terminal.
+        2. **Link objects whole, in owner-OID order**
+           (:meth:`InvertedPaths.bulk_attach`): written once each, at their
+           final size, so a propagation reads them in the order of the
+           objects that own them; none is left behind a forward stub.
+        3. **Replica objects (S') in first-reference order**, each with its
+           final reference count: the order a per-object build creates
+           them in, so S' comes out as it always has.
+        4. **Referenced objects written once each, in first-reference
+           order**: an owner gains its link entries, a terminal its replica
+           entry, in the order in which the source scan first reached it
+           -- which is when a per-object build grew it, so each one stays
+           or moves out of its page exactly as it did.
+        5. **Sources widened a page at a time**
+           (:meth:`ObjectStore.update_many`): each decoded from its pinned
+           page and encoded once, with its hidden values -- and, where a
+           source is itself an owner or a terminal (a self-referential
+           path), its link and replica entries.
 
-        Scanning the source set in physical order makes link objects /
-        replica objects come out in (approximately) the same physical order
-        as the sets they shadow, the clustering both strategies rely on.
+        Unlike incremental maintenance, the build cannot rely on the
+        enter-cascade: when this path *shares* a pre-existing link, its
+        owners entered that link long ago, so every link of the sequence
+        is entered explicitly.  Collapsed paths enroll member by member.
         """
         src = self.catalog.get_set(path.source_set)
         if path.collapsed:
@@ -265,48 +285,69 @@ class ReplicationManager:
                 self.apply_hidden_changes(src, oid, changes, maintain_indexes=False)
             return
         chain = path.resolved.ref_chain
-        counted: set[OID] = set()
-        for oid, obj in list(src.scan()):
-            oids = [oid]
-            objs = [obj]
-            for ref_name in chain[: len(path.link_sequence)]:
-                nxt = objs[-1].ref(ref_name)
-                if nxt is None:
+        level = path.level
+        # 1. a row per source: its OID, then the OID at each depth of its
+        #    chain (None past a null ref)
+        rows = [[oid, obj.values[chain[0]]]
+                for oid, obj in src.scan(fields=(chain[0],))]
+        objects: dict[OID, StoredObject] = {}
+        for hop in range(1, level + 1):
+            objects.update(self.store.read_many(
+                {row[hop] for row in rows if row[hop] is not None}
+                - objects.keys()))
+            if hop < level:
+                for row in rows:
+                    row.append(None if row[hop] is None
+                               else objects[row[hop]].ref(chain[hop]))
+        links = [self.catalog.get_link(lid) for lid in path.link_sequence]
+        memberships: list[dict[OID, set]] = [{} for __ in links]
+        participants: dict[OID, set] = {}  # terminal -> level-(n-1) objects
+        first_reached: dict[OID, None] = {}  # referenced objects, in order
+        for row in rows:
+            for i, members_of in enumerate(memberships):
+                if row[i + 1] is None:
                     break
-                oids.append(nxt)
-                objs.append(self.store.read(nxt))
-            for i in range(len(oids) - 1):
-                link = self.catalog.get_link(path.link_sequence[i])
-                self._ensure_direct(link, oids[i + 1], oids[i])
-            if path.strategy is Strategy.SEPARATE:
-                changes = {
-                    path.hidden_ref: self._bulk_replica_ref(path, oids, objs, counted)
-                }
-            else:
-                changes = self._hidden_values_for(path, obj)
-            self.apply_hidden_changes(src, oid, changes, maintain_indexes=False)
+                members_of.setdefault(row[i + 1], set()).add(row[i])
+                first_reached.setdefault(row[i + 1])
+            if path.strategy is Strategy.SEPARATE and row[level] is not None:
+                participants.setdefault(row[level], set()).add(row[level - 1])
+                first_reached.setdefault(row[level])
+        # 2.-3. link and replica objects; the entries they leave to write
+        link_entries = self.inverted.bulk_attach(links, memberships, objects)
+        replica_entries = (self.inverted.bulk_replicas(path, participants, objects)
+                           if path.strategy is Strategy.SEPARATE else {})
 
-    def _ensure_direct(self, link: LinkDef, owner_oid: OID, member_oid: OID) -> None:
-        """Cascade-free membership insert used by the bulk build."""
-        self.inverted.attach(link, owner_oid, member_oid, cascade=False)
+        def enter(oid: OID, obj: StoredObject) -> None:
+            for entry in link_entries.get(oid, ()):
+                obj.add_link_entry(entry)
+            if oid in replica_entries:
+                obj.set_replica_entry(replica_entries[oid])
 
-    def _bulk_replica_ref(self, path: ReplicationPath, oids, objs,
-                          counted: set[OID]) -> OID | None:
-        """Replica accounting for one chain during a separate bulk build.
+        # 4. referenced objects outside the source file
+        by_file: dict[int, list[OID]] = {}
+        for oid in first_reached:
+            if oid.file_id != src.file_id and (
+                    oid in link_entries or oid in replica_entries):
+                by_file.setdefault(oid.file_id, []).append(oid)
+        for file_id, oids in by_file.items():
+            self.store.update_many(self.storage.file_by_id(file_id), oids, enter)
+        # 5. the sources
+        if path.strategy is Strategy.SEPARATE:
+            hidden = {
+                row[0]: {path.hidden_ref: replica_entries[row[level]].replica_oid
+                         if row[level] is not None else None}
+                for row in rows}
+        else:
+            values = {terminal: self._values_from(path, objects.get(terminal))
+                      for terminal in {row[level] for row in rows}}
+            hidden = {row[0]: values[row[level]] for row in rows}
 
-        The terminal's reference count grows once per distinct level-(n-1)
-        participant (once per source object when n = 1).
-        """
-        if len(oids) < len(path.link_sequence) + 1:
-            return None  # broken chain
-        last_oid, last_obj = oids[-1], objs[-1]
-        terminal_oid = last_obj.ref(path.resolved.ref_chain[-1])
-        if terminal_oid is None:
-            return None
-        if last_oid not in counted:
-            counted.add(last_oid)
-            return self.inverted.bump_replica(path, terminal_oid, +1)
-        return self.inverted.replica_oid_for(path, terminal_oid)
+        def widen(oid: OID, obj: StoredObject) -> None:
+            enter(oid, obj)
+            for name, value in hidden[oid].items():
+                obj.set(name, value)
+
+        self.store.update_many(src.heap, [row[0] for row in rows], widen)
 
     def drop_path(self, text: str) -> None:
         """Remove a replication path and dismantle structures it alone uses.
@@ -608,14 +649,8 @@ class ReplicationManager:
         else:
             fresh = False
             terminal = self.store.traverse(at_object, list(chain[position:]))
-        changes = {}
-        for fname, hname in zip(path.replicated_field_names, path.hidden_fields):
-            changes[hname] = (
-                terminal.values[fname] if terminal is not None
-                else _default_value(self.store.registry.get(path.resolved.terminal_type)
-                                    .field_def(fname))
-            )
-        self._rewrite_hidden_over_closure(path, link, oid, changes,
+        self._rewrite_hidden_over_closure(path, link, oid,
+                                          self._values_from(path, terminal),
                                           at_object if fresh else None)
 
     def _rewrite_hidden_over_closure(self, path: ReplicationPath, link: LinkDef,
@@ -665,8 +700,8 @@ class ReplicationManager:
         """Write hidden-field changes to one object, keeping path indexes
         consistent: the general decode -> set -> encode path, which brings
         a record written before a widening to the current layout (growing
-        and, if need be, relocating it).  Bulk builds, the doctor and a
-        source object's own fresh values come here; an update propagation
+        and, if need be, relocating it).  Collapsed bulk builds, the doctor
+        and a source object's own fresh values come here; an update propagation
         comes here only for the referencers it cannot overwrite in place.
         """
         obj = self.store.read(oid)
@@ -678,27 +713,29 @@ class ReplicationManager:
             obj.set(fname, value)
         self.store.update(oid, obj)
 
-    def _hidden_values_for(self, path: ReplicationPath, obj: StoredObject) -> dict:
-        terminal = self.store.traverse(obj, list(path.resolved.ref_chain))
-        changes = {}
-        terminal_type = self.store.registry.get(path.resolved.terminal_type)
-        for fname, hname in zip(path.replicated_field_names, path.hidden_fields):
-            changes[hname] = (
-                terminal.values[fname]
-                if terminal is not None
-                else _default_value(terminal_type.field_def(fname))
-            )
-        return changes
+    def _hidden_values_for(self, path: ReplicationPath, obj: StoredObject,
+                           reads=None) -> dict:
+        """``obj``'s hidden values as its forward chain gives them
+        (``reads``: a :class:`ReadMemo` to read the chain through)."""
+        return self._values_from(path, (reads or self.store).traverse(
+            obj, list(path.resolved.ref_chain)))
 
-    def _terminal_oid(self, obj: StoredObject, chain) -> OID | None:
+    def _values_from(self, path: ReplicationPath,
+                     terminal: StoredObject | None) -> dict:
+        """Hidden field -> value, copied from ``terminal`` (kind defaults
+        for a broken chain)."""
+        terminal_type = self.store.registry.get(path.resolved.terminal_type)
+        return {
+            hname: (terminal.values[fname] if terminal is not None
+                    else _default_value(terminal_type.field_def(fname)))
+            for fname, hname in zip(path.replicated_field_names,
+                                    path.hidden_fields)
+        }
+
+    def _terminal_oid(self, obj: StoredObject, chain, reads=None) -> OID | None:
         """OID of the object at the end of ``chain`` starting from ``obj``."""
-        chain = list(chain)
-        current = obj
-        for ref_name in chain[:-1]:
-            current = self.store.follow(current, ref_name)
-            if current is None:
-                return None
-        return current.ref(chain[-1])
+        current = (reads or self.store).traverse(obj, list(chain)[:-1])
+        return None if current is None else current.ref(chain[-1])
 
     # ------------------------------------------------------------------
     # lazy propagation
@@ -736,51 +773,61 @@ class ReplicationManager:
     # consistency verification
     # ==================================================================
 
-    def verify(self) -> None:
+    def verify(self, reads: ReadMemo | None = None) -> None:
         """Recompute every path from its forward references and compare.
 
         Raises :class:`IntegrityError` on the first inconsistency.  Lazy
         paths are refreshed first (their contract is consistency *after*
-        refresh).
+        refresh).  Every object the check reaches is read once, through
+        ``reads`` (a doctor passes the map of its own sweep) or a map of
+        this pass's own.
         """
-        self.refresh_all()
+        if self.refresh_all() and reads is not None:
+            reads.drop()
+        if reads is None:
+            reads = ReadMemo(self.store)
         expected_links: dict[int, dict[OID, set]] = {}
         expected_refcounts: dict[int, dict[OID, set]] = {}
         for path in self.catalog.paths.values():
-            self._verify_path(path, expected_links, expected_refcounts)
-        self._verify_links(expected_links)
-        self._verify_refcounts(expected_refcounts)
+            self._verify_path(path, expected_links, expected_refcounts, reads)
+        self._verify_links(expected_links, reads)
+        self._verify_refcounts(expected_refcounts, reads)
 
-    def _verify_path(self, path: ReplicationPath, expected_links, expected_refcounts) -> None:
+    def _verify_path(self, path: ReplicationPath, expected_links,
+                     expected_refcounts, reads: ReadMemo) -> None:
         src = self.catalog.get_set(path.source_set)
         chain = path.resolved.ref_chain
         for oid, obj in src.scan():
-            terminal = self.store.traverse(obj, list(chain))
+            terminal = reads.traverse(obj, list(chain))
             if path.strategy is Strategy.IN_PLACE:
                 self._verify_inplace_values(path, oid, obj, terminal)
             else:
-                self._verify_separate_values(path, oid, obj, terminal)
+                self._verify_separate_values(path, oid, obj, terminal, reads)
             if path.collapsed:
                 self.collapsed.record_expected(path, oid, obj, expected_links)
                 continue
-            # expected link memberships along the chain
+            # expected link memberships along the chain; the last hop's
+            # target is an owner, not a member, so it is not read
             current_oid, current = oid, obj
-            for link_id, ref_name in zip(path.link_sequence, chain):
+            for hop, (link_id, ref_name) in enumerate(
+                    zip(path.link_sequence, chain), start=1):
                 target_oid = current.ref(ref_name)
                 if target_oid is None:
                     break
                 expected_links.setdefault(link_id, {}).setdefault(
                     target_oid, set()
                 ).add(current_oid)
-                current_oid, current = target_oid, self.store.read(target_oid)
+                if hop < len(path.link_sequence):
+                    current_oid, current = target_oid, reads.read(target_oid)
             if path.strategy is Strategy.SEPARATE:
-                participant_oid, terminal_oid = self._separate_terminal_edge(path, oid, obj)
+                participant_oid, terminal_oid = self._separate_terminal_edge(
+                    path, oid, obj, reads)
                 if terminal_oid is not None:
                     expected_refcounts.setdefault(path.path_id, {}).setdefault(
                         terminal_oid, set()
                     ).add(participant_oid)
 
-    def _separate_terminal_edge(self, path, oid, obj):
+    def _separate_terminal_edge(self, path, oid, obj, reads=None):
         """(level n-1 participant OID, terminal OID) for one source object."""
         chain = list(path.resolved.ref_chain)
         current_oid, current = oid, obj
@@ -788,17 +835,11 @@ class ReplicationManager:
             nxt = current.ref(ref_name)
             if nxt is None:
                 return None, None
-            current_oid, current = nxt, self.store.read(nxt)
+            current_oid, current = nxt, (reads or self.store).read(nxt)
         return current_oid, current.ref(chain[-1])
 
     def _verify_inplace_values(self, path, oid, obj, terminal) -> None:
-        terminal_type = self.store.registry.get(path.resolved.terminal_type)
-        for fname, hname in zip(path.replicated_field_names, path.hidden_fields):
-            expected = (
-                terminal.values[fname]
-                if terminal is not None
-                else _default_value(terminal_type.field_def(fname))
-            )
+        for hname, expected in self._values_from(path, terminal).items():
             actual = obj.values.get(hname)
             if actual != expected:
                 raise IntegrityError(
@@ -806,15 +847,16 @@ class ReplicationManager:
                     f"source holds {expected!r}"
                 )
 
-    def _verify_separate_values(self, path, oid, obj, terminal) -> None:
+    def _verify_separate_values(self, path, oid, obj, terminal,
+                                reads: ReadMemo) -> None:
         hidden = obj.values.get(path.hidden_ref)
         if terminal is None:
             if hidden is not None:
                 raise IntegrityError(f"{path.text}: object {oid} has a replica ref "
                                      f"but its forward chain is broken")
             return
-        terminal_oid = self._terminal_oid(obj, path.resolved.ref_chain)
-        entry = self.store.read(terminal_oid).replica_entry_for(path.path_id)
+        terminal_oid = self._terminal_oid(obj, path.resolved.ref_chain, reads)
+        entry = reads.read(terminal_oid).replica_entry_for(path.path_id)
         if entry is None:
             raise IntegrityError(f"{path.text}: terminal {terminal_oid} lacks a replica")
         if hidden != entry.replica_oid:
@@ -822,7 +864,7 @@ class ReplicationManager:
                 f"{path.text}: object {oid} points at replica {hidden}, "
                 f"terminal advertises {entry.replica_oid}"
             )
-        replica = self.replica_sets[path.path_id].read(entry.replica_oid)
+        replica = reads.read(entry.replica_oid)
         for fname in path.replicated_field_names:
             if replica.values[fname] != terminal.values[fname]:
                 raise IntegrityError(
@@ -830,7 +872,8 @@ class ReplicationManager:
                     f"({replica.values[fname]!r} != {terminal.values[fname]!r})"
                 )
 
-    def _verify_links(self, expected_links: dict[int, dict[OID, set]]) -> None:
+    def _verify_links(self, expected_links: dict[int, dict[OID, set]],
+                      reads: ReadMemo) -> None:
         live_link_ids = {
             lid for p in self.catalog.paths.values() for lid in p.link_sequence
         }
@@ -845,7 +888,7 @@ class ReplicationManager:
                 and other.link_id != link_id
             ]
             for link_oid, link_obj in link.file.scan():
-                owner = self.store.read(link_obj.owner)
+                owner = reads.read(link_obj.owner)
                 entry = owner.link_entry_for(link_id)
                 if entry is None or entry.inline or entry.link_oid != link_oid:
                     # Co-located file (§4.3.2): the object may belong to a
@@ -871,7 +914,7 @@ class ReplicationManager:
             for owner_oid in expected:
                 if owner_oid in actual:
                     continue
-                entry = self.store.read(owner_oid).link_entry_for(link_id)
+                entry = reads.read(owner_oid).link_entry_for(link_id)
                 if entry is not None and entry.inline:
                     actual[owner_oid] = {entry.link_oid}
             if actual != expected:
@@ -880,7 +923,8 @@ class ReplicationManager:
                     f"forward references ({actual} != {expected})"
                 )
 
-    def _verify_refcounts(self, expected: dict[int, dict[OID, set]]) -> None:
+    def _verify_refcounts(self, expected: dict[int, dict[OID, set]],
+                          reads: ReadMemo) -> None:
         for path in self.catalog.paths.values():
             if path.strategy is not Strategy.SEPARATE:
                 continue
@@ -892,7 +936,7 @@ class ReplicationManager:
             terminal_oids = set(want)
             # also sweep every replica entry we can reach through want's keys
             for terminal_oid in terminal_oids:
-                entry = self.store.read(terminal_oid).replica_entry_for(path.path_id)
+                entry = reads.read(terminal_oid).replica_entry_for(path.path_id)
                 if entry is not None:
                     have[terminal_oid] = entry.refcount
             if want != have:

@@ -28,6 +28,9 @@ whole payload (any size; it may relocate the record), and
 :meth:`HeapFile.in_place` overwrites bytes *inside* payloads where they
 lie, for a caller that changes fixed-width fields of many records -- an
 update propagation -- and hands the record ids over in page order.
+:meth:`HeapFile.update_many` is ``update`` for many records at a pin per
+page -- what ``replicate`` does when it widens a loaded set -- as
+:meth:`HeapFile.insert_many` is ``insert`` for many.
 """
 
 from __future__ import annotations
@@ -182,6 +185,62 @@ class HeapFile:
             return
         self._free_payload(raw[1:])
         self._update_at(rid, _NORMAL, payload, home=rid)
+
+    def update_many(self, rids, change: Callable[[RID, bytes], bytes]) -> None:
+        """Replace the payload of each record of ``rids`` (distinct) with
+        ``change(rid, payload)``, leaving every record -- and every record
+        it displaces -- exactly where a loop of :meth:`update` would.
+
+        Consecutive rids on one page share one pin.  Each plain record is
+        sliced out of the pinned page and handed to ``change`` as it is
+        met; whether its new image fits is decided the way :meth:`update`
+        decides it, from the page's free bytes at that point of the loop.
+        A record that no longer fits is placed elsewhere at once, where
+        :meth:`update` would put it, and leaves a forward stub; the images
+        that stay are written together when the page is let go, with at
+        most one compaction (:meth:`Page.replace`).  ``change`` must not
+        touch the buffer pool.  A forwarded or chunked record, or one that
+        grows past a page, takes :meth:`update` itself, after the page's
+        pending images are written.
+        """
+        pool, file_id = self.pool, self.file_id
+        head = bytes((_NORMAL, _PLAIN))
+        for page_no, run in groupby(rids, key=lambda rid: rid[0]):
+            with pool.page(file_id, page_no) as page:
+                images: dict[int, bytes] = {}  # slot -> record, not yet written
+                free = page.total_free()
+                for rid in run:
+                    offset, length = page.span(rid[1])
+                    data = page.data
+                    payload = (
+                        change(rid, bytes(data[offset + 2:offset + length]))
+                        if data[offset] == _NORMAL and data[offset + 1] == _PLAIN
+                        else None)
+                    if payload is not None and len(payload) <= _INLINE_LIMIT:
+                        record = head + payload
+                        if len(record) - length > free:
+                            target = self._place(_MOVED, record[1:],
+                                                 avoid=page_no)
+                            record = bytes([_FORWARD]) + _rid_pack(target)
+                        images[rid[1]] = record
+                        free -= len(record) - length
+                        continue
+                    # update() itself, on the page as the loop leaves it
+                    self._write_images(page, page_no, images)
+                    images = {}
+                    if payload is None:
+                        payload = change(rid, self.read(rid))
+                    self.update(rid, payload)
+                    free = page.total_free()
+                self._write_images(page, page_no, images)
+
+    def _write_images(self, page: Page, page_no: int,
+                      images: dict[int, bytes]) -> None:
+        if images:
+            self.pool.writable(self.file_id, page_no)
+            page.replace(images)
+            self.pool.mark_dirty(self.file_id, page_no)
+            self._free_space[page_no] = page.total_free()
 
     def in_place(self) -> "_InPlace":
         """``with heap.in_place() as records``: overwrite bytes inside

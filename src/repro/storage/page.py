@@ -18,7 +18,8 @@ page transparently when the contiguous free region is too small but the
 total free space suffices.  :meth:`Page.append` stores a run of records
 the way a loop of :meth:`Page.insert` would while that loop would only
 append -- no free slot to reuse, no compaction -- at one header write for
-the run.
+the run.  :meth:`Page.replace` rewrites several records as a loop of
+:meth:`Page.update` would, with at most one compaction for all of them.
 """
 
 from __future__ import annotations
@@ -276,6 +277,46 @@ class Page:
         self._write_slot(slot, new_offset, len(record))
         self._set_header(self.num_slots, new_offset + len(record))
         self._live_bytes += len(record)
+
+    def replace(self, images: dict[int, bytes]) -> None:
+        """Replace the records of several slots at once (``images``: slot
+        -> new record), leaving the slot directory and the space
+        accounting as a loop of :meth:`update` over them would, with at
+        most one compaction instead of one per record that grows.
+
+        Raises :class:`PageFullError`, and changes nothing, when the page
+        cannot hold every new image.
+        """
+        self._ensure_space_cache()
+        spans = {slot: self.span(slot) for slot in images}
+        if max(map(len, images.values()), default=0) > MAX_RECORD_BYTES:
+            raise RecordTooLargeError(
+                f"a record exceeds page capacity {MAX_RECORD_BYTES}")
+        growth = sum(len(record) - spans[slot][1]
+                     for slot, record in images.items())
+        if growth > self.total_free():
+            raise PageFullError(f"no room for {growth} more bytes")
+        grown = []
+        for slot, record in images.items():
+            offset, length = spans[slot]
+            self._live_bytes -= length
+            if len(record) <= length:
+                self.data[offset:offset + len(record)] = record
+                self._write_slot(slot, offset, len(record))
+                self._live_bytes += len(record)
+            else:
+                # free the old image first, as update() does
+                self._write_slot(slot, EMPTY_SLOT_OFFSET, 0)
+                grown.append((slot, record))
+        if sum(len(record) for __, record in grown) > self.contiguous_free():
+            self.compact()
+        offset = self.free_offset
+        for slot, record in grown:
+            self.data[offset:offset + len(record)] = record
+            self._write_slot(slot, offset, len(record))
+            offset += len(record)
+            self._live_bytes += len(record)
+        self._set_header(self.num_slots, offset)
 
     def compact(self) -> None:
         """Squeeze out holes, preserving slot numbers."""

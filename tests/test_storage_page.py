@@ -203,3 +203,48 @@ def test_property_random_ops_match_model(ops):
     assert dict(page.records()) == model
     assert page.total_free() >= 0
     assert page.contiguous_free() >= 0
+
+
+class _CountingPage(Page):
+    __slots__ = ("compactions",)
+
+    def compact(self) -> None:
+        self.compactions = getattr(self, "compactions", 0) + 1
+        super().compact()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=12),
+       grow=st.lists(st.integers(-40, 120), min_size=12, max_size=12),
+       deleted=st.sets(st.integers(0, 11), max_size=4))
+def test_replace_matches_a_loop_of_update_with_one_compaction(
+        sizes, grow, deleted):
+    """Several records rewritten at once end up as a loop of update()
+    leaves them -- contents, slots, space -- after at most one compaction."""
+    loop, batch = Page(), _CountingPage()
+    for page in (loop, batch):
+        for i, size in enumerate(sizes):
+            page.insert(bytes([i]) * size)
+        for slot in sorted(deleted & set(range(len(sizes) - 1))):
+            page.delete(slot)
+    images = {slot: bytes([100 + slot])
+              * max(1, len(loop.read(slot)) + grow[slot])
+              for slot in loop.live_slots()}
+    if sum(len(record) - len(batch.read(slot))
+           for slot, record in images.items()) > batch.total_free():
+        before = bytes(batch.data)
+        with pytest.raises(PageFullError):
+            batch.replace(images)
+        assert bytes(batch.data) == before
+        return
+    try:
+        for slot, record in images.items():
+            loop.update(slot, record)
+    except PageFullError:
+        return  # a record grew before the one whose shrinking made room
+    batch.compactions = 0
+    batch.replace(images)
+    assert batch.compactions <= 1
+    assert list(batch.records()) == list(loop.records())
+    assert batch.num_slots == loop.num_slots
+    assert batch.total_free() == loop.total_free()
