@@ -13,8 +13,8 @@ statement is recorded exactly once, whatever path it took and however it
 ended.
 
 What differs between deployments is the *isolation object* the caller
-passes: :data:`EMBEDDED` has nobody to be isolated from (no lock
-manager, no gate, no hub) and a served
+passes: a :class:`NoIsolation` (embedded) has nobody to be isolated
+from (no lock manager, no gate, no hub) and a served
 :class:`~repro.server.session.Session` passes itself.  The lifecycle
 never asks which one it got.
 
@@ -97,6 +97,9 @@ class NoIsolation:
     name = "embedded"
     root_span = "query"
 
+    def __init__(self, waits) -> None:
+        self._waits = waits
+
     def control(self, ctx: Statement):
         """Answer a statement only a session understands; None hands
         ``ctx`` to the query path (whose parser rejects the rest)."""
@@ -106,8 +109,9 @@ class NoIsolation:
         """Hold ``footprint`` (default: the one ``ctx`` declares)."""
 
     def admitted(self):
-        """Context manager around the statement's use of the engine."""
-        return _NOTHING
+        """Context manager around the statement's use of the engine: its
+        page transfers are its own."""
+        return self._waits.buffer_io_share()
 
     def release(self) -> None:
         """Let go of what :meth:`acquire` took, unless a transaction
@@ -119,9 +123,6 @@ class NoIsolation:
 
     def await_quorum(self, lsn: int) -> None:
         """Block until enough followers have applied ``lsn``."""
-
-
-EMBEDDED = NoIsolation()
 
 
 def plan_statement(db: Database, stmt, materialize: bool = True):
@@ -208,13 +209,15 @@ def serve_cached(entry, analyze: bool = False) -> QueryResult:
                        operators=operators, cache="hit")
 
 
-def run_statement(db: Database, ctx: Statement, iso=EMBEDDED,
+def run_statement(db: Database, ctx: Statement, iso=None,
                   materialize: bool = True, analyze: bool = False):
     """Run ``ctx`` through the lifecycle and return its result (a
     ``QueryResult``, or ``iso``'s reply to a control statement); ``ctx``
-    keeps what was measured on the way."""
+    keeps what was measured on the way.  No ``iso`` runs it embedded."""
     telemetry = db.telemetry
     waits = telemetry.waits
+    if iso is None:
+        iso = NoIsolation(waits)
     tracer = telemetry.tracer
     cache = db.resultcache
     ledger = waits.begin_statement(iso.id, iso.name, ctx.text)

@@ -77,7 +77,7 @@ class Database:
                                       metrics=self.telemetry.metrics,
                                       faults=self.faults)
         self.telemetry.attach_stats(self.storage.stats)
-        self.storage.pool.waits = self.telemetry.waits
+        self.telemetry.waits.attach_buffer_io(self.storage.pool)
         self.registry = TypeRegistry()
         self.store = ObjectStore(self.storage, self.registry)
         self.catalog = Catalog(self.registry)

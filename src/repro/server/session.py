@@ -472,13 +472,16 @@ class Session:
         self.admission_wait_s += waited
         faults = self.db.faults
         try:
-            faults.probe("statement_admitted")
-            try:
-                yield
-            finally:
-                faults.probe("statement_finishing")
-            # between statements: this one is done, none other is inside
-            self.manager.checkpoint_if_due()
+            # every page transfer inside the mutex is this statement's,
+            # the due checkpoint's too: it is this statement's wall-clock
+            with waits.buffer_io_share():
+                faults.probe("statement_admitted")
+                try:
+                    yield
+                finally:
+                    faults.probe("statement_finishing")
+                # between statements: this one is done, none other is inside
+                self.manager.checkpoint_if_due()
         finally:
             gate.exit_shared()
             held = time.perf_counter() - held_from

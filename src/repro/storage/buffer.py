@@ -43,24 +43,45 @@ The pool takes no lock.  A served engine runs one statement at a time
 :class:`~repro.schema.database.Database` is single-threaded unless its
 caller serialises; so every pin, load and eviction happens on the one
 thread inside the engine, and a pool whose every frame is pinned is
-pinned by that thread's own statement.  The I/O statistics the pool
-bumps keep their own leaf mutex, because observer threads read them
-while a statement runs.
+pinned by that thread's own statement.
+
+For the same reason the pool's own counts (``hits``, ``misses``,
+``evictions``, ``writebacks``, ``prefetch_issued``, ``prefetch_hits``)
+are plain integer fields, and every page transfer between pool and disk
+is timed with two clock reads into the ``io_seconds`` / ``io_transfers``
+tally; the metrics registry and the wait collector read these fields
+when they are scraped.  Only the shared I/O statistics keep a mutex,
+because observer threads snapshot them while a statement runs; an
+eviction is counted with the request it made room for, so a hit takes
+that mutex once and a miss twice (its logical read, and the disk's
+physical read).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
+from time import perf_counter
 
 from repro.errors import BufferPoolError
 from repro.storage.constants import DEFAULT_BUFFER_FRAMES
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
 from repro.telemetry.metrics import NULL_METRICS
-from repro.telemetry.waitevents import BUFFER_IO, NULL_WAITS
 
 _PageKey = tuple[int, int]
+
+#: (field, metric, help) of each count the pool publishes
+_COUNTERS = (
+    ("hits", "bufferpool_hits_total", "page requests served from the pool"),
+    ("misses", "bufferpool_misses_total", "page requests that went to disk"),
+    ("evictions", "bufferpool_evictions_total", "frames evicted to make room"),
+    ("writebacks", "bufferpool_writebacks_total", "dirty pages written back"),
+    ("prefetch_issued", "bufferpool_prefetch_issued_total",
+     "pages physically read ahead of demand"),
+    ("prefetch_hits", "bufferpool_prefetch_hits_total",
+     "demand fetches served by a read-ahead frame"),
+)
 
 
 class _Frame:
@@ -112,38 +133,25 @@ class BufferPool:
         #: and forces the log before any dirty page reaches the disk
         #: (WAL-before-data).
         self.wal = None
-        #: wait-event collector; page transfers between the pool and the
-        #: disk are timed as ``buffer_io`` (the database wires this up)
-        self.waits = NULL_WAITS
         #: page table and recency list in one, coldest first
         self._frames: OrderedDict[_PageKey, _Frame] = OrderedDict()
         self._clock = itertools.count(1)
         #: key -> frame for every dirty frame
         self._dirty: dict[_PageKey, _Frame] = {}
+        self.hits = self.misses = self.evictions = self.writebacks = 0
+        self.prefetch_issued = self.prefetch_hits = 0
+        #: wall-clock seconds and count of page transfers between the pool
+        #: and the disk (loads and write-backs): the ``buffer_io`` wait
+        #: event, read by the wait collector
+        self.io_seconds = 0.0
+        self.io_transfers = 0
         metrics = metrics if metrics is not None else NULL_METRICS
-
-        def counter(name: str, help_: str):
-            # none of the pool's counters has labels, and one of them is
-            # bumped on every page request: hold each one's bound series,
-            # whose inc() does no per-call label handling
-            return metrics.counter(name, help_).labels()
-
-        self._m_hits = counter(
-            "bufferpool_hits_total", "page requests served from the pool")
-        self._m_misses = counter(
-            "bufferpool_misses_total", "page requests that went to disk")
-        self._m_evictions = counter(
-            "bufferpool_evictions_total", "frames evicted to make room")
-        self._m_writebacks = counter(
-            "bufferpool_writebacks_total", "dirty pages written back")
-        self._m_prefetch_issued = counter(
-            "bufferpool_prefetch_issued_total",
-            "pages physically read ahead of demand")
-        self._m_prefetch_hits = counter(
-            "bufferpool_prefetch_hits_total",
-            "demand fetches served by a read-ahead frame")
-        self._g_resident = metrics.gauge(
-            "bufferpool_resident_frames", "pages currently cached")
+        for attr, name, help_ in _COUNTERS:
+            metrics.counter(name, help_).read_through(
+                lambda attr=attr: getattr(self, attr))
+        metrics.gauge("bufferpool_resident_frames",
+                      "pages currently cached").read_through(
+            lambda: len(self._frames))
 
     @property
     def stats(self):
@@ -162,15 +170,20 @@ class BufferPool:
         frame = self._frames.get(key)
         stats = self.disk.stats
         if frame is None:
-            stats.count_logical_read()
-            self._make_room()
+            evicted = 0
+            try:
+                evicted = self._make_room()
+            finally:
+                # before the read: a request that finds no room, or
+                # whose read faults, still counts as requested
+                stats.count_logical_read(evicted)
             return self._load(key)
         stats.count_hit_pin()
-        self._m_hits.inc()
+        self.hits += 1
         if frame.prefetched:
             frame.prefetched = False
             stats.count_prefetch_hit()
-            self._m_prefetch_hits.inc()
+            self.prefetch_hits += 1
         self._frames.move_to_end(key)
         frame.stamp = next(self._clock)
         frame.pin_count += 1
@@ -178,20 +191,21 @@ class BufferPool:
 
     def _load(self, key: _PageKey, prefetch: bool = False) -> Page:
         """Read ``key`` from disk into a fresh frame at the MRU end; the
-        caller made room.  Returns the page, pinned unless read ahead.  A
-        failed read raises and leaves no frame behind."""
-        with self.waits.wait(BUFFER_IO, "prefetch" if prefetch else "read"):
-            data = self.disk.read_page(*key)
+        caller made room and counts the request.  Returns the page,
+        pinned unless read ahead.  A failed read raises and leaves no
+        frame behind."""
+        started = perf_counter()
+        data = self.disk.read_page(*key)
+        self.io_seconds += perf_counter() - started
+        self.io_transfers += 1
         frame = _Frame(Page(data), pin_count=0 if prefetch else 1)
         frame.stamp = next(self._clock)
         self._frames[key] = frame
         if prefetch:
             frame.prefetched = True
-            self.stats.count_prefetch()
-            self._m_prefetch_issued.inc()
+            self.prefetch_issued += 1
         else:
-            self._m_misses.inc()
-        self._g_resident.set(len(self._frames))
+            self.misses += 1
         return frame.page
 
     def unpin(self, file_id: int, page_no: int) -> None:
@@ -239,6 +253,7 @@ class BufferPool:
         when no victim is evictable, read-ahead simply stops.  Returns the
         number of pages actually loaded.
         """
+        stats = self.disk.stats
         loaded = 0
         protected: set[_PageKey] = set()
         for page_no in page_nos:
@@ -246,9 +261,16 @@ class BufferPool:
             if key in self._frames:
                 continue
             protected.add(key)
-            if not self._make_room(protected, best_effort=True):
+            evicted = self._make_room(protected, best_effort=True)
+            if evicted is None:
                 break
-            self._load(key, prefetch=True)
+            try:
+                self._load(key, prefetch=True)
+            except BaseException:
+                if evicted:
+                    stats.count_eviction()
+                raise
+            stats.count_prefetch(evicted)
             loaded += 1
         return loaded
 
@@ -299,14 +321,13 @@ class BufferPool:
         page_no = self.disk.allocate_page(file_id)
         if self.wal is not None:
             self.wal.observe_alloc(file_id, page_no)
-        self._make_room()
+        evicted = self._make_room()
         frame = _Frame(Page(), pin_count=1)
         frame.dirty = True
         frame.stamp = next(self._clock)
         self._frames[(file_id, page_no)] = frame
         self._dirty[(file_id, page_no)] = frame
-        self.stats.count_logical_read()
-        self._g_resident.set(len(self._frames))
+        self.stats.count_logical_read(evicted)
         return page_no, frame.page
 
     # -- flushing / eviction ------------------------------------------------
@@ -317,10 +338,12 @@ class BufferPool:
             # a no-op once the log is forced: only the first write-back of
             # a flush pays for the force
             self.wal.before_data_write()
-        with self.waits.wait(BUFFER_IO, "writeback"):
-            self.disk.write_page(key[0], key[1], bytes(frame.page.data))
+        started = perf_counter()
+        self.disk.write_page(key[0], key[1], bytes(frame.page.data))
+        self.io_seconds += perf_counter() - started
+        self.io_transfers += 1
+        self.writebacks += 1
         self.stats.count_writeback()
-        self._m_writebacks.inc()
         frame.dirty = False
         del self._dirty[key]
 
@@ -382,7 +405,6 @@ class BufferPool:
         for key in keys:
             self._frames.pop(key, None)
             self._dirty.pop(key, None)
-        self._g_resident.set(len(self._frames))
 
     def discard_all(self) -> None:
         """Empty the pool without writing anything back (a crash loses
@@ -390,12 +412,14 @@ class BufferPool:
         self.discard_pages(self.resident_keys())
 
     def _make_room(self, protected: set[_PageKey] | frozenset = frozenset(),
-                   best_effort: bool = False) -> bool:
-        """Evict one unpinned LRU frame if the pool is full.
+                   best_effort: bool = False) -> int | None:
+        """Evict one unpinned LRU frame if the pool is full; returns the
+        number of frames evicted (0 or 1), for the caller to count with
+        the request it made room for.
 
         ``protected`` keys are never chosen as victims (read-ahead must not
         evict the pages of the batch that is being assembled).  With
-        ``best_effort=True`` an unevictable pool returns False instead of
+        ``best_effort=True`` an unevictable pool returns None instead of
         raising -- the caller (read-ahead) simply gives up.
 
         The victim is the first unpinned frame from the cold end of the
@@ -405,21 +429,20 @@ class BufferPool:
         the calling statement's own pins fill the pool.
         """
         if len(self._frames) < self.capacity:
-            return True
+            return 0
         for key, frame in self._frames.items():
             if frame.pin_count == 0 and key not in protected:
                 return self._evict(key, frame)
         if best_effort:
-            return False
+            return None
         raise BufferPoolError("all buffer frames are pinned")
 
-    def _evict(self, key: _PageKey, frame: _Frame) -> bool:
+    def _evict(self, key: _PageKey, frame: _Frame) -> int:
         """Drop one unpinned victim frame, written back first if dirty (a
         write-back fault keeps the frame and surfaces).  The one eviction
-        site; returns True."""
+        site; returns 1, the frames evicted."""
         if frame.dirty:
             self._write_back(key, frame)
         del self._frames[key]
-        self.stats.count_eviction()
-        self._m_evictions.inc()
-        return True
+        self.evictions += 1
+        return 1

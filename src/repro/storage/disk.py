@@ -11,10 +11,17 @@ distinguish sequential from random I/O ("we initially distinguished between
 the two, but found that it did not significantly change our results",
 Section 6.5); the simulated disk therefore does the same.
 
-Concurrent statements reach the disk from different worker threads, so
-one mutex serializes every operation (a real disk serializes at the
-platter anyway).  Fault-injector hooks run inside the mutex, which keeps
-their fire-on-the-Nth-write countdowns exact under concurrency.
+A served engine reaches the disk only from the thread inside its engine
+mutex (:mod:`repro.server.admission`), and an embedded one from its one
+thread, so disk operations do not overlap.  The disk keeps one small
+reentrant mutex anyway: uncontended it costs one acquisition per
+operation, it keeps each operation atomic for a caller that does share
+a disk between threads, and the fault-injector hooks run inside it, so
+their fire-on-the-Nth-write countdowns stay exact.
+
+The disk's own counts (``reads``, ``writes``, ``allocated``) are plain
+fields, changed under that mutex; the metrics registry reads them, and
+the file and page totals, when it is scraped.
 """
 
 from __future__ import annotations
@@ -42,15 +49,21 @@ class SimulatedDisk:
         #: live pages across all files
         self._pages = 0
         self._next_file_id = 1
+        #: pages read, written and ever allocated
+        self.reads = 0
+        self.writes = 0
+        self.allocated = 0
         metrics = metrics if metrics is not None else NULL_METRICS
-        self._m_reads = metrics.counter(
-            "disk_reads_total", "pages read from the simulated disk")
-        self._m_writes = metrics.counter(
-            "disk_writes_total", "pages written to the simulated disk")
-        self._m_allocs = metrics.counter(
-            "disk_pages_allocated_total", "pages ever allocated")
-        self._g_files = metrics.gauge("disk_files", "live files")
-        self._g_pages = metrics.gauge("disk_pages", "live pages across all files")
+        counter, gauge = metrics.counter, metrics.gauge
+        counter("disk_reads_total", "pages read from the simulated disk").read_through(
+            lambda: self.reads)
+        counter("disk_writes_total", "pages written to the simulated disk").read_through(
+            lambda: self.writes)
+        counter("disk_pages_allocated_total", "pages ever allocated").read_through(
+            lambda: self.allocated)
+        gauge("disk_files", "live files").read_through(lambda: len(self._files))
+        gauge("disk_pages", "live pages across all files").read_through(
+            lambda: self._pages)
 
     # -- file management ----------------------------------------------------
 
@@ -60,7 +73,6 @@ class SimulatedDisk:
             file_id = self._next_file_id
             self._next_file_id += 1
             self._files[file_id] = []
-            self._g_files.set(len(self._files))
             return file_id
 
     def file_ids(self) -> list[int]:
@@ -97,9 +109,7 @@ class SimulatedDisk:
         with self._mutex:
             pages = self._require(file_id)
             del self._files[file_id]
-            self._g_files.set(len(self._files))
             self._pages -= len(pages)
-            self._g_pages.inc(-len(pages))
 
     def file_exists(self, file_id: int) -> bool:
         """Whether ``file_id`` names a live file."""
@@ -126,9 +136,8 @@ class SimulatedDisk:
         with self._mutex:
             pages = self._require(file_id)
             pages.append(bytearray(PAGE_SIZE))
-            self._m_allocs.inc()
+            self.allocated += 1
             self._pages += 1
-            self._g_pages.inc()
             return len(pages) - 1
 
     def read_page(self, file_id: int, page_no: int) -> bytearray:
@@ -139,7 +148,7 @@ class SimulatedDisk:
             if self.faults is not None and self.faults.armed:
                 self.faults.resolve_read()
             self.stats.count_read(file_id)
-            self._m_reads.inc()
+            self.reads += 1
             return bytearray(pages[page_no])
 
     def write_page(self, file_id: int, page_no: int, data: bytes) -> None:
@@ -156,13 +165,13 @@ class SimulatedDisk:
                     # torn write: the corrupt half-image reaches the platter
                     # (and is charged) before the fault surfaces.
                     self.stats.count_write(file_id)
-                    self._m_writes.inc()
+                    self.writes += 1
                     pages[page_no] = bytearray(torn)
                     raise DiskFault(
                         "injected torn write: page "
                         f"({file_id},{page_no}) persisted half-written")
             self.stats.count_write(file_id)
-            self._m_writes.inc()
+            self.writes += 1
             pages[page_no] = bytearray(data)
 
     # -- recovery primitives (uncharged) ------------------------------------
@@ -195,9 +204,8 @@ class SimulatedDisk:
             pages = self._require(file_id)
             while len(pages) < count:
                 pages.append(bytearray(PAGE_SIZE))
-                self._m_allocs.inc()
+                self.allocated += 1
                 self._pages += 1
-                self._g_pages.inc()
 
     def truncate_file(self, file_id: int, num_pages: int) -> None:
         """Drop pages allocated by a rolled-back statement (undo of ALLOC)."""
@@ -207,7 +215,6 @@ class SimulatedDisk:
                 raise ValueError("cannot truncate to a negative size")
             if num_pages < len(pages):
                 self._pages += num_pages - len(pages)
-                self._g_pages.inc(num_pages - len(pages))
                 del pages[num_pages:]
 
     # -- helpers ------------------------------------------------------------

@@ -103,7 +103,10 @@ class IOStatistics:
     Observer threads read them while a statement runs, so every mutation
     happens under one small mutex (a leaf lock: nothing is called while
     it is held).  ``snapshot`` takes the same mutex so a reader never
-    sees a half-applied update.
+    sees a half-applied update.  A pool event counts its eviction with
+    the request it made room for: a hit takes the mutex once
+    (:meth:`count_hit_pin`), a miss twice (:meth:`count_logical_read`,
+    and the disk's :meth:`count_read`).
     """
 
     __slots__ = (
@@ -162,10 +165,14 @@ class IOStatistics:
             self.physical_writes += 1
             self.file_writes[file_id] = self.file_writes.get(file_id, 0) + 1
 
-    def count_logical_read(self) -> None:
-        """Record one page requested from the buffer pool."""
+    def count_logical_read(self, evicted: int = 0) -> None:
+        """Record one page requested from the buffer pool that it does
+        not hold (a miss, or a freshly allocated page), and the
+        ``evicted`` frames (0 or 1) that made room for it, in one mutex
+        acquisition."""
         with self._mutex:
             self.logical_reads += 1
+            self.evictions += evicted
 
     def count_hit_pin(self) -> None:
         """A page request served from the pool: the logical read and the
@@ -195,10 +202,12 @@ class IOStatistics:
         with self._mutex:
             self.dirty_writebacks += 1
 
-    def count_prefetch(self) -> None:
-        """Record one page physically read by scan read-ahead."""
+    def count_prefetch(self, evicted: int = 0) -> None:
+        """Record one page physically read by scan read-ahead, and the
+        ``evicted`` frames (0 or 1) that made room for it."""
         with self._mutex:
             self.prefetch_issued += 1
+            self.evictions += evicted
 
     def count_prefetch_hit(self) -> None:
         """Record one demand fetch served by a read-ahead frame."""

@@ -25,6 +25,12 @@ statement inside the engine, from the lock manager, the connection
 threads and the sampler at once, and scraped meanwhile, so no increment
 may be lost.  The locks are leaves in the engine's lock hierarchy -- no
 metric callback takes any other lock.
+
+A component that already keeps a count as a plain field of its own --
+the buffer pool and the simulated disk, whose fields change only on the
+one thread inside the engine -- publishes it with :meth:`Counter.read_through`
+/ :meth:`Gauge.read_through` instead: the series reads the field when it
+is scraped, so the event itself pays no metric lock.
 """
 
 from __future__ import annotations
@@ -77,15 +83,56 @@ class _BoundCounter:
 
 
 @dataclass
-class Counter:
-    """A monotonically increasing value, optionally split by labels."""
+class _Family:
+    """What counters and gauges share: a value per label set, some of
+    them read at scrape time from their owner's own field."""
 
     name: str
     help: str = ""
     _values: dict = field(default_factory=dict)
-    _children: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
+    #: label key -> [read, base]: a series rendered as ``read() - base``
+    #: on top of whatever was added to it
+    _reads: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def read_through(self, read, **labels) -> None:
+        """Render the series for ``labels`` as ``read()``, called at
+        scrape time, plus anything added to the series directly.  The
+        owner keeps the count in a plain field and pays no metric lock
+        per event; ``read`` must take no lock of its own.  One reader per
+        series: a later call replaces the earlier one."""
+        with self._lock:
+            self._reads[_label_key(labels)] = [read, 0]
+
+    def value(self, **labels) -> int | float:
+        key = _label_key(labels)
+        value = self._values.get(key, 0)
+        source = self._reads.get(key)
+        return value if source is None else value + source[0]() - source[1]
+
+    def _current(self) -> dict:
+        """Label key -> value, read-through series included (call under
+        the lock)."""
+        if not self._reads:
+            return self._values
+        values = dict(self._values)
+        for key, (read, base) in self._reads.items():
+            values[key] = values.get(key, 0) + read() - base
+        return values
+
+    def samples(self):
+        with self._lock:
+            items = sorted(self._current().items())
+        for key, value in items:
+            yield self.name + _render_labels(key), value
+
+
+@dataclass
+class Counter(_Family):
+    """A monotonically increasing value, optionally split by labels."""
+
+    _children: dict = field(default_factory=dict, repr=False, compare=False)
 
     kind = "counter"
 
@@ -107,30 +154,23 @@ class Counter:
                 child = self._children[key] = _BoundCounter(self, key)
         return child
 
-    def value(self, **labels) -> int | float:
-        return self._values.get(_label_key(labels), 0)
-
     def total(self) -> int | float:
         """The sum across every label combination."""
         with self._lock:
-            return sum(self._values.values())
+            return sum(self._current().values())
 
-    def samples(self):
+    def reset(self) -> None:
+        """Start again from zero.  Bound series stay bound, and a
+        read-through series counts from what its reader returns now."""
         with self._lock:
-            items = sorted(self._values.items())
-        for key, value in items:
-            yield self.name + _render_labels(key), value
+            self._values.clear()
+            for source in self._reads.values():
+                source[1] = source[0]()
 
 
 @dataclass
-class Gauge:
+class Gauge(_Family):
     """A value that goes up and down (resident frames, live pages, ...)."""
-
-    name: str
-    help: str = ""
-    _values: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
 
     kind = "gauge"
 
@@ -150,14 +190,9 @@ class Gauge:
             if value > self._values.get(key, 0):
                 self._values[key] = value
 
-    def value(self, **labels) -> int | float:
-        return self._values.get(_label_key(labels), 0)
-
-    def samples(self):
-        with self._lock:
-            items = sorted(self._values.items())
-        for key, value in items:
-            yield self.name + _render_labels(key), value
+    def reset(self) -> None:
+        """Nothing to forget: a gauge is a level, not a record of events,
+        and keeps it."""
 
 
 #: bucket bounds suited to per-query page-I/O counts.
@@ -200,6 +235,12 @@ class Histogram:
     def mean(self, **labels) -> float:
         n = self.count(**labels)
         return self.sum(**labels) / n if n else 0.0
+
+    def reset(self) -> None:
+        with self._lock:
+            self._counts.clear()
+            self._sums.clear()
+            self._totals.clear()
 
     def samples(self):
         with self._lock:
@@ -268,8 +309,12 @@ class MetricsRegistry:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
     def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()
+        """Zero every counter and histogram in place (a gauge keeps its
+        level).  Registrations stay: components hold their metrics and
+        bound series for life, so a registry that dropped them would
+        never render their later counts."""
+        for metric in self.metrics():
+            metric.reset()
 
     # -- rendering -----------------------------------------------------------
 
@@ -305,6 +350,9 @@ class _NullMetric:
 
     def labels(self, **labels) -> "_NullMetric":
         return self
+
+    def read_through(self, read, **labels) -> None:
+        pass
 
     def set(self, value, **labels) -> None:
         pass

@@ -9,8 +9,8 @@ taxonomy adapted to this engine's actual blocking points:
 * ``lock:<resource>``  -- waiting in the 2PL lock manager, attributed
   per contended resource (a multi-resource wait splits its time evenly
   across the resources that actually blocked it);
-* ``buffer_io``        -- a buffer-pool miss or dirty write-back moving
-  a page between the pool and the (simulated) disk;
+* ``buffer_io``        -- a buffer-pool miss, read-ahead or dirty
+  write-back moving a page between the pool and the (simulated) disk;
 * ``wal_flush``        -- forcing the write-ahead log;
 * ``queue_wait``       -- queued in the bounded worker pool before a
   worker picked the statement up;
@@ -43,6 +43,16 @@ engine is threaded with.  Accumulation has two independent sinks:
 The context also carries the *current* wait (event, detail, since) so
 the ASH sampler can snapshot in-flight waits -- a session blocked on a
 lock for 3 seconds shows up in every sample of those 3 seconds.
+
+``buffer_io`` is the exception to the enter/exit layer: a page transfer
+is a few microseconds of simulated disk, so the buffer pool times it
+with two clock reads into a tally of its own (``io_seconds`` /
+``io_transfers``) and records nothing per transfer.  The global sinks
+read that tally when they are read (:meth:`WaitEventCollector.attach_buffer_io`),
+and a statement's ledger gets the transfers made while it held the
+engine (:meth:`WaitEventCollector.buffer_io_share`); transfers made
+while the collector is disabled are left out of both.  What that gives
+up: ASH never sees ``buffer_io`` as a *current* wait.
 
 Everything is observer-neutral: recording is perf_counter arithmetic
 and dict updates -- no page I/O, no engine latch -- and the collector
@@ -139,6 +149,28 @@ class _Waiting:
         self._collector.record(self._event, elapsed)
 
 
+class _BufferIOShare:
+    """``with collector.buffer_io_share():`` -- add the buffer pool's
+    transfers inside the block to one statement ledger."""
+
+    __slots__ = ("_ctx", "_pool", "_seconds", "_transfers")
+
+    def __init__(self, ctx: StatementWaitContext, pool) -> None:
+        self._ctx = ctx
+        self._pool = pool
+
+    def __enter__(self) -> "_BufferIOShare":
+        self._seconds = self._pool.io_seconds
+        self._transfers = self._pool.io_transfers
+        return self
+
+    def __exit__(self, *exc) -> None:
+        transfers = self._pool.io_transfers - self._transfers
+        if transfers:
+            self._ctx.add(BUFFER_IO, self._pool.io_seconds - self._seconds,
+                          transfers)
+
+
 class _NullWaiting:
     __slots__ = ()
 
@@ -157,8 +189,7 @@ class WaitEventCollector:
 
     def __init__(self, metrics=None) -> None:
         metrics = metrics if metrics is not None else NULL_METRICS
-        #: flipping this off makes every hook a near-no-op (A/B benches).
-        self.enabled = True
+        self._enabled = True
         self._local = threading.local()
         self._mutex = threading.Lock()
         #: session_id -> in-flight StatementWaitContext (for ASH sampling)
@@ -176,6 +207,14 @@ class WaitEventCollector:
         #: event -> that event's (seconds, occurrences) series of the two
         #: counters above, resolved on the event's first wait
         self._series: dict[str, tuple] = {}
+        #: the buffer pool whose transfer tally is ``buffer_io``
+        self._pool = None
+        #: (paused, skipped): the tally when the collector was disabled
+        #: (None while enabled), and the (seconds, transfers) made while
+        #: it was -- one tuple, so a lock-free reader sees both at once
+        self._pool_state: tuple = (None, (0.0, 0))
+        #: :meth:`_pool_io` at the last reset
+        self._pool_base = (0.0, 0)
         self._m_latch_wait = metrics.histogram(
             "admission_wait_seconds",
             "time spent waiting for statement admission",
@@ -183,6 +222,27 @@ class WaitEventCollector:
         self._m_latch_hold = metrics.counter(
             "admission_hold_seconds_total",
             "time statements spent admitted (holding an execution slot)")
+
+    @property
+    def enabled(self) -> bool:
+        """Flipping this off makes every hook a near-no-op (A/B benches);
+        the pool's transfers made while it is off are not counted."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, on: bool) -> None:
+        with self._mutex:
+            pool = self._pool
+            if pool is not None and on != self._enabled:
+                paused, skipped = self._pool_state
+                if on:
+                    self._pool_state = (None, (
+                        skipped[0] + pool.io_seconds - paused[0],
+                        skipped[1] + pool.io_transfers - paused[1]))
+                else:
+                    self._pool_state = (
+                        (pool.io_seconds, pool.io_transfers), skipped)
+            self._enabled = on
 
     # -- statement scope ---------------------------------------------------
 
@@ -224,6 +284,44 @@ class WaitEventCollector:
 
     def _active_ctx(self) -> StatementWaitContext | None:
         return getattr(self._local, "ctx", None)
+
+    def attach_buffer_io(self, pool) -> None:
+        """Take ``buffer_io`` from ``pool``'s transfer tally: the two
+        ``wait_*_total{event="buffer_io"}`` series and :meth:`totals`
+        read it when they are read, on top of anything :meth:`record`
+        adds."""
+        with self._mutex:
+            # what the pool moved before it was attached is not ours
+            now = (pool.io_seconds, pool.io_transfers)
+            self._pool = pool
+            self._pool_state = (None if self._enabled else now, now)
+            self._pool_base = (0.0, 0)
+        self._m_wait_seconds.read_through(lambda: self._pool_io()[0],
+                                          event=BUFFER_IO)
+        self._m_wait_events.read_through(lambda: self._pool_io()[1],
+                                         event=BUFFER_IO)
+
+    def _pool_io(self) -> tuple[float, int]:
+        """The attached pool's (seconds, transfers) made while the
+        collector was enabled."""
+        pool = self._pool
+        if pool is None:
+            return 0.0, 0
+        paused, skipped = self._pool_state
+        seconds, transfers = paused or (pool.io_seconds, pool.io_transfers)
+        return seconds - skipped[0], transfers - skipped[1]
+
+    def buffer_io_share(self):
+        """Context manager around a statement's use of the engine (inside
+        the engine mutex, where no other statement's transfers happen):
+        the pool transfers made inside it go to this thread's statement
+        ledger.  Transfers outside every share -- an explicit checkpoint,
+        the doctor, a follower applying the stream -- reach the global
+        totals only."""
+        ctx = self._active_ctx()
+        if ctx is None or self._pool is None or not self._enabled:
+            return _NULL_WAITING
+        return _BufferIOShare(ctx, self._pool)
 
     # -- recording ---------------------------------------------------------
 
@@ -325,13 +423,26 @@ class WaitEventCollector:
             })
         return samples
 
+    def _slots(self) -> dict[str, list]:
+        """event -> [seconds, count]: what was recorded, plus the pool's
+        transfers since the last reset (call under the mutex)."""
+        seconds, transfers = self._pool_io()
+        transfers -= self._pool_base[1]
+        if not transfers:
+            return self._totals
+        slots = dict(self._totals)
+        recorded = slots.get(BUFFER_IO, (0.0, 0))
+        slots[BUFFER_IO] = [recorded[0] + seconds - self._pool_base[0],
+                            recorded[1] + transfers]
+        return slots
+
     def totals(self) -> list[dict]:
         """Cumulative per-event totals, largest first, with shares of the
         accounted statement wall-clock."""
         with self._mutex:
             rows = [{"event": event, "seconds": round(slot[0], 6),
                      "count": slot[1]}
-                    for event, slot in self._totals.items()]
+                    for event, slot in self._slots().items()]
             accounted = self.statement_seconds
         rows.sort(key=lambda r: (-r["seconds"], r["event"]))
         for row in rows:
@@ -341,7 +452,7 @@ class WaitEventCollector:
 
     def total_for(self, event: str) -> float:
         with self._mutex:
-            slot = self._totals.get(event)
+            slot = self._slots().get(event)
             return slot[0] if slot is not None else 0.0
 
     def lock_wait_seconds(self) -> float:
@@ -388,6 +499,7 @@ class WaitEventCollector:
             self._contexts.clear()
             self.statement_seconds = 0.0
             self.statements_finished = 0
+            self._pool_base = self._pool_io()
 
 
 class NullWaitCollector:
@@ -407,6 +519,9 @@ class NullWaitCollector:
         pass
 
     def wait(self, event, detail=""):
+        return _NULL_WAITING
+
+    def buffer_io_share(self):
         return _NULL_WAITING
 
     def mark_waiting(self, event, detail=""):

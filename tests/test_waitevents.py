@@ -76,6 +76,38 @@ def test_disabled_collector_is_a_noop():
     assert collector.snapshot()["statements"] == 0
 
 
+def test_disabled_collector_takes_no_pool_transfers():
+    """The pool keeps its ``buffer_io`` tally whatever the collector
+    says; the collector leaves out what it moved while disabled."""
+    metrics = MetricsRegistry()
+    collector = WaitEventCollector(metrics)
+
+    class Pool:
+        io_seconds, io_transfers = 0.5, 2   # before attaching: not counted
+
+    def moved(seconds, transfers):
+        Pool.io_seconds += seconds
+        Pool.io_transfers += transfers
+
+    collector.attach_buffer_io(Pool)
+    collector.enabled = False
+    moved(1.0, 4)
+    ctx = collector.begin_statement(1, "s1", "x")
+    with collector.buffer_io_share():
+        moved(1.0, 4)
+    assert ctx is None and collector.totals() == []
+    assert metrics.value("wait_events_total", event=BUFFER_IO) == 0
+
+    collector.enabled = True
+    moved(0.25, 1)
+    collector.enabled = False
+    moved(1.0, 4)
+    [row] = collector.totals()
+    assert (row["event"], row["seconds"], row["count"]) == (BUFFER_IO, 0.25, 1)
+    assert metrics.value("wait_seconds_total", event=BUFFER_IO) == 0.25
+    assert metrics.value("wait_events_total", event=BUFFER_IO) == 1
+
+
 def test_wait_context_manager_exposes_and_restores_current():
     collector = WaitEventCollector()
     ctx = collector.begin_statement(7, "s7", "retrieve x")
