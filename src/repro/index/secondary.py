@@ -123,21 +123,32 @@ class SecondaryIndex:
 
     def range(self, lo=None, hi=None, include_hi: bool = True) -> Iterator[tuple[object, OID]]:
         """Yield ``(value, oid)`` for lo <= value (<=|<) hi, in value order."""
-        self._m_range_scans.inc(index=self.name)
-        return self._range_iter(lo, hi, include_hi)
+        keys = self.range_keys(lo, hi, hi_strict=not include_hi)
+        field, width = self.field, self.value_width
+        return ((decode_key(field, key[:width]), oid)
+                for key, oid in self.tree.range_scan(*keys))
 
-    def _range_iter(self, lo, hi, include_hi: bool) -> Iterator[tuple[object, OID]]:
-        lo_key = encode_key(self.field, lo) + MIN_OID_SUFFIX if lo is not None else None
+    def range_keys(self, lo=None, hi=None, lo_strict: bool = False,
+                   hi_strict: bool = False) -> tuple[bytes | None, bytes | None, bool]:
+        """Start a range scan over ``lo`` (<|<=) value (<|<=) ``hi``: the
+        ``(lo, hi, include_hi)`` composite-key bounds to hand
+        :meth:`BPlusTree.range_scan`.  Counts the scan.
+
+        Both strict bounds are folded into the keys: the largest composite
+        a value can have (real OID suffixes are always smaller) bounds an
+        exclusive ``lo`` from below, the smallest one (real suffixes are
+        always larger) an exclusive ``hi`` from above.
+        """
+        self._m_range_scans.inc(index=self.name)
+        lo_key = None
+        if lo is not None:
+            lo_key = encode_key(self.field, lo) + (
+                MAX_OID_SUFFIX if lo_strict else MIN_OID_SUFFIX)
         if hi is None:
-            hi_key, tree_inclusive = None, True
-        elif include_hi:
-            hi_key, tree_inclusive = encode_key(self.field, hi) + MAX_OID_SUFFIX, True
-        else:
-            # The smallest possible composite for value ``hi`` acts as an
-            # exclusive bound (real OID suffixes are always larger).
-            hi_key, tree_inclusive = encode_key(self.field, hi) + MIN_OID_SUFFIX, False
-        for key, oid in self.tree.range_scan(lo_key, hi_key, include_hi=tree_inclusive):
-            yield decode_key(self.field, key[: self.value_width]), oid
+            return lo_key, None, True
+        if hi_strict:
+            return lo_key, encode_key(self.field, hi) + MIN_OID_SUFFIX, False
+        return lo_key, encode_key(self.field, hi) + MAX_OID_SUFFIX, True
 
     def items(self) -> Iterator[tuple[object, OID]]:
         """All entries in value order."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, UnknownTypeError
 from repro.objects.instance import (
     LinkEntry,
     ReplicaEntry,
@@ -39,11 +39,16 @@ from repro.storage.constants import OBJECT_HEADER_BYTES
 from repro.storage.oid import NULL_OID, OID
 
 _HEADER = struct.Struct(">HBB16x")
+_COUNTS = struct.Struct(">HBB")  # the header's tag and entry counts
 _INT = struct.Struct(">i")
 _FLOAT = struct.Struct(">d")
 _REFCOUNT = struct.Struct(">I")
+_OID_PARTS = struct.Struct(">HIH")
+_NULL_PARTS = (NULL_OID.file_id, NULL_OID.page_no, NULL_OID.slot)
+_UNBOUND = object()
 
 assert _HEADER.size == OBJECT_HEADER_BYTES
+assert _OID_PARTS.size == len(NULL_OID.pack())
 
 _LINK_ENTRY_BYTES = 9
 _REPLICA_ENTRY_BYTES = 13
@@ -77,17 +82,8 @@ def encode_object(registry: TypeRegistry, obj: StoredObject) -> bytes:
     return b"".join(parts)
 
 
-def decode_object(registry: TypeRegistry, data: bytes,
-                  fields=None) -> StoredObject:
-    """Deserialise an object; the type is resolved through its tag.
-
-    With ``fields`` (a collection of field names) only those values are
-    built and the link/replica entries are skipped: a read-only projection
-    for the query executor, never to be written back.  The record is
-    validated against the type's layout either way, so a projection raises
-    the same :class:`SerializationError` a full decode would for a
-    truncated record or trailing bytes.
-    """
+def decode_object(registry: TypeRegistry, data) -> StoredObject:
+    """Deserialise an object; the type is resolved through its tag."""
     if len(data) < OBJECT_HEADER_BYTES:
         raise SerializationError(f"object record truncated ({len(data)} bytes)")
     tag, n_links, n_replicas = _HEADER.unpack_from(data, 0)
@@ -111,15 +107,10 @@ def decode_object(registry: TypeRegistry, data: bytes,
         if offsets[cut] != present:
             raise SerializationError(
                 f"field {type_def.fields[cut].name!r} truncated")
-    layout = type_def.layout
     values: dict[str, object] = {}
-    for name in (layout if fields is None else fields):
-        if name in layout:
-            fdef, offset = layout[name]
-            values[name] = (_decode_value(fdef, data, base + offset)
-                            if offset < present else _default_for(fdef.kind))
-    if fields is not None:
-        return StoredObject.trusted(type_def, values, [], [])
+    for name, (fdef, offset) in type_def.layout.items():
+        values[name] = (_decode_value(fdef, data, base + offset)
+                        if offset < present else _default_for(fdef.kind))
     links = []
     for __ in range(n_links):
         oid = OID.unpack(data, pos)
@@ -166,6 +157,86 @@ def value_section(data, tag: int, type_def: TypeDefinition) -> int | None:
     if record_tag != tag or len(data) != base + type_def.data_width:
         return None
     return base
+
+
+def projector(registry: TypeRegistry, fields):
+    """The projected read of ``fields`` (field names): a function
+    ``slice_(data, start, end)`` returning the tuple of those fields'
+    values, in that order, of the object encoded in ``data[start:end]`` --
+    a page image its caller holds pinned, or a payload.
+
+    Per record it reads the header's tag and entry counts, checks that the
+    tag is registered and that the record is exactly its type's width, and
+    unpacks each field at an offset bound once per type and ``fields``
+    (kept in :attr:`TypeDefinition.projections`).  Nothing else is read
+    and no object is built.  A record it refuses -- shorter than a header,
+    of an unregistered tag, written before a widening (short) or damaged,
+    of a type that lacks one of ``fields`` -- is decoded whole by
+    :func:`decode_object`, which raises what a full read raises or gives a
+    short record's absent fields their defaults, and its values are taken
+    with :meth:`StoredObject.get`.
+    """
+    fields = tuple(fields)
+    plans: dict = {}  # tag -> (value-section width, unpacker) | None
+
+    def slice_(data, start: int, end: int) -> tuple:
+        if end - start >= OBJECT_HEADER_BYTES:
+            tag, n_links, n_replicas = _COUNTS.unpack_from(data, start)
+            plan = plans.get(tag, _UNBOUND)
+            if plan is _UNBOUND:
+                plan = plans[tag] = _bound(registry, tag, fields)
+            if plan is not None:
+                base = (start + OBJECT_HEADER_BYTES
+                        + n_links * _LINK_ENTRY_BYTES
+                        + n_replicas * _REPLICA_ENTRY_BYTES)
+                if end - base == plan[0]:
+                    return plan[1](data, base)
+        obj = decode_object(registry, data[start:end])
+        return tuple([obj.get(name) for name in fields])
+
+    return slice_
+
+
+def _bound(registry: TypeRegistry, tag: int, fields: tuple):
+    """``(width, unpacker)`` of ``fields`` for the type registered under
+    ``tag``; None when the tag is unregistered or the type lacks a field."""
+    try:
+        type_def = registry.by_tag(tag)
+    except UnknownTypeError:
+        return None
+    plan = type_def.projections.get(fields, _UNBOUND)
+    if plan is _UNBOUND:
+        plan = None
+        if all(name in type_def.layout for name in fields):
+            plan = (type_def.data_width, _unpacker(type_def, fields))
+        type_def.projections[fields] = plan
+    return plan
+
+
+def _unpacker(type_def: TypeDefinition, fields: tuple):
+    """Compile ``values(data, base)``: the tuple of ``fields``' values of
+    a record laid out by ``type_def`` whose value section starts at
+    ``base`` -- one ``unpack_from`` per field at its bound offset, each
+    value read as :func:`_decode_value` reads it.  One function, so a
+    record costs one call however many fields are projected."""
+    env = {"OID": OID, "NULL": _NULL_PARTS}
+    items = []
+    for i, name in enumerate(fields):
+        fdef, offset = type_def.layout[name]
+        unpack = f"u{i}(data, base + {offset})"
+        if fdef.kind is FieldKind.REF:
+            env[f"u{i}"] = _OID_PARTS.unpack_from
+            items.append(f"(None if (p{i} := {unpack}) == NULL else OID(*p{i}))")
+        elif fdef.kind is FieldKind.CHAR:
+            env[f"u{i}"] = struct.Struct(f"{fdef.size}s").unpack_from
+            items.append(f"{unpack}[0].rstrip(b'\\x00').decode('utf-8')")
+        else:
+            env[f"u{i}"] = (_INT if fdef.kind is FieldKind.INT
+                            else _FLOAT).unpack_from
+            items.append(f"{unpack}[0]")
+    exec("def values(data, base):\n"
+         f"    return ({''.join(item + ', ' for item in items)})\n", env)
+    return env["values"]
 
 
 def peek_type_tag(data: bytes) -> int:

@@ -14,12 +14,18 @@ referencers of a changed object.  :meth:`ObjectStore.update_many` is the
 general path for many objects at a pin per page (``replicate`` widening a
 loaded set).
 
+A query reads a few fields of many objects: :meth:`ObjectStore.read_many`
+and :meth:`ObjectStore.scan` given ``fields`` slice those fields' values
+straight off each record's pinned page
+(:func:`~repro.objects.encoding.projector`) and build no object.
+
 A :class:`ReadMemo` is an OID -> object map for one read-only sweep
 (``verify``, the doctor): each object it is asked for is decoded once.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from repro.errors import DanglingReferenceError, RecordNotFoundError
@@ -28,6 +34,7 @@ from repro.objects.encoding import (
     decode_object,
     encode_fields,
     encode_object,
+    projector,
     value_section,
 )
 from repro.objects.instance import StoredObject
@@ -36,7 +43,6 @@ from repro.objects.types import TypeDefinition
 from repro.storage.heapfile import HeapFile
 from repro.storage.manager import StorageManager
 from repro.storage.oid import OID
-from repro.storage.page import Page
 
 
 class ObjectStore:
@@ -60,24 +66,19 @@ class ObjectStore:
                                  for obj in objs])
         return [OID(heap.file_id, page_no, slot) for page_no, slot in rids]
 
-    def read(self, oid: OID, page: Page | None = None,
-             fields=None) -> StoredObject:
+    def read(self, oid: OID) -> StoredObject:
         """Dereference an OID.
 
         Raises :class:`DanglingReferenceError` when the OID does not name a
         live object -- the error a functional join would surface on a
-        violated reference.  ``page`` is the OID's home page when the
-        caller already holds it pinned (no pin is taken then); ``fields``
-        projects the decode (see :func:`decode_object`).
+        violated reference.
         """
         heap = self.storage.file_by_id(oid.file_id)
-        rid = (oid.page_no, oid.slot)
         try:
-            raw = heap.read(rid) if page is None \
-                else heap.read_pinned(page, rid)
+            raw = heap.read((oid.page_no, oid.slot))
         except RecordNotFoundError:
             raise DanglingReferenceError(f"dangling reference {oid}") from None
-        return decode_object(self.registry, raw, fields)
+        return decode_object(self.registry, raw)
 
     def update(self, oid: OID, obj: StoredObject) -> None:
         """Overwrite the object at ``oid`` (relocation is transparent)."""
@@ -190,8 +191,10 @@ class ObjectStore:
         heap = self.storage.file_by_id(oid.file_id)
         return heap.exists((oid.page_no, oid.slot))
 
-    def read_many(self, oids, fields=None) -> dict[OID, StoredObject]:
-        """Resolve many OIDs in one ordered sweep (the batched join's hop).
+    def read_many(self, oids, fields=None) -> dict[OID, object]:
+        """Resolve many OIDs in one ordered sweep (the batched join's hop):
+        OID -> object, or with ``fields`` (field names) OID -> the tuple of
+        those fields' values, the projected read (:func:`projector`).
 
         The probe list is sorted by ``(file_id, page_no, slot)`` and
         deduplicated -- each distinct object is read exactly once, in page
@@ -199,50 +202,77 @@ class ObjectStore:
         referencer.  Duplicates avoided are charged to the shared
         ``batch_dedup_saved`` counter.  Page runs are group-fetched
         (pinned) through :meth:`BufferPool.fetch_many` and every record of
-        a run is decoded straight from its pinned page; records relocated
-        by forward stubs (or chunked) pin what else they need and cannot
-        evict the run mid-sweep.  Tiny pools skip the pinning rather than
-        starve other fetches.  ``fields`` projects the decode.
+        a run is read straight off its pinned page
+        (:meth:`HeapFile.read_sliced`); a record behind a forward stub
+        takes the pins :meth:`HeapFile.read` takes, on pages the run leaves
+        room for, and a projected one is sliced on the page it was moved
+        to.  A 1-frame pool pins no run.
         """
         probes = list(oids)
         unique = sorted(set(probes),
                         key=lambda o: (o.file_id, o.page_no, o.slot))
         self.storage.stats.count_batch_dedup(len(probes) - len(unique))
+        slice_ = self._slicer(fields)
         pool = self.storage.pool
         # pages per pinned run: leave at least half the pool for forward
-        # stubs / overflow chunks; pools under 4 frames skip pinning
+        # stubs and overflow chunks; a 1-frame pool skips pinning
         run_pages = min(16, pool.capacity // 2)
-        out: dict[OID, StoredObject] = {}
+        out: dict[OID, object] = {}
+        file_id = None
         start = 0
         while start < len(unique):
-            run: list[OID] = []
+            # the next run: the OIDs on at most max(1, run_pages) pages
             pages: list[tuple[int, int]] = []
-            for oid in unique[start:]:
+            end = start
+            for oid in islice(unique, start, None):
                 key = (oid.file_id, oid.page_no)
                 if not pages or pages[-1] != key:
                     if len(pages) >= max(1, run_pages):
                         break
                     pages.append(key)
-                run.append(oid)
-            start += len(run)
+                end += 1
             group = pool.fetch_many(pages) if run_pages >= 1 else {}
             try:
-                for oid in run:
-                    out[oid] = self.read(
-                        oid, group.get((oid.file_id, oid.page_no)), fields)
+                page_no = None
+                for oid in unique[start:end]:
+                    if oid.file_id != file_id:
+                        file_id, page_no = oid.file_id, None
+                        read_sliced = self.storage.file_by_id(file_id).read_sliced
+                    if oid.page_no != page_no:
+                        page_no = oid.page_no
+                        page = group.get((file_id, page_no))
+                    out[oid] = read_sliced((page_no, oid.slot), slice_, page)
+            except RecordNotFoundError:
+                raise DanglingReferenceError(
+                    f"dangling reference {oid}") from None
             finally:
                 pool.unpin_many(group)
+            start = end
         return out
 
     # -- scans ------------------------------------------------------------
 
     def scan(self, heap: HeapFile, readahead: int = 0,
-             fields=None) -> Iterator[tuple[OID, StoredObject]]:
-        """Yield ``(oid, object)`` in physical order (``fields`` projects
-        the decode)."""
-        for rid, raw in heap.scan(readahead=readahead):
-            yield (OID(heap.file_id, rid[0], rid[1]),
-                   decode_object(self.registry, raw, fields))
+             fields=None) -> Iterator[tuple[OID, object]]:
+        """Yield ``(oid, object)`` in physical order -- or with ``fields``,
+        ``(oid, values)``: each record's projection sliced off its pinned
+        page (see :meth:`read_many`)."""
+        file_id = heap.file_id
+        if fields is None:
+            for rid, raw in heap.scan(readahead=readahead):
+                yield (OID(file_id, rid[0], rid[1]),
+                       decode_object(self.registry, raw))
+            return
+        for rid, values in heap.scan_sliced(self._slicer(fields), readahead):
+            yield OID(file_id, rid[0], rid[1]), values
+
+    def _slicer(self, fields):
+        """What a read makes of a record's payload: the projection of
+        ``fields``, or without them the whole object."""
+        if fields is not None:
+            return projector(self.registry, fields)
+        registry = self.registry
+        return lambda data, start, end: decode_object(registry, data[start:end])
 
     # -- path navigation ----------------------------------------------------
 

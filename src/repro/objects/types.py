@@ -111,6 +111,10 @@ class TypeDefinition:
     #: (definition, start) in field order: lookups and the decoder's tables
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
     layout: dict[str, tuple[FieldDef, int]] = field(init=False, repr=False, compare=False, default=None)
+    #: the projected reads bound to this layout, by field-name tuple (filled
+    #: by :func:`repro.objects.encoding.projector`); a widened type is a new
+    #: definition, so a binding never outlives its layout
+    projections: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, name: str, fields, base: str | None = None) -> None:
         if not name.isidentifier():
@@ -132,6 +136,7 @@ class TypeDefinition:
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "layout", {
             f.name: (f, offset) for f, offset in zip(fields, offsets)})
+        object.__setattr__(self, "projections", {})
 
     # -- lookup ---------------------------------------------------------
 

@@ -9,9 +9,12 @@ dedupe, resolve the whole level with one ordered sweep
 (:meth:`ObjectStore.read_many`), and fan the values back to their rows --
 so each target page is pinned once per batch and the sweep reads the file
 in physical order.  File scans additionally opt into heap-page read-ahead
-sized to the buffer pool.  Every object is decoded only as far as the plan
-reads it: the scanned set's objects carry :func:`scanned_fields`, a hop
-level's objects the one field that level needs.
+sized to the buffer pool.  No object is built between the index leaf (or
+the scanned page) and the result row: a row is the tuple of the values of
+:func:`scanned_fields`, each sliced off the record's pinned page by the
+projected read (:func:`repro.objects.encoding.projector`), and a hop level
+slices the one field it needs -- the next reference, or the terminal
+value -- off each object it reaches.
 
 Row order, row values, and raised errors match the naive executor exactly
 (parity is tested over the full query corpus); only the physical I/O
@@ -25,6 +28,7 @@ a hop child for a level they did not reach.
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 
 from repro.query.analyze import Meter, OperatorStats
 from repro.query.plan import (
@@ -52,22 +56,25 @@ def scan_readahead(db) -> int:
     return window if window >= 2 else 0
 
 
-def iter_batches(db, plan: RetrievePlan, meter: Meter | None = None,
+def iter_batches(db, plan: RetrievePlan, fields: tuple[str, ...],
+                 meter: Meter | None = None,
                  scan_op: OperatorStats | None = None):
-    """Yield lists of filtered ``(oid, obj)`` rows, one batch at a time.
+    """Yield lists of filtered rows, one batch at a time: a row is the
+    tuple of a scanned object's values of ``fields``
+    (:func:`scanned_fields`).
 
     Scan I/O -- including read-ahead and any batched filter joins, exactly
     the work the naive path charges to its scan -- is attributed to
     ``scan_op`` when metering.
     """
-    raw = iter(_raw_rows(db, plan))
+    raw = iter(_raw_rows(db, plan, fields))
     batch_rows = db.join_batch_rows
     while True:
         mark = meter.begin() if meter is not None else None
         batch = list(islice(raw, batch_rows))
         done = len(batch) < batch_rows
         if batch and plan.where is not None:
-            batch = filter_batch(db, plan.set_name, plan.where, batch)
+            batch = filter_batch(db, plan.set_name, plan.where, batch, fields)
         if meter is not None:
             meter.end(mark, scan_op)
             scan_op.rows += len(batch)
@@ -77,17 +84,18 @@ def iter_batches(db, plan: RetrievePlan, meter: Meter | None = None,
             return
 
 
-def _raw_rows(db, plan: RetrievePlan):
-    """Unfiltered ``(oid, obj)`` rows in access order, each object a
-    projection on :func:`scanned_fields`.
+def _raw_rows(db, plan: RetrievePlan, fields: tuple[str, ...]):
+    """Unfiltered rows in access order, each sliced off its record's
+    pinned page (the projected read of ``fields``).
 
     Index scans are batched too: a window of index-qualified OIDs resolves
     through one ordered sweep, then rows surface in index-key order.
     """
     obj_set = db.catalog.get_set(plan.set_name)
-    fields = scanned_fields(db, plan)
     if isinstance(plan.access, FileScan):
-        yield from obj_set.scan(readahead=scan_readahead(db), fields=fields)
+        for __, values in obj_set.scan(readahead=scan_readahead(db),
+                                       fields=fields):
+            yield values
         return
     assert isinstance(plan.access, IndexScan)
     from repro.query.executor import _index_oids
@@ -97,14 +105,13 @@ def _raw_rows(db, plan: RetrievePlan):
         window = list(islice(oids, db.join_batch_rows))
         if not window:
             return
-        objmap = db.store.read_many(window, fields)
-        for oid in window:
-            yield oid, objmap[oid]
+        yield from map(db.store.read_many(window, fields).__getitem__, window)
 
 
-def scanned_fields(db, plan: RetrievePlan) -> frozenset[str]:
-    """The fields of a scanned object the plan reads: where its fetch
-    steps, sort key, group keys and filter clauses start from."""
+def scanned_fields(db, plan: RetrievePlan) -> tuple[str, ...]:
+    """The fields of a scanned object the plan reads, in name order: where
+    its fetch steps, sort key, group keys and filter clauses start from.
+    A scanned row holds their values in this order."""
     steps = plan.steps + plan.group_steps
     if plan.order_step is not None:
         steps += (plan.order_step,)
@@ -112,7 +119,7 @@ def scanned_fields(db, plan: RetrievePlan) -> frozenset[str]:
     if plan.where is not None:
         names.update(_clause_source(db, plan.set_name, clause.ref)[1]
                      for clause in plan.where.clauses)
-    return frozenset(names)
+    return tuple(sorted(names))
 
 
 def _start_field(step) -> str:
@@ -146,16 +153,18 @@ def _clause_source(db, set_name: str, ref) -> tuple[str, str]:
     return "join", ref.chain[0]
 
 
-def filter_batch(db, set_name: str, where, batch: list) -> list:
-    """Apply ``where`` to a batch, batching its path-valued lookups.
+def filter_batch(db, set_name: str, where, batch: list,
+                 fields: tuple[str, ...]) -> list:
+    """Apply ``where`` to a batch of rows holding ``fields``, batching its
+    path-valued lookups.
 
     Local and in-place-replicated clause values come straight off each
-    object; separate-replica and functional-join clause values are
-    resolved for the whole batch in one sweep per distinct path before any
+    row; separate-replica and functional-join clause values are resolved
+    for the whole batch in one sweep per distinct path before any
     predicate runs.
     """
-    #: clause ref -> the field to read off each object, or the batch's
-    #: resolved values
+    #: clause ref -> the row position to read, or the batch's resolved
+    #: values
     in_place: dict = {}
     resolved: dict = {}
     for clause in where.clauses:
@@ -164,24 +173,29 @@ def filter_batch(db, set_name: str, where, batch: list) -> list:
             continue
         how, name = _clause_source(db, set_name, ref)
         if how == "field":
-            in_place[ref] = name
+            in_place[ref] = fields.index(name)
         elif how == "replica":
-            refs = [obj.values[name] for __, obj in batch]
+            refs = _column(batch, fields, name)
             resolved[ref] = replica_values(db, refs, ref.field)
         else:
-            starts = [obj.ref(name) for __, obj in batch]
+            starts = _column(batch, fields, name)
             resolved[ref] = resolve_chain_values(db, starts, ref.chain[1:],
                                                  ref.field)
     out = []
-    for i, (oid, obj) in enumerate(batch):
-        def lookup(ref, i=i, obj=obj):
+    for i, row in enumerate(batch):
+        def lookup(ref, i=i, row=row):
             if ref in in_place:
-                return obj.values[in_place[ref]]
+                return row[in_place[ref]]
             return resolved[ref][i]
 
         if where.matches(lookup):
-            out.append((oid, obj))
+            out.append(row)
     return out
+
+
+def _column(batch: list, fields: tuple[str, ...], name: str) -> list:
+    """Field ``name``'s value in every row of the batch, in row order."""
+    return list(map(itemgetter(fields.index(name)), batch))
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +203,24 @@ def filter_batch(db, set_name: str, where, batch: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def resolve_step_batch(db, step, batch: list, meter: Meter | None = None,
+def resolve_step_batch(db, step, batch: list, fields: tuple[str, ...],
+                       meter: Meter | None = None,
                        op: OperatorStats | None = None) -> list:
-    """One fetch step's values for every row of the batch, in row order."""
-    objs = [obj for __, obj in batch]
-    if isinstance(step, LocalField):
-        return [obj.values[step.field_name] for obj in objs]
-    if isinstance(step, HiddenField):
-        return [obj.values[step.hidden_field] for obj in objs]
+    """One fetch step's values for every row of the batch (rows holding
+    ``fields``), in row order."""
+    column = _column(batch, fields, _start_field(step))
+    if isinstance(step, (LocalField, HiddenField)):
+        return column
     if isinstance(step, ReplicaFetch):
-        refs = [obj.values[step.hidden_ref] for obj in objs]
-        return replica_values(db, refs, step.field_name, op=op)
+        return replica_values(db, column, step.field_name, op=op)
     if isinstance(step, HiddenRefJump):
-        starts = [obj.values[step.hidden_field] for obj in objs]
         labels = ["hop jump"] + [f"hop {r}" for r in step.remaining_chain]
-        return resolve_chain_values(db, starts, step.remaining_chain,
+        return resolve_chain_values(db, column, step.remaining_chain,
                                     step.field_name, hop_labels=labels,
                                     meter=meter, op=op)
     assert isinstance(step, FunctionalJoin)
-    starts = [obj.ref(step.chain[0]) for obj in objs]
     labels = [f"hop {r}" for r in step.chain]
-    return resolve_chain_values(db, starts, step.chain[1:], step.field_name,
+    return resolve_chain_values(db, column, step.chain[1:], step.field_name,
                                 hop_labels=labels, meter=meter, op=op)
 
 
@@ -217,14 +228,13 @@ def replica_values(db, refs: list[OID | None], field_name: str,
                    op: OperatorStats | None = None) -> list:
     """Batch-dereference replica refs (separate replication's S' join)."""
     live = [r for r in refs if r is not None]
-    objmap = db.store.read_many(live, (field_name,)) if live else {}
+    values = db.store.read_many(live, (field_name,)) if live else {}
     if op is not None:
         op.nulls += len(refs) - len(live)
         distinct = len(set(live))
         op.distinct += distinct
         op.dedup_saved += len(live) - distinct
-    return [objmap[r].values[field_name] if r is not None else None
-            for r in refs]
+    return [values[r][0] if r is not None else None for r in refs]
 
 
 def resolve_chain_values(db, start_oids: list, chain, field_name: str,
@@ -235,7 +245,9 @@ def resolve_chain_values(db, start_oids: list, chain, field_name: str,
 
     ``start_oids`` is aligned with the rows (None entries short-circuit to
     a NULL value, as the naive join does).  Returns the terminal field
-    values in row order.  With metering, each level's sweep is attributed
+    values in row order.  Each level reads one field of each object it
+    reaches -- the next reference, then the terminal value -- sliced off
+    the pinned page.  With metering, each level's sweep is attributed
     to a ``hop_labels[level]`` child of ``op`` -- created only when the
     level has at least one live reference, so all-NULL levels leave no
     phantom hop -- and rows that never reach the terminal are counted on
@@ -254,27 +266,26 @@ def resolve_chain_values(db, start_oids: list, chain, field_name: str,
         if op is not None and hop_labels is not None:
             hop = op.child(hop_labels[level])
         mark = meter.begin() if (meter is not None and hop is not None) else None
-        objmap = db.store.read_many(
+        read = db.store.read_many(
             probes, (chain[level] if level < len(chain) else field_name,))
         if mark is not None:
             meter.end(mark, hop)
         if hop is not None:
             hop.rows += len(probes)
-            distinct = len(objmap)
+            distinct = len(read)
             hop.distinct += distinct
             hop.dedup_saved += len(probes) - distinct
         if level < len(chain):
-            ref_name = chain[level]
             still = []
             for i in live:
-                nxt = objmap[current[i]].ref(ref_name)
+                nxt = read[current[i]][0]
                 current[i] = nxt
                 if nxt is not None:
                     still.append(i)
             live = still
         else:
             for i in live:
-                values[i] = objmap[current[i]].values[field_name]
+                values[i] = read[current[i]][0]
     if op is not None:
         op.nulls += n - len(live)
     return values

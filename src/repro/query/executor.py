@@ -189,15 +189,18 @@ def _run_batched(db: Database, plan: RetrievePlan, meter: Meter | None,
                          for s in plan.group_steps]
             ops.extend(group_ops)
 
+    fields = batchjoin.scanned_fields(db, plan)
+
     def resolve(step, batch, op):
         mark = meter.begin() if analyze else None
-        values = batchjoin.resolve_step_batch(db, step, batch, meter, op)
+        values = batchjoin.resolve_step_batch(db, step, batch, fields,
+                                              meter, op)
         if analyze:
             meter.end(mark, op)
             op.rows += len(batch)
         return values
 
-    for batch in batchjoin.iter_batches(db, plan, meter, scan_op):
+    for batch in batchjoin.iter_batches(db, plan, fields, meter, scan_op):
         columns = [
             resolve(step, batch, step_ops[idx] if analyze else None)
             for idx, step in enumerate(plan.steps)
@@ -469,15 +472,15 @@ def _scan(db: Database, set_name: str, access, where):
 
 
 def _index_oids(access: IndexScan):
+    """The OIDs the index scan qualifies, in key order, straight from the
+    tree's leaf slices (no key is decoded)."""
     index = access.index.index
     if access.eq is not None:
         yield from index.lookup(access.eq)
         return
-    for value, oid in index.range(
-        lo=access.lo, hi=access.hi, include_hi=not access.hi_strict
-    ):
-        if access.lo_strict and value == access.lo:
-            continue
+    lo, hi, include_hi = index.range_keys(access.lo, access.hi,
+                                          access.lo_strict, access.hi_strict)
+    for __, oid in index.tree.range_scan(lo, hi, include_hi):
         yield oid
 
 

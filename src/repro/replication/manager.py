@@ -288,8 +288,8 @@ class ReplicationManager:
         level = path.level
         # 1. a row per source: its OID, then the OID at each depth of its
         #    chain (None past a null ref)
-        rows = [[oid, obj.values[chain[0]]]
-                for oid, obj in src.scan(fields=(chain[0],))]
+        rows = [[oid, first_ref]
+                for oid, (first_ref,) in src.scan(fields=(chain[0],))]
         objects: dict[OID, StoredObject] = {}
         for hop in range(1, level + 1):
             objects.update(self.store.read_many(

@@ -75,9 +75,10 @@ class ObjectSet:
         return oid.file_id == self.file_id and self.store.exists(oid)
 
     def scan(self, readahead: int = 0,
-             fields=None) -> Iterator[tuple[OID, StoredObject]]:
+             fields=None) -> Iterator[tuple[OID, object]]:
         """Members in physical order (``readahead``: scan prefetch window;
-        ``fields``: decode only these)."""
+        ``fields``: each member's values of these, as a tuple, instead of
+        the member -- see :meth:`ObjectStore.scan`)."""
         return self.store.scan(self.heap, readahead=readahead, fields=fields)
 
     def count(self) -> int:

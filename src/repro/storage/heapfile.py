@@ -150,18 +150,54 @@ class HeapFile:
 
     def read(self, rid: RID) -> bytes:
         """Return the record payload, following a forward stub if present."""
-        body = self._read_body(rid)
-        return self._unwrap(body)
+        return self.read_sliced(rid, _payload)
 
-    def read_pinned(self, page: Page, rid: RID) -> bytes:
-        """:meth:`read` for a caller that already holds ``rid``'s home
-        page pinned: a plain record is sliced out of ``page`` with no pin
-        of its own; forward stubs and chunked records take the regular
-        path (and so pin what they need)."""
-        raw = page.read(rid[1])
-        if raw[0] == _NORMAL and raw[1] == _PLAIN:
-            return raw[2:]
-        return self.read(rid)
+    def read_sliced(self, rid: RID, slice_: Callable, page: Page | None = None):
+        """``slice_(data, start, end)`` over the payload of the record at
+        ``rid``, which lies in ``data[start:end]``; returns what it returns.
+
+        A plain record is sliced where it lies, on its pinned page; so is
+        one behind a forward stub, on the page it was moved to.  A chunked
+        record is assembled first and handed over as bytes.  The pages
+        pinned, and their order, are :meth:`read`'s: the home page, then
+        the stub's target or the chunks.  ``page`` is ``rid``'s home page
+        when the caller already holds it pinned: a plain record on it
+        costs no pin of its own.
+
+        Raises :class:`RecordNotFoundError` for an empty slot, a dangling
+        stub, and a slot that holds no record of its own: a relocated
+        payload or an overflow chunk that took the slot of a deleted
+        record.
+        """
+        page_no, slot = rid
+        if page is not None:
+            offset, length = page.span(slot)
+            data = page.data
+            if data[offset] == _NORMAL and data[offset + 1] == _PLAIN:
+                return slice_(data, offset + 2, offset + length)
+        pool, file_id = self.pool, self.file_id
+        body = target = None
+        with pool.page(file_id, page_no) as home:
+            offset, length = home.span(slot)
+            data = home.data
+            if data[offset] == _FORWARD:
+                target = _rid_unpack(data, offset + 1)
+            else:
+                _check_home(rid, data[offset], data[offset + 1])
+                if data[offset + 1] == _PLAIN:
+                    return slice_(data, offset + 2, offset + length)
+                body = bytes(data[offset + 1:offset + length])
+        if target is not None:
+            with pool.page(file_id, target[0]) as moved:
+                offset, length = moved.span(target[1])
+                data = moved.data
+                if data[offset] != _MOVED:
+                    raise RecordNotFoundError(f"dangling forward stub at {rid}")
+                if data[offset + 1] == _PLAIN:
+                    return slice_(data, offset + 2, offset + length)
+                body = bytes(data[offset + 1:offset + length])
+        payload = self._unwrap(body)
+        return slice_(payload, 0, len(payload))
 
     def update(self, rid: RID, payload: bytes) -> None:
         """Replace the record payload; relocates on overflow, rid stays
@@ -177,12 +213,12 @@ class HeapFile:
                                       bytes((_NORMAL, _PLAIN)) + payload)):
                 return
             raw = bytes(data[offset:offset + length])
-        marker = raw[0]
-        if marker == _FORWARD:
+        if raw[0] == _FORWARD:
             self._free_payload(self._read_raw(_rid_unpack(raw[1:]))[1:])
             target = _rid_unpack(raw[1:])
             self._update_at(target, _MOVED, payload, home=rid)
             return
+        _check_home(rid, raw[0], raw[1])
         self._free_payload(raw[1:])
         self._update_at(rid, _NORMAL, payload, home=rid)
 
@@ -252,6 +288,8 @@ class HeapFile:
         page_no, slot = rid
         with self.pool.page(self.file_id, page_no) as page:
             raw = page.read(slot)
+            if raw[0] != _FORWARD:
+                _check_home(rid, raw[0], raw[1])
             self.pool.writable(self.file_id, page_no)
             page.delete(slot)
             self.pool.mark_dirty(self.file_id, page_no)
@@ -273,10 +311,24 @@ class HeapFile:
             return False
 
     def scan(self, readahead: int = 0) -> Iterator[tuple[RID, bytes]]:
-        """Yield ``(rid, payload)`` in physical order.
+        """Yield ``(rid, payload)`` in physical order (see
+        :meth:`scan_sliced`)."""
+        return self.scan_sliced(_payload, readahead)
+
+    def scan_sliced(self, slice_: Callable,
+                    readahead: int = 0) -> Iterator[tuple[RID, object]]:
+        """Yield ``(rid, slice_(data, start, end))`` for every record, in
+        physical order, where ``data[start:end]`` is the record's payload
+        (see :meth:`read_sliced`).
 
         Records are reported under their *home* rid, fully assembled;
         parked payloads and overflow chunks are skipped where they live.
+        Each page is pinned once and its plain records are sliced under
+        that pin; no pin is held while the caller has a record.  A record
+        behind a forward stub is read after the page is let go, by
+        :meth:`read_sliced`, and a chunked one assembled then, so the pages
+        pinned are those a scan that copied each page's records out and
+        read the others one by one would pin, in the same order.
 
         ``readahead > 0`` prefetches the next window of pages into
         unpinned frames before the cursor reaches them (best effort; the
@@ -294,19 +346,34 @@ class HeapFile:
                     self.file_id,
                     range(page_no + 1, min(page_no + 1 + readahead, total)),
                 )
+            # (slot, kind, item): a plain record's slice, made under the
+            # pin, or what is left once the page is let go -- a forward
+            # stub to follow, or the body of a chunked record
+            entries = []
             with self.pool.page(self.file_id, page_no) as page:
-                entries = list(page.records())
-            for slot, raw in entries:
-                marker = raw[0]
-                if marker == _MOVED:
-                    continue
-                if marker == _FORWARD:
-                    yield (page_no, slot), self.read((page_no, slot))
-                    continue
-                body = raw[1:]
-                if body[:1][0] == _CHUNK:
-                    continue
-                yield (page_no, slot), self._unwrap(body)
+                data = page.data
+                for slot, offset, length in page.live_spans():
+                    marker = data[offset]
+                    if marker == _MOVED:
+                        continue
+                    if marker == _FORWARD:
+                        entries.append((slot, "follow", None))
+                        continue
+                    wrapper = data[offset + 1]
+                    if wrapper == _PLAIN:
+                        entries.append((slot, "sliced", slice_(
+                            data, offset + 2, offset + length)))
+                    elif wrapper != _CHUNK:
+                        entries.append((slot, "assemble",
+                                        bytes(data[offset + 1:offset + length])))
+            for slot, kind, item in entries:
+                rid = (page_no, slot)
+                if kind == "follow":
+                    item = self.read_sliced(rid, slice_)
+                elif kind == "assemble":
+                    payload = self._unwrap(item)
+                    item = slice_(payload, 0, len(payload))
+                yield rid, item
 
     def num_pages(self) -> int:
         """Pages currently allocated to this file."""
@@ -418,14 +485,6 @@ class HeapFile:
 
     # -- low-level helpers ----------------------------------------------------
 
-    def _read_body(self, rid: RID) -> bytes:
-        raw = self._read_raw(rid)
-        if raw[0] == _FORWARD:
-            raw = self._read_raw(_rid_unpack(raw[1:]))
-            if raw[0] != _MOVED:
-                raise RecordNotFoundError(f"dangling forward stub at {rid}")
-        return raw[1:]
-
     def _read_raw(self, rid: RID) -> bytes:
         page_no, slot = rid
         with self.pool.page(self.file_id, page_no) as page:
@@ -525,6 +584,8 @@ class _InPlace:
             offset, length = page.span(target[1])
             if page.data[offset] != _MOVED:
                 raise RecordNotFoundError(f"dangling forward stub at {rid}")
+        else:
+            _check_home(rid, page.data[offset], page.data[offset + 1])
         if page.data[offset + 1] != _PLAIN:
             return None
         self._heap.pool.writable(self._heap.file_id, self._page_no)
@@ -548,6 +609,23 @@ class _InPlace:
             self._page = self._heap.pool.fetch(self._heap.file_id, page_no)
             self._page_no = page_no
         return self._page
+
+
+def _payload(data, start: int, end: int) -> bytes:
+    """The slice :meth:`HeapFile.read` makes: the payload's bytes."""
+    return bytes(data[start:end])
+
+
+def _check_home(rid: RID, marker: int, wrapper: int) -> None:
+    """Refuse a home rid whose slot holds no record of its own.  A slot a
+    deleted record freed can take a payload parked there by a relocation
+    (``MOVED``) or a chunk of a large record; a stale rid that names it
+    must not read, change or free what another record owns."""
+    if marker == _MOVED:
+        raise RecordNotFoundError(
+            f"rid {rid} addresses a relocated payload, not a record")
+    if wrapper == _CHUNK:
+        raise RecordNotFoundError("rid addresses an overflow chunk, not a record")
 
 
 def _rid_pack(rid: RID) -> bytes:

@@ -38,6 +38,7 @@ from repro.storage.constants import (
 
 _HEADER = struct.Struct(">HH4x")
 _SLOT = struct.Struct(">HH")
+_NUM_SLOTS = struct.Struct(">H")
 
 
 class Page:
@@ -211,7 +212,13 @@ class Page:
         :attr:`data` it lies.  A caller that overwrites bytes inside that
         extent, and nowhere else, leaves the slot directory and the space
         accounting as they are."""
-        offset, length = self._read_slot(slot)
+        data = self.data
+        num_slots = _NUM_SLOTS.unpack_from(data, 0)[0]
+        if not 0 <= slot < num_slots:
+            raise RecordNotFoundError(
+                f"slot {slot} out of range (page has {num_slots})")
+        offset, length = _SLOT.unpack_from(
+            data, PAGE_SIZE - (slot + 1) * SLOT_ENTRY_BYTES)
         if offset == EMPTY_SLOT_OFFSET:
             raise RecordNotFoundError(f"slot {slot} is empty")
         return offset, length
@@ -341,6 +348,16 @@ class Page:
         for slot, (offset, _length) in enumerate(self._slots()):
             if offset != EMPTY_SLOT_OFFSET:
                 yield slot
+
+    def live_spans(self) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(slot, offset, length)`` of every record, in slot order
+        (see :meth:`span`)."""
+        data = self.data
+        for slot in range(_NUM_SLOTS.unpack_from(data, 0)[0]):
+            offset, length = _SLOT.unpack_from(
+                data, PAGE_SIZE - (slot + 1) * SLOT_ENTRY_BYTES)
+            if offset != EMPTY_SLOT_OFFSET:
+                yield slot, offset, length
 
     def records(self) -> Iterator[tuple[int, bytes]]:
         """Yield ``(slot, record)`` pairs in slot order."""

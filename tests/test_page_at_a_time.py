@@ -8,15 +8,17 @@ here with the loop it replaced (kept in this file as the reference):
   pin) per object;
 * ``HeapFile.insert_many`` appends under one pin per page instead of two
   pins per record;
-* ``decode_object(..., fields)`` builds only the projected values.
+* the projected read (``encoding.projector``) slices the projected
+  values off the record where it lies instead of decoding it whole.
 """
 
 import random
 
 import pytest
 
-from repro.errors import DanglingReferenceError, SerializationError
-from repro.objects.encoding import decode_object, encode_object
+from repro.errors import DanglingReferenceError, FieldError, SerializationError
+from repro.objects import encoding
+from repro.objects.encoding import decode_object, encode_object, projector
 from repro.objects.instance import LinkEntry, ReplicaEntry, StoredObject
 from repro.objects.registry import TypeRegistry
 from repro.objects.store import ObjectStore
@@ -176,7 +178,7 @@ def test_read_many_defaults_fields_a_short_record_predates(frames):
     assert first.type_def is wide
     assert first.values == {"k": 0, "pad": "p0", "h_name": "", "h_ref": None}
     projected = store.read_many(oids[:20], fields=("k", "h_ref"))
-    assert projected[oids[3]].values == {"k": 3, "h_ref": None}
+    assert projected[oids[3]] == (3, None)
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +358,56 @@ PROJECTIONS = [(), ("a",), ("f",), ("b", "d"), ("e", "c", "a"),
                ("a", "b", "c", "d", "e", "f"), ("a", "no_such_field")]
 
 
+def _sliced(registry, data, fields):
+    """The projected read of ``data`` lying inside a larger buffer, as a
+    record lies on its page."""
+    page = b"\xee" * 7 + data + b"\xee" * 5
+    return projector(registry, fields)(bytearray(page), 7, 7 + len(data))
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (SerializationError, FieldError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _restricted(registry, data, fields):
+    """The full decode restricted to ``fields``: the slicer's reference."""
+    obj = decode_object(registry, data)
+    return tuple(obj.get(name) for name in fields)
+
+
+def _count_decodes(monkeypatch) -> list:
+    calls = []
+    decode = encoding.decode_object
+
+    def counted(registry, data):
+        calls.append(len(data))
+        return decode(registry, data)
+
+    monkeypatch.setattr(encoding, "decode_object", counted)
+    return calls
+
+
 @pytest.mark.parametrize("fields", PROJECTIONS)
-def test_projected_decode_is_the_full_decode_restricted(fields):
+def test_projected_decode_is_the_full_decode_restricted(fields, monkeypatch):
     registry, data = _wide_record()
     full = decode_object(registry, data)
-    projected = decode_object(registry, data, fields)
-    assert projected.type_def is WIDE
-    assert projected.values == {name: full.values[name] for name in fields
-                                if name in full.values}
     assert full.values["b"] == "héllo" and full.values["d"] == OID(3, 4, 5)
     assert len(full.link_entries) == 2 and len(full.replica_entries) == 1
-    # a projection is read-only: it carries no bookkeeping to write back
-    assert projected.link_entries == [] and projected.replica_entries == []
-    if "d" in fields:
-        assert projected.ref("d") == OID(3, 4, 5)
-
-
-def _outcome(registry, data, fields):
-    try:
-        return decode_object(registry, data, fields).values
-    except SerializationError as exc:
-        return f"SerializationError: {exc}"
+    expected = _outcome(lambda: _restricted(registry, data, fields))
+    decodes = _count_decodes(monkeypatch)
+    assert _outcome(lambda: _sliced(registry, data, fields)) == expected
+    if "no_such_field" in fields:
+        # a type that lacks a field is refused, and the full decode's
+        # StoredObject.get raises
+        assert expected == "FieldError: type 'WIDE' has no field 'no_such_field'"
+        assert decodes == [len(data)]
+    else:
+        # sliced where it lies: nothing decoded, no object built
+        assert decodes == []
+        assert expected == tuple(full.values[name] for name in fields)
 
 
 @pytest.mark.parametrize("fields", [("a",), ("f",), ("b", "e")])
@@ -390,19 +421,19 @@ def test_projected_decode_rejects_what_the_full_decode_rejects(fields):
     errors = 0
     for size in range(len(data) + 3):
         record = data[:size] + b"\x00" * max(0, size - len(data))
-        full = _outcome(registry, record, None)
-        projected = _outcome(registry, record, fields)
+        full = _outcome(lambda: decode_object(registry, record).values)
+        projected = _outcome(lambda: _sliced(registry, record, fields))
         if isinstance(full, str):
             errors += 1
             assert projected == full, size
             assert size not in boundaries
         else:
             assert size in boundaries
-            assert projected == {name: full[name] for name in fields}, size
+            assert projected == tuple(full[name] for name in fields), size
     assert errors == len(data) + 3 - len(boundaries)
-    assert _outcome(registry, data[:30], fields) \
+    assert _outcome(lambda: _sliced(registry, data[:30], fields)) \
         == "SerializationError: object record truncated (30 bytes)"
-    assert _outcome(registry, data + b"!!", fields) \
+    assert _outcome(lambda: _sliced(registry, data + b"!!", fields)) \
         == "SerializationError: object of type 'WIDE': 2 trailing bytes"
-    assert _outcome(registry, data[:-2], fields) \
+    assert _outcome(lambda: _sliced(registry, data[:-2], fields)) \
         == "SerializationError: field 'f' truncated"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateNameError, FileNotFoundInStoreError, RecordNotFoundError
+from repro.storage.heapfile import _INLINE_LIMIT
 from repro.storage.manager import StorageManager
 
 
@@ -96,6 +97,25 @@ def test_scan_skips_moved_payloads(sm):
     heap.update(rid, b"B" * 2000)
     rids = [r for r, __ in heap.scan()]
     assert len(rids) == len(set(rids)) == 5
+
+
+def test_a_stale_rid_cannot_change_a_chunk_parked_in_its_slot(sm):
+    """The top page's last record is deleted, then the last chunk of a
+    large record takes its slot: the stale rid must not overwrite or free
+    the chunk, and the large record still reads whole."""
+    heap = sm.create_file("t")
+    rids = [heap.insert(bytes([i]) * 250) for i in range(20)]
+    stale = rids[-1]
+    heap.delete(stale)
+    large = b"L" * (_INLINE_LIMIT + 10)
+    rid = heap.insert(large)
+    assert heap._read_raw(stale)[:2] == bytes((0, 2))  # a chunk, parked
+    for change in (heap.read, lambda r: heap.update(r, b"x"), heap.delete):
+        with pytest.raises(RecordNotFoundError, match="overflow chunk"):
+            change(stale)
+    assert not heap.exists(stale)
+    assert sm.pool.pinned_keys() == []
+    assert heap.read(rid) == large
 
 
 def test_count(sm):
