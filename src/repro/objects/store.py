@@ -110,7 +110,7 @@ class ObjectStore:
 
     def overwrite_fields(self, heap: HeapFile, type_def: TypeDefinition,
                          oids, changes: dict[str, object], general,
-                         indexes: dict | None = None) -> int:
+                         indexes=()) -> int:
         """Set ``changes`` (field name -> value) in every object of
         ``oids`` by overwriting those fields' bytes where they lie.
 
@@ -129,20 +129,21 @@ class ObjectStore:
         shorter than the layout -- goes to ``general(oid)``, the decode
         -> set -> encode path, there and then, with no page pinned.
 
-        ``indexes`` maps a changed field's name to the index on it.  The
-        old value of such a field (that field alone) is decoded and
-        ``index.update(old, new, oid)`` runs with no page pinned, between
-        a read and the write of the object's page -- where the general
-        path has it -- so index maintenance never meets a pinned page.
+        ``indexes`` holds a ``(field name, index)`` pair per index on a
+        changed field.  The old value of such a field (that field alone)
+        is decoded and ``index.update(old, new, oid)`` runs with no page
+        pinned, between a read and the write of the object's page --
+        where the general path has it -- so index maintenance never meets
+        a pinned page.
 
         Returns the number of home pages visited.  Never holds more than
         one pin.
         """
         tag = self.registry.tag_of(type_def.name)
         fields = encode_fields(type_def, changes)
-        indexed = [(fdef, offset, indexes[fdef.name], changes[fdef.name])
+        indexed = [(fdef, offset, index, changes[name])
                    for fdef, offset, __ in fields
-                   if fdef.name in indexes] if indexes else ()
+                   for name, index in indexes if name == fdef.name]
         pages = 0
         home = None
         with heap.in_place() as records:

@@ -308,25 +308,23 @@ def _fold_aggregates(aggregates, rows: list[tuple]) -> tuple:
 
 def execute_update(db: Database, plan: UpdatePlan,
                    analyze: bool = False) -> QueryResult:
-    """Run a replace plan; rows report the updated OIDs."""
+    """Run a replace plan set-at-a-time; rows report the updated OIDs.
+
+    The victims (:func:`_collect_victims`) go to one
+    :meth:`Database.update_many` call, with or without ``analyze``; the
+    analyzed statement meters it as one ``update`` operator.
+    """
     before = db.stats.snapshot()
     victims, ops, meter = _collect_victims(db, plan, analyze)
-    changes = dict(plan.assignments)
-    root = db.registry.root_name(db.catalog.get_set(plan.set_name).type_name)
-    for fname in changes:
-        db.monitor.record_update(root, fname, rows=len(victims))
     if analyze:
         update_op = OperatorStats(
             "update", ", ".join(f"{f}={v!r}" for f, v in plan.assignments))
         ops.append(update_op)
-        for oid in victims:
-            mark = meter.begin()
-            db.update(plan.set_name, oid, changes, record=False)
-            meter.end(mark, update_op)
-            update_op.rows += 1
-    else:
-        for oid in victims:
-            db.update(plan.set_name, oid, changes, record=False)
+        mark = meter.begin()
+    db.update_many(plan.set_name, victims, dict(plan.assignments))
+    if analyze:
+        meter.end(mark, update_op)
+        update_op.rows = len(victims)
     io = db.stats.snapshot() - before
     return QueryResult(("oid",), [(oid,) for oid in victims], io, plan.explain(),
                        operators=tuple(ops) if analyze else None)
@@ -354,23 +352,29 @@ def execute_delete(db: Database, plan: DeletePlan,
 
 
 def _collect_victims(db: Database, plan, analyze: bool):
-    """Scan for the target OIDs, metering the scan when analyzing."""
-    if not analyze:
+    """The target OIDs, metered as one ``scan`` operator when analyzing.
+
+    A replace whose index applied the whole ``where`` (the plan has no
+    residual filter) takes its victims' OIDs straight off the leaf: no
+    candidate is read to find them, and :meth:`Database.update_many`
+    reads every victim before it writes one, so a stale entry still
+    raises with nothing written.  Otherwise each candidate is read whole
+    and filtered -- a delete's too, so a stale entry raises before the
+    first victim is deleted.
+    """
+    meter = Meter(db.stats) if analyze else None
+    mark = meter.begin() if analyze else None
+    if (isinstance(plan, UpdatePlan) and plan.where is None
+            and isinstance(plan.access, IndexScan)):
+        victims = list(_index_oids(plan.access))
+    else:
         victims = [oid for oid, __ in
                    _scan(db, plan.set_name, plan.access, plan.where)]
+    if not analyze:
         return victims, [], None
-    meter = Meter(db.stats)
     scan_op = OperatorStats("scan", plan.access.explain())
-    victims = []
-    iterator = iter(_scan(db, plan.set_name, plan.access, plan.where))
-    while True:
-        mark = meter.begin()
-        item = next(iterator, _DONE)
-        meter.end(mark, scan_op)
-        if item is _DONE:
-            break
-        victims.append(item[0])
-        scan_op.rows += 1
+    meter.end(mark, scan_op)
+    scan_op.rows = len(victims)
     return victims, [scan_op], meter
 
 

@@ -141,9 +141,9 @@ def execute_plan(db: Database, stmt, plan, run, analyze: bool = False,
     """Run a planned statement (``plan, run = plan_statement(db, stmt)``).
 
     The whole statement runs in one WAL statement scope, so a multi-row
-    ``replace`` or ``delete`` is atomic as a unit (each row's ``db.update``
-    / ``db.delete`` joins the enclosing scope); pure retrieves leave no
-    trace in the log.
+    ``replace`` or ``delete`` is atomic as a unit (a replace's one
+    ``db.update_many``, or each row's ``db.delete``, joins the enclosing
+    scope); pure retrieves leave no trace in the log.
 
     ``read_only=True`` (a retrieve whose footprint is purely shared, i.e.
     provably WAL-free) skips the WAL statement scope entirely: no BEGIN

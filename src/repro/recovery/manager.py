@@ -95,8 +95,9 @@ class RecoveryManager:
     def statement(self, note: str = ""):
         """Make the enclosed mutations one atomic unit.
 
-        Reentrant: nested scopes (a replace statement updating row by
-        row, a lazy refresh triggered mid-query) join the outer statement.
+        Reentrant: nested scopes (the ``Database.update_many`` a replace
+        runs, a lazy refresh triggered mid-query) join the outer
+        statement.
         """
         if self.wal is None:
             yield

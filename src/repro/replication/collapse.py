@@ -221,15 +221,10 @@ class CollapsedPaths:
         one :meth:`ObjectStore.overwrite_fields` call, *k* bytes per
         member where it lies, one pin per page; :meth:`_apply` takes any
         member that cannot be overwritten in place."""
-        indexes = {}
-        for fname in changes:
-            info = self.catalog.index_on_field(source_set.name, fname)
-            if info is not None:
-                indexes[fname] = info.index
         self.store.overwrite_fields(
             source_set.heap, source_set.type_def, members, changes,
             general=lambda oid: self._apply(source_set, oid, changes),
-            indexes=indexes)
+            indexes=self.catalog.field_indexes(source_set.name, changes))
 
     def _apply(self, source_set, oid: OID, changes: dict[str, object]) -> None:
         """The general decode -> set -> encode rewrite of one member."""

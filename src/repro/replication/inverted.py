@@ -262,13 +262,19 @@ class InvertedPaths:
         update propagation pins each page of referencers once.
 
         ``owner`` is the object at ``owner_oid`` for a caller that holds
-        it; the walk then starts from it instead of reading it back.  Only
-        a caller whose last page access was that very object may pass it:
-        it must be the object as stored, and leaving out any other read
-        would change what the buffer pool evicts next.
+        it as stored; the walk then starts from it instead of reading it
+        back (only its link entries are read).
         """
-        out = self._closure(link, owner_oid, owner)
-        out.sort()
+        return self.closures(link, [(owner_oid, owner)])[0]
+
+    def closures(self, link: LinkDef, owners) -> list[list[OID]]:
+        """:meth:`closure_to_source` of each ``(oid, object or None)``
+        pair of ``owners``, in order."""
+        out = []
+        for owner_oid, owner in owners:
+            closure = self._closure(link, owner_oid, owner)
+            closure.sort()
+            out.append(closure)
         return out
 
     def _closure(self, link: LinkDef, owner_oid: OID,

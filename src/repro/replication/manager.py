@@ -20,8 +20,9 @@ lands in.  It owns:
 A value propagation is the paper's update model made literal -- *f*
 referencers, *k* bytes each, in page order: one
 :meth:`~repro.objects.store.ObjectStore.overwrite_fields` call over the
-sorted closure, which overwrites the hidden field where it lies under one
-pin per page.  :meth:`ReplicationManager.apply_hidden_changes` is the
+sorted union of a statement's closures, which overwrites the hidden field
+where it lies under one pin per page.
+:meth:`ReplicationManager.apply_hidden_changes` is the
 general single-object path (decode, set, encode) for everything else:
 collapsed bulk builds, the doctor, a source object's own fresh values,
 and the referencers a propagation cannot overwrite in place.
@@ -515,76 +516,113 @@ class ReplicationManager:
     # update propagation
     # ------------------------------------------------------------------
 
-    def propagate_update(self, obj_set: ObjectSet, oid: OID, old: StoredObject,
-                         new: StoredObject, changed: set[str]) -> dict[str, object]:
-        """Handle the replication consequences of an update to ``oid``.
+    def propagate_update(self, obj_set: ObjectSet,
+                         updates: dict) -> dict[OID, dict[str, object]]:
+        """Handle the replication consequences of one statement's update
+        of ``obj_set``: ``updates`` maps each victim, in the statement's
+        order, to ``(old, new, changed)``, and is called once every
+        ``new`` is stored.
 
-        Called *after* the new image was stored.  Returns hidden-field
-        changes that must be applied to ``oid`` itself (a source object
-        whose reference attribute moved gets fresh replicated values).
+        A moved reference attribute (withdraw and enroll, link surgery, a
+        replica's reference count), a collapsed path, a separate path's
+        replica and a lazy invalidation are handled victim by victim, as
+        they come.  A changed replicated value is collected instead: each
+        distinct (path, link, values) push runs once, after every victim
+        was seen, over the sorted union of the closures of the victims
+        that carry it (:meth:`_rewrite_hidden_over_closures`).  Unless a
+        reference attribute moved, the closure walks start from the
+        victims in hand: a value update changes no link entry, so no
+        owner is read back.
+
+        Returns, per victim, hidden-field changes that must be applied to
+        it (a source object whose reference attribute moved gets fresh
+        replicated values).
         """
-        own_changes: dict[str, object] = {}
-        # Until this method reads or writes anything, ``new`` is the object
-        # as stored and its page the last one the statement touched: the
-        # first propagation may walk the inverted path from ``new`` itself.
-        fresh = True
-        # 1. This object is a source-set member whose first hop changed.
-        for path in self.catalog.paths_on_source(obj_set.name):
-            first = path.resolved.ref_chain[0]
-            if first not in changed:
-                continue
-            fresh = False
-            if path.collapsed:
-                own_changes.update(
-                    self.collapsed.on_source_ref_change(path, oid, old, new)
-                )
-                continue
-            self._withdraw_source_object(path, oid, old)
-            own_changes.update(self._enroll_source_object(path, oid, new))
-        # 2. This object sits on inverted paths (it owns link objects or
-        #    inline entries).
-        for lentry in list(new.link_entries):
-            link = self.catalog.get_link(lentry.base_id)
-            if link.collapsed:
-                fresh = False
-                self.collapsed.on_owner_update(link, oid, old, new, changed)
-                continue
-            for use in self.catalog.paths_using_link(link.link_id):
-                self._propagate_through_link(use.path, use.position, link,
-                                             oid, old, new, changed, fresh)
-                fresh = False
-        # 3. This object is the terminal of separate paths (replica entries).
-        for rentry in list(new.replica_entries):
-            path = self.catalog.get_path_by_id(rentry.path_id)
-            touched = {
-                f: new.values[f]
-                for f in path.replicated_field_names
-                if f in changed
-            }
-            if touched:
-                self._m_replica_writes.inc()
-                # a separate-strategy propagation dirties one replica page
-                self.telemetry.repledger.charge(path.text, 1.0, fanout=1)
-                with self.telemetry.tracer.span("update_propagation",
-                                                path=path.text,
-                                                kind="replica_write"):
-                    replica_set = self.replica_sets[path.path_id]
-                    replica = replica_set.read(rentry.replica_oid)
-                    for fname, value in touched.items():
-                        replica.set(fname, value)
-                    replica_set.raw_update(rentry.replica_oid, replica)
-        return own_changes
+        own: dict[OID, dict[str, object]] = {}
+        # (path id, link id, values) -> (path, link, owners)
+        pushes: dict[tuple, tuple] = {}
+        moved = False
+        for oid, (old, new, changed) in updates.items():
+            own_changes: dict[str, object] = {}
+            moved = moved or any(new.type_def.field_def(f).kind is FieldKind.REF
+                                 for f in changed)
+            # 1. This object is a source-set member whose first hop changed.
+            for path in self.catalog.paths_on_source(obj_set.name):
+                if path.resolved.ref_chain[0] not in changed:
+                    continue
+                if path.collapsed:
+                    own_changes.update(
+                        self.collapsed.on_source_ref_change(path, oid, old, new)
+                    )
+                    continue
+                self._withdraw_source_object(path, oid, old)
+                own_changes.update(self._enroll_source_object(path, oid, new))
+            # 2. This object sits on inverted paths (it owns link objects
+            #    or inline entries).
+            for lentry in list(new.link_entries):
+                link = self.catalog.get_link(lentry.base_id)
+                if link.collapsed:
+                    self.collapsed.on_owner_update(link, oid, old, new, changed)
+                    continue
+                for use in self.catalog.paths_using_link(link.link_id):
+                    self._propagate_through_link(use.path, use.position, link,
+                                                 oid, old, new, changed, pushes)
+            # 3. This object is the terminal of separate paths (replica
+            #    entries).
+            for rentry in list(new.replica_entries):
+                self._write_replica(rentry, new, changed)
+            if own_changes:
+                own[oid] = own_changes
+        for (__, __, values), (path, link, owners) in pushes.items():
+            owners = [(oid, None if moved else new) for oid, new in owners]
+            if len(owners) == 1:  # e.g. every push of a one-victim update
+                ((oid, owner),) = owners
+                self._rewrite_hidden_over_closure(path, link, oid,
+                                                  dict(values), owner)
+            else:
+                self._rewrite_hidden_over_closures(path, link, owners,
+                                                   dict(values))
+        return own
+
+    def _write_replica(self, rentry, new: StoredObject,
+                       changed: set[str]) -> None:
+        """Copy ``new``'s changed replicated fields to its replica on the
+        separate path ``rentry`` names."""
+        path = self.catalog.get_path_by_id(rentry.path_id)
+        touched = {
+            f: new.values[f]
+            for f in path.replicated_field_names
+            if f in changed
+        }
+        if not touched:
+            return
+        self._m_replica_writes.inc()
+        # a separate-strategy propagation dirties one replica page
+        self.telemetry.repledger.charge(path.text, 1.0, fanout=1)
+        with self.telemetry.tracer.span("update_propagation",
+                                        path=path.text,
+                                        kind="replica_write"):
+            replica_set = self.replica_sets[path.path_id]
+            replica = replica_set.read(rentry.replica_oid)
+            for fname, value in touched.items():
+                replica.set(fname, value)
+            replica_set.raw_update(rentry.replica_oid, replica)
 
     def _propagate_through_link(self, path: ReplicationPath, position: int,
                                 link: LinkDef, oid: OID, old: StoredObject,
                                 new: StoredObject, changed: set[str],
-                                fresh: bool) -> None:
+                                pushes: dict) -> None:
         chain = path.resolved.ref_chain
         if path.strategy is Strategy.IN_PLACE:
-            if position == path.level:
-                touched = [f for f in path.replicated_field_names if f in changed]
-                if touched:
-                    self._propagate_values(path, link, oid, new, fresh)
+            if position == path.level and any(
+                    f in changed for f in path.replicated_field_names):
+                if path.lazy:
+                    self.lazy.invalidate(path, oid)
+                else:
+                    values = tuple(self._values_from(path, new).items())
+                    key = (path.path_id, link.link_id, values)
+                    pushes.setdefault(key, (path, link, []))[2].append(
+                        (oid, new))
             if position < path.level and chain[position] in changed:
                 self._ref_surgery(path, position, link, oid, old, new)
                 self._propagate_values(path, link, oid, new)
@@ -625,12 +663,12 @@ class ReplicationManager:
             self.inverted.ensure_membership(child, new_target, oid)
 
     def _propagate_values(self, path: ReplicationPath, link: LinkDef, oid: OID,
-                          new: StoredObject, fresh: bool = False) -> None:
+                          new: StoredObject) -> None:
         """Push current terminal values to every source object under ``oid``."""
         if path.lazy:
             self.lazy.invalidate(path, oid)
             return
-        self.push_values(path, link, oid, new, fresh)
+        self.push_values(path, link, oid, new)
 
     def push_values(self, path: ReplicationPath, link: LinkDef, oid: OID,
                     at_object: StoredObject, fresh: bool = False) -> None:
@@ -656,31 +694,54 @@ class ReplicationManager:
     def _rewrite_hidden_over_closure(self, path: ReplicationPath, link: LinkDef,
                                      oid: OID, changes: dict[str, object],
                                      owner: StoredObject | None = None) -> None:
+        """:meth:`_rewrite_hidden_over_closures` under the one owner
+        ``oid`` (``owner``: its object, see
+        :meth:`InvertedPaths.closure_to_source`)."""
+        self._rewrite_hidden_over_closures(path, link, [(oid, owner)], changes)
+
+    def _rewrite_hidden_over_closures(self, path: ReplicationPath,
+                                      link: LinkDef, owners,
+                                      changes: dict[str, object]) -> None:
         """The paper's update model, literally: the *f* referencers under
-        ``oid``, the *k* bytes of each hidden field, in page order.
+        each of ``owners`` (``(oid, object or None)`` pairs, see
+        :meth:`InvertedPaths.closures`), the *k* bytes of each hidden
+        field, in page order.  For a statement's victims that is the
+        model's one Yao term over the union of their closures: a page
+        holding referencers of several victims is pinned once.
 
         One :meth:`ObjectStore.overwrite_fields` call over the sorted
-        closure; :meth:`apply_hidden_changes` is what it falls back to for
-        a referencer that cannot be overwritten where it lies.  ``owner``
-        is ``oid``'s current object when the caller holds it (see
-        :meth:`InvertedPaths.closure_to_source`).
+        union; :meth:`apply_hidden_changes` is what it falls back to for
+        a referencer that cannot be overwritten where it lies.  Under one
+        owner that rewrite runs there and then, in the sweep.  Under
+        several it runs after the sweep, owner by owner and each closure
+        in page order -- the order a statement that wrote one victim at a
+        time reached them in -- so a record that grows out of its page
+        moves where it always did.
         """
         source_set = self.catalog.get_set(path.source_set)
-        targets = self.inverted.closure_to_source(link, oid, owner)
-        self._m_propagations.inc()
+        closures = self.inverted.closures(link, owners)
+        deferred: list[OID] = []
+        if len(closures) == 1:
+            targets = closures[0]
+
+            def general(target: OID) -> None:
+                self.apply_hidden_changes(source_set, target, changes)
+        else:
+            targets = sorted(t for closure in closures for t in closure)
+            general = deferred.append
+        self._m_propagations.inc(len(owners))
         fanout = len(targets)
-        indexes = {}
-        for fname in changes:
-            info = self.catalog.index_on_field(source_set.name, fname)
-            if info is not None:
-                indexes[fname] = info.index
         with self.telemetry.tracer.span("update_propagation",
                                         path=path.text) as span:
             pages = self.store.overwrite_fields(
                 source_set.heap, source_set.type_def, targets, changes,
-                general=lambda target: self.apply_hidden_changes(
-                    source_set, target, changes),
-                indexes=indexes)
+                general=general,
+                indexes=self.catalog.field_indexes(source_set.name, changes))
+            if deferred:
+                owner_of = {t: i for i, closure in enumerate(closures)
+                            for t in closure}
+                for target in sorted(deferred, key=lambda t: (owner_of[t], t)):
+                    self.apply_hidden_changes(source_set, target, changes)
             span.set("fanout", fanout)
             span.set("pages", pages)
         self._m_fanout.inc(fanout)

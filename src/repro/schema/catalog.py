@@ -155,6 +155,13 @@ class Catalog:
                 return info
         return None
 
+    def field_indexes(self, set_name: str, fields) -> list[tuple]:
+        """``(field name, index)`` per index of ``set_name`` keyed on one
+        of ``fields`` (what :meth:`ObjectStore.overwrite_fields`
+        maintains)."""
+        return [(info.field_name, info.index) for info in self.indexes.values()
+                if info.set_name == set_name and info.field_name in fields]
+
     def index_on_path(self, path_text: str) -> IndexInfo | None:
         """The index built on a replication path, if one exists."""
         for info in self.indexes.values():

@@ -35,7 +35,13 @@ from repro.cache import (
     structural_resources,
     write_resources,
 )
-from repro.errors import DiskFault, FieldError, InvalidPathError, ReplicationError
+from repro.errors import (
+    DanglingReferenceError,
+    DiskFault,
+    FieldError,
+    InvalidPathError,
+    ReplicationError,
+)
 from repro.index.secondary import SecondaryIndex
 from repro.objects.instance import StoredObject
 from repro.objects.registry import TypeRegistry
@@ -319,42 +325,75 @@ class Database:
             self.resultcache.invalidate(structural_resources(self, set_name))
         return oid
 
-    def update(self, set_name: str, oid: OID, changes: dict,
-               record: bool = True) -> None:
-        """Update visible fields of one object, propagating as needed.
+    def update(self, set_name: str, oid: OID, changes: dict) -> None:
+        """Update visible fields of one object: :meth:`update_many` of
+        one OID."""
+        self.update_many(set_name, [oid], changes)
 
-        ``record=False`` suppresses workload-monitor accounting (bulk
-        executors record once per statement instead).
+    def update_many(self, set_name: str, oids, changes: dict) -> None:
+        """Set ``changes`` (visible field -> value) in every object of
+        ``oids`` (distinct members of the set), propagating as needed --
+        a ``replace`` statement, set-at-a-time:
+
+        1. the victims are read once each, in page order;
+        2. one :meth:`ObjectStore.overwrite_fields` sweep writes the fields
+           of every victim the change moves, where they lie (index
+           maintenance and the general decode -> set -> encode fallback as
+           for any overwrite);
+        3. :meth:`ReplicationManager.propagate_update` runs the
+           statement's replication consequences: each distinct value push
+           once, over the union of its victims' closures;
+        4. a victim whose reference attribute moved takes its fresh
+           hidden values, and the result cache is invalidated once.
         """
         obj_set = self.catalog.get_set(set_name)
-        if record:
-            root = self.registry.root_name(obj_set.type_name)
-            for fname in changes:
-                self.monitor.record_update(root, fname)
-        old = obj_set.read(oid)
-        new = old.copy()
-        changed: set[str] = set()
-        for fname, value in changes.items():
-            fdef = obj_set.type_def.field_def(fname)
-            if fdef.hidden:
+        type_def = obj_set.type_def
+        for fname in changes:
+            if type_def.field_def(fname).hidden:
                 raise FieldError(f"field {fname!r} is replication-internal")
-            if old.values[fname] != value:
-                new.set(fname, value)
-                changed.add(fname)
-        if not changed:
+        oids = list(oids)
+        root = self.registry.root_name(obj_set.type_name)
+        for fname in changes:
+            self.monitor.record_update(root, fname, rows=len(oids))
+        # one pin at a time: a victim behind a forward stub lets its home
+        # page go before the page it moved to is pinned
+        read = {oid: self.store.read(oid) for oid in sorted(set(oids))}
+        updates = {}  # victim -> (old, new, changed), in statement order
+        written: set[str] = set()
+        for oid in oids:
+            if oid.file_id != obj_set.file_id:
+                raise DanglingReferenceError(
+                    f"{oid} is not a member of set {set_name!r}")
+            old = read[oid]
+            changed = {f for f, value in changes.items()
+                       if old.values[f] != value}
+            if changed:
+                new = old.copy()
+                for fname in changed:
+                    new.set(fname, changes[fname])
+                updates[oid] = (old, new, changed)
+                written |= changed
+        if not updates:
             return
-        with self.recovery.statement(f"update {set_name}"):
-            for info in self.catalog.indexes_on_set(set_name):
-                if info.field_name in changed:
-                    info.index.update(old.values[info.field_name],
-                                      new.values[info.field_name], oid)
+        indexes = self.catalog.field_indexes(set_name, written)
+
+        def general(oid: OID) -> None:
+            old, new, changed = updates[oid]
+            for fname, index in indexes:
+                if fname in changed:
+                    index.update(old.values[fname], new.values[fname], oid)
             obj_set.raw_update(oid, new)
-            own_hidden = self.replication.propagate_update(obj_set, oid, old, new,
-                                                           changed)
-            if own_hidden:
-                self.replication.apply_hidden_changes(obj_set, oid, own_hidden)
+
+        with self.recovery.statement(f"update {set_name}"):
+            self.store.overwrite_fields(
+                obj_set.heap, type_def, sorted(updates),
+                {f: changes[f] for f in changes if f in written}, general,
+                indexes=indexes)
+            own_hidden = self.replication.propagate_update(obj_set, updates)
+            for oid, hidden in own_hidden.items():
+                self.replication.apply_hidden_changes(obj_set, oid, hidden)
         if len(self.resultcache):
-            self.resultcache.invalidate(write_resources(self, set_name, changed))
+            self.resultcache.invalidate(write_resources(self, set_name, written))
 
     def delete(self, set_name: str, oid: OID) -> None:
         """Delete an object; refuses while replication still references it."""

@@ -2,8 +2,9 @@
 
 Each sweep takes one replication workload (in-place, separate, two paths
 over a shared prefix, in-place over a set loaded before the path
-existed, and two paths with checkpoints between the statements, so that
-crashes land inside a checkpoint's flush), counts the physical page
+existed, two paths with checkpoints between the statements, so that
+crashes land inside a checkpoint's flush, and two paths under ``replace``
+statements with two victims each), counts the physical page
 writes a clean run
 performs, then re-runs it once per sampled write index with
 ``fail_after_writes(k)`` armed.  After every injected crash the database
@@ -129,6 +130,54 @@ def statements_in(completed):
                       if after + index + 1 < completed)
     return completed - checkpoints
 
+#: the multi-victim workload, one label per statement: an Emp insert, a
+#: name for both Depts (the in-place path) or a budget for both Orgs (the
+#: separate path)
+REPLACE_STEPS = ["insert", "insert", "insert", "insert", "marketing", 11111,
+                 "insert", "research", 22222, "insert", "sales"]
+
+
+def run_replace_steps(db):
+    """Statements with two victims each: a ``replace`` writes both Depts
+    (or both Orgs) in one sweep and then, in the same WAL scope, pushes
+    the in-place path's new value over the union of their closures (or
+    rewrites the separate path's replicas)."""
+    dept_oids = [oid for oid, __ in db.catalog.get_set("Dept").scan()]
+    inserted = iter(range(len(REPLACE_STEPS)))
+
+    def step(label):
+        if label == "insert":
+            i = next(inserted)
+            return lambda: db.insert("Emp", {
+                "name": f"emp{i}", "salary": 1000 + i,
+                "dept": dept_oids[i % 2]})
+        if isinstance(label, int):
+            return lambda: db.execute(
+                f"replace (Org.budget = {label}) where Org.budget >= 0")
+        return lambda: db.execute(
+            f"replace (Dept.name = '{label * 150}') "
+            "where Dept.budget >= 0 and Dept.budget <= 1")
+
+    return [step(label) for label in REPLACE_STEPS]
+
+
+def check_replaces(db, completed):
+    """The statement-aligned prefix: the Emps inserted, and both Depts'
+    names and both Orgs' budgets as the last completed replace left them
+    -- never one victim of a statement without the other."""
+    done = REPLACE_STEPS[:completed]
+    names = [label * 150 for label in done
+             if isinstance(label, str) and label != "insert"]
+    budgets = [label for label in done if isinstance(label, int)]
+    assert db.catalog.get_set("Emp").count() == done.count("insert")
+    assert sorted(obj.values["name"] for __, obj
+                  in db.catalog.get_set("Dept").scan()) \
+        == ([names[-1]] * 2 if names else ["dept0", "dept1"])
+    assert sorted(obj.values["budget"] for __, obj
+                  in db.catalog.get_set("Org").scan()) \
+        == ([budgets[-1]] * 2 if budgets else [1000, 1001])
+
+
 WORKLOADS = {
     "inplace": [("Emp.dept.name", "inplace")],
     "separate": [("Emp.dept.org.budget", "separate")],
@@ -142,11 +191,19 @@ WORKLOADS = {
     # includes the middle of a checkpoint
     "shared-prefix-checkpointed": [("Emp.dept.name", "inplace"),
                                    ("Emp.dept.org.budget", "separate")],
+    # statements with more than one victim: the write sweep and the
+    # propagation over the union of the victims' closures are two phases
+    # of one WAL scope
+    "multi-victim-replace": [("Emp.dept.name", "inplace"),
+                             ("Emp.dept.org.budget", "separate")],
 }
 #: Emps the builder inserts ahead of ``replicate``, by workload
 PRELOADED = {"inplace-loaded-first": 4}
 #: workloads whose steps are not ``run_steps``
-STEPS = {"shared-prefix-checkpointed": run_steps_checkpointed}
+STEPS = {"shared-prefix-checkpointed": run_steps_checkpointed,
+         "multi-victim-replace": run_replace_steps}
+#: workloads with a check of their own
+CHECKS = {"multi-victim-replace": check_replaces}
 
 
 def check(db, completed):
@@ -169,9 +226,10 @@ def sweep(name, torn):
 
     outcomes = crash_matrix(lambda: build_db(paths, preloaded), steps,
                             stride=STRIDE, torn=torn,
-                            check=check_statements if steps is not run_steps
-                            else check_beside_preloaded if preloaded
-                            else check)
+                            check=CHECKS.get(name) or (
+                                check_statements if steps is not run_steps
+                                else check_beside_preloaded if preloaded
+                                else check))
     assert outcomes, "workload produced no physical writes to crash on"
     assert any(o.crashed for o in outcomes)
     # at least one crash must land mid-workload, not only at the edges

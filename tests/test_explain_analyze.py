@@ -97,6 +97,27 @@ def test_analyze_update_statement(company):
     assert operators_total_io(result.operators) == result.io.total_io
 
 
+def test_analyze_replace_is_one_update_operator_with_the_same_io():
+    """A replace runs set-at-a-time with or without analyze: a scan and
+    one ``update`` operator over every victim, and the physical I/O of the
+    statement unchanged by the metering."""
+    cfg = WorkloadConfig(n_s=200, f=2, f_s=0.05, strategy="inplace", seed=9)
+    query = ("replace (S.repfield = 'renamed') "
+             "where S.field_s >= 20 and S.field_s <= 29")
+    results = []
+    for analyze in (False, True):
+        db = build_model_database(cfg).db
+        db.cold_cache()
+        results.append(db.execute(query, analyze=analyze))
+    plain, analyzed = results
+    assert [op.name for op in analyzed.operators] == ["scan", "update"]
+    scan, update = analyzed.operators
+    assert scan.rows == update.rows == len(plain) == 10
+    assert update.children == []
+    assert analyzed.io == plain.io
+    assert operators_total_io(analyzed.operators) == analyzed.io.total_io
+
+
 def test_analyze_delete_statement(company):
     db = company["db"]
     db.cold_cache()

@@ -4,6 +4,7 @@ charge/credit wiring, and the monitor's measured keep/drop ranking."""
 import pytest
 
 from repro import Database, TypeDefinition, char_field, int_field, ref_field
+from repro.costmodel.sortedprobe import sorted_probe_pages
 from repro.monitor import apply_recommendations
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.repledger import (
@@ -123,6 +124,36 @@ def test_propagations_charge_and_replica_reads_credit():
     assert entry["reads_served"] == 1
     assert entry["rows_served"] == 48
     assert entry["credited_pages"] > 0
+
+
+def test_a_multi_victim_replace_charges_one_union_push_per_path():
+    """Three Depts renamed by one statement: one charge over the union of
+    their closures, sorted_probe_pages(P_Emp, 36) -- the model's Yao over
+    f_s·|R| -- while the counters still count owners and referencers.  A
+    one-object update is charged as it always was."""
+    db = _build()
+    db.replicate("Emp.dept.name")
+    ledger, metrics = db.telemetry.repledger, db.telemetry.metrics
+    emp_pages = db.catalog.get_set("Emp").num_pages()
+    owners = metrics.value("replication_propagations_total")
+    fanout = metrics.value("replication_fanout_total")
+    db.execute('replace (Dept.name = "renamed") '
+               "where Dept.budget >= 100 and Dept.budget <= 102")
+    (entry,) = ledger.entries()
+    assert entry["propagations"] == 1
+    assert entry["fanout"] == 36
+    union = sorted_probe_pages(emp_pages, 36)
+    assert entry["charged_pages"] == pytest.approx(union)
+    assert union <= 3 * sorted_probe_pages(emp_pages, 12)
+    assert metrics.value("replication_propagations_total") - owners == 3
+    assert metrics.value("replication_fanout_total") - fanout == 36
+    (last,) = [oid for oid, obj in db.catalog.get_set("Dept").scan()
+               if obj.values["budget"] == 103]
+    db.update("Dept", last, {"name": "alone"})
+    (entry,) = ledger.entries()
+    assert entry["propagations"] == 2 and entry["fanout"] == 48
+    assert entry["charged_pages"] == pytest.approx(
+        union + sorted_probe_pages(emp_pages, 12))
 
 
 def test_where_clause_hidden_reads_credit():

@@ -20,6 +20,7 @@ pool evicts the same frames.
 Page bytes and counters only, never wall-clock.
 """
 
+import re
 import types
 from types import SimpleNamespace
 
@@ -29,7 +30,10 @@ from hypothesis import strategies as st
 
 from repro import Database, TypeDefinition, char_field, int_field, ref_field
 from repro.costmodel.sortedprobe import sorted_probe_pages
+from repro.errors import DanglingReferenceError
+from repro.objects import encoding
 from repro.objects.types import FieldDef, FieldKind
+from repro.query import executor, runner
 from repro.storage.heapfile import _FORWARD, _rid_unpack
 
 FRAMES = (4, 8, 64)
@@ -240,6 +244,14 @@ def _apply(db, ctx, op):
         db.execute(f"replace (Dept.name = '{args[2]}') "
                    f"where Dept.budget >= {args[0]} "
                    f"and Dept.budget <= {args[1]}")
+    elif kind == "retitle":  # both orgs in one statement
+        db.execute(f"replace (Org.name = '{args[2]}') "
+                   f"where Org.budget >= {args[0]} "
+                   f"and Org.budget <= {args[1]}")
+    elif kind == "rename_many":
+        db.execute(f"replace (Emp.name = '{args[2]}') "
+                   f"where Emp.salary >= {args[0]} "
+                   f"and Emp.salary <= {args[1]}")
     elif kind == "rename":
         db.update("Emp", emp(args[0]), {"name": args[1]})
     elif kind == "promote":
@@ -256,18 +268,21 @@ COMPANY_SCRIPT = [
     ("both", 3, "gamma", 1234), ("move", 10, 4), ("name", 4, "delta"),
     ("cold",), ("name", 0, "epsilon"), ("replace", 1, 3, "zeta"),
     ("salary", 20, -5), ("move", 11, 0), ("name", 0, "eta"),
+    ("replace", 4, 7, "theta"), ("cold",), ("replace", 0, 7, "iota"),
 ]
 TWO_LEVEL_SCRIPT = [
     ("org", 0, "acme"), ("name", 1, "ignored"), ("reorg", 2, 1),
     ("cold",), ("org", 1, "globex"), ("move", 7, 5), ("reorg", 5, 0),
-    ("org", 0, "initech"),
+    ("org", 0, "initech"), ("retitle", 0, 1, "umbrella"),
+    ("replace", 0, 7, "kappa"), ("cold",), ("retitle", 0, 1, "hooli"),
 ]
 CASES = {
     "plain": (_plain, COMPANY_SCRIPT),
     "stubs": (_stubs, COMPANY_SCRIPT),
     "short": (_short, COMPANY_SCRIPT),
     "chunked": (_chunked, [("name", 0, "alpha"), ("move", 1, 2), ("cold",),
-                           ("name", 2, "beta"), ("name", 0, "gamma")]),
+                           ("name", 2, "beta"), ("name", 0, "gamma"),
+                           ("replace", 0, 7, "omega")]),
     "two-paths": (_two_paths, COMPANY_SCRIPT),
     "indexed": (_indexed, COMPANY_SCRIPT),
     "two-level": (_two_level, TWO_LEVEL_SCRIPT),
@@ -276,11 +291,14 @@ CASES = {
     "collapsed": (_collapsed, TWO_LEVEL_SCRIPT),
     "lazy": (_lazy, [("name", 0, "alpha"), ("name", 5, "beta"),
                      ("refresh",), ("name", 0, "gamma"), ("move", 10, 4),
-                     ("cold",), ("name", 4, "delta"), ("refresh",)]),
+                     ("cold",), ("name", 4, "delta"), ("refresh",),
+                     ("replace", 0, 7, "lambda"), ("refresh",)]),
     "self-referential": (_self_referential, [
         ("rename", 0, "root"), ("rename", 3, "three"), ("promote", 40, 3),
         ("cold",), ("rename", 3, "drei"), ("promote", 3, 3),
-        ("rename", 3, "self"), ("rename", 1, "one")]),
+        ("rename", 3, "self"), ("rename", 1, "one"),
+        ("rename_many", 0, 5, "boss"), ("cold",),
+        ("rename_many", 2, 12, "chief")]),
 }
 
 
@@ -394,10 +412,11 @@ def test_a_propagation_pins_each_page_once_and_decodes_nothing(monkeypatch):
     assert span.attrs == {"path": "Emp.dept.org.name", "fanout": 120,
                           "pages": len(home_pages)}
     assert span.io["logical_reads"] == len(home_pages)
-    # decoded: the Org object (the statement's old image) and the four
-    # Dept objects the closure walks through; encoded: the Org object.
+    # decoded: the Org object (the statement's one read of its victim)
+    # and the four Dept objects the closure walks through; encoded:
+    # nothing -- the Org's own name is overwritten where it lies too.
     # Not one of the 120 referencers.
-    assert sorted(calls) == ["decode_object"] * 5 + ["encode_object"]
+    assert sorted(calls) == ["decode_object"] * 5
     db.verify()
 
 
@@ -472,6 +491,146 @@ def test_short_records_grow_on_their_first_propagation():
     assert all(record_bytes(t) == 20 + width for t in closure)
     assert len(_stub_targets(db, closure)) > moved  # some grew out
     db.verify()
+
+
+# ---------------------------------------------------------------------------
+# a replace, set-at-a-time, against the per-victim loop
+# ---------------------------------------------------------------------------
+
+
+def _per_victim_replace(db, plan, analyze=False):
+    """``executor.execute_update`` as it was: each candidate read whole to
+    find the victims (``_scan``), then one ``Database.update`` per victim
+    -- its own read, write, WAL scope, closure walk and push."""
+    before = db.stats.snapshot()
+    victims = [oid for oid, __ in
+               executor._scan(db, plan.set_name, plan.access, plan.where)]
+    for oid in victims:
+        db.update(plan.set_name, oid, dict(plan.assignments))
+    return executor.QueryResult(("oid",), [(oid,) for oid in victims],
+                                db.stats.snapshot() - before, plan.explain())
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["nowal", "wal"])
+@pytest.mark.parametrize("frames", FRAMES)
+@pytest.mark.parametrize("case", list(CASES))
+def test_a_replace_equals_the_per_victim_loop(case, frames, wal, monkeypatch):
+    """Each script's multi-victim statements, run set-at-a-time and one
+    victim at a time, each victim's push by the per-referencer loop
+    (:func:`_per_object_rewrite`): the same page bytes, path-index
+    contents and replayed log, nothing left pinned -- and on 64 frames,
+    where no page is evicted, the same physical reads and writes
+    statement by statement.  On 4 and 8 frames the two visit pages in
+    other orders, so the pool evicts other frames."""
+    script = CASES[case][1]
+    assert any(op[0] in ("replace", "retitle", "rename_many")
+               for op in script)
+    new = _drive(case, frames, wal, False, script)
+    monkeypatch.setattr(runner, "execute_update", _per_victim_replace)
+    ref = _drive(case, frames, wal, True, script)
+    monkeypatch.undo()
+    assert new.pages.keys() == ref.pages.keys()
+    assert [key for key in new.pages if new.pages[key] != ref.pages[key]] \
+        == []
+    assert new.indexes == ref.indexes
+    assert new.log == ref.log
+    if frames == 64:
+        assert new.per_statement == ref.per_statement
+
+
+def test_a_replace_pushes_once_over_the_union_of_its_closures():
+    """Both orgs renamed by one statement: one push over the sorted union
+    of their closures, whose pages they share -- each page pinned once
+    for the statement, not once per victim -- while the counters still
+    count owners and referencers."""
+    db = _database(64, wal=True, reference=False)
+    ctx = _two_level(db)
+    closures = [_closure(db, "Emp.dept.org.name", org) for org in ctx.orgs]
+    union = sorted(closures[0] + closures[1])
+    pages = {t.page_no for t in union}
+    assert {t.page_no for t in closures[0]} & {t.page_no for t in closures[1]}
+    metrics = db.telemetry.metrics
+    owners = metrics.value("replication_propagations_total")
+    fanout = metrics.value("replication_fanout_total")
+    (span,) = _traced_propagations(db, ctx, ("retitle", 0, 1, "umbrella"))
+    assert span.attrs == {"path": "Emp.dept.org.name", "fanout": len(union),
+                          "pages": len(pages)}
+    assert span.io["logical_reads"] == len(pages)
+    assert metrics.value("replication_propagations_total") - owners == 2
+    assert metrics.value("replication_fanout_total") - fanout == len(union)
+    db.verify()
+
+
+def test_an_index_bounded_replace_decodes_each_victim_once(monkeypatch):
+    """The index applies the whole ``where``: the victims' OIDs come off
+    its leaf, and reading each victim once is the only decode of the
+    statement -- not the victim search, not the writes, not the closure
+    walk.  A stale index entry still raises before anything is written."""
+    import repro.objects.store as store_module
+
+    db = Database(buffer_frames=64)
+    db.define_type(TypeDefinition("REC", [
+        int_field("k"), char_field("name", 12), ref_field("next", "REC"),
+        char_field("pad", 200)]))
+    db.create_set("Rec", "REC")
+    oids = []
+    for i in range(120):
+        oids.append(db.insert("Rec", {
+            "k": i, "name": f"r{i}", "pad": f"p{i}",
+            "next": None if i % 3 == 0 else oids[i // 2]}))
+    db.replicate("Rec.next.name")  # widened once loaded: some move out
+    db.build_index("Rec.k")
+    db.cold_cache()
+    lo = oids.index(min(_stub_targets_of(db, "Rec", oids)))
+    victims = oids[lo:lo + 10]  # the first of them behind a forward stub
+    where = f"where Rec.k >= {lo} and Rec.k <= {lo + 9}"
+    decoded = []
+    for module in (store_module, encoding):
+        monkeypatch.setattr(module, "decode_object", lambda registry, data,
+                            _fn=module.decode_object:
+                            decoded.append(len(data)) or _fn(registry, data))
+    result = db.execute(f"replace (Rec.name = 'renamed') {where}")
+    assert [row[0] for row in result.rows] == victims
+    assert len(decoded) == len(victims)
+    monkeypatch.undo()
+    db.verify()
+    assert {db.get("Rec", oid).values["name"] for oid in victims} \
+        == {"renamed"}
+    stale = victims[5]
+    db.catalog.get_set("Rec").raw_delete(stale)  # the index keeps its entry
+    with pytest.raises(DanglingReferenceError, match=re.escape(str(stale))):
+        db.execute(f"replace (Rec.name = 'again') {where}")
+    assert db.get("Rec", victims[0]).values["name"] == "renamed"
+    assert db.storage.pool.pinned_keys() == []
+
+
+def test_a_stale_index_entry_fails_a_delete_before_anything_goes():
+    """A delete reads its candidates to find them, so a stale entry in
+    the middle of an index range raises before the first victim goes."""
+    db = Database(buffer_frames=64)
+    db.define_type(TypeDefinition("REC", [int_field("k"),
+                                          char_field("name", 12)]))
+    db.create_set("Rec", "REC")
+    oids = [db.insert("Rec", {"k": i, "name": f"r{i}"}) for i in range(20)]
+    db.build_index("Rec.k")
+    stale = oids[5]
+    db.catalog.get_set("Rec").raw_delete(stale)  # the index keeps its entry
+    with pytest.raises(DanglingReferenceError, match=re.escape(str(stale))):
+        db.execute("delete from Rec where Rec.k >= 2 and Rec.k <= 9")
+    assert all(db.store.exists(oid) for oid in oids if oid != stale)
+    assert db.storage.pool.pinned_keys() == []
+
+
+def _stub_targets_of(db, set_name: str, oids) -> dict:
+    """``oid -> page the payload was moved to`` for the forwarded ones."""
+    heap = db.catalog.get_set(set_name).heap
+    out = {}
+    for oid in oids:
+        with db.storage.pool.page(heap.file_id, oid.page_no) as page:
+            offset, __ = page.span(oid.slot)
+            if page.data[offset] == _FORWARD:
+                out[oid] = _rid_unpack(page.data, offset + 1)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
