@@ -38,7 +38,7 @@ with ``;`` or a blank line.  Connected to a server, ``begin`` / ``commit``
                        benefit per replicated path (charges vs credits)
     \\waits             wait-event accounting: where statement wall-clock
                        went (engine latch, locks, buffer I/O, WAL flush,
-                       queue, replication acks, cpu residual)
+                       replication acks, cpu residual)
     \\ash [SECS]        active session history: sampled per-session wait
                        states over the last SECS seconds (connected only)
     \\alerts            threshold alerts: firing/resolved state plus the

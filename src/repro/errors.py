@@ -167,7 +167,7 @@ class ProtocolError(ServerError):
 
 
 class ServerBusyError(ServerError):
-    """The server refused work: connection limit or request queue full."""
+    """The server refused work: its connection limit is reached."""
 
 
 class LockError(ServerError):

@@ -57,7 +57,7 @@ class QueryResult:
 
 
 #: names the result files; ``next()`` on it is one atomic step, so two
-#: workers can never draw the same ``__outputN``
+#: threads can never draw the same ``__outputN``
 _output_ids = itertools.count(1)
 
 _STEP_KINDS = {

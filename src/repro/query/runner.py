@@ -45,7 +45,6 @@ from repro.query.language import Delete, Replace, Retrieve, parse_statement
 from repro.query.planner import plan_delete, plan_replace, plan_retrieve
 from repro.schema.database import Database
 from repro.storage.stats import IOSnapshot
-from repro.telemetry.waitevents import QUEUE_WAIT
 
 SCHEMA_SHARED = LockFootprint(shared=frozenset({SCHEMA_RESOURCE}))
 _NOTHING = nullcontext()
@@ -55,7 +54,7 @@ class Statement:
     """What one statement carries through :func:`run_statement`."""
 
     def __init__(self, source: str, use_cache: bool = False,
-                 bypass: str = "", queued: float = 0.0) -> None:
+                 bypass: str = "") -> None:
         #: the text as written (what the parser sees) and collapsed to
         #: single spaces (the cache key, and what every recorder shows)
         self.source = source
@@ -64,8 +63,6 @@ class Statement:
         #: and the reason it must not although the cache is on
         self.use_cache = use_cache
         self.bypass = bypass
-        #: seconds spent in a worker queue before the lifecycle began
-        self.queued = queued
         self.stmt = None
         self.plan = None
         #: the declared footprint (None until someone asks for it)
@@ -224,12 +221,6 @@ def run_statement(db: Database, ctx: Statement, iso=None,
     started = time.perf_counter()
     try:
         with tracer.span(iso.root_span, statement=ctx.text) as root:
-            if ctx.queued > 0.0:
-                waits.record(QUEUE_WAIT, ctx.queued)
-                if tracer.enabled:
-                    tracer.record("queue_wait",
-                                  {"note": "bounded worker queue"},
-                                  duration_ms=ctx.queued * 1000.0)
             # transaction control, DDL and plain ``explain`` exist only
             # where there are sessions: the isolation object answers them
             ctx.result = iso.control(ctx)

@@ -76,7 +76,8 @@ class RecoveryManager:
                                   faults=db.faults)
                     if wal else None)
         # statement scopes nest per executing thread (a served statement
-        # runs on a worker thread); so does the last-statement attribution
+        # runs on its connection's thread); so does the last-statement
+        # attribution
         self._local = threading.local()
         self._m_recoveries = db.telemetry.metrics.counter(
             "recoveries_total", "crash-recovery passes completed")

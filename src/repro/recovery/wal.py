@@ -292,8 +292,8 @@ class StatementLog:
 class _Scope:
     """Per-thread bookkeeping of one active WAL statement.
 
-    One scope object per executing thread (a served statement runs on a
-    worker thread, inside the engine mutex).  The global log
+    One scope object per executing thread (a served statement runs on
+    its connection's thread, inside the engine mutex).  The global log
     (``records``) holds every scope's records in append order; each
     scope also remembers *its* records (by identity) so
     commit/abort/read-only-removal touch exactly the right entries.

@@ -11,8 +11,8 @@ whose statements run one at a time inside the engine
   manager; a statement's footprint is computed *before* execution from
   its plan plus the replication catalog, and lock cycles are broken by a
   wait-for-graph deadlock detector that aborts the youngest waiter;
-* :mod:`repro.server.session`  -- per-connection session state and the
-  bounded worker pool statements execute on;
+* :mod:`repro.server.session`  -- per-connection session state; a
+  session's statements run on its connection's thread;
 * :mod:`repro.server.service`  -- the threaded TCP server
   (``python -m repro.server --port ...``) with admission control and
   graceful drain;

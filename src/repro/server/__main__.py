@@ -9,9 +9,8 @@
                                                #   (httpexpo.ENDPOINTS)
 
 The server answers SIGTERM / SIGINT (and a client's ``\\shutdown``) with
-a graceful drain: in-flight statements finish, the worker pool empties,
-connections close.  With ``--save FILE`` the drained database is
-snapshotted before exit.
+a graceful drain: in-flight statements finish, then connections close.
+With ``--save FILE`` the drained database is snapshotted before exit.
 
 ``--metrics-port N`` starts the HTTP observability sidecar (0 picks an
 ephemeral port); its address is printed as a second ``metrics on
@@ -47,8 +46,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--save", metavar="FILE",
                         help="snapshot the database after a graceful drain")
     parser.add_argument("--max-connections", type=int, default=32)
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--queue-depth", type=int, default=32)
     parser.add_argument("--lock-timeout", type=float, default=10.0,
                         help="lock-wait bound in seconds")
     parser.add_argument("--metrics-port", type=int, default=None,
@@ -114,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         db.telemetry.slowlog.configure(threshold_ms=args.slow_ms)
     server = Server(db, host=args.host, port=args.port,
                     max_connections=args.max_connections,
-                    workers=args.workers, queue_depth=args.queue_depth,
                     lock_timeout=args.lock_timeout,
                     health_ttl=args.health_ttl,
                     replication=not args.no_replication,

@@ -21,7 +21,7 @@ Cross-process tracing: with ``client.trace_enabled = True`` every
 ``execute`` mints a ``trace_id``, sends it in the request frame, and
 stitches the server's span tree under a local ``client_request`` root
 (span id 0); the difference between the root's wall time and the server
-``statement`` span is wire + queue time.  Stitched traces are kept on
+``statement`` span is wire time.  Stitched traces are kept on
 ``client.traces`` (bounded) and the freshest on ``client.last_trace``.
 
 Resilience: ``connect`` takes separate ``connect_timeout`` and
@@ -218,7 +218,7 @@ class Client:
 
         The root takes span id 0 (server span ids start at 1, so ids never
         collide) and server roots are re-parented under it; root wall time
-        minus the server ``statement`` span is wire + queue-admission time.
+        minus the server ``statement`` span is wire time.
         """
         root = {
             "trace_id": trace_id,

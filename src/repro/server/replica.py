@@ -544,8 +544,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="reconnect backoff cap")
     parser.add_argument("--max-connections", type=int, default=32)
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--queue-depth", type=int, default=32)
     parser.add_argument("--lock-timeout", type=float, default=10.0)
     parser.add_argument("--health-ttl", type=float, default=30.0)
     parser.add_argument("--metrics-port", type=int, default=None, metavar="N",
@@ -582,7 +580,6 @@ def main(argv: list[str] | None = None) -> int:
                       net_faults=net_faults)
     server = ReplicaServer(replica, host=args.host, port=args.port,
                            max_connections=args.max_connections,
-                           workers=args.workers, queue_depth=args.queue_depth,
                            lock_timeout=args.lock_timeout,
                            health_ttl=args.health_ttl)
     server.start()

@@ -1,20 +1,20 @@
 """The threaded TCP server.
 
 One :class:`Server` serves one :class:`~repro.schema.database.Database`.
-Each accepted connection gets a session and a reader thread; statements
-are executed on the session manager's bounded worker pool, so the
-connection thread only parses frames and writes responses.
+Each accepted connection gets a session and a thread of its own, which
+reads the connection's frames, runs its statements and writes the
+responses.  Statements of different connections meet only at the engine
+mutex (:class:`~repro.server.admission.EngineGate`): one is inside at a
+time, the others wait at its door (``admission_wait``).
 
-Admission control is explicit, never unbounded queueing:
-
-* connections beyond ``max_connections`` are answered with a single
-  ``server_busy`` error frame and closed;
-* requests that find the worker queue full get a ``server_busy`` error
-  response immediately (the client decides whether to back off).
+Admission control is explicit: connections beyond ``max_connections``
+are answered with a single ``server_busy`` error frame and closed, so
+the connection limit bounds both the threads and the statements in
+flight.
 
 Shutdown is graceful on SIGTERM (see ``__main__``) and on a client's
-``\\shutdown``: the listener closes, in-flight statements finish, the
-worker pool drains, then every connection is closed.
+``\\shutdown``: the listener closes, in-flight statements finish, then
+every connection is closed.
 
 Telemetry: ``server_connections_total``, ``server_active_sessions``,
 ``server_requests_total{kind=...}``, ``server_rejected_total{reason=...}``.
@@ -39,8 +39,7 @@ class Server:
     """A multi-client TCP front end over one database."""
 
     def __init__(self, db=None, host: str = "127.0.0.1", port: int = 0,
-                 max_connections: int = 32, workers: int = 4,
-                 queue_depth: int = 32, lock_timeout: float = 10.0,
+                 max_connections: int = 32, lock_timeout: float = 10.0,
                  health_ttl: float = 30.0, replication: bool | None = None,
                  sync_replicas: int = 0, sync_timeout: float = 5.0,
                  repl_log_entries: int = 10_000, drain_timeout: float = 10.0,
@@ -54,9 +53,7 @@ class Server:
         self.host = host
         self.port = port
         self.max_connections = max_connections
-        self.sessions = SessionManager(db, lock_timeout=lock_timeout,
-                                       workers=workers,
-                                       queue_depth=queue_depth)
+        self.sessions = SessionManager(db, lock_timeout=lock_timeout)
         #: WAL shipping: a WAL-backed database gets a ReplicationHub by
         #: default (``replication=False`` opts out); a wal-less database
         #: cannot ship and silently serves without one.  A follower passes
@@ -304,7 +301,7 @@ class Server:
 
     def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish in-flight statements,
-        drain the worker pool, close every connection."""
+        close every connection."""
         if self._stopping.is_set():
             self._drained.wait(30.0)
             return
@@ -324,7 +321,7 @@ class Server:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        # let statements that already reached the pool finish
+        # let statements that are already running finish
         with self._idle:
             self._idle.wait_for(lambda: self._inflight == 0, timeout=30.0)
         # flush the WAL tail to every live follower before the sockets
@@ -495,7 +492,7 @@ class Server:
         if kind == "promote":
             return self._handle_promote(sock, request_id)
         if kind in ("statement", "meta"):
-            self._run_on_pool(sock, session, request_id, kind, request)
+            self._run_on_session(sock, session, request_id, kind, request)
             return True
         protocol.write_frame(sock, protocol.error_response(
             request_id, ProtocolError(f"unknown request kind {kind!r}")))
@@ -505,9 +502,9 @@ class Server:
                             request: dict) -> bool:
         """Serve a replication verb on the connection thread itself.
 
-        These never touch engine state (the hub is its own lock domain)
-        and ``repl_fetch`` long-polls -- parking it on a bounded worker
-        would let a few idle followers starve statement execution."""
+        These never touch engine state (the hub is its own lock domain),
+        so they never take the engine mutex: a ``repl_fetch`` long-poll
+        holds its own connection's thread and nothing else."""
         try:
             if self.hub is None:
                 raise ReplicationLinkError(
@@ -547,34 +544,30 @@ class Server:
                 "this server is not a replica; promote targets followers")))
         return True
 
-    def _run_on_pool(self, sock, session, request_id: int, kind: str,
-                     request: dict) -> None:
+    def _run_on_session(self, sock, session, request_id: int, kind: str,
+                        request: dict) -> None:
+        """Run a ``statement`` / ``meta`` request on this connection
+        thread; the engine mutex inside the session is its only wait."""
         if self._stopping.is_set():
             protocol.write_frame(sock, protocol.error_response(
                 request_id, ReproError("server is draining"),
                 code="server_shutdown"))
             return
-        if kind == "statement":
-            text = request.get("statement", "")
-            trace_id = request.get("trace_id")
-            if trace_id is not None and not isinstance(trace_id, str):
-                trace_id = str(trace_id)
-            fn = lambda: session.run_statement(text, trace_id=trace_id)  # noqa: E731
-        else:
-            command = request.get("command", "")
-            args = [str(a) for a in request.get("args") or []]
-            fn = lambda: session.run_meta(command, args)  # noqa: E731
         with self._idle:
             self._inflight += 1
         try:
             try:
-                result = self.sessions.run(fn)
-            except ReproError as exc:
-                if protocol.error_code_for(exc) == "server_busy":
-                    self._m_rejected.inc(reason="queue")
-                protocol.write_frame(
-                    sock, protocol.error_response(request_id, exc))
-            except Exception as exc:  # engine bug: report, keep serving
+                if kind == "statement":
+                    trace_id = request.get("trace_id")
+                    if trace_id is not None and not isinstance(trace_id, str):
+                        trace_id = str(trace_id)
+                    result = session.run_statement(
+                        request.get("statement", ""), trace_id=trace_id)
+                else:
+                    result = session.run_meta(
+                        request.get("command", ""),
+                        [str(a) for a in request.get("args") or []])
+            except Exception as exc:  # ReproError, or an engine bug: report
                 protocol.write_frame(
                     sock, protocol.error_response(request_id, exc))
             else:

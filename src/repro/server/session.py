@@ -1,11 +1,9 @@
-"""Per-connection sessions and the worker pool they execute on.
+"""Per-connection sessions.
 
 A :class:`Session` is one client's state: its lock owner, its pending
-transaction, its per-session trace log and statement statistics.
-Statements execute on the :class:`SessionManager`'s bounded
-:class:`WorkerPool` so connection threads never run engine code; a full
-queue surfaces as :class:`~repro.errors.ServerBusyError` (explicit
-backpressure, never unbounded queueing).
+transaction, its per-session trace log and statement statistics.  Its
+statements run on the connection thread that read their frames; the
+engine mutex below is the one place they wait for each other.
 
 A session does not have a statement path of its own.  ``run_statement``
 hands the text to the one lifecycle in :mod:`repro.query.runner` --
@@ -49,7 +47,6 @@ embedded database checkpoints only on DDL, snapshot save and recovery).
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 import time
 from contextlib import contextmanager
@@ -59,7 +56,6 @@ from repro.errors import (
     LockTimeoutError,
     ParseError,
     ReproError,
-    ServerBusyError,
 )
 from repro.query.analyze import render_analyze_report
 from repro.query.executor import QueryResult
@@ -83,7 +79,6 @@ from repro.server.locks import (
 )
 from repro.server.admission import EngineGate
 from repro.server.protocol import json_safe
-from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.tracing import Tracer
 from repro.telemetry.waitevents import ADMISSION_WAIT, NULL_WAITS, REPL_ACK
 
@@ -159,100 +154,6 @@ def meta_text(db, command: str, args: list[str],
 
 
 # ---------------------------------------------------------------------------
-# the worker pool
-# ---------------------------------------------------------------------------
-
-#: worker-thread state: the queue wait of the job currently running, so
-#: session code deep in the call stack can attribute it to a span.
-_worker_state = threading.local()
-
-
-def current_queue_wait() -> float:
-    """Seconds the currently running pool job spent queued (0 outside)."""
-    return getattr(_worker_state, "queue_wait", 0.0)
-
-
-class _Job:
-    """A submitted unit of work; ``wait()`` re-raises its exception."""
-
-    __slots__ = ("fn", "_done", "result", "error", "submitted", "queue_wait")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._done = threading.Event()
-        self.result = None
-        self.error = None
-        self.submitted = time.perf_counter()
-        self.queue_wait = 0.0
-
-    def run(self) -> None:
-        self.queue_wait = time.perf_counter() - self.submitted
-        _worker_state.queue_wait = self.queue_wait
-        try:
-            self.result = self.fn()
-        except BaseException as exc:  # delivered to the waiter
-            self.error = exc
-        finally:
-            _worker_state.queue_wait = 0.0
-            self._done.set()
-
-    def wait(self, timeout: float | None = None):
-        if not self._done.wait(timeout):
-            raise TimeoutError("job did not complete in time")
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
-_STOP = object()
-
-#: queue-wait histogram bounds (seconds).
-_QUEUE_WAIT_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
-
-
-class WorkerPool:
-    """Fixed worker threads over a bounded queue (admission control)."""
-
-    def __init__(self, workers: int = 4, queue_depth: int = 32,
-                 name: str = "repro-worker", metrics=NULL_METRICS) -> None:
-        self.workers = workers
-        self._m_queue_wait = metrics.histogram(
-            "queue_wait_seconds", "time requests spent in the worker queue",
-            buckets=_QUEUE_WAIT_BUCKETS)
-        self._q: queue.Queue = queue.Queue(maxsize=max(1, queue_depth))
-        self._threads = [
-            threading.Thread(target=self._run, name=f"{name}-{i}", daemon=True)
-            for i in range(max(1, workers))
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def submit(self, fn) -> _Job:
-        job = _Job(fn)
-        try:
-            self._q.put_nowait(job)
-        except queue.Full:
-            raise ServerBusyError(
-                "request queue full; retry later (server_busy)") from None
-        return job
-
-    def _run(self) -> None:
-        while True:
-            job = self._q.get()
-            if job is _STOP:
-                return
-            job.run()
-            self._m_queue_wait.observe(job.queue_wait)
-
-    def shutdown(self) -> None:
-        """Drain: queued jobs finish, then the workers exit."""
-        for __ in self._threads:
-            self._q.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout=30.0)
-
-
-# ---------------------------------------------------------------------------
 # sessions
 # ---------------------------------------------------------------------------
 
@@ -310,8 +211,9 @@ class Session:
         #: cumulative admission wait / execution occupancy seconds
         self.admission_wait_s = 0.0
         self.admission_hold_s = 0.0
-        #: serializes this session's own statements (a pipelining client
-        #: must not run two statements under one lock owner at once)
+        #: serializes this session's own statements: a served session's
+        #: arrive on its one connection thread, but a caller sharing the
+        #: object across threads must not run two under one lock owner
         self._mutex = threading.Lock()
 
     # -- statements ----------------------------------------------------------
@@ -345,8 +247,7 @@ class Session:
             # written, every cached result predates this session's writes
             ctx = Statement(
                 query, use_cache=self._cache_enabled(),
-                bypass="txn_write" if self.in_txn and self._txn_wrote else "",
-                queued=current_queue_wait())
+                bypass="txn_write" if self.in_txn and self._txn_wrote else "")
             try:
                 with self.db.join_mode_scope(self.join_mode), \
                         self.db.telemetry.tracer_scope(tracer):
@@ -706,11 +607,10 @@ class Session:
 
 
 class SessionManager:
-    """Owns the lock manager, the engine mutex, the worker pool, and
-    the set of live sessions of one served database."""
+    """Owns the lock manager, the engine mutex and the set of live
+    sessions of one served database."""
 
-    def __init__(self, db, lock_timeout: float = 10.0, workers: int = 4,
-                 queue_depth: int = 32) -> None:
+    def __init__(self, db, lock_timeout: float = 10.0) -> None:
         self.db = db
         metrics = db.telemetry.metrics
         waits = getattr(db.telemetry, "waits", NULL_WAITS)
@@ -733,8 +633,6 @@ class SessionManager:
         self.ash = None
         self.alerts = None
         self.tsstore = None
-        self.pool = WorkerPool(workers=workers, queue_depth=queue_depth,
-                               metrics=metrics)
         self._sessions: dict[int, Session] = {}
         self._ids = itertools.count(1)
         self._mutex = threading.Lock()
@@ -769,16 +667,7 @@ class SessionManager:
                 > CHECKPOINT_LOG_MULTIPLE * self.db.storage.disk.data_bytes()):
             self.db.checkpoint()
 
-    def run(self, fn, timeout: float | None = None):
-        """Execute ``fn`` on the worker pool and wait for its result.
-
-        Raises :class:`ServerBusyError` immediately when the bounded
-        queue is full -- backpressure, not buffering.
-        """
-        return self.pool.submit(fn).wait(timeout)
-
     def shutdown(self) -> None:
-        """Drain the pool and close every session."""
-        self.pool.shutdown()
+        """Close every session."""
         for session in self.sessions():
             self.close_session(session)

@@ -20,8 +20,8 @@ surfaces:
   charge/credit accounting per replication path, feeding the workload
   monitor's keep/add/drop ranking;
 * :class:`~repro.telemetry.waitevents.WaitEventCollector` -- wait-event
-  accounting (engine latch, locks, buffer I/O, WAL flush, queue, quorum
-  acks, cpu residual) attributing every second of statement wall-clock
+  accounting (engine latch, locks, buffer I/O, WAL flush, quorum acks,
+  cpu residual) attributing every second of statement wall-clock
   to a named wait.
 
 The server layers :class:`~repro.telemetry.ash.ActiveSessionHistory`
@@ -83,8 +83,9 @@ class Telemetry:
     def tracer(self) -> Tracer:
         """The active tracer: a thread-local override when a served
         statement is executing under :meth:`tracer_scope`, else the
-        database-wide tracer.  Statements on different worker threads
-        therefore trace into private span lists with no cross-talk."""
+        database-wide tracer.  Statements on different connection
+        threads therefore trace into private span lists with no
+        cross-talk."""
         override = getattr(self._tracer_local, "tracer", None)
         return override if override is not None else self._tracer
 

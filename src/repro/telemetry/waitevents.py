@@ -12,8 +12,6 @@ taxonomy adapted to this engine's actual blocking points:
 * ``buffer_io``        -- a buffer-pool miss, read-ahead or dirty
   write-back moving a page between the pool and the (simulated) disk;
 * ``wal_flush``        -- forcing the write-ahead log;
-* ``queue_wait``       -- queued in the bounded worker pool before a
-  worker picked the statement up;
 * ``repl_ack``         -- a semi-synchronous writer waiting for its
   follower quorum;
 * ``client_net``       -- a live session with no statement in flight
@@ -21,9 +19,10 @@ taxonomy adapted to this engine's actual blocking points:
   part of a statement's own breakdown);
 * ``cpu``              -- the residual: statement wall time not covered
   by any measured wait.  Per statement ``cpu`` is computed as
-  ``(queue_wait + execution wall) - sum(measured waits)``, so the
-  breakdown always sums to the statement's full wall-clock time --
-  attribution is complete by construction.
+  ``execution wall - sum(measured waits)``, so the breakdown always
+  sums to the statement's wall-clock time -- attribution is complete by
+  construction.  A served statement runs on the connection thread that
+  read its frame, so no queue sits between the frame and the ledger.
 
 The :class:`WaitEventCollector` is the cheap enter/exit layer the
 engine is threaded with.  Accumulation has two independent sinks:
@@ -71,7 +70,6 @@ from repro.telemetry.metrics import NULL_METRICS
 ADMISSION_WAIT = "admission_wait"
 BUFFER_IO = "buffer_io"
 WAL_FLUSH = "wal_flush"
-QUEUE_WAIT = "queue_wait"
 CLIENT_NET = "client_net"
 REPL_ACK = "repl_ack"
 CPU = "cpu"
@@ -80,7 +78,7 @@ LOCK_PREFIX = "lock:"
 
 #: the taxonomy (lock waits appear as ``lock:<resource>``).
 WAIT_EVENTS = (ADMISSION_WAIT, LOCK_PREFIX + "<resource>", BUFFER_IO,
-               WAL_FLUSH, QUEUE_WAIT, CLIENT_NET, REPL_ACK, CPU)
+               WAL_FLUSH, CLIENT_NET, REPL_ACK, CPU)
 
 #: admission wait histogram bounds (seconds): admission is normally
 #: uncontended (microseconds), but behind a long statement or a doctor
@@ -196,8 +194,8 @@ class WaitEventCollector:
         self._contexts: dict[int, StatementWaitContext] = {}
         #: event -> [seconds, count] (global, survives statement ends)
         self._totals: dict[str, list] = {}
-        #: statement wall-clock accounted so far (queue wait included):
-        #: the denominator of every attribution share.
+        #: statement wall-clock accounted so far: the denominator of
+        #: every attribution share.
         self.statement_seconds = 0.0
         self.statements_finished = 0
         self._m_wait_seconds = metrics.counter(
@@ -262,9 +260,8 @@ class WaitEventCollector:
                          duration_s: float) -> dict[str, float]:
         """Close the ledger; returns the per-event breakdown in seconds.
 
-        ``duration_s`` is the statement's execution wall time (queue wait
-        excluded -- it is already in the ledger); the ``cpu`` residual
-        tops the breakdown up so it sums to queue wait + execution wall.
+        ``duration_s`` is the statement's execution wall time; the
+        ``cpu`` residual tops the breakdown up so it sums to that wall.
         """
         if ctx is None:
             return {}
@@ -273,12 +270,11 @@ class WaitEventCollector:
             if self._contexts.get(ctx.session_id) is ctx:
                 del self._contexts[ctx.session_id]
         breakdown = {event: slot[0] for event, slot in ctx.waits.items()}
-        wall = duration_s + breakdown.get(QUEUE_WAIT, 0.0)
-        cpu = max(0.0, wall - sum(breakdown.values()))
+        cpu = max(0.0, duration_s - sum(breakdown.values()))
         breakdown[CPU] = cpu
         self._count(CPU, cpu, 1)
         with self._mutex:
-            self.statement_seconds += wall
+            self.statement_seconds += duration_s
             self.statements_finished += 1
         return breakdown
 

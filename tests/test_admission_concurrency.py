@@ -12,6 +12,9 @@ luck:
   lock manager, before admission);
 * the thread holding the mutex for maintenance may run statements of
   its own (the mutex is reentrant);
+* a statement runs on the thread of the connection that sent it, and a
+  statement held inside the engine holds up other connections'
+  statements only -- at the mutex, not before it;
 * two connections hammering an 8-frame pool never see the pool run out
   of frames: every pin belongs to the one statement inside;
 * a commit whose log force fails keeps statement atomicity: whatever
@@ -20,6 +23,7 @@ luck:
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -31,14 +35,15 @@ from repro.server.service import Server
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import PAGE_SIZE
 from repro.storage.disk import SimulatedDisk
+from repro.telemetry.waitevents import ADMISSION_WAIT
 from tests.conftest import define_employee_schema
 from tests.test_observer_neutrality import _build
 
 
 @pytest.fixture()
 def server(company):
-    srv = Server(company["db"], max_connections=8, workers=4,
-                 queue_depth=16, lock_timeout=5.0, sample_interval=0).start()
+    srv = Server(company["db"], max_connections=8, lock_timeout=5.0,
+                 sample_interval=0).start()
     yield srv
     company["db"].faults.probes.clear()
     srv.shutdown()
@@ -71,6 +76,60 @@ def test_engine_gate_exclusive_is_reentrant_and_admits_its_owner(server):
     thread.join(10.0)
 
 
+def test_a_statement_runs_on_its_connection_thread(server):
+    """No worker threads: a statement runs on the thread that read its
+    frame.  While connection A's statement is held inside the engine,
+    connection B's ``ping`` and ``stats`` answer at once, and B's
+    retrieve waits in ``admission_wait`` -- it does not fail -- until A
+    leaves."""
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("repro-worker")]
+    db = server.db
+    ran_on, held, release = [], threading.Event(), threading.Event()
+
+    def admitted():
+        ran_on.append(threading.current_thread().name)
+        if len(ran_on) == 1:
+            held.set()
+            release.wait(10.0)
+
+    db.faults.probes["statement_admitted"] = admitted
+    rows, errors = {}, []
+
+    def run(name, client, text):
+        try:
+            rows[name] = client.execute(text).rows
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(repr(exc))
+
+    with connect(*server.address) as a, connect(*server.address) as b:
+        a_thread = threading.Thread(
+            target=run, args=("a", a, "retrieve (Emp1.name)"), daemon=True)
+        a_thread.start()
+        assert held.wait(10.0)
+        started = time.perf_counter()
+        assert b.ping()
+        assert b.stats()["connections"] == 2
+        assert time.perf_counter() - started < 1.0
+        b_text = "retrieve (Dept.name)"
+        b_thread = threading.Thread(
+            target=run, args=("b", b, b_text), daemon=True)
+        b_thread.start()
+        deadline = time.monotonic() + 10.0
+        while not any(s["statement"] == b_text and s["event"] == ADMISSION_WAIT
+                      for s in db.telemetry.waits.sample()):
+            assert time.monotonic() < deadline, "B never reached the mutex"
+            time.sleep(0.005)
+        assert "b" not in rows and not errors
+        release.set()
+        a_thread.join(10.0)
+        b_thread.join(10.0)
+    assert errors == []
+    assert len(rows["a"]) == 6 and len(rows["b"]) == 3
+    assert len(ran_on) == 2 and ran_on[0] != ran_on[1]
+    assert all(name.startswith("repro-conn-") for name in ran_on)
+
+
 def test_disjoint_footprint_statements_never_overlap(company, monkeypatch):
     """Eight clients read the four sets -- no two footprints conflict --
     and still only one statement is ever inside the engine.  The first
@@ -78,8 +137,7 @@ def test_disjoint_footprint_statements_never_overlap(company, monkeypatch):
     every other client is at its door while it runs."""
     clients, rounds = 8, 25
     db = company["db"]
-    srv = Server(db, max_connections=clients, workers=clients,
-                 sample_interval=0).start()
+    srv = Server(db, max_connections=clients, sample_interval=0).start()
     counts = {"arrived": 0, "admitted": 0, "inside": 0, "peak": 0}
     mutex = threading.Lock()
     everyone_waits = threading.Event()
@@ -269,7 +327,7 @@ def test_a_small_pool_never_fails_a_statement_for_want_of_frames():
     want of a frame, and once each statement is done -- still inside the
     engine, so nobody else's pins can be there -- no frame is pinned."""
     db = _build(wal=True)
-    srv = Server(db, workers=2, lock_timeout=30.0, sample_interval=0).start()
+    srv = Server(db, lock_timeout=30.0, sample_interval=0).start()
     leaked, errors = [], []
     pool = db.storage.pool
 
@@ -364,7 +422,7 @@ def wal_server():
     for i, name in enumerate(["alice", "bob"]):
         db.insert("Emp1", {"name": name, "age": 30 + i,
                            "salary": 50_000 + 10_000 * i, "dept": None})
-    srv = Server(db, workers=2, sample_interval=0).start()
+    srv = Server(db, sample_interval=0).start()
     yield srv
     srv.shutdown()
 

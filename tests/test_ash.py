@@ -131,9 +131,8 @@ def test_snapshot_document_shape():
 
 @pytest.fixture()
 def sampled_server(company):
-    srv = Server(company["db"], max_connections=8, workers=2, queue_depth=8,
-                 lock_timeout=5.0, sample_interval=0.02,
-                 ash_capacity=512).start()
+    srv = Server(company["db"], max_connections=8, lock_timeout=5.0,
+                 sample_interval=0.02, ash_capacity=512).start()
     yield srv
     srv.shutdown()
 
@@ -200,8 +199,8 @@ def test_ash_http_rejects_bad_query(sampled_server):
 
 
 def test_disabled_sampler_answers_empty_but_alive(company):
-    server = Server(company["db"], max_connections=4, workers=2,
-                    queue_depth=8, sample_interval=0).start()
+    server = Server(company["db"], max_connections=4,
+                    sample_interval=0).start()
     try:
         assert not server.sampler.running
         with connect(*server.address) as client:

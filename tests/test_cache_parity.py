@@ -178,8 +178,7 @@ def _served_db() -> Database:
 
 @pytest.fixture()
 def manager():
-    mgr = SessionManager(_served_db(), lock_timeout=5.0, workers=4,
-                         queue_depth=16)
+    mgr = SessionManager(_served_db(), lock_timeout=5.0)
     yield mgr
     mgr.shutdown()
 

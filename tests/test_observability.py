@@ -13,7 +13,7 @@ from repro.server import connect
 from repro.server.httpexpo import MetricsHTTPServer
 from repro.server.locks import ContentionProfiler, LockFootprint, LockManager
 from repro.server.service import Server
-from repro.server.session import SessionManager, WorkerPool, current_queue_wait
+from repro.server.session import SessionManager
 from repro.server.top import render_top, run_top
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slowlog import SlowQueryLog
@@ -21,16 +21,14 @@ from repro.telemetry.slowlog import SlowQueryLog
 
 @pytest.fixture()
 def manager(company):
-    mgr = SessionManager(company["db"], lock_timeout=2.0, workers=2,
-                         queue_depth=4)
+    mgr = SessionManager(company["db"], lock_timeout=2.0)
     yield mgr
     mgr.shutdown()
 
 
 @pytest.fixture()
 def server(company):
-    srv = Server(company["db"], max_connections=8, workers=2,
-                 queue_depth=8, lock_timeout=2.0).start()
+    srv = Server(company["db"], max_connections=8, lock_timeout=2.0).start()
     yield srv
     srv.shutdown()
 
@@ -161,8 +159,7 @@ def test_session_trace_toggle_without_client_id_still_traces(manager):
 def test_lock_acquire_span_reports_contended_wait(company):
     """A statement that blocks on another session's lock reports the
     wait, per resource, in its ``lock_acquire`` span."""
-    mgr = SessionManager(company["db"], lock_timeout=10.0, workers=2,
-                         queue_depth=8)
+    mgr = SessionManager(company["db"], lock_timeout=10.0)
     try:
         holder = mgr.open_session("holder")
         waiter = mgr.open_session("waiter")
@@ -416,17 +413,6 @@ def test_acquire_info_reports_waited_and_contended():
     assert ("Emp1", "X") in info.contended
     assert info.wait_breakdown()[0]["resource"] == "Emp1"
     assert locks.contention.top()[0]["resource"] == "Emp1"
-
-
-def test_queue_wait_is_zero_outside_pool_and_measured_inside():
-    assert current_queue_wait() == 0.0
-    metrics = MetricsRegistry()
-    pool = WorkerPool(workers=1, queue_depth=8, metrics=metrics)
-    seen = []
-    pool.submit(lambda: seen.append(current_queue_wait())).wait(5.0)
-    pool.shutdown()
-    assert len(seen) == 1 and seen[0] >= 0.0
-    assert metrics.histogram("queue_wait_seconds").count() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from repro.server.service import Server
 def server(company):
     db = company["db"]
     db.replicate("Emp1.dept.name")
-    srv = Server(db, max_connections=16, workers=4, queue_depth=64,
-                 lock_timeout=10.0).start()
+    srv = Server(db, max_connections=16, lock_timeout=10.0).start()
     yield srv
     srv.shutdown()
 

@@ -13,8 +13,7 @@ from repro.server.service import Server
 
 @pytest.fixture()
 def server(company):
-    srv = Server(company["db"], max_connections=8, workers=2,
-                 queue_depth=8, lock_timeout=2.0).start()
+    srv = Server(company["db"], max_connections=8, lock_timeout=2.0).start()
     yield srv
     srv.shutdown()
 

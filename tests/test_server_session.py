@@ -1,4 +1,4 @@
-"""Sessions: statement dispatch, transactions, backpressure, tracing."""
+"""Sessions: statement dispatch, transactions, tracing."""
 
 import threading
 import time
@@ -9,17 +9,15 @@ from repro.errors import (
     DeadlockError,
     ParseError,
     ReproError,
-    ServerBusyError,
 )
 from repro.server.locks import SCHEMA_RESOURCE
-from repro.server.session import SessionManager, WorkerPool
+from repro.server.session import SessionManager
 from repro.telemetry.statstats import fingerprint
 
 
 @pytest.fixture()
 def manager(company):
-    mgr = SessionManager(company["db"], lock_timeout=2.0, workers=2,
-                         queue_depth=4)
+    mgr = SessionManager(company["db"], lock_timeout=2.0)
     yield mgr
     mgr.shutdown()
 
@@ -235,33 +233,6 @@ def test_active_sessions_gauge(manager):
     manager.close_session(session)
     manager.close_session(session)  # idempotent
     assert metrics.value("server_active_sessions") == base
-
-
-def test_worker_pool_backpressure_is_server_busy():
-    pool = WorkerPool(workers=1, queue_depth=1)
-    gate = threading.Event()
-    running = threading.Event()
-
-    def block():
-        running.set()
-        gate.wait(5.0)
-
-    first = pool.submit(block)
-    running.wait(2.0)          # worker occupied
-    pool.submit(lambda: None)  # fills the queue
-    with pytest.raises(ServerBusyError, match="server_busy"):
-        pool.submit(lambda: None)
-    gate.set()
-    first.wait(5.0)
-    pool.shutdown()
-
-
-def test_worker_pool_delivers_results_and_exceptions():
-    pool = WorkerPool(workers=2, queue_depth=8)
-    assert pool.submit(lambda: 41 + 1).wait(5.0) == 42
-    with pytest.raises(ZeroDivisionError):
-        pool.submit(lambda: 1 // 0).wait(5.0)
-    pool.shutdown()
 
 
 def test_served_query_physical_io_matches_direct_execution(manager):

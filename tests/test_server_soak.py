@@ -49,8 +49,7 @@ def test_server_process_survives_sustained_mixed_load(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.server", "--port", "0",
          "--snapshot", str(snapshot), "--save", str(saved),
-         "--workers", "4", "--queue-depth", "64", "--lock-timeout", "10",
-         "--metrics-port", "0"],
+         "--lock-timeout", "10", "--metrics-port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     try:
         line = proc.stdout.readline().strip()
@@ -172,7 +171,6 @@ def test_server_process_concurrency_stress(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.server", "--port", "0",
          "--snapshot", str(snapshot),
-         "--workers", str(clients), "--queue-depth", "128",
          "--max-connections", str(clients + 4), "--lock-timeout", "10",
          "--metrics-port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)

@@ -138,8 +138,7 @@ def _both_modes(monkeypatch, query, warm, cache, analyze):
     two statements' recorded facts."""
     probe = _Probe(monkeypatch)
     embedded = _build(cache)
-    manager = SessionManager(_build(cache), lock_timeout=2.0, workers=1,
-                             queue_depth=2)
+    manager = SessionManager(_build(cache), lock_timeout=2.0)
     try:
         session = manager.open_session("served")
         facts = []

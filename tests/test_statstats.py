@@ -22,8 +22,7 @@ from repro.telemetry.statstats import (
 
 @pytest.fixture()
 def server(company):
-    srv = Server(company["db"], max_connections=8, workers=2,
-                 queue_depth=8, lock_timeout=2.0).start()
+    srv = Server(company["db"], max_connections=8, lock_timeout=2.0).start()
     yield srv
     srv.shutdown()
 
@@ -244,8 +243,7 @@ def test_served_statements_wal_bytes_attributed_under_latch():
                                            int_field("budget")]))
     db.create_set("Dept", "DEPT")
     db.insert("Dept", {"name": "toys", "budget": 1})
-    srv = Server(db, max_connections=4, workers=2, queue_depth=8,
-                 lock_timeout=2.0).start()
+    srv = Server(db, max_connections=4, lock_timeout=2.0).start()
     try:
         with connect(*srv.address) as client:
             client.execute('replace (Dept.budget = 9) where Dept.name = "x"')

@@ -18,7 +18,7 @@ from repro.telemetry.waitevents import (
     CPU,
     LOCK_PREFIX,
     NULL_WAITS,
-    QUEUE_WAIT,
+    WAL_FLUSH,
     WaitEventCollector,
     base_event,
 )
@@ -26,8 +26,8 @@ from repro.telemetry.waitevents import (
 
 @pytest.fixture()
 def server(company):
-    srv = Server(company["db"], max_connections=8, workers=2,
-                 queue_depth=8, lock_timeout=5.0, sample_interval=0).start()
+    srv = Server(company["db"], max_connections=8, lock_timeout=5.0,
+                 sample_interval=0).start()
     yield srv
     srv.shutdown()
 
@@ -41,15 +41,16 @@ def test_breakdown_sums_to_statement_wall_clock():
     collector = WaitEventCollector()
     ctx = collector.begin_statement(1, "s1", "retrieve x")
     collector.record(BUFFER_IO, 0.020)
-    collector.record(QUEUE_WAIT, 0.010)
+    collector.record(WAL_FLUSH, 0.010)
     breakdown = collector.finish_statement(ctx, duration_s=0.100)
-    # wall = execution (0.100) + queue wait (0.010); cpu is what is left
-    # after the measured waits (0.020 + 0.010) are taken out
-    assert breakdown[CPU] == pytest.approx(0.080)
-    assert sum(breakdown.values()) == pytest.approx(0.110)
+    # wall = execution (0.100); cpu is what is left after the measured
+    # waits (0.020 + 0.010) are taken out
+    assert breakdown[WAL_FLUSH] == pytest.approx(0.010)
+    assert breakdown[CPU] == pytest.approx(0.070)
+    assert sum(breakdown.values()) == pytest.approx(0.100)
     snap = collector.snapshot()
     assert snap["statements"] == 1
-    assert snap["statement_seconds"] == pytest.approx(0.110)
+    assert snap["statement_seconds"] == pytest.approx(0.100)
     # every accounted second is attributed: coverage 1.0 by construction
     assert snap["coverage"] == pytest.approx(1.0, abs=0.01)
 
