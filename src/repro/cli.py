@@ -46,10 +46,6 @@ with ``;`` or a blank line.  Connected to a server, ``begin`` / ``commit``
     \\replication       WAL-shipping topology: role, LSNs, per-follower
                        lag (connected only)
     \\promote           turn a connected follower into a primary
-    \\set joinmode M    functional-join strategy: ``naive`` (row-at-a-time
-                       OID probes) or ``batched`` (sort-and-dedupe sweeps;
-                       the default); connected, ``default`` reverts the
-                       session to the server's setting
     \\set cache on|off  result cache for retrieves (local: flips the
                        database default; connected: a per-session
                        override, ``default`` reverts to the server's)
@@ -230,8 +226,7 @@ class Shell:
         else:
             from repro.server.session import meta_text
 
-            text = meta_text(self.db, command, args,
-                             f"join mode {self.db.join_mode}")
+            text = meta_text(self.db, command, args)
             if text is None:
                 self.fail(f"unknown meta-command \\{command} (try \\help)")
             else:
@@ -262,32 +257,18 @@ class Shell:
         self.write(f"row limit: {self.limit if self.limit else 'off'}")
 
     def _run_set(self, args: list[str]) -> None:
-        """Embedded ``\\set``: flips the local database's knobs."""
-        if not args or args[0] not in ("joinmode", "cache"):
-            self.fail("error: usage: \\set joinmode naive|batched"
-                      " | \\set cache on|off")
+        """Embedded ``\\set cache``: flips the local database's default."""
+        if not args or args[0] != "cache":
+            self.fail("error: usage: \\set cache on|off")
             return
-        if args[0] == "cache":
-            cache = self.db.resultcache
-            if len(args) < 2:
-                self.write(f"result cache {'on' if cache.enabled else 'off'}")
-                return
+        cache = self.db.resultcache
+        if len(args) >= 2:
             if args[1] not in ("on", "off"):
                 self.fail(f"error: cache must be 'on' or 'off', "
                           f"not {args[1]!r}")
                 return
             cache.enabled = args[1] == "on"
-            self.write(f"result cache {'on' if cache.enabled else 'off'}")
-            return
-        if len(args) < 2:
-            self.write(f"join mode {self.db.join_mode}")
-            return
-        try:
-            self.db.join_mode = args[1]
-        except ValueError as exc:
-            self.fail(f"error: {exc}")
-            return
-        self.write(f"join mode {self.db.join_mode}")
+        self.write(f"result cache {'on' if cache.enabled else 'off'}")
 
     def run_trace(self, args: list[str]) -> None:
         tracer = self.db.telemetry.tracer
@@ -462,8 +443,6 @@ def _build_shell(args) -> Shell | None:
             print(f"error: cannot connect to {args.connect}: {exc}",
                   file=sys.stderr)
             return None
-        if args.join_mode:
-            client.meta("set", "joinmode", args.join_mode)
         if args.cache:
             client.meta("set", "cache", "on")
         return Shell(client=client, limit=args.limit or None)
@@ -474,8 +453,6 @@ def _build_shell(args) -> Shell | None:
     except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    if args.join_mode:
-        db.join_mode = args.join_mode
     if args.cache:
         db.resultcache.enabled = True
     return Shell(db=db, limit=args.limit or None)
@@ -497,11 +474,6 @@ def main(argv: list[str] | None = None) -> int:
                              "local database")
     parser.add_argument("--limit", type=int, default=DEFAULT_ROW_LIMIT,
                         help="rendered-row cap (0: no cap)")
-    parser.add_argument("--join-mode", choices=("naive", "batched"),
-                        default=None,
-                        help="functional-join strategy for the session "
-                             "(local: sets the database knob; connected: "
-                             "sends \\set joinmode)")
     parser.add_argument("--cache", action="store_true",
                         help="enable the derived-result cache for this "
                              "session (local: flips the database default; "

@@ -1,9 +1,9 @@
 """Set-oriented execution: batched sort-and-dedupe functional joins.
 
-The naive executor dereferences one OID per hop per row, which turns a
-functional join into random I/O and re-reads a shared target object once
-per referencer.  This module is the assembly-style counterpart: drain the
-access path in batches of :attr:`Database.join_batch_rows` rows, extract
+Dereferencing one OID per hop per row turns a functional join into
+random I/O and re-reads a shared target object once per referencer.
+This module is the executor's assembly-style answer: drain the access
+path in batches of :attr:`Database.join_batch_rows` rows, extract
 each hop level's next-hop OIDs, sort them by ``(file_id, page_no, slot)``,
 dedupe, resolve the whole level with one ordered sweep
 (:meth:`ObjectStore.read_many`), and fan the values back to their rows --
@@ -16,13 +16,14 @@ projected read (:func:`repro.objects.encoding.projector`), and a hop level
 slices the one field it needs -- the next reference, or the terminal
 value -- off each object it reaches.
 
-Row order, row values, and raised errors match the naive executor exactly
-(parity is tested over the full query corpus); only the physical I/O
-pattern changes.  When metering (EXPLAIN ANALYZE), hop levels appear as
-the same ``hop <ref>`` children the naive path produces, with per-level
-``distinct`` / ``dedup`` batch statistics; rows whose chain ends at a NULL
-reference are counted as ``nulls`` on the join operator and never create
-a hop child for a level they did not reach.
+Row order, row values, and raised errors match a row-at-a-time loop
+exactly: ``tests/test_executor_parity.py`` keeps one as
+``reference_retrieve`` and checks the full query corpus against it; only
+the physical I/O pattern differs.  When metering (EXPLAIN ANALYZE), each
+hop level appears as a ``hop <ref>`` child of its join operator, with
+per-level ``distinct`` / ``dedup`` batch statistics; rows whose chain
+ends at a NULL reference are counted as ``nulls`` on the join operator
+and never create a hop child for a level they did not reach.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ def iter_batches(db, plan: RetrievePlan, fields: tuple[str, ...],
     tuple of a scanned object's values of ``fields``
     (:func:`scanned_fields`).
 
-    Scan I/O -- including read-ahead and any batched filter joins, exactly
-    the work the naive path charges to its scan -- is attributed to
-    ``scan_op`` when metering.
+    Scan I/O -- including read-ahead and any batched filter joins -- is
+    attributed to ``scan_op`` when metering.
     """
     raw = iter(_raw_rows(db, plan, fields))
     batch_rows = db.join_batch_rows
@@ -244,7 +244,7 @@ def resolve_chain_values(db, start_oids: list, chain, field_name: str,
     """Resolve a reference chain for many rows, one sweep per hop level.
 
     ``start_oids`` is aligned with the rows (None entries short-circuit to
-    a NULL value, as the naive join does).  Returns the terminal field
+    a NULL value).  Returns the terminal field
     values in row order.  Each level reads one field of each object it
     reaches -- the next reference, then the terminal value -- sliced off
     the pinned page.  With metering, each level's sweep is attributed

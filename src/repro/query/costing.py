@@ -19,29 +19,9 @@ served statement may not run before it enters the engine mutex.
 
 from __future__ import annotations
 
-from repro.costmodel.sortedprobe import sorted_probe_pages
 from repro.costmodel.yao import yao
 from repro.objects.types import FieldKind
 from repro.query.plan import IndexScan
-
-
-def functional_join_pages(set_pages: int, set_count: int, probes: float,
-                          join_mode: str = "batched") -> float:
-    """Expected target-file pages one functional-join level touches.
-
-    ``naive`` prices ``probes`` unordered OID dereferences with Yao's
-    expectation; ``batched`` prices one sorted, deduplicated sweep with the
-    :func:`~repro.costmodel.sortedprobe.sorted_probe_pages` bound.  Without
-    schema-level fanout statistics the distinct-OID count is conservatively
-    ``min(probes, set_count)``.
-    """
-    if set_pages <= 0 or set_count <= 0 or probes <= 0:
-        return 0.0
-    distinct = min(probes, set_count)
-    if join_mode == "batched":
-        return sorted_probe_pages(set_pages, distinct)
-    objects_per_page = max(1.0, set_count / set_pages)
-    return set_pages * yao(set_count, objects_per_page, distinct)
 
 
 def estimate_qualifying_rows(scan: IndexScan) -> float:

@@ -68,9 +68,6 @@ _STEP_KINDS = {
     FunctionalJoin: "functional_join",
 }
 
-_DONE = object()
-
-
 def _step_kind(step) -> str:
     return _STEP_KINDS[type(step)]
 
@@ -102,50 +99,10 @@ def execute_retrieve(db: Database, plan: RetrievePlan,
     rows: list[tuple] = []
     sort_keys: list = []
     group_keys: list[tuple] = []
-    if plan.join_mode == "batched":
-        _run_batched(db, plan, meter, ops, rows, sort_keys, group_keys)
-    elif not analyze:
-        for __oid, obj in _scan(db, plan.set_name, plan.access, plan.where):
-            rows.append(tuple(_fetch(db, step, obj) for step in plan.steps))
-            if plan.order_step is not None:
-                sort_keys.append(_fetch(db, plan.order_step, obj))
-            if plan.group_steps:
-                group_keys.append(
-                    tuple(_fetch(db, step, obj) for step in plan.group_steps)
-                )
-    else:
-        _run_analyzed_scan(db, plan, meter, ops, rows, sort_keys, group_keys)
+    _run_batched(db, plan, meter, ops, rows, sort_keys, group_keys)
     _record_joins(db, plan, len(rows))
     _record_replicated_reads(db, plan, len(rows))
-    if plan.group_steps:
-        rows = _fold_groups(plan, rows, group_keys)
-        if plan.limit is not None:
-            rows = rows[: plan.limit]
-    else:
-        if plan.order_step is not None:
-            # sort rows by key; NULL keys sort last regardless of direction
-            paired = sorted(
-                zip(sort_keys, range(len(rows))),
-                key=lambda kv: ((kv[0] is None), kv[0] if kv[0] is not None else 0),
-                reverse=plan.descending,
-            )
-            if plan.descending:
-                # reverse put the Nones first; push them back to the end
-                paired = [kv for kv in paired if kv[0] is not None] + [
-                    kv for kv in paired if kv[0] is None
-                ]
-            rows = [rows[i] for __, i in paired]
-        if plan.limit is not None:
-            rows = rows[: plan.limit]
-        if plan.aggregates:
-            rows = [_fold_aggregates(plan.aggregates, rows)]
-    if plan.aggregates:
-        columns = tuple(
-            f"{fn}({step.target.text})" if fn else step.target.text
-            for fn, step in zip(plan.aggregates, plan.steps)
-        )
-    else:
-        columns = tuple(step.target.text for step in plan.steps)
+    columns, rows = shape_rows(plan, rows, sort_keys, group_keys)
     if plan.materialize:
         if analyze:
             mat_op = OperatorStats("materialize")
@@ -164,7 +121,7 @@ def execute_retrieve(db: Database, plan: RetrievePlan,
 def _run_batched(db: Database, plan: RetrievePlan, meter: Meter | None,
                  ops: list[OperatorStats], rows: list[tuple],
                  sort_keys: list, group_keys: list[tuple]) -> None:
-    """The set-oriented row loop (Database.join_mode == "batched").
+    """The set-oriented row loop.
 
     One implementation serves both plain and analyzed execution (``meter``
     is None when not analyzing) so EXPLAIN ANALYZE measures exactly the
@@ -216,51 +173,41 @@ def _run_batched(db: Database, plan: RetrievePlan, meter: Meter | None,
             group_keys.extend(zip(*key_cols))
 
 
-def _run_analyzed_scan(db: Database, plan: RetrievePlan, meter: Meter,
-                       ops: list[OperatorStats], rows: list[tuple],
-                       sort_keys: list, group_keys: list[tuple]) -> None:
-    """The instrumented row loop: every page of I/O lands in an operator."""
-    scan_op = OperatorStats("scan", plan.access.explain())
-    step_ops = [OperatorStats(_step_kind(step), step.explain()) for step in plan.steps]
-    ops.append(scan_op)
-    ops.extend(step_ops)
-    order_op = None
-    if plan.order_step is not None:
-        order_op = OperatorStats("sort_key", plan.order_step.explain())
-        ops.append(order_op)
-    group_ops = None
+def shape_rows(plan: RetrievePlan, rows: list[tuple], sort_keys: list,
+               group_keys: list[tuple]) -> tuple[tuple[str, ...], list[tuple]]:
+    """The result's columns and rows from the scan's projected rows and
+    their sort and group keys: group and fold, or sort, limit and
+    aggregate, as the plan says."""
     if plan.group_steps:
-        group_ops = [OperatorStats("group_key", s.explain()) for s in plan.group_steps]
-        ops.extend(group_ops)
-    iterator = iter(_scan(db, plan.set_name, plan.access, plan.where))
-    while True:
-        mark = meter.begin()
-        item = next(iterator, _DONE)
-        meter.end(mark, scan_op)
-        if item is _DONE:
-            break
-        __oid, obj = item
-        scan_op.rows += 1
-        row = []
-        for step, op in zip(plan.steps, step_ops):
-            mark = meter.begin()
-            row.append(_fetch(db, step, obj, meter, op))
-            meter.end(mark, op)
-            op.rows += 1
-        rows.append(tuple(row))
-        if order_op is not None:
-            mark = meter.begin()
-            sort_keys.append(_fetch(db, plan.order_step, obj, meter, order_op))
-            meter.end(mark, order_op)
-            order_op.rows += 1
-        if group_ops is not None:
-            key = []
-            for step, op in zip(plan.group_steps, group_ops):
-                mark = meter.begin()
-                key.append(_fetch(db, step, obj, meter, op))
-                meter.end(mark, op)
-                op.rows += 1
-            group_keys.append(tuple(key))
+        rows = _fold_groups(plan, rows, group_keys)
+        if plan.limit is not None:
+            rows = rows[: plan.limit]
+    else:
+        if plan.order_step is not None:
+            # sort rows by key; NULL keys sort last regardless of direction
+            paired = sorted(
+                zip(sort_keys, range(len(rows))),
+                key=lambda kv: ((kv[0] is None), kv[0] if kv[0] is not None else 0),
+                reverse=plan.descending,
+            )
+            if plan.descending:
+                # reverse put the Nones first; push them back to the end
+                paired = [kv for kv in paired if kv[0] is not None] + [
+                    kv for kv in paired if kv[0] is None
+                ]
+            rows = [rows[i] for __, i in paired]
+        if plan.limit is not None:
+            rows = rows[: plan.limit]
+        if plan.aggregates:
+            rows = [_fold_aggregates(plan.aggregates, rows)]
+    if plan.aggregates:
+        columns = tuple(
+            f"{fn}({step.target.text})" if fn else step.target.text
+            for fn, step in zip(plan.aggregates, plan.steps)
+        )
+    else:
+        columns = tuple(step.target.text for step in plan.steps)
+    return columns, rows
 
 
 def _fold_groups(plan: RetrievePlan, rows: list[tuple],
@@ -507,76 +454,17 @@ def _matches(db: Database, set_name: str, where, obj: StoredObject) -> bool:
     return where.matches(lookup)
 
 
-# ---------------------------------------------------------------------------
-# fetch steps
-# ---------------------------------------------------------------------------
-
-
-def _fetch(db: Database, step, obj: StoredObject, meter: Meter | None = None,
-           op: OperatorStats | None = None):
-    if isinstance(step, LocalField):
-        return obj.values[step.field_name]
-    if isinstance(step, HiddenField):
-        return obj.values[step.hidden_field]
-    if isinstance(step, ReplicaFetch):
-        ref = obj.values[step.hidden_ref]
-        if ref is None:
-            if op is not None:
-                op.nulls += 1
-            return None
-        replica = db.replication.replica_sets[step.path_id].read(ref)
-        return replica.values[step.field_name]
-    if isinstance(step, HiddenRefJump):
-        oid = obj.values[step.hidden_field]
-        return _join_from(db, oid, step.remaining_chain, step.field_name,
-                          meter, op, first_hop="jump")
-    assert isinstance(step, FunctionalJoin)
-    start = obj.ref(step.chain[0])
-    return _join_from(db, start, step.chain[1:], step.field_name,
-                      meter, op, first_hop=step.chain[0])
-
-
-def _join_from(db: Database, oid: OID | None, chain, field_name: str,
-               meter: Meter | None = None, op: OperatorStats | None = None,
-               first_hop: str = ""):
+def _join_from(db: Database, oid: OID | None, chain, field_name: str):
+    """The value at the end of ``chain`` from ``oid``, one read per hop
+    (None at the first NULL reference)."""
     if oid is None:
-        # a NULL start ref is a null-hit on the join operator itself: no
-        # hop was taken, so no hop child may appear in the operator tree
-        if op is not None:
-            op.nulls += 1
         return None
-    if meter is not None and op is not None:
-        return _join_from_metered(db, oid, chain, field_name, meter, op, first_hop)
     current = db.store.read(oid)
     for ref_name in chain:
         nxt = current.ref(ref_name)
         if nxt is None:
             return None
         current = db.store.read(nxt)
-    return current.values[field_name]
-
-
-def _join_from_metered(db: Database, oid: OID, chain, field_name: str,
-                       meter: Meter, op: OperatorStats, first_hop: str):
-    """Functional join with per-hop I/O attribution (hops are children of
-    the join operator; their I/O is also contained in the parent's)."""
-    hop = op.child(f"hop {first_hop}" if first_hop else "hop")
-    mark = meter.begin()
-    current = db.store.read(oid)
-    meter.end(mark, hop)
-    hop.rows += 1
-    for ref_name in chain:
-        nxt = current.ref(ref_name)
-        if nxt is None:
-            # mid-chain NULL: record the null-hit and stop -- the next hop
-            # was never taken, so it must not appear as a zero-row child
-            op.nulls += 1
-            return None
-        hop = op.child(f"hop {ref_name}")
-        mark = meter.begin()
-        current = db.store.read(nxt)
-        meter.end(mark, hop)
-        hop.rows += 1
     return current.values[field_name]
 
 

@@ -138,19 +138,6 @@ class RetrievePlan:
     limit: int | None = None
     #: group-by key fetch steps (aggregates then fold per key tuple)
     group_steps: tuple[FetchStep, ...] = ()
-    #: executor strategy for OID-dereference steps: "naive" row-at-a-time
-    #: probes or "batched" sort-and-dedupe sweeps (Database.join_mode)
-    join_mode: str = "batched"
-
-    def batchable_steps(self) -> tuple[FetchStep, ...]:
-        """Every fetch step that dereferences OIDs (and so batches)."""
-        candidates = list(self.steps) + list(self.group_steps)
-        if self.order_step is not None:
-            candidates.append(self.order_step)
-        return tuple(
-            s for s in candidates
-            if isinstance(s, (FunctionalJoin, HiddenRefJump, ReplicaFetch))
-        )
 
     def explain(self) -> str:
         parts = [self.access.explain()]
@@ -173,13 +160,6 @@ class RetrievePlan:
             parts.append(f"limit({self.limit})")
         if self.refresh_paths:
             parts.append(f"refresh({', '.join(self.refresh_paths)})")
-        if self.batchable_steps() or (
-            self.where is not None and any(c.ref.chain for c in self.where.clauses)
-        ):
-            # the executor strategy only matters when something dereferences
-            # OIDs; "mode", not "join_mode", so plans without a functional
-            # join never contain the substring "join"
-            parts.append(f"mode({self.join_mode})")
         return " -> ".join(parts)
 
 

@@ -81,7 +81,6 @@ def plan_retrieve(db: Database, stmt: Retrieve, materialize: bool = True) -> Ret
         descending=stmt.descending,
         limit=stmt.limit,
         group_steps=group_steps,
-        join_mode=getattr(db, "join_mode", "batched"),
     )
 
 

@@ -71,10 +71,6 @@ class LazyQueue:
         """How many stale subtrees are queued."""
         return len(self._pending.get(path.path_id, {}))
 
-    def is_stale(self, path: ReplicationPath) -> bool:
-        """Whether reads must refresh before trusting replicated values."""
-        return bool(self._pending.get(path.path_id))
-
     @staticmethod
     def _file_name(path: ReplicationPath) -> str:
         return f"__lazy{path.path_id}_{path.source_set}"

@@ -26,9 +26,6 @@ runs them.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-
 from repro.cache import (
     DEFAULT_CACHE_BYTES,
     ResultCache,
@@ -69,7 +66,6 @@ class Database:
                  inline_singleton_links: bool = False,
                  cost_based_planning: bool = False,
                  wal: bool = False, fault_seed: int = 0,
-                 join_mode: str = "batched",
                  join_batch_rows: int = JOIN_BATCH_ROWS,
                  cache: bool = False,
                  cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
@@ -104,11 +100,7 @@ class Database:
         #: opt-in: let the planner fall back to file scans when the §6-style
         #: cost estimate says the index would read more pages (§7.1)
         self.cost_based_planning = cost_based_planning
-        #: executor strategy for functional joins: "naive" row-at-a-time
-        #: probes or "batched" sort-and-dedupe sweeps with scan read-ahead
-        self._join_mode_local = threading.local()
-        self.join_mode = join_mode
-        #: rows drained per sort-and-dedupe batch in batched mode
+        #: rows drained per sort-and-dedupe batch of the executor
         self.join_batch_rows = max(1, join_batch_rows)
         #: derived-result cache; off by default so the I/O path stays
         #: bit-identical to an uncached engine.  Invalidation hooks below
@@ -124,36 +116,6 @@ class Database:
         #: logically through this hook instead of as page images.
         self.ddl_listeners: list = []
         self._next_index_id = 1
-
-    @property
-    def join_mode(self) -> str:
-        override = getattr(self._join_mode_local, "mode", None)
-        return override if override is not None else self._join_mode
-
-    @join_mode.setter
-    def join_mode(self, value: str) -> None:
-        if value not in ("naive", "batched"):
-            raise ValueError(f"join_mode must be 'naive' or 'batched', "
-                             f"not {value!r}")
-        self._join_mode = value
-
-    @contextmanager
-    def join_mode_scope(self, value: str | None):
-        """Override ``join_mode`` for this thread only.
-
-        Served sessions carry per-session join-mode settings, and one
-        session plans while another executes: a session must not flip
-        the database-wide default under another session's feet.
-        """
-        if value is not None and value not in ("naive", "batched"):
-            raise ValueError(f"join_mode must be 'naive' or 'batched', "
-                             f"not {value!r}")
-        previous = getattr(self._join_mode_local, "mode", None)
-        self._join_mode_local.mode = value
-        try:
-            yield
-        finally:
-            self._join_mode_local.mode = previous
 
     def _invalidate_ddl(self) -> None:
         """Schema changes invalidate every cached result: each entry's

@@ -66,10 +66,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="active-session-history ring size in samples")
     parser.add_argument("--ts-retention", type=int, default=600, metavar="N",
                         help="time-series points retained per series")
-    parser.add_argument("--join-mode", choices=("naive", "batched"),
-                        default=None,
-                        help="default functional-join strategy (sessions "
-                             "may override with \\set joinmode)")
     parser.add_argument("--cache", action="store_true",
                         help="enable the derived-result cache by default "
                              "(sessions may override with \\set cache)")
@@ -101,8 +97,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.join_mode is not None:
-        db.join_mode = args.join_mode
     if args.cache:
         db.resultcache.enabled = True
     if args.cache_bytes is not None:

@@ -100,11 +100,9 @@ CHECKPOINT_LOG_MULTIPLE = 4
 # ---------------------------------------------------------------------------
 
 
-def meta_text(db, command: str, args: list[str],
-              join_mode_line: str) -> str | None:
+def meta_text(db, command: str, args: list[str]) -> str | None:
     """The text of one database-level meta command -- the same for a
-    served session and the embedded shell, which differ only in the
-    ``join_mode_line`` ``\\stats`` prints.  None for a command that is
+    served session and the embedded shell.  None for a command that is
     not one of these; the caller owns locking and the error wording."""
     if command == "describe":
         from repro.schema.describe import describe_database
@@ -120,7 +118,6 @@ def meta_text(db, command: str, args: list[str],
             f"buffer hits {stats.buffer_hits}",
             f"evictions {stats.evictions}, "
             f"dirty writebacks {stats.dirty_writebacks}",
-            join_mode_line,
             db.telemetry.metrics.render_text(),
         ])
     if command == "monitor":
@@ -187,9 +184,6 @@ class Session:
         self.owner = manager.locks.owner(self.name)
         #: trace every statement even without a client-minted trace_id
         self.trace = False
-        #: per-session functional-join strategy override ("naive" |
-        #: "batched"); None means the served database's default applies
-        self.join_mode: str | None = None
         #: per-session result-cache override; None means the served
         #: database's default applies (``\set cache on|off|default``)
         self.cache: bool | None = None
@@ -249,8 +243,7 @@ class Session:
                 query, use_cache=self._cache_enabled(),
                 bypass="txn_write" if self.in_txn and self._txn_wrote else "")
             try:
-                with self.db.join_mode_scope(self.join_mode), \
-                        self.db.telemetry.tracer_scope(tracer):
+                with self.db.telemetry.tracer_scope(tracer):
                     result = run_statement(self.db, ctx, self,
                                            analyze=analyze)
                 if self.in_txn and isinstance(ctx.stmt, (Replace, Delete)):
@@ -482,7 +475,7 @@ class Session:
             from repro.server.replog import render_status
 
             return render_status(status_fn())
-        text = meta_text(self.db, command, args, self._join_mode_text())
+        text = meta_text(self.db, command, args)
         if text is None:
             raise ReproError(f"unknown meta-command \\{command}")
         return text
@@ -532,35 +525,19 @@ class Session:
         raise ReproError(f"unknown \\trace mode {mode!r} (on|off|clear|dump)")
 
     def _meta_set(self, args: list[str]) -> str:
-        """Per-session settings: ``joinmode`` and ``cache``."""
-        if not args or args[0] not in ("joinmode", "cache"):
-            raise ReproError("usage: \\set joinmode naive|batched|default"
-                             " | \\set cache on|off|default")
-        if args[0] == "cache":
-            return self._meta_set_cache(args[1:])
-        if len(args) >= 2:
-            value = args[1]
-            if value not in ("naive", "batched", "default"):
-                raise ReproError(
-                    f"join mode must be 'naive' or 'batched', not {value!r}")
-            self.join_mode = None if value == "default" else value
-        return self._join_mode_text()
-
-    def _join_mode_text(self) -> str:
-        source = "session" if self.join_mode else "server default"
-        return f"join mode {self.join_mode or self.db.join_mode} ({source})"
-
-    def _meta_set_cache(self, args: list[str]) -> str:
         """``\\set cache on|off|default`` -- per-session cache override."""
+        if not args or args[0] != "cache":
+            raise ReproError("usage: \\set cache on|off|default")
+
         def _describe() -> str:
             effective = "on" if self._cache_enabled() else "off"
             source = ("session" if self.cache is not None
                       else "server default")
             return f"result cache {effective} ({source})"
 
-        if not args:
+        if len(args) < 2:
             return _describe()
-        value = args[0]
+        value = args[1]
         if value == "default":
             self.cache = None
         elif value in ("on", "off"):
@@ -584,7 +561,6 @@ class Session:
             "name": self.name,
             "in_txn": self.in_txn,
             "tracing": self.trace,
-            "join_mode": self.join_mode or self.db.join_mode,
             "cache": "on" if self._cache_enabled() else "off",
             "statements": self.statements,
             "errors": self.errors,

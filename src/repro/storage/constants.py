@@ -55,8 +55,8 @@ EMPTY_SLOT_OFFSET = 0xFFFF
 #: Default number of frames in a buffer pool.
 DEFAULT_BUFFER_FRAMES = 64
 
-#: Rows drained from the access path per sort-and-dedupe batch when the
-#: executor runs in ``join_mode="batched"``.
+#: Rows the executor drains from the access path per sort-and-dedupe
+#: batch.
 JOIN_BATCH_ROWS = 256
 
 #: Pages a batched heap scan reads ahead of its cursor (per prefetch call).

@@ -52,8 +52,6 @@ class WorkloadConfig:
     #: engine-level Section 4.3.1 optimization (inline singleton links)
     inline_links: bool = False
     buffer_frames: int = 2048
-    #: executor strategy for functional joins: "naive" | "batched"
-    join_mode: str = "batched"
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -61,8 +59,6 @@ class WorkloadConfig:
             raise CostModelError("object sizes too small for the fixed fields")
         if self.strategy not in ("none", "inplace", "separate"):
             raise CostModelError(f"unknown strategy {self.strategy!r}")
-        if self.join_mode not in ("naive", "batched"):
-            raise CostModelError(f"unknown join mode {self.join_mode!r}")
 
     @property
     def n_r(self) -> int:
@@ -91,8 +87,7 @@ def build_model_database(config: WorkloadConfig) -> ModelDatabase:
     """Create, load, index, and (optionally) replicate the model database."""
     rng = random.Random(config.seed)
     db = Database(buffer_frames=config.buffer_frames,
-                  inline_singleton_links=config.inline_links,
-                  join_mode=config.join_mode)
+                  inline_singleton_links=config.inline_links)
     db.define_type(
         TypeDefinition(
             "STYPE",

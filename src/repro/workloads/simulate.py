@@ -28,7 +28,6 @@ from repro.costmodel import (
     ModelStrategy,
     Setting,
     batched_read_cost,
-    read_cost,
     update_cost,
 )
 from repro.workloads.generator import ModelDatabase, WorkloadConfig, build_model_database
@@ -52,17 +51,15 @@ def model_prediction(config: WorkloadConfig, kind: str) -> float:
     """The cost model's predicted I/O for one query of ``kind`` on
     ``config`` ("read" or "update").
 
-    Reads under ``join_mode="batched"`` swap the Yao random-probe join
-    term for the sorted-probe bound (one ordered sweep per hop level);
-    updates never functionally join, so their prediction is mode-free.
+    Reads are priced as the executor runs them: the sorted-probe bound
+    (one ordered sweep per hop level) in place of the paper's Yao
+    random-probe join term.  Updates never functionally join.
     """
     params = model_params(config)
     strategy = _MODEL_STRATEGY[config.strategy]
     setting = Setting.CLUSTERED if config.clustered else Setting.UNCLUSTERED
     if kind == "read":
-        if config.join_mode == "batched":
-            return batched_read_cost(params, strategy, setting)
-        return read_cost(params, strategy, setting)
+        return batched_read_cost(params, strategy, setting)
     if kind == "update":
         return update_cost(params, strategy, setting)
     raise ValueError(f"unknown query kind {kind!r}")

@@ -1,10 +1,9 @@
 """The batched (set-oriented) join operator: sweeps, stats, analyze labels."""
 
-import pytest
-
 from repro.query.analyze import operators_total_io
 from repro.schema.database import Database
 from tests.conftest import define_employee_schema
+from tests.test_executor_parity import reference_retrieve
 
 
 def _op(result, name):
@@ -49,7 +48,6 @@ def test_read_many_empty_and_duplicate_only(company):
 
 def test_batched_analyze_hop_labels_match_naive(company):
     db = company["db"]
-    assert db.join_mode == "batched"
     db.cold_cache()
     result = db.explain_analyze("retrieve (Emp1.dept.org.name)",
                                 materialize=False)
@@ -69,28 +67,13 @@ def test_batched_analyze_reports_distinct_and_dedup(company):
     assert hop.rows == 6
     assert hop.distinct == 3
     assert hop.dedup_saved == 3
-    assert "mode(batched)" in result.plan
-
-
-def test_naive_mode_plan_and_no_batch_stats(company):
-    db = company["db"]
-    db.join_mode = "naive"
-    db.cold_cache()
-    result = db.explain_analyze("retrieve (Emp1.dept.name)",
-                                materialize=False)
-    assert "mode(naive)" in result.plan
-    hop = _op(result, "functional_join").children[0]
-    assert hop.rows == 6
-    assert hop.distinct == 0 and hop.dedup_saved == 0
 
 
 # -- NULL references: null-hits, never phantom hops --------------------------
 
 
-@pytest.mark.parametrize("join_mode", ["naive", "batched"])
-def test_mid_chain_null_records_null_hit_not_phantom_hop(company, join_mode):
+def test_mid_chain_null_records_null_hit_not_phantom_hop(company):
     db = company["db"]
-    db.join_mode = join_mode
     lost = db.insert("Dept", {"name": "lost", "budget": 1, "org": None})
     db.insert("Emp1", {"name": "zed", "age": 99, "salary": 1, "dept": lost})
     db.insert("Emp1", {"name": "nix", "age": 98, "salary": 1, "dept": None})
@@ -108,9 +91,8 @@ def test_mid_chain_null_records_null_hit_not_phantom_hop(company, join_mode):
     assert sum(1 for r in result.rows if r[0] is None) == 2
 
 
-@pytest.mark.parametrize("join_mode", ["naive", "batched"])
-def test_all_null_level_creates_no_hop_child(join_mode):
-    db = Database(join_mode=join_mode)
+def test_all_null_level_creates_no_hop_child():
+    db = Database()
     define_employee_schema(db)
     for i in range(3):
         db.insert("Emp1", {"name": f"e{i}", "age": i, "salary": 1, "dept": None})
@@ -147,28 +129,25 @@ def test_small_batches_preserve_row_order(company):
     assert result.rows == reference.rows
 
 
-def test_join_batch_rows_floor_and_join_mode_validation():
+def test_join_batch_rows_floor():
     db = Database(join_batch_rows=0)
     assert db.join_batch_rows == 1
-    with pytest.raises(ValueError):
-        db.join_mode = "sideways"
-    with pytest.raises(ValueError):
-        Database(join_mode="sideways")
 
 
 def test_file_scan_readahead_counts_and_same_physical_reads():
+    db = Database()
+    define_employee_schema(db)
+    for i in range(200):
+        db.insert("Emp1", {"name": f"e{i}", "age": i, "salary": i,
+                           "dept": None})
+    query = "retrieve (Emp1.name)"
     rows = []
-    for join_mode in ("naive", "batched"):
-        db = Database(join_mode=join_mode)
-        define_employee_schema(db)
-        for i in range(200):
-            db.insert("Emp1", {"name": f"e{i}", "age": i, "salary": i,
-                               "dept": None})
+    for run in (lambda: reference_retrieve(db, query),
+                lambda: db.execute(query, materialize=False)):
         db.cold_cache()
         before = db.stats.snapshot()
-        result = db.execute("retrieve (Emp1.name)", materialize=False)
-        delta = db.stats.snapshot() - before
-        rows.append((result.rows, delta))
+        result = run()
+        rows.append((result.rows, db.stats.snapshot() - before))
     (naive_rows, naive_io), (batched_rows, batched_io) = rows
     assert batched_rows == naive_rows
     assert batched_io.prefetch_issued > 0

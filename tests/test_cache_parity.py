@@ -19,7 +19,7 @@ from repro.server.replica import Replica, ReplicaServer
 from repro.server.service import Server
 from repro.server.session import SessionManager
 from tests.conftest import define_employee_schema
-from tests.test_join_mode_parity import _CORPUS, _LAYOUTS, _populate
+from tests.test_executor_parity import _CORPUS, _LAYOUTS, _populate
 
 
 def _build(layout: str, cache: bool) -> Database:

@@ -7,7 +7,12 @@ from repro.errors import PlanningError
 from repro.query.language import parse_statement
 from repro.query.planner import plan_delete, plan_replace, plan_retrieve
 from repro.query.runner import explain_text
-from tests.test_join_mode_parity import _CORPUS, _LAYOUTS, _build
+from tests.test_executor_parity import (
+    _CORPUS,
+    _LAYOUTS,
+    _build,
+    reference_retrieve,
+)
 
 
 def plan_of(db, text):
@@ -245,10 +250,10 @@ def test_a_path_index_keeps_its_filter(company):
     assert _names(db, text) == ["alice", "bob"]
 
 
-def _twins(layout="none"):
+def _twins(layout="none", **kwargs):
     """The parity corpus's database twice: bare, and with int, char and
     (under ``inplace``) path indexes."""
-    plain, indexed = _build("batched", layout), _build("batched", layout)
+    plain, indexed = _build(layout, **kwargs), _build(layout, **kwargs)
     for target in ("Emp1.salary", "Emp1.age", "Emp1.name", "Dept.budget"):
         indexed.build_index(target)
     if layout == "inplace":
@@ -312,17 +317,18 @@ _SHAPE_QUERIES = (
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 def test_indexed_queries_return_the_rows_of_their_no_index_twin(layout):
-    plain, indexed = _twins(layout)
+    plain, indexed = _twins(layout, join_batch_rows=7)  # force multi-batch
     for query in _CORPUS + _SHAPE_QUERIES + _BOUND_QUERIES:
         try:
             expected = plain.execute(query, materialize=False).rows
         except PlanningError:
             continue  # an unreplicated path filter without an index
-        for join_mode in ("batched", "naive"):
-            indexed.join_mode = join_mode
-            rows = indexed.execute(query, materialize=False).rows
+        for name, run in (
+                ("executor", lambda: indexed.execute(query, materialize=False)),
+                ("reference", lambda: reference_retrieve(indexed, query))):
+            rows = run().rows
             if "order by" in query:
-                assert rows == expected, (query, join_mode)
+                assert rows == expected, (query, name)
             else:
                 assert sorted(rows, key=repr) == sorted(expected, key=repr), \
-                    (query, join_mode)
+                    (query, name)
