@@ -103,30 +103,23 @@ def file_resource_map(db) -> dict[int, str]:
     return mapping
 
 
-def invalidate_applied_entry(db, entry) -> int:
+def invalidate_applied_entry(db, file_ids: set[int] | None) -> int:
     """Replica coherence: invalidate after applying one shipped entry.
 
     Called by the follower under its apply latch, *before* the applied
     LSN advances -- so a cached read on a replica is never staler than
-    the replica itself.  DDL entries reshape the catalog and invalidate
-    everything; DML entries invalidate exactly the sets owning the
-    touched files, falling back to a full flush when a file id is not in
-    the catalog map (conservative, never stale).
+    the replica itself.  ``file_ids`` are the files a DML entry's records
+    name, as its redo found them (dropped files included); ``None`` is a
+    DDL entry, which reshapes the catalog and invalidates everything.  A
+    DML entry invalidates exactly the sets owning its files, falling back
+    to a full flush when a file id is not in the catalog map
+    (conservative, never stale).
     """
     cache = db.resultcache
     if len(cache) == 0:
         return 0
-    if entry.kind != "dml":
+    if file_ids is None:
         return cache.invalidate_all(reason="replica")
-    from repro.recovery.wal import WalRecordType
-
-    file_ids: set[int] = set()
-    for record in entry.records():
-        if record.type is WalRecordType.ALLOC:
-            file_ids.add(record.file_id)
-        elif record.type is WalRecordType.REDO:
-            file_ids.update(span[0] for span in record.spans)
-        # BEGIN/COMMIT carry no file
     mapping = file_resource_map(db)
     resources: set[str] = set()
     for file_id in file_ids:

@@ -12,13 +12,17 @@ fault-injected disk into a usable contract:
   leaves the incomplete tail in the log and flags the database as
   crashed -- only :meth:`recover` (the "restart") makes it usable again.
 * :meth:`recover` discards the buffer pool (a crash loses memory) and is
-  redo-only: every page the log names is rebuilt from its first image
-  since the checkpoint (or a fresh page for an ``ALLOC``) plus the spans
-  of the committed statements in log order, which also heals torn pages;
-  the trailing incomplete statement contributes nothing and its page
-  allocations are truncated.  Then session caches (heap free-space maps,
-  B+-tree meta, lazy-queue mirrors) are rebuilt and replication is
-  re-verified.
+  redo-only: every page the log names is rebuilt by
+  :func:`repro.recovery.wal.redo` from its first image since the
+  checkpoint (or a fresh page for an ``ALLOC``) plus the spans of the
+  committed statements in log order, which also heals torn pages; the
+  trailing incomplete statement contributes nothing and its page
+  allocations are truncated.  Then every session cache (heap free-space
+  maps, B+-tree meta, index statistics, lazy-queue mirrors) is rebuilt
+  and replication is re-verified.
+* :meth:`install` puts rebuilt pages in place -- for recovery, live
+  rollback and a replication follower alike -- and keeps derived state
+  per page installed, not per file.
 * :meth:`checkpoint` flushes the pool and truncates the log; DDL
   statements checkpoint implicitly so the log only ever describes DML,
   and a served primary checkpoints between statements once the log
@@ -36,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.recovery.faults import DiskFault
-from repro.recovery.wal import WriteAheadLog
+from repro.recovery.wal import Redo, WriteAheadLog, redo
 
 
 @dataclass
@@ -167,24 +171,16 @@ class RecoveryManager:
         its dirtied pages go back to their write-intent snapshots, its
         allocations are truncated."""
         images, allocated = self.wal.abort()
-        disk = self.db.storage.disk
-        affected = set()
+        live = self.db.storage.disk.file_exists
         # file ids are never reused, so a missing file was dropped after
         # the statement touched it -- nothing of it is left to roll back
-        for key, image in images.items():
-            if disk.file_exists(key[0]):
-                disk.restore_page(key[0], key[1], image)
-                affected.add(key)
-        truncations: dict[int, int] = {}
+        undo = Redo({key: image for key, image in images.items()
+                     if live(key[0])})
         for file_id, page_no in allocated:
-            if disk.file_exists(file_id):
-                affected.add((file_id, page_no))
-                truncations[file_id] = min(truncations.get(file_id, page_no),
-                                           page_no)
-        self.db.storage.pool.discard_pages(affected)
-        for file_id, new_size in truncations.items():
-            disk.truncate_file(file_id, new_size)
-        self._refresh_session_caches({fid for fid, __ in affected})
+            if live(file_id):
+                undo.truncations[file_id] = min(
+                    undo.truncations.get(file_id, page_no), page_no)
+        self.install(undo)
 
     # -- crash recovery ------------------------------------------------------
 
@@ -195,45 +191,20 @@ class RecoveryManager:
         if self.wal is None:
             raise DiskFault(
                 "recovery requires the write-ahead log (Database(wal=True))")
-        report = RecoveryReport()
         self.db.faults.disarm()  # recovery runs on repaired hardware
-        pool = self.db.storage.pool
-        disk = self.db.storage.disk
-        pool.discard_all()  # the crash lost every in-memory frame
+        self.db.storage.pool.discard_all()  # the crash lost every frame
         # records for files dropped after they were written (temp files,
         # dropped indexes) describe storage that no longer exists
-        live = disk.file_exists
-        pages, redone = self.wal.replay(live)
-        truncations: dict[int, int] = {}
-        for stmt in self.wal.statements():
-            if stmt.committed:
-                report.statements_replayed += 1
-            else:
-                report.statements_discarded += 1
-            for record in stmt.allocs:
-                if not live(record.file_id):
-                    continue
-                if stmt.committed:
-                    disk.ensure_pages(record.file_id, record.page_no + 1)
-                else:
-                    truncations[record.file_id] = min(
-                        truncations.get(record.file_id, record.page_no),
-                        record.page_no)
-        for (file_id, page_no), image in pages.items():
-            if page_no >= truncations.get(file_id, page_no + 1):
-                continue  # the incomplete statement's own new page
-            disk.restore_page(file_id, page_no, bytes(image))
-            report.files_touched.add(file_id)
-            if (file_id, page_no) in redone:
-                report.pages_redone += 1
-            else:
-                report.pages_rolled_back += 1
-        for file_id, new_size in truncations.items():
-            report.pages_truncated += disk.num_pages(file_id) - new_size
-            disk.truncate_file(file_id, new_size)
+        done = redo(self.wal.records, live=self.db.storage.disk.file_exists)
+        report = RecoveryReport(
+            statements_replayed=done.committed,
+            statements_discarded=done.discarded,
+            pages_redone=len(done.redone),
+            pages_rolled_back=len(done.pages) - len(done.redone),
+            files_touched={file_id for file_id, __ in done.pages})
+        report.pages_truncated = self.install(done, restart=True)
         self.wal.needs_recovery = False
         self.wal.checkpoint()  # the disk image is now the whole truth
-        self._refresh_session_caches(None)
         if verify:
             self.db.replication.verify()
             report.verified = True
@@ -260,33 +231,62 @@ class RecoveryManager:
         if self.wal is not None and not self.wal.in_statement:
             self.checkpoint()
 
-    # -- cache refresh -------------------------------------------------------
+    # -- installing pages ----------------------------------------------------
 
-    def refresh_caches(self, file_ids: set | None = None) -> None:
-        """Public entry point for out-of-band page restores.
+    def install(self, done: Redo, restart: bool = False) -> int:
+        """Make ``done``'s pages the disk's, grow and truncate its files,
+        drop the pool's frames of every page so changed and bring the
+        state derived from them up to date; returns the pages truncated.
 
-        A replication follower applies shipped redo spans straight to
-        the disk (same redo primitives as :meth:`recover`), so it must
-        rebuild the derived in-memory state of the touched files the same
-        way recovery does.  ``file_ids=None`` refreshes everything.
-        """
-        self._refresh_session_caches(file_ids)
-
-    def _refresh_session_caches(self, file_ids: set | None) -> None:
-        """Rebuild in-memory state derived from pages that just changed.
-
-        ``file_ids=None`` means a full restart: refresh everything.
+        Crash recovery (and so a snapshot's WAL tail), live rollback and
+        a follower's apply all end here.  Derived state follows the
+        pages installed, unless ``restart`` (recovery), which rebuilds
+        all of it.
         """
         storage = self.db.storage
-        for heap in storage.heap_files():
-            if file_ids is None or heap.file_id in file_ids:
+        disk = storage.disk
+        for file_id, size in done.sizes.items():
+            disk.ensure_pages(file_id, size)
+        for (file_id, page_no), image in done.pages.items():
+            disk.restore_page(file_id, page_no, image)
+        cut = [(file_id, page_no)
+               for file_id, size in done.truncations.items()
+               for page_no in range(size, disk.num_pages(file_id))]
+        storage.pool.discard_pages([*done.pages, *cut])
+        for file_id, size in done.truncations.items():
+            disk.truncate_file(file_id, size)
+        self._refresh(None if restart else done)
+        return len(cut)
+
+    def _refresh(self, done: Redo | None) -> None:
+        """Bring state derived from pages up to date with the pages
+        ``done`` installed: a heap page's free-space entry is read off
+        its image; an index whose file took a page reopens its tree and
+        rebuilds its statistics.  ``None`` (a restart) rebuilds all of
+        it, lazy-queue mirrors included."""
+        db = self.db
+        heaps = {heap.file_id: heap for heap in db.storage.heap_files()}
+        if done is None:
+            touched = None
+            for heap in heaps.values():
                 heap._rebuild_free_space()
-        for info in self.db.catalog.indexes.values():
+        else:
+            touched = {file_id for file_id, __ in done.pages}
+            touched.update(done.truncations)
+            for (file_id, page_no), image in done.pages.items():
+                heap = heaps.get(file_id)
+                if heap is not None:
+                    heap.installed(page_no, image)
+            for file_id, size in done.truncations.items():
+                heap = heaps.get(file_id)
+                if heap is not None:
+                    heap.truncated(size)
+        for info in db.catalog.indexes.values():
             tree = info.index.tree
-            if file_ids is None or tree.file_id in file_ids:
+            if touched is None or tree.file_id in touched:
                 tree.reopen_meta()
                 info.index.rebuild_stats()
-        if file_ids is None:
-            for path in self.db.catalog.paths.values():
+        if done is None:
+            for path in db.catalog.paths.values():
                 if path.lazy:
-                    self.db.replication.lazy.reload(path)
+                    db.replication.lazy.reload(path)

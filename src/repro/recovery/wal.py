@@ -28,11 +28,13 @@ changed it on:
   any dirty page reaches the disk, enforcing the WAL rule: *log records
   describing a change are durable before the changed page is*.
 
-Recovery (see :mod:`repro.recovery.manager`) is redo-only: every page the
-log names starts from its first image (or a fresh page for an ``ALLOC``)
-and gets the spans of the committed statements in log order; the
-(at most one, single-writer) trailing incomplete statement contributes
-nothing but the images it logged.
+Recovery (see :mod:`repro.recovery.manager`) is redo-only, and
+:func:`redo` is its one span applier, which a replication follower runs
+too: every page the records name starts from its first image (or a fresh
+page for an ``ALLOC``; a follower, whose stream carries no images, starts
+from its own disk page) and gets the spans of the committed statements in
+log order; the (at most one, single-writer) trailing incomplete statement
+contributes nothing but the images it logged.
 
 The log itself lives on a dedicated durable device: appends never touch
 the simulated data disk, never count against the paper's I/O figures, and
@@ -71,8 +73,8 @@ from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.tracing import NULL_SPAN
 from repro.telemetry.waitevents import WAL_FLUSH
 
-__all__ = ["WAL_MAGIC", "WalError", "WalRecord", "WalRecordType",
-           "WriteAheadLog"]
+__all__ = ["WAL_MAGIC", "Redo", "WalError", "WalRecord", "WalRecordType",
+           "WriteAheadLog", "redo"]
 
 _PageKey = tuple[int, int]
 
@@ -275,18 +277,6 @@ def _merged(ranges: list) -> list:
         else:
             out.append([offset, offset + length])
     return [(start, end - start) for start, end in out]
-
-
-@dataclass
-class StatementLog:
-    """All records of one statement, grouped for replay."""
-
-    stmt_id: int
-    note: str = ""
-    committed: bool = False
-    befores: list[WalRecord] = field(default_factory=list)
-    redo: list[WalRecord] = field(default_factory=list)
-    allocs: list[WalRecord] = field(default_factory=list)
 
 
 class _Scope:
@@ -668,70 +658,7 @@ class WriteAheadLog:
                 if started is not None:
                     waits.record(WAL_FLUSH, time.perf_counter() - started)
 
-    # -- replay / persistence ------------------------------------------------
-
-    def statements(self) -> list[StatementLog]:
-        """Group the log into statements in append order."""
-        with self._log_mutex:
-            records = list(self.records)
-        out: list[StatementLog] = []
-        by_id: dict[int, StatementLog] = {}
-        for record in records:
-            stmt = by_id.get(record.stmt_id)
-            if stmt is None:
-                stmt = StatementLog(record.stmt_id)
-                by_id[record.stmt_id] = stmt
-                out.append(stmt)
-            if record.type is WalRecordType.BEGIN:
-                stmt.note = record.note
-            elif record.type is WalRecordType.PAGE_BEFORE:
-                stmt.befores.append(record)
-            elif record.type is WalRecordType.REDO:
-                stmt.redo.append(record)
-            elif record.type is WalRecordType.ALLOC:
-                stmt.allocs.append(record)
-            elif record.type is WalRecordType.COMMIT:
-                stmt.committed = True
-        return out
-
-    def replay(self, live=None) -> tuple[dict[_PageKey, bytearray], set]:
-        """Every page the log describes, rebuilt from the log alone.
-
-        A page starts from its first image, or from a fresh page at its
-        first ``ALLOC``, and takes the spans of the committed statements
-        in log order; an incomplete statement contributes only the images
-        it logged.  Returns ``(pages, redone)``: the rebuilt pages and the
-        keys at least one committed span reached.  ``live(file_id)``
-        filters out files dropped since their records were written.  A
-        span on a page with no image is a :class:`WalError`: the log
-        cannot say what the rest of that page holds.
-        """
-        pages: dict[_PageKey, bytearray] = {}
-        redone: set[_PageKey] = set()
-        for stmt in self.statements():
-            for record in stmt.befores:
-                key = (record.file_id, record.page_no)
-                if key not in pages and (live is None or live(key[0])):
-                    pages[key] = bytearray(record.image)
-            for record in stmt.allocs:
-                key = (record.file_id, record.page_no)
-                if key not in pages and (live is None or live(key[0])):
-                    pages[key] = bytearray(PAGE_SIZE)
-            if not stmt.committed:
-                continue
-            for record in stmt.redo:
-                for file_id, page_no, offset, data in record.spans:
-                    if live is not None and not live(file_id):
-                        continue
-                    page = pages.get((file_id, page_no))
-                    if page is None:
-                        raise WalError(
-                            f"statement {stmt.stmt_id} logs a span on page "
-                            f"({file_id},{page_no}), which has no image in "
-                            f"the log")
-                    page[offset:offset + len(data)] = data
-                    redone.add((file_id, page_no))
-        return pages, redone
+    # -- persistence ---------------------------------------------------------
 
     def serialize(self) -> bytes:
         """The whole log as bytes (magic + framed records)."""
@@ -792,3 +719,78 @@ class WriteAheadLog:
         self.log_bytes += size
         if scope is not None:
             scope.bytes += size
+
+
+@dataclass
+class Redo:
+    """What :func:`redo` rebuilt from a run of log records."""
+
+    #: the image of every page the records describe, as they leave it
+    pages: dict[_PageKey, bytearray] = field(default_factory=dict)
+    #: the pages at least one committed span reached
+    redone: set[_PageKey] = field(default_factory=set)
+    #: file -> the pages it must hold for the committed allocations
+    sizes: dict[int, int] = field(default_factory=dict)
+    #: file -> its size before the incomplete statement allocated
+    truncations: dict[int, int] = field(default_factory=dict)
+    #: every file the records name, the dropped ones included
+    file_ids: set[int] = field(default_factory=set)
+    committed: int = 0
+    discarded: int = 0
+
+
+def _no_image(file_id: int, page_no: int) -> bytes:
+    raise WalError(f"the log holds a committed span on page "
+                   f"({file_id},{page_no}), which has no image in the log")
+
+
+def redo(records, base=_no_image, live=None) -> Redo:
+    """Rebuild the pages a run of log records describes, in log order.
+
+    The one span applier: crash recovery feeds it the whole log, a
+    follower one shipped statement.  A page starts from its first
+    ``PAGE_BEFORE`` image, from a fresh page at a committed ``ALLOC``,
+    or else from ``base(file_id, page_no)``: by default a
+    :class:`WalError`, since the log cannot say what the rest of that
+    page holds; a follower passes its own disk.  The committed
+    statements' spans are then patched in log order.  An incomplete
+    statement contributes only the images it logged, and its allocations
+    become truncations.  ``live(file_id)`` skips files dropped since
+    their records were written.
+    """
+    committed = {r.stmt_id for r in records
+                 if r.type is WalRecordType.COMMIT}
+    out = Redo()
+    pages = out.pages
+    for record in records:
+        kind = record.type
+        if kind is WalRecordType.PAGE_BEFORE or kind is WalRecordType.ALLOC:
+            file_id, page_no = record.file_id, record.page_no
+            out.file_ids.add(file_id)
+            if live is not None and not live(file_id):
+                continue
+            key = (file_id, page_no)
+            if kind is WalRecordType.PAGE_BEFORE:
+                if key not in pages:
+                    pages[key] = bytearray(record.image)
+            elif record.stmt_id in committed:
+                pages.setdefault(key, bytearray(PAGE_SIZE))
+                out.sizes[file_id] = max(out.sizes.get(file_id, 0),
+                                         page_no + 1)
+            else:
+                out.truncations[file_id] = min(
+                    out.truncations.get(file_id, page_no), page_no)
+        elif kind is WalRecordType.REDO and record.stmt_id in committed:
+            for file_id, page_no, offset, data in record.spans:
+                out.file_ids.add(file_id)
+                if live is not None and not live(file_id):
+                    continue
+                key = (file_id, page_no)
+                page = pages.get(key)
+                if page is None:
+                    page = pages[key] = bytearray(base(file_id, page_no))
+                page[offset:offset + len(data)] = data
+                out.redone.add(key)
+    out.committed = len(committed)
+    out.discarded = len({r.stmt_id for r in records}) - out.committed
+    return out

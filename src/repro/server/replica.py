@@ -12,14 +12,16 @@ its own clients.  The pieces:
   frame reads optionally pass through a
   :class:`~repro.recovery.faults.NetFaultInjector`, so a test can drop,
   delay, duplicate, or truncate exactly the frame it means to;
-* :class:`Replica` -- the apply loop.  DML entries patch their redo
-  spans into the pages on disk through the primitives crash recovery
-  uses (``ensure_pages`` / ``restore_page`` / cache refresh); DDL
-  entries re-execute their statement text after adopting the primary's
-  file-id cursor.  The link retries with capped exponential backoff plus
-  deterministic jitter and re-subscribes idempotently from the last
-  *applied* LSN -- duplicated entries are skipped by LSN, a gap forces a
-  reconnect;
+* :class:`Replica` -- the apply loop.  A DML entry goes through crash
+  recovery's applier (:func:`repro.recovery.wal.redo`), each page
+  starting from the follower's own disk page, and its one install step
+  (:meth:`RecoveryManager.install`), which refreshes the free space of
+  exactly the pages installed and reopens only the indexes they belong
+  to; DDL entries re-execute their statement text after adopting the
+  primary's file-id cursor.  The link retries with capped exponential
+  backoff plus deterministic jitter and re-subscribes idempotently from
+  the last *applied* LSN -- duplicated entries are skipped by LSN, a gap
+  forces a reconnect;
 * :class:`ReplicaServer` -- a :class:`~repro.server.service.Server` whose
   sessions admit reads (subject to the staleness bound) and refuse writes
   with ``read_only_replica``.  A read finding ``lag > max_lag_statements``
@@ -60,7 +62,7 @@ from repro.errors import (
     WalError,
 )
 from repro.cache import invalidate_applied_entry
-from repro.recovery.wal import WalRecordType
+from repro.recovery.wal import WalRecordType, redo
 from repro.schema.parser import execute_ddl
 from repro.server import protocol
 from repro.server.httpexpo import ENDPOINTS
@@ -325,13 +327,21 @@ class Replica:
                     raise ReplicationLinkError(
                         f"entry {entry.lsn}: {exc}") from None
                 execute_ddl(self.db, entry.note)
+                file_ids = None
             else:
-                self._redo(entry)
+                disk = self.db.storage.disk
+                # crash recovery's applier, each page starting from this
+                # engine's own; files dropped again on the primary after
+                # these records were written are skipped
+                done = redo(self._records(entry), base=disk.peek_page,
+                            live=disk.file_exists)
+                self.db.recovery.install(done)
+                file_ids = done.file_ids
             # result-cache coherence before the applied LSN advances: a
             # cached read on this replica is never staler than the
             # replica itself (DDL flushes; DML invalidates by the sets
             # owning the touched files)
-            invalidate_applied_entry(self.db, entry)
+            invalidate_applied_entry(self.db, file_ids)
             self.applied_lsn = entry.lsn
             self.hub.log.relay(entry)
         self.entries_applied += 1
@@ -339,8 +349,9 @@ class Replica:
         self._g_applied.set(entry.lsn)
         self._g_lag.set(self.lag)
 
-    def _redo(self, entry: ReplicationEntry) -> None:
-        """Replay one DML entry with crash recovery's redo primitives."""
+    @staticmethod
+    def _records(entry: ReplicationEntry) -> list:
+        """A DML entry's records, refused unless whole and committed."""
         try:
             records = entry.records()
         except WalError as exc:
@@ -349,31 +360,7 @@ class Replica:
         if not records or records[-1].type is not WalRecordType.COMMIT:
             raise ReplicationLinkError(
                 f"entry {entry.lsn} is not a complete committed statement")
-        disk = self.db.storage.disk
-        affected: set[tuple[int, int]] = set()
-        pages: dict[tuple[int, int], bytearray] = {}
-        for record in records:
-            # files dropped again on the primary after these records were
-            # written describe storage neither engine keeps
-            if record.type is WalRecordType.ALLOC:
-                if disk.file_exists(record.file_id):
-                    disk.ensure_pages(record.file_id, record.page_no + 1)
-                    affected.add((record.file_id, record.page_no))
-            elif record.type is WalRecordType.REDO:
-                for file_id, page_no, offset, data in record.spans:
-                    if not disk.file_exists(file_id):
-                        continue
-                    key = (file_id, page_no)
-                    page = pages.get(key)
-                    if page is None:
-                        page = pages[key] = bytearray(
-                            disk.peek_page(file_id, page_no))
-                    page[offset:offset + len(data)] = data
-        for (file_id, page_no), page in pages.items():
-            disk.restore_page(file_id, page_no, page)
-            affected.add((file_id, page_no))
-        self.db.storage.pool.discard_pages(affected)
-        self.db.recovery.refresh_caches({fid for fid, __ in affected})
+        return records
 
     # -- the staleness / read-only contract ----------------------------------
 

@@ -531,6 +531,16 @@ class HeapFile:
             with self.pool.page(self.file_id, page_no) as page:
                 self._free_space[page_no] = page.total_free()
 
+    def installed(self, page_no: int, image) -> None:
+        """Redo or rollback wrote ``image`` under the pool: its free-space
+        entry is read off the image, with no pin."""
+        self._free_space[page_no] = Page(image).total_free()
+
+    def truncated(self, num_pages: int) -> None:
+        """The pages from ``num_pages`` on were cut off the file."""
+        for page_no in [p for p in self._free_space if p >= num_pages]:
+            del self._free_space[page_no]
+
 
 class _InPlace:
     """Overwrites bytes inside stored records where they lie.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import WalError
 from repro.recovery import WAL_MAGIC, WalRecord, WalRecordType, WriteAheadLog
+from repro.recovery.wal import redo
 from repro.storage.constants import PAGE_SIZE
 
 IMAGE_A = bytes(range(256)) * (PAGE_SIZE // 256)
@@ -192,7 +193,7 @@ def test_observe_drop_file_forgets_mid_statement_state():
     assert wal.records[2].spans == ((1, 0, 0, IMAGE_B),)
 
 
-def test_statements_groups_records_in_order():
+def test_redo_counts_statements_and_their_allocations():
     wal = WriteAheadLog()
     wal.begin("first")
     wal.observe_alloc(1, 0)
@@ -200,14 +201,17 @@ def test_statements_groups_records_in_order():
     wal.begin("second")
     wal.writable((1, 0), IMAGE_A)
     wal.observe_dirty((1, 0))          # its ALLOC is its image
+    wal.observe_alloc(1, 1)
     wal.writable((2, 0), IMAGE_B)
     wal.observe_dirty((2, 0))
     wal.mark_crashed()
-    stmts = wal.statements()
-    assert [s.note for s in stmts] == ["first", "second"]
-    assert stmts[0].committed and not stmts[1].committed
-    assert (len(stmts[0].allocs), len(stmts[0].redo)) == (1, 1)
-    assert [(r.file_id, r.page_no) for r in stmts[1].befores] == [(2, 0)]
+    done = redo(wal.records)
+    assert (done.committed, done.discarded) == (1, 1)
+    assert done.sizes == {1: 1}           # the committed ALLOC
+    assert done.truncations == {1: 1}     # the crashed one's
+    assert done.pages == {(1, 0): bytearray(IMAGE_A),
+                          (2, 0): bytearray(IMAGE_B)}
+    assert done.redone == {(1, 0)} and done.file_ids == {1, 2}
     assert wal.needs_recovery
 
 
@@ -267,7 +271,8 @@ def test_replay_rebuilds_pages_from_images_and_committed_spans():
     wal.writable((1, 2), IMAGE_B)
     wal.observe_dirty((1, 2))
     wal.mark_crashed()
-    pages, redone = wal.replay()
+    done = redo(wal.records)
+    pages, redone = done.pages, done.redone
     expected = bytearray(IMAGE_A)
     expected[10:13] = IMAGE_B[10:13]
     expected[20:22] = IMAGE_A[20:22]
@@ -275,8 +280,9 @@ def test_replay_rebuilds_pages_from_images_and_committed_spans():
                      (1, 2): bytearray(IMAGE_B)}
     assert redone == {(1, 0), (1, 1)}     # (1, 2): the crashed one's image
     # a dropped file's records are skipped
-    pages, redone = wal.replay(live=lambda file_id: file_id != 1)
-    assert pages == {} and redone == set()
+    done = redo(wal.records, live=lambda file_id: file_id != 1)
+    assert done.pages == {} and done.redone == set()
+    assert done.file_ids == {1}           # still named, for invalidation
 
 
 def test_replay_refuses_a_span_without_an_image():
@@ -287,7 +293,7 @@ def test_replay_refuses_a_span_without_an_image():
     wal.commit(lambda key: IMAGE_B)
     del wal.records[1]                    # lose the page's image
     with pytest.raises(WalError, match="no image"):
-        wal.replay()
+        redo(wal.records)
 
 
 def test_checkpoint_forgets_which_pages_have_images():

@@ -34,6 +34,7 @@ from repro.errors import DanglingReferenceError
 from repro.objects import encoding
 from repro.objects.types import FieldDef, FieldKind
 from repro.query import executor, runner
+from repro.recovery.wal import redo
 from repro.storage.heapfile import _FORWARD, _rid_unpack
 
 FRAMES = (4, 8, 64)
@@ -328,7 +329,7 @@ def _drive(case: str, frames: int, wal: bool, reference: bool, script):
              for page_no in range(disk.num_pages(fid))}
     indexes = {name: list(info.index.items())
                for name, info in db.catalog.indexes.items()}
-    log = db.recovery.wal.replay()[0] if wal else {}
+    log = redo(db.recovery.wal.records).pages if wal else {}
     db.verify()
     assert db.storage.pool.pinned_keys() == []
     return SimpleNamespace(db=db, ctx=ctx, per_statement=per_statement,
