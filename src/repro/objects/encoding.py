@@ -219,14 +219,14 @@ def _unpacker(type_def: TypeDefinition, fields: tuple):
     ``base`` -- one ``unpack_from`` per field at its bound offset, each
     value read as :func:`_decode_value` reads it.  One function, so a
     record costs one call however many fields are projected."""
-    env = {"OID": OID, "NULL": _NULL_PARTS}
+    env = {"OID": OID, "NULL": _NULL_PARTS, "new": tuple.__new__}
     items = []
     for i, name in enumerate(fields):
         fdef, offset = type_def.layout[name]
         unpack = f"u{i}(data, base + {offset})"
         if fdef.kind is FieldKind.REF:
             env[f"u{i}"] = _OID_PARTS.unpack_from
-            items.append(f"(None if (p{i} := {unpack}) == NULL else OID(*p{i}))")
+            items.append(f"(None if (p{i} := {unpack}) == NULL else new(OID, p{i}))")
         elif fdef.kind is FieldKind.CHAR:
             env[f"u{i}"] = struct.Struct(f"{fdef.size}s").unpack_from
             items.append(f"{unpack}[0].rstrip(b'\\x00').decode('utf-8')")

@@ -210,8 +210,7 @@ class ObjectStore:
         to.  A 1-frame pool pins no run.
         """
         probes = list(oids)
-        unique = sorted(set(probes),
-                        key=lambda o: (o.file_id, o.page_no, o.slot))
+        unique = sorted(set(probes))
         self.storage.stats.count_batch_dedup(len(probes) - len(unique))
         slice_ = self._slicer(fields)
         pool = self.storage.pool

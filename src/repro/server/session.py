@@ -154,13 +154,18 @@ def meta_text(db, command: str, args: list[str]) -> str | None:
 # sessions
 # ---------------------------------------------------------------------------
 
+#: value types a wire row carries as they are; anything else (an OID,
+#: a tuple that JSON would send as an array) goes through ``json_safe``
+_JSON_NATIVE = frozenset({str, int, float, bool, type(None)})
+
 
 def serialize_result(result) -> dict:
     """A QueryResult as a wire-safe ``rows`` result object."""
     doc = {
         "kind": "rows",
         "columns": list(result.columns),
-        "rows": [[json_safe(v) for v in row] for row in result.rows],
+        "rows": [[v if type(v) in _JSON_NATIVE else json_safe(v)
+                  for v in row] for row in result.rows],
         "plan": result.plan,
         "io": wire_io(result.io),
     }
@@ -222,6 +227,9 @@ class Session:
         the result carries the span tree under ``result["trace"]``.
         ``explain analyze <query>`` is ``<query>`` run with per-operator
         accounting: same lifecycle, same cache entry, same fingerprint.
+        A served retrieve writes no result file T: its rows leave in the
+        wire frame, so it runs with ``materialize=False`` (the embedded
+        default keeps T, the paper's C_generate/T term).
 
         Raises whatever the statement raised; the service maps ReproError
         subclasses to structured error frames.  Deadlock / lock-timeout
@@ -245,6 +253,7 @@ class Session:
             try:
                 with self.db.telemetry.tracer_scope(tracer):
                     result = run_statement(self.db, ctx, self,
+                                           materialize=False,
                                            analyze=analyze)
                 if self.in_txn and isinstance(ctx.stmt, (Replace, Delete)):
                     self._txn_wrote = True

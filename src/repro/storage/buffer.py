@@ -54,7 +54,8 @@ when they are scraped.  Only the shared I/O statistics keep a mutex,
 because observer threads snapshot them while a statement runs; an
 eviction is counted with the request it made room for, so a hit takes
 that mutex once and a miss twice (its logical read, and the disk's
-physical read).
+physical read); the hits of one :meth:`BufferPool.fetch_many` group take
+it once between them.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class BufferPool:
                 # whose read faults, still counts as requested
                 stats.count_logical_read(evicted)
             return self._load(key)
-        stats.count_hit_pin()
+        stats.count_hit_pins()
         self.hits += 1
         if frame.prefetched:
             frame.prefetched = False
@@ -224,24 +225,49 @@ class BufferPool:
         returned mapping's keys.  While the group is being assembled the
         already-pinned members are protected by their pins, so a later miss
         can never evict an earlier member.
+
+        A resident frame that read-ahead did not load is pinned inline,
+        exactly as :meth:`fetch` pins a hit, and the group's hits are
+        counted together, in one acquisition of the statistics mutex; a
+        miss or a read-ahead frame goes through :meth:`fetch`.
         """
         pages: dict[_PageKey, Page] = {}
+        frames = self._frames
+        hits = 0
         try:
             for key in keys:
-                if key not in pages:
+                if key in pages:
+                    continue
+                frame = frames.get(key)
+                if frame is None or frame.prefetched:
                     pages[key] = self.fetch(*key)
+                    continue
+                frames.move_to_end(key)
+                frame.stamp = next(self._clock)
+                frame.pin_count += 1
+                pages[key] = frame.page
+                hits += 1
         except BaseException:
             # whatever stopped the group -- no evictable frame, a disk
             # fault on a later member -- its earlier members must not
             # stay pinned
             self.unpin_many(pages)
             raise
+        finally:
+            if hits:
+                self.hits += hits
+                self.disk.stats.count_hit_pins(hits)
         return pages
 
     def unpin_many(self, keys) -> None:
         """Release one pin on each page of a :meth:`fetch_many` group."""
+        frames = self._frames
         for key in keys:
-            self.unpin(*key)
+            frame = frames.get(key)
+            if frame is None or frame.pin_count == 0:
+                raise BufferPoolError(
+                    f"page ({key[0]},{key[1]}) is not pinned")
+            frame.pin_count -= 1
 
     def prefetch(self, file_id: int, page_nos) -> int:
         """Best-effort read-ahead: load pages into unpinned frames.

@@ -12,7 +12,7 @@ An OID packs into :data:`~repro.storage.constants.OID_BYTES` bytes:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.storage.constants import OID_BYTES
 
@@ -21,13 +21,14 @@ _OID_STRUCT = struct.Struct(">HIH")
 assert _OID_STRUCT.size == OID_BYTES
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class OID:
+class OID(NamedTuple):
     """A physically based object identifier.
 
     OIDs order lexicographically by ``(file_id, page_no, slot)``, which is
     physical placement order -- sorting a list of OIDs therefore yields a
-    clustered access sequence.
+    clustered access sequence.  An OID is a tuple, so its hash, equality
+    and order are the tuple's, computed in C (an OID equals the plain
+    tuple of its fields).
     """
 
     file_id: int
@@ -36,13 +37,12 @@ class OID:
 
     def pack(self) -> bytes:
         """Encode this OID to its fixed 8-byte on-disk form."""
-        return _OID_STRUCT.pack(self.file_id, self.page_no, self.slot)
+        return _OID_STRUCT.pack(*self)
 
     @staticmethod
     def unpack(data: bytes, offset: int = 0) -> "OID":
         """Decode an OID from ``data`` starting at ``offset``."""
-        file_id, page_no, slot = _OID_STRUCT.unpack_from(data, offset)
-        return OID(file_id, page_no, slot)
+        return tuple.__new__(OID, _OID_STRUCT.unpack_from(data, offset))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OID({self.file_id}:{self.page_no}.{self.slot})"

@@ -105,8 +105,9 @@ class IOStatistics:
     it is held).  ``snapshot`` takes the same mutex so a reader never
     sees a half-applied update.  A pool event counts its eviction with
     the request it made room for: a hit takes the mutex once
-    (:meth:`count_hit_pin`), a miss twice (:meth:`count_logical_read`,
-    and the disk's :meth:`count_read`).
+    (:meth:`count_hit_pins`), a miss twice (:meth:`count_logical_read`,
+    and the disk's :meth:`count_read`), and a page group's hits once
+    between them.
     """
 
     __slots__ = (
@@ -174,12 +175,13 @@ class IOStatistics:
             self.logical_reads += 1
             self.evictions += evicted
 
-    def count_hit_pin(self) -> None:
-        """A page request served from the pool: the logical read and the
-        hit in one mutex acquisition (the pool's hot path)."""
+    def count_hit_pins(self, n: int = 1) -> None:
+        """``n`` page requests served from the pool (one hit, or a page
+        group's hits): their logical reads and hits in one mutex
+        acquisition (the pool's hot path)."""
         with self._mutex:
-            self.logical_reads += 1
-            self.buffer_hits += 1
+            self.logical_reads += n
+            self.buffer_hits += n
 
     def fold_dropped_file(self, file_id: int) -> None:
         """Move a dropped file's per-file counters into the

@@ -4,7 +4,10 @@ The replacement rule the pool used to implement -- *the victim is the
 unpinned frame with the smallest access stamp, found by a scan over every
 frame* -- lives on here as the reference model.  Pool and model are driven
 by the same seeded random operation sequences; after every operation the
-victim sequence, the resident set and the physical counters must agree.
+victim sequence, the resident set in recency order, the physical counters
+and the request counters (hits, prefetch hits, logical reads) must agree.
+The model's ``fetch_many`` is one per-page ``fetch`` per key, so a pool
+group that pins its hits inline must leave what per-page fetches leave.
 """
 
 import random
@@ -15,12 +18,13 @@ from repro.errors import BufferPoolError, DiskFault
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 
-STAMP, PINS, DIRTY = 0, 1, 2
+STAMP, PINS, DIRTY, PREFETCHED = 0, 1, 2, 3
 
 
 class _StampScanModel:
-    """Frames as ``key -> [stamp, pins, dirty]``; every touch takes the
-    next tick; eviction scans all frames for the smallest unpinned stamp."""
+    """Frames as ``key -> [stamp, pins, dirty, prefetched]``; every touch
+    takes the next tick; eviction scans all frames for the smallest
+    unpinned stamp."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -28,6 +32,8 @@ class _StampScanModel:
         self.tick = 0
         self.victims = []
         self.reads = self.writes = 0
+        #: page requests, those the pool held, those read ahead before
+        self.logical = self.hits = self.prefetch_hits = 0
         self.fail_next_write = False
 
     def _touch(self, frame):
@@ -57,17 +63,28 @@ class _StampScanModel:
         self.victims.append(key)
         return True
 
-    def _insert(self, key, pins, dirty=False):
-        frame = self.frames[key] = [0, pins, dirty]
+    def _insert(self, key, pins, dirty=False, prefetched=False):
+        frame = self.frames[key] = [0, pins, dirty, prefetched]
         self._touch(frame)
+
+    def recency(self):
+        """Resident keys, coldest first."""
+        return [key for key, __ in sorted(self.frames.items(),
+                                          key=lambda kv: kv[1][STAMP])]
 
     def fetch(self, key):
         frame = self.frames.get(key)
         if frame is None:
+            self.logical += 1  # requested, even if no room is found
             self.make_room()
             self.reads += 1
             self._insert(key, pins=1)
         else:
+            self.logical += 1
+            self.hits += 1
+            if frame[PREFETCHED]:
+                frame[PREFETCHED] = False
+                self.prefetch_hits += 1
             self._touch(frame)
             frame[PINS] += 1
 
@@ -88,6 +105,7 @@ class _StampScanModel:
 
     def new_page(self, key):
         self.make_room()
+        self.logical += 1
         self._insert(key, pins=1, dirty=True)
 
     def mark_dirty(self, key):
@@ -102,7 +120,7 @@ class _StampScanModel:
             if not self.make_room(protected, best_effort=True):
                 break
             self.reads += 1
-            self._insert(key, pins=0)
+            self._insert(key, pins=0, prefetched=True)
             loaded += 1
         return loaded
 
@@ -159,6 +177,9 @@ class _Driver:
 
         self.pool._evict = recording_evict
         self.pins = []  # one entry per pin the "client" holds
+        #: the kinds of page ``fetch_many`` groups met: "resident",
+        #: "prefetched", "missing"
+        self.group_kinds = set()
 
     def _key(self):
         fid = self.rng.choice(self.files)
@@ -194,7 +215,17 @@ class _Driver:
             pool.unpin(*key)
             model.unpin(key)
         elif op == "fetch_many":
-            keys = sorted(self._key() for __ in range(rng.randint(1, 4)))
+            # a group meets read-ahead frames too: draw some keys there
+            ahead = [key for key, frame in model.frames.items()
+                     if frame[PREFETCHED]]
+            keys = sorted(rng.choice(ahead) if ahead and rng.random() < 0.3
+                          else self._key()
+                          for __ in range(rng.randint(1, 4)))
+            for key in keys:
+                frame = model.frames.get(key)
+                self.group_kinds.add(
+                    "missing" if frame is None
+                    else "prefetched" if frame[PREFETCHED] else "resident")
             if self.both(lambda: pool.fetch_many(keys),
                          lambda: model.fetch_many(keys)) is None:
                 self.pins.extend(set(keys))
@@ -248,6 +279,10 @@ class _Driver:
         assert stats.dirty_writebacks == model.writes
         assert stats.evictions == len(model.victims)
         assert sorted(pool.pinned_keys()) == sorted(set(self.pins))
+        assert list(pool._frames) == model.recency()
+        assert pool.hits == stats.buffer_hits == model.hits
+        assert pool.prefetch_hits == stats.prefetch_hits == model.prefetch_hits
+        assert stats.logical_reads == model.logical
 
     def finish(self):
         for key in self.pins:
@@ -266,6 +301,8 @@ def test_pool_evicts_what_the_stamp_scan_evicted(capacity, seed):
         driver.step()
     driver.finish()
     assert driver.victims, "the sequence never filled the pool"
+    if capacity > 2:  # room for a group to meet every kind of page
+        assert driver.group_kinds == {"resident", "prefetched", "missing"}
 
 
 def test_a_dirty_victim_whose_write_back_faults_stays_evictable():

@@ -159,6 +159,16 @@ def test_chaos_soak_primary_two_followers():
             for text in ("define type EMP (name: char[12], age: int)",
                          "create Emp1: {own ref EMP}"):
                 client.execute(text)
+            # the sync quorum of one waited for one follower; a reader
+            # on the other would find no Emp1 until it applied the DDL
+            ddl_lsn = primary.hub.log.last_lsn
+            give_up = time.perf_counter() + 30.0
+            while any(f.replica.applied_lsn < ddl_lsn for f in followers):
+                assert time.perf_counter() < give_up, (
+                    "a follower never applied the DDL: applied "
+                    f"{[f.replica.applied_lsn for f in followers]}, "
+                    f"primary at {ddl_lsn}")
+                time.sleep(0.01)
             threads = [threading.Thread(target=reader, args=(f.address,),
                                         daemon=True) for f in followers]
             for t in threads:

@@ -1,5 +1,7 @@
 """Reference-path resolution, OID codec, and error-hierarchy tests."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +93,25 @@ def test_oid_pack_roundtrip(f, p, s):
     oid = OID(f, p, s)
     assert OID.unpack(oid.pack()) == oid
     assert len(oid.pack()) == 8
+    assert oid.pack() == struct.pack(">HIH", f, p, s)
+    back = OID.unpack(b"pad" + oid.pack() + b"tail", 3)
+    assert type(back) is OID and back == oid
+    assert (back.file_id, back.page_no, back.slot) == (f, p, s)
+    assert repr(back) == f"OID({f}:{p}.{s})"
+
+
+_FIELDS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@given(a=_FIELDS, b=_FIELDS)
+def test_oid_hash_equality_and_order_are_its_field_tuples(a, b):
+    x, y = OID(*a), OID(*b)
+    assert hash(x) == hash(a)
+    assert (x == y) == (a == b) and (x != y) == (a != b)
+    assert (x < y) == (a < b) and (x <= y) == (a <= b)
+    assert (x > y) == (a > b) and (x >= y) == (a >= b)
+    assert x == a and {x: 1}[a] == 1
+    assert sorted([y, x]) == [OID(*t) for t in sorted([b, a])]
 
 
 def test_oid_ordering_is_physical():
@@ -101,6 +122,9 @@ def test_null_oid():
     assert is_null(NULL_OID)
     assert not is_null(OID(1, 2, 3))
     assert OID.unpack(NULL_OID.pack()) == NULL_OID
+    assert is_null(OID.unpack(b"\xff" * 8))
+    assert NULL_OID.pack() == b"\xff" * 8
+    assert repr(NULL_OID) == "OID(65535:4294967295.65535)"
 
 
 # ---------------------------------------------------------------------------

@@ -172,19 +172,44 @@ def _reference_scan(store: ObjectStore, heap, fields, readahead=0):
 
 
 def _record_pins(storage) -> list:
-    """Log every ``fetch``, ``unpin`` and ``prefetch`` of the store's pool
-    (``fetch_many`` / ``unpin_many`` and the ``page`` context go through
-    the first two)."""
-    pool, calls = storage.pool, []
+    """Log every ``fetch``, ``unpin`` and ``prefetch`` of the store's pool,
+    one entry per page: each key ``fetch_many`` takes logs as a ``fetch``
+    of it (a key repeated within the group once, as the group pins it
+    once), each key of ``unpin_many`` as an ``unpin`` -- the group pins
+    and unpins its hits without calling the two -- and the ``page``
+    context goes through the first two."""
+    pool, calls, grouped = storage.pool, [], []
     for name in ("fetch", "unpin", "prefetch"):
         method = getattr(pool, name)
 
         def logged(*args, __name=name, __method=method):
-            calls.append((__name,) + tuple(
-                tuple(a) if isinstance(a, range) else a for a in args))
+            if not grouped:  # a group logs its own pages
+                calls.append((__name,) + tuple(
+                    tuple(a) if isinstance(a, range) else a for a in args))
             return __method(*args)
 
         setattr(pool, name, logged)
+    for name, each in (("fetch_many", "fetch"), ("unpin_many", "unpin")):
+        method = getattr(pool, name)
+
+        def logged_keys(keys, __each=each, __method=method):
+            def taken():
+                # logged as the group takes it: a fault stops the log
+                # where a per-page fetch would have stopped it
+                seen = set()
+                for key in keys:
+                    if __each == "unpin" or key not in seen:
+                        seen.add(key)
+                        calls.append((__each,) + tuple(key))
+                    yield key
+
+            grouped.append(__each)
+            try:
+                return __method(taken())
+            finally:
+                grouped.pop()
+
+        setattr(pool, name, logged_keys)
     return calls
 
 

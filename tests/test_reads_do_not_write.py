@@ -1,12 +1,14 @@
-"""A read writes its result file T and nothing else.
+"""An embedded read writes its result file T and nothing else; a served
+read writes nothing.
 
-An update leaves the pages it changed dirty in the buffer pool.  A
-retrieve that follows writes back the pages of its own output file T
-(one page for the 50 rows read here) and leaves the update's pages
-dirty, embedded and served alike; eviction or a checkpoint writes them.
-The log still describes them, so a crash after update -> read -> read
-recovers the same rows.  The paper-model simulation keeps charging a
-query for the write-backs it defers, by flushing explicitly.
+An update leaves the pages it changed dirty in the buffer pool.  An
+embedded retrieve that follows writes back the pages of its own output
+file T (one page for the 50 rows read here, the paper's C_generate/T); a
+served retrieve sends its rows in the response frame and writes no page.
+Both leave the update's pages dirty; eviction or a checkpoint writes
+them.  The log still describes them, so a crash after update -> read ->
+read recovers the same rows.  The paper-model simulation keeps charging
+a query for the write-backs it defers, by flushing explicitly.
 """
 
 import functools
@@ -50,8 +52,9 @@ def _dirty(db) -> set:
     return set(db.storage.pool._dirty)
 
 
-def _check_a_read_writes_t_only(db, execute, engine) -> None:
-    """``execute`` runs a statement; ``engine`` guards a look at the pool."""
+def _check_a_read_writes_only(db, execute, engine, writes) -> None:
+    """``execute`` runs a statement; ``engine`` guards a look at the pool;
+    each read writes ``writes`` pages, those of its result file T."""
     assert len(execute(_UPDATE)) == 5
     with engine:
         dirtied = _dirty(db)
@@ -59,7 +62,7 @@ def _check_a_read_writes_t_only(db, execute, engine) -> None:
     for __ in range(2):
         result = execute(_READ)
         assert len(result) == 50
-        assert result.io.physical_writes == 1  # T's one page
+        assert result.io.physical_writes == writes
         with engine:
             assert _dirty(db) == dirtied
     with engine:
@@ -69,15 +72,16 @@ def _check_a_read_writes_t_only(db, execute, engine) -> None:
 
 
 def test_embedded_read_writes_its_result_file_only(mdb):
-    _check_a_read_writes_t_only(mdb.db, mdb.db.execute, nullcontext())
+    _check_a_read_writes_only(mdb.db, mdb.db.execute, nullcontext(),
+                              writes=1)  # T's one page
 
 
-def test_served_read_writes_its_result_file_only(mdb):
+def test_served_read_writes_no_page(mdb):
     server = Server(mdb.db, port=0).start()
     try:
         with connect(*server.address) as client:
-            _check_a_read_writes_t_only(mdb.db, client.execute,
-                                        server.sessions.latch)
+            _check_a_read_writes_only(mdb.db, client.execute,
+                                      server.sessions.latch, writes=0)
     finally:
         server.shutdown()
 

@@ -1,5 +1,6 @@
 """Sessions: statement dispatch, transactions, tracing."""
 
+import json
 import threading
 import time
 
@@ -29,6 +30,19 @@ def test_retrieve_returns_rows_result(manager):
     assert result["columns"] == ["Emp1.name", "Emp1.salary"]
     assert ["alice", 50000] in result["rows"]
     assert result["io"]["reads"] >= 0 and "plan" in result
+
+
+def test_a_ref_column_leaves_as_the_oid_string(manager, company):
+    """An OID is a tuple; a wire row still carries it as the string it
+    always sent, never as a JSON array."""
+    session = manager.open_session("t")
+    result = session.run_statement("retrieve (Emp1.name, Emp1.dept)")
+    wire = json.loads(json.dumps(result))
+    assert wire["rows"] == [
+        ["alice", "OID(2:0.0)"], ["bob", "OID(2:0.0)"],
+        ["carol", "OID(2:0.1)"], ["dave", "OID(2:0.1)"],
+        ["erin", "OID(2:0.2)"], ["frank", "OID(2:0.2)"]]
+    assert wire["rows"][2][1] == repr(company["depts"]["tools"])
 
 
 def test_replace_and_ddl_and_explain(manager):
@@ -237,14 +251,17 @@ def test_active_sessions_gauge(manager):
 
 def test_served_query_physical_io_matches_direct_execution(manager):
     """The server layer adds locks and a latch, never page traffic: a
-    query through a session costs exactly the engine's own I/O."""
+    query through a session costs exactly the engine's own I/O.  A
+    served retrieve writes no result file, so the direct arm runs with
+    ``materialize=False``."""
     db = manager.db
     session = manager.open_session("t")
     db.cold_cache()
     served = session.run_statement("retrieve (Emp1.name, Emp1.dept.name)")
     db.cold_cache()
     direct = db.measure(
-        lambda: db.execute("retrieve (Emp1.name, Emp1.dept.name)"))
+        lambda: db.execute("retrieve (Emp1.name, Emp1.dept.name)",
+                           materialize=False))
     assert served["io"]["reads"] == direct.physical_reads
     assert served["io"]["writes"] == direct.physical_writes
     assert served["io"]["reads"] > 0
