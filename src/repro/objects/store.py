@@ -123,6 +123,8 @@ class ObjectStore:
         cannot be stored touches nothing.  Per object the 20-byte header
         is read for the type tag and the two entry counts, which give
         where the values start; nothing is decoded and nothing re-encoded.
+        Each object logs one redo span: from the first changed field's
+        first byte to the last changed field's last, not the record.
 
         An object that cannot be overwritten where it lies -- stored in
         chunks, of another type, or written before a widening and so
@@ -141,6 +143,8 @@ class ObjectStore:
         """
         tag = self.registry.tag_of(type_def.name)
         fields = encode_fields(type_def, changes)
+        first = min(offset for __, offset, __ in fields)
+        width = max(offset + len(data) for __, offset, data in fields) - first
         indexed = [(fdef, offset, index, changes[name])
                    for fdef, offset, __ in fields
                    for name, index in indexes if name == fdef.name]
@@ -176,7 +180,7 @@ class ObjectStore:
                     view = payload(oid)
                 for __, offset, data in fields:
                     view[base + offset:base + offset + len(data)] = data
-                records.wrote()
+                records.wrote(base + first, width)
         return pages
 
     def delete(self, oid: OID) -> None:

@@ -12,9 +12,10 @@ node.  Every committed statement on the primary becomes one
   statement changed) and its ``COMMIT`` frame, base64 on the wire -- but
   never a page image: a follower patches the spans into the pages it
   already holds.  An update that changes *k* bytes of *f* referencers
-  ships about *f* record payloads, not *f* pages.  Entries are captured
-  by a :attr:`WriteAheadLog.commit_listeners` hook the moment the commit
-  is durable (under the engine latch, so entries are appended in commit
+  ships *f* spans of *k* bytes and a 12-byte head each, not *f* records
+  or *f* pages.  Entries are captured by a
+  :attr:`WriteAheadLog.commit_listeners` hook the moment the commit is
+  durable (under the engine latch, so entries are appended in commit
   order);
 * **DDL** entries carry the statement text: DDL runs outside WAL
   statement scope (it checkpoints), so it ships logically and followers

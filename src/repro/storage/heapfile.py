@@ -547,15 +547,17 @@ class _InPlace:
 
     :meth:`payload` hands out a writable view of one record's payload on
     its pinned page; the caller assigns same-length slices of it and then
-    calls :meth:`wrote`.  The view ends where the payload ends and a
-    slice assignment cannot change a length, so no byte outside the
-    record is reachable and the slot directory, the record's length and
-    the page's space accounting stay as they are.  The page is written by
+    calls :meth:`wrote` with the range of the view it changed.  The view
+    ends where the payload ends and a slice assignment cannot change a
+    length, so no byte outside the record is reachable and the slot
+    directory, the record's length and the page's space accounting stay
+    as they are.  The page is written by
     the ordinary ``pool.fetch`` -> ``pool.writable`` -> mutate ->
     ``pool.mark_dirty`` sequence (the view is handed out only after the
     page was declared writable, which is when the WAL takes its
-    before-image), and each :meth:`wrote` reports the payload it handed
-    out as the span changed.
+    before-image), and each :meth:`wrote` reports that range, moved to
+    where the payload lies in the page, as the span changed: the bytes
+    the caller wrote, not the record.
 
     One page is pinned at a time.  It stays pinned across consecutive
     records that lie on it, so record ids taken in page order cost one
@@ -567,14 +569,14 @@ class _InPlace:
     is about to touch other pages.
     """
 
-    __slots__ = ("_heap", "_page_no", "_page", "_span")
+    __slots__ = ("_heap", "_page_no", "_page", "_payload_at")
 
     def __init__(self, heap: HeapFile) -> None:
         self._heap = heap
         self._page_no: int | None = None  # the page this cursor pins
         self._page: Page | None = None
-        #: ``(offset, length)`` in the page of the payload last handed out
-        self._span: tuple[int, int] | None = None
+        #: where in the page the payload last handed out starts
+        self._payload_at: int | None = None
 
     def __enter__(self) -> "_InPlace":
         return self
@@ -599,13 +601,14 @@ class _InPlace:
         if page.data[offset + 1] != _PLAIN:
             return None
         self._heap.pool.writable(self._heap.file_id, self._page_no)
-        self._span = (offset + 2, length - 2)
+        self._payload_at = offset + 2
         return memoryview(page.data)[offset + 2:offset + length]
 
-    def wrote(self) -> None:
-        """The view :meth:`payload` last returned was written to."""
+    def wrote(self, start: int, length: int) -> None:
+        """The ``length`` bytes from ``start`` of the view :meth:`payload`
+        last returned were written to."""
         self._heap.pool.mark_dirty(self._heap.file_id, self._page_no,
-                                   self._span)
+                                   (self._payload_at + start, length))
 
     def release(self) -> None:
         """Unpin the page this cursor holds, if any."""

@@ -325,7 +325,7 @@ def test_projected_read_many_reports_what_the_reference_reports(frames):
         with heap.in_place() as records:
             records.payload((oids[30].page_no, oids[30].slot))[0:2] = \
                 (999).to_bytes(2, "big")
-            records.wrote()
+            records.wrote(0, 2)
 
     __, __, oids = _build_store(frames)
     for change, error in [

@@ -13,11 +13,14 @@ from repro.errors import (ReadOnlyReplicaError, RemoteError,
                           ReplicaResyncError, ReplicaStaleError,
                           ReplicationLinkError)
 from repro.recovery.faults import NetFaultInjector
+from repro.recovery.wal import WalRecord, WalRecordType
 from repro.schema.database import Database
+from repro.schema.parser import run_script_statement
 from repro.server.client import RoutedClient, connect
 from repro.server.replica import Replica, ReplicaServer
 from repro.server.replog import ReplicationEntry, ReplicationLog, render_status
 from repro.server.service import Server
+from tests.test_redo_install import _follow, _pages, _pair
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +311,46 @@ def test_drain_flushes_the_tail_to_followers():
     finally:
         follower.die()
         primary.die()
+
+
+# ---------------------------------------------------------------------------
+# what a field update ships
+# ---------------------------------------------------------------------------
+
+
+def test_a_field_update_ships_the_field_bytes(tmp_path):
+    """Renaming a dept with 40 referencers ships one entry: BEGIN,
+    COMMIT and one REDO holding a 12-byte span head and the 12 changed
+    bytes per object written -- the dept and each referencer's hidden
+    copy, not their records.  Applied, it leaves the follower's pages
+    equal to the primary's."""
+    db = Database(wal=True)
+    for text in SETUP_DDL[:4]:
+        run_script_statement(db, text)
+    toys = db.insert("Dept1", {"name": "toys", "floor": 3})
+    db.insert("Dept1", {"name": "tools", "floor": 1})
+    referencers = 40
+    for i in range(referencers):
+        db.insert("Emp1", {"name": f"e{i}", "age": i, "dept": toys})
+    run_script_statement(db, SETUP_DDL[4])
+    db.checkpoint()
+    primary, hub, follower = _pair(tmp_path, db)
+    primary.execute('replace (Dept1.name = "games") '
+                    'where Dept1.name = "toys"')
+    (entry,) = hub.log.entries_after(0)
+    assert entry.kind == "dml"
+    width = primary.catalog.get_set("Dept1").type_def.field_def("name").width
+    begin = WalRecord(WalRecordType.BEGIN, 0, note=entry.note).encode()
+    commit = WalRecord(WalRecordType.COMMIT, 0).encode()
+    one_span = WalRecord.redo(0, [(0, 0, 0, b"x")]).encode()
+    redo_head = len(one_span) - (12 + 1)
+    assert len(entry.frames) <= (len(begin) + len(commit) + redo_head
+                                 + (1 + referencers) * (12 + width))
+    assert [applied for applied, __ in _follow(hub, follower)] == [entry]
+    assert _pages(follower) == _pages(primary)
+    assert sorted(r[0] for r in follower.execute(
+        "retrieve (Emp1.dept.name)").rows) == ["games"] * referencers
+    follower.verify()
 
 
 # ---------------------------------------------------------------------------

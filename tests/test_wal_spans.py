@@ -13,6 +13,11 @@ equal the frame byte for byte -- over every parity case of
 ``test_write_path.py`` at 4, 8 and 64 frames, and over inserts, deletes,
 relocations, B+-tree splits and DDL.
 
+The spans are also tight: an overwrite logs, per record, the bytes from
+its first changed field to the end of its last -- a propagation the *k*
+bytes of each referencer's hidden copy -- and nothing of the header, the
+link and replica entries or the other fields.
+
 Also here: a read takes no snapshot and a write site that skips
 ``writable`` is refused, a page first imaged by a statement that rolls
 back is imaged again by the next one (so a torn write of it still heals),
@@ -26,9 +31,11 @@ import pytest
 
 from repro import Database, TypeDefinition, char_field, int_field, ref_field
 from repro.errors import DiskFault, WalError
+from repro.objects.encoding import encode_fields, value_section
 from repro.recovery.wal import WalRecordType, WriteAheadLog
 from repro.snapshot import SnapshotError, load_database, save_database
 from repro.storage.buffer import BufferPool
+from repro.storage.heapfile import _FORWARD, _rid_unpack
 from tests.test_write_path import CASES, FRAMES, _apply, _company, _database
 
 # ---------------------------------------------------------------------------
@@ -171,6 +178,105 @@ def test_a_propagation_images_the_pages_it_writes_not_those_it_pins(
 
 
 # ---------------------------------------------------------------------------
+# span tightness: an overwrite logs the field bytes it changed
+# ---------------------------------------------------------------------------
+
+
+def _field_span(db, set_name, oid, first, last=None):
+    """``(file_id, page_no, offset, length)`` in the page of the bytes
+    from field ``first`` to the end of field ``last`` (default ``first``)
+    of the stored object ``oid`` -- on the page a forward stub names, if
+    the record was moved.  Reads the page and the record's header."""
+    obj_set = db.catalog.get_set(set_name)
+    type_def = obj_set.type_def
+    pool, file_id = db.storage.pool, obj_set.file_id
+    page_no, slot = oid.page_no, oid.slot
+    with pool.page(file_id, page_no) as page:
+        offset, __ = page.span(slot)
+        if page.data[offset] == _FORWARD:
+            page_no, slot = _rid_unpack(page.data, offset + 1)
+    with pool.page(file_id, page_no) as page:
+        offset, length = page.span(slot)
+        base = value_section(bytes(page.data[offset + 2:offset + length]),
+                             db.registry.tag_of(type_def.name), type_def)
+    assert base is not None
+    start = type_def.layout[first][1]
+    last_def, last_at = type_def.layout[last or first]
+    return (file_id, page_no, offset + 2 + base + start,
+            last_at + last_def.width - start)
+
+
+def _redo_of(db, statement):
+    """Run ``statement()``; the ``(file_id, page_no, offset, data)`` spans
+    of the one REDO record it logged."""
+    wal = db.recovery.wal
+    first = len(wal.records)
+    statement()
+    (redo,) = [r for r in wal.records[first:]
+               if r.type is WalRecordType.REDO]
+    return redo.spans
+
+
+def _where(spans):
+    return sorted((f, p, offset, len(data)) for f, p, offset, data in spans)
+
+
+def test_a_one_field_replace_logs_that_field_per_object(spans_checked):
+    """``replace (Emp.salary = 100)`` over every Emp: one span per Emp,
+    an int wide, exactly where its salary lies."""
+    ctx = _company_db()
+    db = ctx.db
+    spans = _redo_of(db, lambda: db.execute(
+        "replace (Emp.salary = 100) where Emp.salary >= 0"))
+    assert len(spans) == len(ctx.emps)
+    assert _where(spans) == sorted(_field_span(db, "Emp", oid, "salary")
+                                   for oid in ctx.emps)
+    salary = encode_fields(db.catalog.get_set("Emp").type_def,
+                           {"salary": 100})[0][2]
+    assert all(data == salary for __, __, __, data in spans)
+    db.verify()
+
+
+@pytest.mark.parametrize("case", ["plain", "stubs"])
+def test_a_propagation_logs_k_bytes_per_referencer(spans_checked, case):
+    """Renaming a dept logs its name and, per referencer, the k bytes of
+    the hidden copy: no span reaches a header, a link or replica entry or
+    another field.  Under ``stubs`` part of the referencers were moved
+    behind a forward stub; their spans lie on the page they moved to."""
+    db = _database(64, wal=True, reference=False)
+    ctx = CASES[case][0](db)
+    dept = ctx.depts[0]
+    referencers = [oid for oid in ctx.emps
+                   if db.get("Emp", oid).values["dept"] == dept]
+    (hidden,) = [f.name for f in db.catalog.get_set("Emp").type_def.fields
+                 if f.hidden]
+    spans = _redo_of(db, lambda: db.update("Dept", dept, {"name": "renamed"}))
+    expected = [_field_span(db, "Dept", dept, "name")] + [
+        _field_span(db, "Emp", oid, hidden) for oid in referencers]
+    assert len(spans) == 1 + len(referencers)
+    assert _where(spans) == sorted(expected)
+    assert {len(data) for __, __, __, data in spans} == {20}
+    moved = [span for oid, span in zip(referencers, expected[1:])
+             if span[1] != oid.page_no]
+    assert bool(moved) == (case == "stubs")
+    db.verify()
+
+
+def test_a_two_field_replace_logs_one_span_from_first_to_last(spans_checked):
+    """Name and dept change; salary lies between them and keeps its bytes
+    inside the one span each record logs."""
+    ctx = _company_db()
+    db = ctx.db
+    spans = _redo_of(db, lambda: db.update_many(
+        "Emp", ctx.emps, {"dept": ctx.depts[2], "name": "both"}))
+    assert _where(spans) == sorted(_field_span(db, "Emp", oid, "name", "dept")
+                                   for oid in ctx.emps)
+    assert [db.get("Emp", oid).values["salary"] for oid in ctx.emps] \
+        == list(range(len(ctx.emps)))
+    db.verify()
+
+
+# ---------------------------------------------------------------------------
 # write intent: a read copies nothing, a forgotten writable() is refused
 # ---------------------------------------------------------------------------
 
@@ -304,7 +410,9 @@ def test_a_served_primary_keeps_its_log_bounded(monkeypatch):
         with connect(*server.address) as client:
             for i in range(60):
                 appended = metrics.value("wal_bytes_total")
-                client.execute(f"replace (Emp.salary = {i}) "
+                # the 200-byte name: an update logs the bytes it changes,
+                # so an int salary would not reach the trigger
+                client.execute(f"replace (Emp.name = 'renamed{i}') "
                                f"where Emp.salary >= 0")
                 statement = metrics.value("wal_bytes_total") - appended
                 trigger = (CHECKPOINT_LOG_MULTIPLE
