@@ -103,11 +103,11 @@ class IOStatistics:
     Observer threads read them while a statement runs, so every mutation
     happens under one small mutex (a leaf lock: nothing is called while
     it is held).  ``snapshot`` takes the same mutex so a reader never
-    sees a half-applied update.  A pool event counts its eviction with
-    the request it made room for: a hit takes the mutex once
-    (:meth:`count_hit_pins`), a miss twice (:meth:`count_logical_read`,
-    and the disk's :meth:`count_read`), and a page group's hits once
-    between them.
+    sees a half-applied update.  The pool counts its requests with
+    :meth:`count_requests`, each eviction with the request it made room
+    for: once per single-page fetch, hit or miss, and once per page group
+    for all its requests, hits and evictions.  The disk adds one
+    :meth:`count_read` per physical read.
     """
 
     __slots__ = (
@@ -166,22 +166,16 @@ class IOStatistics:
             self.physical_writes += 1
             self.file_writes[file_id] = self.file_writes.get(file_id, 0) + 1
 
-    def count_logical_read(self, evicted: int = 0) -> None:
-        """Record one page requested from the buffer pool that it does
-        not hold (a miss, or a freshly allocated page), and the
-        ``evicted`` frames (0 or 1) that made room for it, in one mutex
-        acquisition."""
-        with self._mutex:
-            self.logical_reads += 1
-            self.evictions += evicted
-
-    def count_hit_pins(self, n: int = 1) -> None:
-        """``n`` page requests served from the pool (one hit, or a page
-        group's hits): their logical reads and hits in one mutex
+    def count_requests(self, requests: int, hits: int = 0,
+                       evicted: int = 0) -> None:
+        """``requests`` pages asked of the buffer pool (one page, or a
+        page group), ``hits`` of them served from the pool, and the
+        ``evicted`` frames that made room for the rest, in one mutex
         acquisition (the pool's hot path)."""
         with self._mutex:
-            self.logical_reads += n
-            self.buffer_hits += n
+            self.logical_reads += requests
+            self.buffer_hits += hits
+            self.evictions += evicted
 
     def fold_dropped_file(self, file_id: int) -> None:
         """Move a dropped file's per-file counters into the

@@ -5,9 +5,12 @@ unpinned frame with the smallest access stamp, found by a scan over every
 frame* -- lives on here as the reference model.  Pool and model are driven
 by the same seeded random operation sequences; after every operation the
 victim sequence, the resident set in recency order, the physical counters
-and the request counters (hits, prefetch hits, logical reads) must agree.
-The model's ``fetch_many`` is one per-page ``fetch`` per key, so a pool
-group that pins its hits inline must leave what per-page fetches leave.
+(also per file) and the request counters (hits, prefetch hits, logical
+reads) must agree.  The model's ``fetch_many`` is one per-page ``fetch``
+per key, so a pool group that pins its hits and loads its misses inline
+must leave what per-page fetches leave -- also when a read or a
+write-back faults part-way through a group of up to 16 pages, the run
+``read_many`` pins.
 """
 
 import random
@@ -32,9 +35,10 @@ class _StampScanModel:
         self.tick = 0
         self.victims = []
         self.reads = self.writes = 0
+        self.file_reads = {}
         #: page requests, those the pool held, those read ahead before
         self.logical = self.hits = self.prefetch_hits = 0
-        self.fail_next_write = False
+        self.fail_next_write = self.fail_next_read = False
 
     def _touch(self, frame):
         self.tick += 1
@@ -46,6 +50,13 @@ class _StampScanModel:
             raise DiskFault("injected write failure")
         self.writes += 1
         frame[DIRTY] = False
+
+    def _read(self, key):
+        if self.fail_next_read:
+            self.fail_next_read = False
+            raise DiskFault("injected read failure")
+        self.reads += 1
+        self.file_reads[key[0]] = self.file_reads.get(key[0], 0) + 1
 
     def make_room(self, protected=(), best_effort=False):
         if len(self.frames) < self.capacity:
@@ -77,7 +88,7 @@ class _StampScanModel:
         if frame is None:
             self.logical += 1  # requested, even if no room is found
             self.make_room()
-            self.reads += 1
+            self._read(key)  # a fault leaves the victim evicted, no frame
             self._insert(key, pins=1)
         else:
             self.logical += 1
@@ -119,7 +130,7 @@ class _StampScanModel:
             protected.add(key)
             if not self.make_room(protected, best_effort=True):
                 break
-            self.reads += 1
+            self._read(key)
             self._insert(key, pins=0, prefetched=True)
             loaded += 1
         return loaded
@@ -140,17 +151,25 @@ class _StampScanModel:
             self.frames.pop(key, None)
 
 
-class _FailNextWrite:
-    """A ``disk.faults`` stand-in: once armed, the next page write raises."""
+class _FailNext:
+    """A ``disk.faults`` stand-in: once ``write`` (``read``) is set, the
+    next page write (read) raises."""
 
-    armed = False
+    read = write = False
+
+    @property
+    def armed(self):
+        return self.read or self.write
 
     def resolve_read(self):
-        pass
+        if self.read:
+            self.read = False
+            raise DiskFault("injected read failure")
 
     def on_write(self, new_image, old_image):
-        self.armed = False
-        raise DiskFault("injected write failure")
+        if self.write:
+            self.write = False
+            raise DiskFault("injected write failure")
 
 
 class _Driver:
@@ -159,7 +178,7 @@ class _Driver:
     def __init__(self, capacity, seed):
         self.rng = random.Random(seed)
         self.disk = SimulatedDisk()
-        self.disk.faults = _FailNextWrite()
+        self.disk.faults = _FailNext()
         self.files = [self.disk.create_file(), self.disk.create_file()]
         for fid in self.files:
             for __ in range(capacity + 3):  # twice the pool, and a bit
@@ -204,7 +223,7 @@ class _Driver:
                          "fetch_many", "new_page", "mark_dirty", "prefetch",
                          "flush_all", "flush_file", "discard_pages",
                          "drop_file_pages",
-                         "arm_write_fault"])
+                         "arm_write_fault", "arm_read_fault"])
         if op == "fetch":
             key = self._key()
             if self.both(lambda: pool.fetch(*key),
@@ -220,7 +239,7 @@ class _Driver:
                      if frame[PREFETCHED]]
             keys = sorted(rng.choice(ahead) if ahead and rng.random() < 0.3
                           else self._key()
-                          for __ in range(rng.randint(1, 4)))
+                          for __ in range(rng.randint(1, 16)))
             for key in keys:
                 frame = model.frames.get(key)
                 self.group_kinds.add(
@@ -266,7 +285,9 @@ class _Driver:
                 pool.drop_file_pages(fid)  # the file itself stays on disk
                 model.discard([key for key in model.frames if key[0] == fid])
         elif op == "arm_write_fault":
-            self.disk.faults.armed = model.fail_next_write = True
+            self.disk.faults.write = model.fail_next_write = True
+        elif op == "arm_read_fault":
+            self.disk.faults.read = model.fail_next_read = True
         self.compare()
 
     def compare(self):
@@ -283,6 +304,7 @@ class _Driver:
         assert pool.hits == stats.buffer_hits == model.hits
         assert pool.prefetch_hits == stats.prefetch_hits == model.prefetch_hits
         assert stats.logical_reads == model.logical
+        assert stats.file_reads == model.file_reads
 
     def finish(self):
         for key in self.pins:
@@ -316,7 +338,7 @@ def test_a_dirty_victim_whose_write_back_faults_stays_evictable():
         side((fid, 0))
     driver.both(lambda: pool.prefetch(fid, [1]),
                 lambda: model.prefetch([(fid, 1)]))
-    driver.disk.faults.armed = model.fail_next_write = True
+    driver.disk.faults.write = model.fail_next_write = True
     # the miss picks the dirty page 0; its write-back faults
     assert driver.both(lambda: pool.fetch(fid, 2),
                        lambda: model.fetch((fid, 2))) is DiskFault
@@ -330,4 +352,22 @@ def test_a_dirty_victim_whose_write_back_faults_stays_evictable():
     driver.compare()
     assert driver.victims == [(fid, 0)]
     assert driver.disk.stats.dirty_writebacks == 1
+    driver.finish()
+
+
+def test_a_miss_whose_read_faults_keeps_its_eviction_and_no_frame():
+    driver = _Driver(capacity=2, seed=0)
+    pool, model, (fid, __) = driver.pool, driver.model, driver.files
+    driver.both(lambda: pool.prefetch(fid, [0, 1]),
+                lambda: model.prefetch([(fid, 0), (fid, 1)]))
+    driver.disk.faults.read = model.fail_next_read = True
+    # the group's first key hits, its miss evicts page 1 and its read faults
+    assert driver.both(lambda: pool.fetch_many([(fid, 0), (fid, 2)]),
+                       lambda: model.fetch_many([(fid, 0), (fid, 2)])
+                       ) is DiskFault
+    driver.compare()
+    assert pool.resident_keys() == {(fid, 0)}
+    assert driver.victims == [(fid, 1)]
+    assert driver.disk.stats.logical_reads == 2
+    assert pool.pinned_keys() == []
     driver.finish()

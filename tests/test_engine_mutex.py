@@ -3,8 +3,8 @@
 The buffer pool takes no lock of its own: a served statement enters the
 engine mutex (``sessions.latch``) once its locks are granted, and so
 does every maintenance pass.  This test makes that claim checkable.
-Every pool method that pins, loads, dirties, writes back or drops a page
-asserts that the calling thread owns the mutex of the engine the pool
+Every pool method that pins, unpins, loads, dirties, writes back or drops
+a page asserts that the calling thread owns the mutex of the engine the pool
 belongs to, while served engines run
 
 * the observer-neutrality script with every HTTP endpoint scraped
@@ -34,9 +34,11 @@ from repro.storage.buffer import BufferPool
 from tests.test_observer_neutrality import _SCRIPT, _build
 from tests.test_replication_stream import SETUP_DDL
 
-#: every pool entry point that pins, loads, dirties, writes or drops a page
-_PAGE_ACCESS = ("fetch", "new_page", "writable", "mark_dirty", "flush_all",
-                "flush_file", "discard_pages", "prefetch")
+#: every pool entry point that pins, unpins, loads, dirties, writes or drops
+#: a page (a group's misses load inside ``fetch_many``, not through ``fetch``)
+_PAGE_ACCESS = ("fetch", "fetch_many", "unpin_many", "new_page", "writable",
+                "mark_dirty", "flush_all", "flush_file", "discard_pages",
+                "prefetch")
 
 
 class _Owners:
