@@ -39,10 +39,6 @@ with ``;`` or a blank line.  Connected to a server, ``begin`` / ``commit``
     \\waits             wait-event accounting: where statement wall-clock
                        went (engine latch, locks, buffer I/O, WAL flush,
                        replication acks, cpu residual)
-    \\ash [SECS]        active session history: sampled per-session wait
-                       states over the last SECS seconds (connected only)
-    \\alerts            threshold alerts: firing/resolved state plus the
-                       recent transition history (connected only)
     \\replication       WAL-shipping topology: role, LSNs, per-follower
                        lag (connected only)
     \\promote           turn a connected follower into a primary
@@ -81,7 +77,7 @@ DEFAULT_ROW_LIMIT = 50
 #: so the dump shows the stitched client->server->engine tree.
 _FORWARDED_META = ("describe", "stats", "monitor", "fingerprints", "ledger",
                    "verify", "doctor", "recover", "cold", "set",
-                   "replication", "cache", "waits", "ash", "alerts")
+                   "replication", "cache", "waits")
 
 
 def render_result(result, limit: int | None = DEFAULT_ROW_LIMIT) -> str:
@@ -219,8 +215,6 @@ class Shell:
             self.run_trace(args)
         elif command == "set":
             self._run_set(args)
-        elif command in ("ash", "alerts"):
-            self._needs_server(command, "; embedded sessions have no sampler")
         elif command in ("replication", "promote"):
             self._needs_server(command)
         else:
@@ -232,9 +226,9 @@ class Shell:
             else:
                 self.write(text)
 
-    def _needs_server(self, command: str, why: str = "") -> None:
+    def _needs_server(self, command: str) -> None:
         self.fail(f"error: \\{command} needs a connected server "
-                  f"(--connect host:port){why}")
+                  f"(--connect host:port)")
 
     def _set_limit(self, args: list[str]) -> None:
         if not args:

@@ -90,7 +90,6 @@ class NoIsolation:
     """The isolation object of embedded execution: one caller, nobody to
     be isolated from, nobody to replicate to."""
 
-    id = 0
     name = "embedded"
     root_span = "query"
 
@@ -217,7 +216,7 @@ def run_statement(db: Database, ctx: Statement, iso=None,
         iso = NoIsolation(waits)
     tracer = telemetry.tracer
     cache = db.resultcache
-    ledger = waits.begin_statement(iso.id, iso.name, ctx.text)
+    ledger = waits.begin_statement()
     started = time.perf_counter()
     try:
         with tracer.span(iso.root_span, statement=ctx.text) as root:

@@ -15,10 +15,7 @@ With ``--save FILE`` the drained database is snapshotted before exit.
 ``--metrics-port N`` starts the HTTP observability sidecar (0 picks an
 ephemeral port); its address is printed as a second ``metrics on
 host:port`` line.  ``--slow-ms`` sets the slow-query threshold the /slow
-endpoint and ``slow_queries_total`` count against.  ``--sample-interval``
-paces the telemetry sampler feeding the active session history, the
-time-series store, and the alert rules (``<= 0`` disables the sampler
-thread; ``\\ash`` / ``/ash`` then answer empty).
+endpoint and ``slow_queries_total`` count against.
 """
 
 from __future__ import annotations
@@ -58,14 +55,6 @@ def main(argv: list[str] | None = None) -> int:
                              "per this many seconds (<= 0: only at start)")
     parser.add_argument("--slow-ms", type=float, default=None, metavar="MS",
                         help="slow-query log threshold in milliseconds")
-    parser.add_argument("--sample-interval", type=float, default=1.0,
-                        metavar="SECONDS",
-                        help="active-session-history / time-series sampling "
-                             "interval (<= 0 disables the sampler thread)")
-    parser.add_argument("--ash-capacity", type=int, default=4096, metavar="N",
-                        help="active-session-history ring size in samples")
-    parser.add_argument("--ts-retention", type=int, default=600, metavar="N",
-                        help="time-series points retained per series")
     parser.add_argument("--cache", action="store_true",
                         help="enable the derived-result cache by default "
                              "(sessions may override with \\set cache)")
@@ -111,10 +100,7 @@ def main(argv: list[str] | None = None) -> int:
                     sync_replicas=args.sync_replicas,
                     sync_timeout=args.sync_timeout,
                     repl_log_entries=args.repl_log_entries,
-                    drain_timeout=args.drain_timeout,
-                    sample_interval=args.sample_interval,
-                    ash_capacity=args.ash_capacity,
-                    ts_retention=args.ts_retention)
+                    drain_timeout=args.drain_timeout)
     server.start()
     print(f"listening on {server.host}:{server.port}", flush=True)
     sidecar = None

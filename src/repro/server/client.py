@@ -98,7 +98,7 @@ class ClientResult:
 _RETRYABLE_STATEMENTS = ("retrieve", "explain")
 #: request kinds a retry can safely repeat.
 _RETRYABLE_KINDS = ("ping", "stats", "statements", "meta", "repl_status",
-                    "promote", "ash")
+                    "promote")
 
 
 class Client:
@@ -269,22 +269,6 @@ class Client:
         """Per-fingerprint statement statistics plus the replication
         ledger (``{"fingerprints": {...}, "ledger": [...]}``)."""
         return self._request("statements").get("statements") or {}
-
-    def ash(self, window_s: float | None = None,
-            fingerprint: str | None = None, event: str | None = None,
-            limit: int = 50) -> dict:
-        """The server's active session history: sampled wait states with
-        an event/fingerprint profile, filterable by time window,
-        fingerprint, or wait event (``event="lock"`` matches every
-        ``lock:<resource>``)."""
-        fields: dict = {"limit": limit}
-        if window_s is not None:
-            fields["window_s"] = window_s
-        if fingerprint is not None:
-            fields["fingerprint"] = fingerprint
-        if event is not None:
-            fields["event"] = event
-        return self._request("ash", **fields).get("ash") or {}
 
     def cache(self) -> dict:
         """The server's derived-result cache snapshot (entries, bytes,

@@ -16,14 +16,7 @@ over plain GET:
 * ``/statements`` -- per-fingerprint statement statistics and the
   replication cost/benefit ledger;
 * ``/cache`` -- the derived-result cache snapshot (entries, bytes,
-  hit/miss/invalidation counters, hottest entries);
-* ``/ash`` -- the active session history: sampled per-session wait
-  states with an event/fingerprint profile.  Filters via query string:
-  ``?window_s=60&event=lock&fingerprint=ab12...&limit=100``;
-* ``/timeseries`` -- the in-process metrics time-series store
-  (``?window_s=300`` bounds the window, ``?names=a,b`` selects series);
-* ``/alerts`` -- every threshold rule's firing/resolved state plus the
-  bounded transition history.
+  hit/miss/invalidation counters, hottest entries).
 
 Scrapes must not perturb the engine: every handler reads counters, plain
 attributes, or its own mutex-guarded ring -- no page I/O, no engine
@@ -44,12 +37,11 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs
 
 #: every route the sidecar answers -- the 404 body and both servers'
 #: ``--metrics-port`` help are built from this.
 ENDPOINTS = ("/metrics", "/health", "/slow", "/statements", "/replication",
-             "/cache", "/ash", "/timeseries", "/alerts")
+             "/cache")
 
 #: the content type Prometheus expects from a text-format scrape.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -74,14 +66,6 @@ def _make_handler(server) -> type:
         def _send_json(self, status: int, document: dict) -> None:
             body = json.dumps(document, indent=2).encode("utf-8")
             self._send(status, "application/json; charset=utf-8", body)
-
-        def _query(self) -> dict:
-            """First value per query-string key (``?window_s=60&...``)."""
-            parts = self.path.split("?", 1)
-            if len(parts) < 2:
-                return {}
-            return {key: values[0]
-                    for key, values in parse_qs(parts[1]).items() if values}
 
         def do_GET(self) -> None:  # noqa: N802 - stdlib naming
             path = self.path.split("?", 1)[0]
@@ -115,35 +99,6 @@ def _make_handler(server) -> type:
                     self._send_json(200, server.statement_stats())
                 elif path == "/cache":
                     self._send_json(200, server.db.resultcache.snapshot())
-                elif path == "/ash":
-                    q = self._query()
-                    try:
-                        doc = server.ash.snapshot(
-                            window_s=(float(q["window_s"])
-                                      if "window_s" in q else None),
-                            fingerprint=q.get("fingerprint"),
-                            event=q.get("event"),
-                            limit=max(0, min(
-                                int(q.get("limit", 50)), 1000)))
-                    except ValueError:
-                        self._send_json(400, {"error": "bad query"})
-                    else:
-                        self._send_json(200, doc)
-                elif path == "/timeseries":
-                    q = self._query()
-                    try:
-                        names = ([n for n in q["names"].split(",") if n]
-                                 if "names" in q else None)
-                        doc = server.tsstore.snapshot(
-                            window_s=(float(q["window_s"])
-                                      if "window_s" in q else None),
-                            names=names)
-                    except ValueError:
-                        self._send_json(400, {"error": "bad query"})
-                    else:
-                        self._send_json(200, doc)
-                elif path == "/alerts":
-                    self._send_json(200, server.alerts.snapshot())
                 else:
                     self._send_json(404, {
                         "error": "not found",

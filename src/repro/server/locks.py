@@ -262,7 +262,6 @@ class LockManager:
             waited = False
             wait_start = time.monotonic()
             contended: dict[str, str] = {}
-            wait_token = None
             try:
                 while True:
                     if owner.victim:
@@ -286,8 +285,6 @@ class LockManager:
                     if not waited:
                         waited = True
                         self._m_waits.inc()
-                        wait_token = self.waits.mark_waiting(
-                            "lock", footprint.describe())
                     victim = self._find_deadlock_victim(owner)
                     if victim is not None:
                         self._m_deadlocks.inc()
@@ -313,7 +310,6 @@ class LockManager:
                 if waited:
                     elapsed = time.monotonic() - wait_start
                     self._m_wait_seconds.observe(elapsed)
-                    self.waits.unmark_waiting(wait_token)
                     if contended:
                         # the footprint is granted all-or-nothing, so the
                         # wait is one interval: split it evenly across the

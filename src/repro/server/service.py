@@ -30,9 +30,6 @@ import time
 from repro.errors import ProtocolError, ReplicationLinkError, ReproError
 from repro.server import protocol
 from repro.server.session import SessionManager
-from repro.telemetry.ash import ActiveSessionHistory
-from repro.telemetry.tsstore import AlertEngine, TelemetrySampler, TimeSeriesStore
-from repro.telemetry.waitevents import base_event
 
 
 class Server:
@@ -43,8 +40,7 @@ class Server:
                  health_ttl: float = 30.0, replication: bool | None = None,
                  sync_replicas: int = 0, sync_timeout: float = 5.0,
                  repl_log_entries: int = 10_000, drain_timeout: float = 10.0,
-                 hub=None, sample_interval: float = 1.0,
-                 ash_capacity: int = 4096, ts_retention: int = 600) -> None:
+                 hub=None) -> None:
         if db is None:
             from repro.schema.database import Database
 
@@ -103,21 +99,6 @@ class Server:
         self._idle = threading.Condition(self._mutex)
         self._stopping = threading.Event()
         self._drained = threading.Event()
-        #: the always-on observability layer: one daemon sampler drives
-        #: ASH session snapshots, metric time-series points, and alert
-        #: evaluation.  ``sample_interval <= 0`` disables the thread; the
-        #: stores stay constructed so every surface still answers.
-        self.sample_interval = sample_interval
-        self.ash = ActiveSessionHistory(capacity=ash_capacity)
-        self.tsstore = TimeSeriesStore(retention_points=ts_retention)
-        self.alerts = AlertEngine(metrics=metrics)
-        self.sampler = TelemetrySampler(interval=sample_interval)
-        self.sessions.ash = self.ash
-        self.sessions.alerts = self.alerts
-        self.sessions.tsstore = self.tsstore
-        self._install_probes()
-        self._install_alert_rules()
-        self.sampler.add(self._sample_tick)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -136,7 +117,6 @@ class Server:
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-accept", daemon=True)
         self._accept_thread.start()
-        self.sampler.start()
         return self
 
     def _run_doctor(self) -> None:
@@ -175,122 +155,6 @@ class Server:
         finally:
             self._doctor_refresh.release()
 
-    # -- the sampling layer (ASH + time series + alerts) -------------------
-
-    def _sample_tick(self) -> None:
-        """One sampler pass: ASH snapshot, time-series points, alert
-        evaluation.  Reads counters and plain attributes under their own
-        mutexes only -- never the engine latch, never pages -- so the
-        sampler is observer-neutral by construction."""
-        self.ash.sample(self.db.telemetry.waits, self.sessions.sessions())
-        self.tsstore.sample_once()
-        self.alerts.evaluate()
-
-    def _health_ok(self) -> float:
-        """The liveness verdict from *cached* state only (the sampler
-        must never trigger a doctor run -- that takes the latch and reads
-        pages)."""
-        wal = self.db.recovery.wal
-        if wal is not None and wal.needs_recovery:
-            return 0.0
-        if self._doctor_clean is False:
-            return 0.0
-        if self._stopping.is_set():
-            return 0.0
-        return 1.0
-
-    def _replica_lag(self) -> tuple[float, float]:
-        """``(max lag, stale?)`` from the replication status: a primary
-        reports its laggiest follower, a follower its own lag."""
-        status = self._replication_status()
-        followers = status.get("followers")
-        if followers:
-            return (float(max(f.get("lag", 0) for f in followers)), 0.0)
-        return (float(status.get("lag", 0) or 0),
-                1.0 if status.get("stale") else 0.0)
-
-    def _install_probes(self) -> None:
-        db = self.db
-        metrics = db.telemetry.metrics
-        waits = db.telemetry.waits
-
-        def core() -> dict:
-            stats = db.stats
-            logical = stats.logical_reads
-            with self._mutex:
-                connections = len(self._conns)
-            return {
-                "server.connections": float(connections),
-                "server.active_sessions": metrics.value(
-                    "server_active_sessions"),
-                "server.statements_total": metrics.value(
-                    "server_requests_total", kind="statement"),
-                "io.physical_reads": float(stats.physical_reads),
-                "io.physical_writes": float(stats.physical_writes),
-                "io.hit_rate": round(
-                    stats.buffer_hits / logical, 6) if logical else 0.0,
-                "cache.hits_total": metrics.value("result_cache_hits_total"),
-                "cache.misses_total": metrics.value(
-                    "result_cache_misses_total"),
-            }
-
-        def wait_events() -> dict:
-            by_class: dict[str, float] = {}
-            for row in waits.totals():
-                cls = base_event(row["event"])
-                by_class[cls] = by_class.get(cls, 0.0) + row["seconds"]
-            out = {f"waits.{cls}_seconds": round(seconds, 6)
-                   for cls, seconds in by_class.items()}
-            out["waits.statement_seconds"] = round(
-                waits.statement_seconds, 6)
-            out["waits.admission_hold_seconds"] = metrics.value(
-                "admission_hold_seconds_total")
-            return out
-
-        def replication() -> dict:
-            lag, stale = self._replica_lag()
-            return {"replication.max_lag": lag,
-                    "replication.stale": stale,
-                    "health.ok": self._health_ok()}
-
-        self.tsstore.register(core)
-        self.tsstore.register(wait_events)
-        self.tsstore.register(replication)
-
-    def _install_alert_rules(self) -> None:
-        store = self.tsstore
-
-        def lock_wait_share() -> tuple[float, bool]:
-            dl, _ = store.delta("waits.lock_seconds", 60.0)
-            dw, _ = store.delta("waits.statement_seconds", 60.0)
-            share = dl / dw if dw > 0.0 else 0.0
-            return round(share, 4), dw > 0.05 and share > 0.5
-
-        def replica_staleness() -> tuple[float, bool]:
-            stale = store.latest("replication.stale") or 0.0
-            return store.latest("replication.max_lag") or 0.0, stale >= 1.0
-
-        def health_flap() -> tuple[float, bool]:
-            ok = store.latest("health.ok")
-            return (ok if ok is not None else 1.0,
-                    ok is not None and ok < 1.0)
-
-        self.alerts.add_rule(
-            "lock_wait_share",
-            "over half of recent statement time went to lock waits "
-            "(60s window)", lock_wait_share, severity="warning",
-            threshold=0.5)
-        self.alerts.add_rule(
-            "replica_staleness",
-            "a replica exceeded its staleness bound (or this follower "
-            "is stale)", replica_staleness, severity="critical",
-            threshold=1.0)
-        self.alerts.add_rule(
-            "health",
-            "the /health verdict left 'ok' (doctor findings, pending "
-            "recovery, or draining)", health_flap, severity="critical",
-            threshold=1.0)
-
     @property
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
@@ -306,7 +170,6 @@ class Server:
             self._drained.wait(30.0)
             return
         self._stopping.set()
-        self.sampler.stop()
         if self._listener is not None:
             # shutdown() (not just close()) wakes a thread blocked in
             # accept(); otherwise the kernel keeps the port listening
@@ -357,7 +220,6 @@ class Server:
         every connection just vanish mid-stream, exactly like a killed
         process.  Followers must notice via heartbeat timeout."""
         self._stopping.set()
-        self.sampler.stop()
         sockets: list[socket.socket] = []
         if self._listener is not None:
             sockets.append(self._listener)
@@ -462,25 +324,6 @@ class Server:
             protocol.write_frame(sock, protocol.ok_response(
                 request_id,
                 {"kind": "cache", "cache": self.db.resultcache.snapshot()}))
-            return True
-        if kind == "ash":
-            # ring reads under the history's own mutex: served on the
-            # connection thread, like stats, never queued behind statements
-            try:
-                window = request.get("window_s")
-                doc = self.ash.snapshot(
-                    window_s=float(window) if window is not None else None,
-                    fingerprint=(str(request["fingerprint"])
-                                 if request.get("fingerprint") else None),
-                    event=(str(request["event"])
-                           if request.get("event") else None),
-                    limit=max(0, min(int(request.get("limit", 50)), 1000)))
-            except (TypeError, ValueError) as exc:
-                protocol.write_frame(sock, protocol.error_response(
-                    request_id, ProtocolError(f"bad ash request: {exc}")))
-                return True
-            protocol.write_frame(sock, protocol.ok_response(
-                request_id, {"kind": "ash", "ash": doc}))
             return True
         if kind == "shutdown":
             protocol.write_frame(sock, protocol.ok_response(
@@ -657,16 +500,6 @@ class Server:
                     "admission_wait_seconds").sum(), 6),
                 "admission_hold_seconds": round(metrics.value(
                     "admission_hold_seconds_total"), 6),
-            },
-            "ash": {
-                "retained": len(self.ash),
-                "sampled_total": self.ash.sampled_total,
-                "interval_s": self.sample_interval,
-                "profile": self.ash.profile("event")[:8],
-            },
-            "alerts": {
-                "firing": self.alerts.firing(),
-                "evaluations": self.alerts.evaluations,
             },
             "sessions_detail": [s.info() for s in sessions],
         }

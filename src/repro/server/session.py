@@ -80,7 +80,7 @@ from repro.server.locks import (
 from repro.server.admission import EngineGate
 from repro.server.protocol import json_safe
 from repro.telemetry.tracing import Tracer
-from repro.telemetry.waitevents import ADMISSION_WAIT, NULL_WAITS, REPL_ACK
+from repro.telemetry.waitevents import NULL_WAITS, REPL_ACK
 
 _QUERY_STARTERS = ("retrieve", "replace", "delete")
 
@@ -364,11 +364,7 @@ class Session:
         waits = self.db.telemetry.waits
         gate = self.manager.latch
         started = time.perf_counter()
-        token = waits.mark_waiting(ADMISSION_WAIT)
-        try:
-            gate.enter_shared()
-        finally:
-            waits.unmark_waiting(token)
+        gate.enter_shared()
         held_from = time.perf_counter()
         waited = held_from - started
         waits.admission_granted(waited)
@@ -422,7 +418,7 @@ class Session:
         lock hold times, only the writer's own latency."""
         hub = self.manager.hub
         if hub is not None and lsn > 0 and hub.sync_replicas > 0:
-            with self.db.telemetry.waits.wait(REPL_ACK, f"lsn {lsn}"):
+            with self.db.telemetry.waits.wait(REPL_ACK):
                 hub.wait_for_sync(lsn)
 
     # -- transactions and DDL ----------------------------------------------
@@ -458,10 +454,10 @@ class Session:
                 text = self._meta_trace(args)
             elif command == "set":
                 text = self._meta_set(args)
-            elif command in ("waits", "ash", "alerts"):
-                # observability reads: counters and rings under their own
-                # mutexes -- no locks, no admission, no page I/O
-                text = self._meta_observability(command, args)
+            elif command == "waits":
+                # counters under the collector's own mutex -- no locks,
+                # no admission, no page I/O
+                text = self.db.telemetry.waits.render_text()
             else:
                 guard = self.manager.access_guard
                 if (guard is not None and command == "doctor"
@@ -488,30 +484,6 @@ class Session:
         if text is None:
             raise ReproError(f"unknown meta-command \\{command}")
         return text
-
-    def _meta_observability(self, command: str, args: list[str]) -> str:
-        """``\\waits``, ``\\ash [SECONDS]``, ``\\alerts`` -- latch-free."""
-        if command == "waits":
-            return self.db.telemetry.waits.render_text()
-        if command == "ash":
-            ash = self.manager.ash
-            if ash is None:
-                return ("(no active session history: sampler disabled; "
-                        "start the server with --sample-interval > 0)")
-            window = 60.0
-            if args:
-                try:
-                    window = float(args[0])
-                except ValueError:
-                    raise ReproError(
-                        f"\\ash window must be seconds, not {args[0]!r}"
-                    ) from None
-            return ash.render_text(window_s=window if window > 0 else None)
-        alerts = self.manager.alerts
-        if alerts is None:
-            return ("(no alert engine: sampler disabled; start the server "
-                    "with --sample-interval > 0)")
-        return alerts.render_text()
 
     def _meta_trace(self, args: list[str]) -> str:
         """Per-session tracing: the dump shows only this session's spans."""
@@ -612,12 +584,6 @@ class SessionManager:
         self.access_guard = None
         #: callable() -> dict for the ``\replication`` meta command
         self.replication_status = None
-        #: the server's ActiveSessionHistory / AlertEngine /
-        #: TimeSeriesStore (None when embedded or the sampler is off);
-        #: sessions only read them for the observability meta commands
-        self.ash = None
-        self.alerts = None
-        self.tsstore = None
         self._sessions: dict[int, Session] = {}
         self._ids = itertools.count(1)
         self._mutex = threading.Lock()

@@ -11,10 +11,9 @@ delta between polls), buffer hit rate, lock waits with the hottest
 resources, the wait-event profile (where statement wall-clock went,
 with the time statements waited for the engine mutex and held it),
 WAL posture, the slow-query tail
-grouped by fingerprint, the hottest statement fingerprints, the
-replication ledger's measured net benefit per path, the active session
-history profile, and any firing alerts.  The connected shell's ``\\top``
-meta-command drives the same renderer.
+grouped by fingerprint, the hottest statement fingerprints, and the
+replication ledger's measured net benefit per path.  The connected
+shell's ``\\top`` meta-command drives the same renderer.
 
 Polling reads counters only -- the stats snapshot does no page I/O and
 never blocks statement admission -- so watching a server does not
@@ -181,23 +180,6 @@ def render_top(stats: dict, prev: dict | None = None,
                 f"charge {entry.get('charged_pages', 0.0):8.1f} "
                 f"({entry.get('propagations', 0)} props)  "
                 f"{entry.get('path', '')}")
-    ash = stats.get("ash") or {}
-    if ash.get("profile"):
-        parts = [f"{row['event']} {row['share'] * 100:.0f}%"
-                 for row in ash["profile"][:6]]
-        lines.append(
-            f"ash  {ash.get('retained', 0)} retained "
-            f"({ash.get('sampled_total', 0)} sampled, "
-            f"{ash.get('interval_s', 0.0):.1f}s interval)  "
-            + "  ".join(parts))
-    alerts = stats.get("alerts") or {}
-    firing = alerts.get("firing") or []
-    if firing:
-        lines.append("alerts FIRING:")
-        for a in firing:
-            lines.append(
-                f"  [{a.get('severity', '?')}] {a.get('alert', '?')}  "
-                f"value {a.get('value')}  -- {a.get('description', '')}")
     detail = stats.get("sessions_detail") or []
     if detail:
         lines.append("sessions:")

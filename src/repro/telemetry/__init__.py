@@ -24,12 +24,6 @@ surfaces:
   cpu residual) attributing every second of statement wall-clock
   to a named wait.
 
-The server layers :class:`~repro.telemetry.ash.ActiveSessionHistory`
-(sampled session wait states) and a
-:class:`~repro.telemetry.tsstore.TimeSeriesStore` +
-:class:`~repro.telemetry.tsstore.AlertEngine` on top, driven by one
-:class:`~repro.telemetry.tsstore.TelemetrySampler` daemon thread.
-
 Everything is off-or-cheap by default: tracing is opt-in, metric
 increments are plain dict updates, and drift records are only produced by
 the model workload driver.

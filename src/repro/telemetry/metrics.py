@@ -21,10 +21,10 @@ unit test) default to :data:`NULL_METRICS`, a no-op registry with the same
 surface.
 
 Every metric carries its own small mutex: counters are bumped from the
-statement inside the engine, from the lock manager, the connection
-threads and the sampler at once, and scraped meanwhile, so no increment
-may be lost.  The locks are leaves in the engine's lock hierarchy -- no
-metric callback takes any other lock.
+statement inside the engine, from the lock manager and the connection
+threads at once, and scraped meanwhile, so no increment may be lost.
+The locks are leaves in the engine's lock hierarchy -- no metric
+callback takes any other lock.
 
 A component that already keeps a count as a plain field of its own --
 the buffer pool and the simulated disk, whose fields change only on the

@@ -14,9 +14,6 @@ taxonomy adapted to this engine's actual blocking points:
 * ``wal_flush``        -- forcing the write-ahead log;
 * ``repl_ack``         -- a semi-synchronous writer waiting for its
   follower quorum;
-* ``client_net``       -- a live session with no statement in flight
-  (only the ASH sampler produces this one: it is the idle state, never
-  part of a statement's own breakdown);
 * ``cpu``              -- the residual: statement wall time not covered
   by any measured wait.  Per statement ``cpu`` is computed as
   ``execution wall - sum(measured waits)``, so the breakdown always
@@ -39,10 +36,6 @@ engine is threaded with.  Accumulation has two independent sinks:
   statistics and the slow-query log (a session adds it to its own
   totals).
 
-The context also carries the *current* wait (event, detail, since) so
-the ASH sampler can snapshot in-flight waits -- a session blocked on a
-lock for 3 seconds shows up in every sample of those 3 seconds.
-
 ``buffer_io`` is the exception to the enter/exit layer: a page transfer
 is a few microseconds of simulated disk, so the buffer pool times it
 with two clock reads into a tally of its own (``io_seconds`` /
@@ -50,8 +43,7 @@ with two clock reads into a tally of its own (``io_seconds`` /
 read that tally when they are read (:meth:`WaitEventCollector.attach_buffer_io`),
 and a statement's ledger gets the transfers made while it held the
 engine (:meth:`WaitEventCollector.buffer_io_share`); transfers made
-while the collector is disabled are left out of both.  What that gives
-up: ASH never sees ``buffer_io`` as a *current* wait.
+while the collector is disabled are left out of both.
 
 Everything is observer-neutral: recording is perf_counter arithmetic
 and dict updates -- no page I/O, no engine latch -- and the collector
@@ -70,7 +62,6 @@ from repro.telemetry.metrics import NULL_METRICS
 ADMISSION_WAIT = "admission_wait"
 BUFFER_IO = "buffer_io"
 WAL_FLUSH = "wal_flush"
-CLIENT_NET = "client_net"
 REPL_ACK = "repl_ack"
 CPU = "cpu"
 #: lock waits are per-resource: ``lock:Emp1``, ``lock:__schema``, ...
@@ -78,7 +69,7 @@ LOCK_PREFIX = "lock:"
 
 #: the taxonomy (lock waits appear as ``lock:<resource>``).
 WAIT_EVENTS = (ADMISSION_WAIT, LOCK_PREFIX + "<resource>", BUFFER_IO,
-               WAL_FLUSH, CLIENT_NET, REPL_ACK, CPU)
+               WAL_FLUSH, REPL_ACK, CPU)
 
 #: admission wait histogram bounds (seconds): admission is normally
 #: uncontended (microseconds), but behind a long statement or a doctor
@@ -95,19 +86,11 @@ def base_event(event: str) -> str:
 class StatementWaitContext:
     """The wait ledger of one in-flight statement."""
 
-    __slots__ = ("session_id", "session", "statement", "started",
-                 "waits", "current")
+    __slots__ = ("waits",)
 
-    def __init__(self, session_id: int, session: str,
-                 statement: str) -> None:
-        self.session_id = session_id
-        self.session = session
-        self.statement = statement
-        self.started = time.time()
+    def __init__(self) -> None:
         #: event -> [seconds, count]
         self.waits: dict[str, list] = {}
-        #: (event, detail, since_ts) while blocked; None while on CPU
-        self.current: tuple | None = None
 
     def add(self, event: str, seconds: float, count: int = 1) -> None:
         slot = self.waits.get(event)
@@ -120,31 +103,21 @@ class StatementWaitContext:
 
 class _Waiting:
     """``with collector.wait(event):`` -- time a blocking call and record
-    it, exposing it as the context's current wait while it runs."""
+    it."""
 
-    __slots__ = ("_collector", "_event", "_detail", "_started", "_prev")
+    __slots__ = ("_collector", "_event", "_started")
 
-    def __init__(self, collector: "WaitEventCollector", event: str,
-                 detail: str) -> None:
+    def __init__(self, collector: "WaitEventCollector", event: str) -> None:
         self._collector = collector
         self._event = event
-        self._detail = detail
 
     def __enter__(self) -> "_Waiting":
         self._started = time.perf_counter()
-        ctx = self._collector._active_ctx()
-        self._prev = None
-        if ctx is not None:
-            self._prev = ctx.current
-            ctx.current = (self._event, self._detail, time.time())
         return self
 
     def __exit__(self, *exc) -> None:
-        elapsed = time.perf_counter() - self._started
-        ctx = self._collector._active_ctx()
-        if ctx is not None:
-            ctx.current = self._prev
-        self._collector.record(self._event, elapsed)
+        self._collector.record(self._event,
+                               time.perf_counter() - self._started)
 
 
 class _BufferIOShare:
@@ -190,8 +163,6 @@ class WaitEventCollector:
         self._enabled = True
         self._local = threading.local()
         self._mutex = threading.Lock()
-        #: session_id -> in-flight StatementWaitContext (for ASH sampling)
-        self._contexts: dict[int, StatementWaitContext] = {}
         #: event -> [seconds, count] (global, survives statement ends)
         self._totals: dict[str, list] = {}
         #: statement wall-clock accounted so far: the denominator of
@@ -244,16 +215,12 @@ class WaitEventCollector:
 
     # -- statement scope ---------------------------------------------------
 
-    def begin_statement(self, session_id: int, session: str,
-                        statement: str) -> StatementWaitContext | None:
+    def begin_statement(self) -> StatementWaitContext | None:
         """Install a wait ledger for the statement this thread is about
         to run; returns None when the collector is disabled."""
         if not self.enabled:
             return None
-        ctx = StatementWaitContext(session_id, session, statement)
-        self._local.ctx = ctx
-        with self._mutex:
-            self._contexts[session_id] = ctx
+        ctx = self._local.ctx = StatementWaitContext()
         return ctx
 
     def finish_statement(self, ctx: StatementWaitContext | None,
@@ -266,9 +233,6 @@ class WaitEventCollector:
         if ctx is None:
             return {}
         self._local.ctx = None
-        with self._mutex:
-            if self._contexts.get(ctx.session_id) is ctx:
-                del self._contexts[ctx.session_id]
         breakdown = {event: slot[0] for event, slot in ctx.waits.items()}
         cpu = max(0.0, duration_s - sum(breakdown.values()))
         breakdown[CPU] = cpu
@@ -331,30 +295,11 @@ class WaitEventCollector:
         if ctx is not None:
             ctx.add(event, seconds, count)
 
-    def wait(self, event: str, detail: str = ""):
+    def wait(self, event: str):
         """Context manager timing a blocking call as one wait event."""
         if not self.enabled:
             return _NULL_WAITING
-        return _Waiting(self, event, detail)
-
-    def mark_waiting(self, event: str, detail: str = ""):
-        """Expose a blocking region as the current wait for ASH sampling
-        without recording time (the caller records the measured split on
-        exit, e.g. the lock manager's per-resource shares).  Returns a
-        token for :meth:`unmark_waiting`; None when nothing to mark."""
-        if not self.enabled:
-            return None
-        ctx = self._active_ctx()
-        if ctx is None:
-            return None
-        prev = ctx.current
-        ctx.current = (event, detail, time.time())
-        return (ctx, prev)
-
-    def unmark_waiting(self, token) -> None:
-        if token is not None:
-            ctx, prev = token
-            ctx.current = prev
+        return _Waiting(self, event)
 
     def admission_granted(self, waited_s: float) -> None:
         """One statement admitted: histogram + wait attribution."""
@@ -389,35 +334,6 @@ class WaitEventCollector:
         series[1].inc(count)
 
     # -- reading -----------------------------------------------------------
-
-    def sample(self) -> list[dict]:
-        """One ASH-style snapshot of every in-flight statement.
-
-        Reads plain attributes under the collector's own mutex -- no
-        engine latch, no page I/O.  A context with no current wait is on
-        CPU (executing).
-        """
-        now = time.time()
-        with self._mutex:
-            contexts = list(self._contexts.values())
-        samples = []
-        for ctx in contexts:
-            current = ctx.current
-            if current is not None:
-                event, detail, since = current
-                wait_s = max(0.0, now - since)
-            else:
-                event, detail, wait_s = CPU, "", 0.0
-            samples.append({
-                "session_id": ctx.session_id,
-                "session": ctx.session,
-                "statement": ctx.statement,
-                "event": event,
-                "detail": detail,
-                "wait_s": round(wait_s, 6),
-                "statement_age_s": round(max(0.0, now - ctx.started), 6),
-            })
-        return samples
 
     def _slots(self) -> dict[str, list]:
         """event -> [seconds, count]: what was recorded, plus the pool's
@@ -492,7 +408,6 @@ class WaitEventCollector:
     def reset(self) -> None:
         with self._mutex:
             self._totals.clear()
-            self._contexts.clear()
             self.statement_seconds = 0.0
             self.statements_finished = 0
             self._pool_base = self._pool_io()
@@ -505,7 +420,7 @@ class NullWaitCollector:
 
     enabled = False
 
-    def begin_statement(self, session_id, session, statement):
+    def begin_statement(self):
         return None
 
     def finish_statement(self, ctx, duration_s) -> dict:
@@ -514,26 +429,17 @@ class NullWaitCollector:
     def record(self, event, seconds, count=1) -> None:
         pass
 
-    def wait(self, event, detail=""):
+    def wait(self, event):
         return _NULL_WAITING
 
     def buffer_io_share(self):
         return _NULL_WAITING
-
-    def mark_waiting(self, event, detail=""):
-        return None
-
-    def unmark_waiting(self, token) -> None:
-        pass
 
     def admission_granted(self, waited_s) -> None:
         pass
 
     def admission_released(self, held_s) -> None:
         pass
-
-    def sample(self) -> list:
-        return []
 
     def totals(self) -> list:
         return []

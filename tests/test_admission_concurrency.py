@@ -35,15 +35,13 @@ from repro.server.service import Server
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import PAGE_SIZE
 from repro.storage.disk import SimulatedDisk
-from repro.telemetry.waitevents import ADMISSION_WAIT
 from tests.conftest import define_employee_schema
 from tests.test_observer_neutrality import _build
 
 
 @pytest.fixture()
 def server(company):
-    srv = Server(company["db"], max_connections=8, lock_timeout=5.0,
-                 sample_interval=0).start()
+    srv = Server(company["db"], max_connections=8, lock_timeout=5.0).start()
     yield srv
     company["db"].faults.probes.clear()
     srv.shutdown()
@@ -86,6 +84,7 @@ def test_a_statement_runs_on_its_connection_thread(server):
                 if t.name.startswith("repro-worker")]
     db = server.db
     ran_on, held, release = [], threading.Event(), threading.Event()
+    gate, b_arrived = server.sessions.latch, threading.Event()
 
     def admitted():
         ran_on.append(threading.current_thread().name)
@@ -111,15 +110,18 @@ def test_a_statement_runs_on_its_connection_thread(server):
         assert b.ping()
         assert b.stats()["connections"] == 2
         assert time.perf_counter() - started < 1.0
-        b_text = "retrieve (Dept.name)"
+        enter_shared = gate.enter_shared
+
+        def arriving():
+            # A is inside, so only B's statement comes to the door now
+            b_arrived.set()
+            enter_shared()
+
+        gate.enter_shared = arriving
         b_thread = threading.Thread(
-            target=run, args=("b", b, b_text), daemon=True)
+            target=run, args=("b", b, "retrieve (Dept.name)"), daemon=True)
         b_thread.start()
-        deadline = time.monotonic() + 10.0
-        while not any(s["statement"] == b_text and s["event"] == ADMISSION_WAIT
-                      for s in db.telemetry.waits.sample()):
-            assert time.monotonic() < deadline, "B never reached the mutex"
-            time.sleep(0.005)
+        assert b_arrived.wait(10.0), "B never reached the mutex"
         assert "b" not in rows and not errors
         release.set()
         a_thread.join(10.0)
@@ -137,7 +139,7 @@ def test_disjoint_footprint_statements_never_overlap(company, monkeypatch):
     every other client is at its door while it runs."""
     clients, rounds = 8, 25
     db = company["db"]
-    srv = Server(db, max_connections=clients, sample_interval=0).start()
+    srv = Server(db, max_connections=clients).start()
     counts = {"arrived": 0, "admitted": 0, "inside": 0, "peak": 0}
     mutex = threading.Lock()
     everyone_waits = threading.Event()
@@ -327,7 +329,7 @@ def test_a_small_pool_never_fails_a_statement_for_want_of_frames():
     want of a frame, and once each statement is done -- still inside the
     engine, so nobody else's pins can be there -- no frame is pinned."""
     db = _build(wal=True)
-    srv = Server(db, lock_timeout=30.0, sample_interval=0).start()
+    srv = Server(db, lock_timeout=30.0).start()
     leaked, errors = [], []
     pool = db.storage.pool
 
@@ -422,7 +424,7 @@ def wal_server():
     for i, name in enumerate(["alice", "bob"]):
         db.insert("Emp1", {"name": name, "age": 30 + i,
                            "salary": 50_000 + 10_000 * i, "dept": None})
-    srv = Server(db, sample_interval=0).start()
+    srv = Server(db).start()
     yield srv
     srv.shutdown()
 

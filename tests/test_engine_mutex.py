@@ -8,14 +8,14 @@ a page asserts that the calling thread owns the mutex of the engine the pool
 belongs to, while served engines run
 
 * the observer-neutrality script with every HTTP endpoint scraped
-  between and during statements, the sampler ticking every 10 ms and
-  /health re-running the doctor on every scrape;
+  between and during statements and /health re-running the doctor on
+  every scrape;
 * DDL, ``explain`` and ``explain analyze``;
 * ``\\doctor``, ``\\verify`` and ``\\cold``;
 * a follower applying the replication stream, then promoted.
 
 Served planning runs before admission, so it must touch no page.  A
-violation on any thread -- connection, worker, sampler, sidecar, the
+violation on any thread -- connection, worker, sidecar, the
 follower's apply loop -- is recorded (some of those threads swallow
 exceptions) and fails the test.
 """
@@ -94,12 +94,11 @@ class _Rounds:
 
 def _served_script(owners: _Owners) -> None:
     db = _build(wal=True)
-    server = Server(db, sample_interval=0.01, health_ttl=1e-6)
+    server = Server(db, health_ttl=1e-6)
     owners.watch(server)
     server.start()
     sidecar = MetricsHTTPServer(server).start()
-    scrapes, ticks, stop = _Rounds(), _Rounds(), threading.Event()
-    server.sampler.add(ticks.finished)
+    scrapes, stop = _Rounds(), threading.Event()
 
     def scrape_loop() -> None:
         while not stop.is_set():
@@ -116,7 +115,6 @@ def _served_script(owners: _Owners) -> None:
             client.trace_enabled = True
             for text in _SCRIPT:
                 scrapes.wait_whole_round()
-                ticks.wait_whole_round()
                 client.execute(text)
             client.execute("define type NOTE (text: char[20])")
             client.execute("create Note: {own ref NOTE}")

@@ -222,7 +222,7 @@ def test_wait_event_series_conform():
 
     registry = MetricsRegistry()
     collector = WaitEventCollector(metrics=registry)
-    ctx = collector.begin_statement(1, "s1", "retrieve ( x )")
+    ctx = collector.begin_statement()
     collector.record("buffer_io", 0.004, count=2)
     collector.record("lock:Emp1", 0.010)
     collector.admission_granted(0.0002)
@@ -289,7 +289,7 @@ def test_wait_event_series_render_as_labelled_incs_would():
              ('lock:odd"name', 0.001, 1), ("admission_wait", 0.0002, 1)]
     registry = MetricsRegistry()
     collector = WaitEventCollector(metrics=registry)
-    ctx = collector.begin_statement(1, "s1", "retrieve ( x )")
+    ctx = collector.begin_statement()
     for event, seconds, count in waits:
         collector.record(event, seconds, count)
     cpu = collector.finish_statement(ctx, duration_s=0.05)["cpu"]
@@ -310,28 +310,3 @@ def test_wait_event_series_render_as_labelled_incs_would():
     assert wait_lines(registry.render_prometheus()) == \
         wait_lines(reference.render_prometheus())
     assert len(wait_lines(reference.render_prometheus())) == 2 * (2 + 6)
-
-
-def test_alert_series_conform():
-    """``alert_firing`` is a gauge flipping 0/1 per alert label;
-    ``alert_transitions_total`` counts labelled state changes."""
-    from repro.telemetry.tsstore import AlertEngine
-
-    registry = MetricsRegistry()
-    engine = AlertEngine(metrics=registry)
-    hot = {"firing": False}
-    engine.add_rule("hot", "too hot", lambda: (1.0, hot["firing"]))
-    samples, __, types, __ = parse_exposition(registry.render_prometheus())
-    assert types["alert_firing"] == "gauge"
-    assert _one(samples, "alert_firing", {"alert": "hot"}) == 0
-    hot["firing"] = True
-    engine.evaluate()
-    hot["firing"] = False
-    engine.evaluate()
-    samples, __, types, __ = parse_exposition(registry.render_prometheus())
-    assert types["alert_transitions_total"] == "counter"
-    assert _one(samples, "alert_firing", {"alert": "hot"}) == 0
-    assert _one(samples, "alert_transitions_total",
-                {"alert": "hot", "to": "firing"}) == 1
-    assert _one(samples, "alert_transitions_total",
-                {"alert": "hot", "to": "resolved"}) == 1

@@ -216,25 +216,21 @@ def test_release_wakes_waiters():
 
 
 class _Blocked:
-    """A wait-event collector that only notes that an acquire blocked."""
+    """A ``lock_waits_total`` counter that only notes that an acquire
+    blocked (the lock manager counts a request once, when it first
+    waits)."""
 
     def __init__(self):
         self.event = threading.Event()
 
-    def mark_waiting(self, event, detail=""):
+    def inc(self):
         self.event.set()
-
-    def unmark_waiting(self, token):
-        pass
-
-    def record(self, event, seconds, count=1):
-        pass
 
 
 def _blocked_acquire(lm, owner, footprint):
     """Run ``owner``'s acquire on a thread; return (thread, outcome) once
     it has blocked.  ``outcome`` gets "granted" or the exception."""
-    blocked = lm.waits = _Blocked()
+    blocked = lm._m_waits = _Blocked()
     outcome = []
 
     def acquire():

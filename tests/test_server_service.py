@@ -1,13 +1,19 @@
 """The TCP server end to end: handshake, statements, admission, drain."""
 
+import json
 import socket
 import struct
+import threading
+import urllib.error
+from urllib.request import urlopen
 
 import pytest
 
+import repro.server.__main__ as server_main
 from repro.errors import RemoteError
 from repro.server import connect
 from repro.server.client import ClientResult
+from repro.server.httpexpo import ENDPOINTS, MetricsHTTPServer
 from repro.server.service import Server
 
 
@@ -147,3 +153,42 @@ def test_sessions_closed_on_disconnect_release_locks(server):
     with connect(*server.address) as other:
         # must not block on the dead session's X(Emp1)
         other.execute("replace (Emp1.salary = 4)")
+
+
+def test_the_server_runs_no_sampling_layer(company, monkeypatch):
+    """No sampler thread, no sampling routes, verb or flags: a started
+    server adds only its accept thread, ``/ash``, ``/timeseries`` and
+    ``/alerts`` are unknown paths, ``ash`` is an unknown request kind,
+    and ``--sample-interval`` is refused before a database is opened."""
+    before = set(threading.enumerate())
+    server = Server(company["db"]).start()
+    sidecar = None
+    try:
+        assert [t.name for t in set(threading.enumerate()) - before] \
+            == ["repro-accept"]
+        sidecar = MetricsHTTPServer(server).start()
+        for path in ("/ash", "/timeseries", "/alerts"):
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urlopen(f"http://{sidecar.host}:{sidecar.port}{path}",
+                        timeout=10.0)
+            assert info.value.code == 404
+            assert json.loads(info.value.read())["endpoints"] == \
+                list(ENDPOINTS)
+        with connect(*server.address) as client:
+            with pytest.raises(RemoteError) as info:
+                client._request("ash")
+            assert info.value.code == "protocol_error"
+            assert "unknown request kind 'ash'" in str(info.value)
+            assert client.ping()
+    finally:
+        if sidecar is not None:
+            sidecar.shutdown()
+        server.shutdown()
+
+    def opened(path):
+        raise AssertionError("a database was opened")
+
+    monkeypatch.setattr(server_main, "open_database", opened)
+    with pytest.raises(SystemExit) as exit_info:
+        server_main.main(["--sample-interval", "1"])
+    assert exit_info.value.code == 2

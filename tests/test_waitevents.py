@@ -26,8 +26,7 @@ from repro.telemetry.waitevents import (
 
 @pytest.fixture()
 def server(company):
-    srv = Server(company["db"], max_connections=8, lock_timeout=5.0,
-                 sample_interval=0).start()
+    srv = Server(company["db"], max_connections=8, lock_timeout=5.0).start()
     yield srv
     srv.shutdown()
 
@@ -39,7 +38,7 @@ def server(company):
 
 def test_breakdown_sums_to_statement_wall_clock():
     collector = WaitEventCollector()
-    ctx = collector.begin_statement(1, "s1", "retrieve x")
+    ctx = collector.begin_statement()
     collector.record(BUFFER_IO, 0.020)
     collector.record(WAL_FLUSH, 0.010)
     breakdown = collector.finish_statement(ctx, duration_s=0.100)
@@ -57,7 +56,7 @@ def test_breakdown_sums_to_statement_wall_clock():
 
 def test_cpu_residual_clamps_at_zero():
     collector = WaitEventCollector()
-    ctx = collector.begin_statement(1, "s1", "retrieve x")
+    ctx = collector.begin_statement()
     collector.record(BUFFER_IO, 0.500)  # measured waits exceed the wall
     breakdown = collector.finish_statement(ctx, duration_s=0.100)
     assert breakdown[CPU] == 0.0
@@ -66,14 +65,13 @@ def test_cpu_residual_clamps_at_zero():
 def test_disabled_collector_is_a_noop():
     collector = WaitEventCollector()
     collector.enabled = False
-    assert collector.begin_statement(1, "s1", "x") is None
+    assert collector.begin_statement() is None
     collector.record(BUFFER_IO, 1.0)
     with collector.wait(BUFFER_IO):
         pass
     collector.admission_granted(1.0)
     assert collector.finish_statement(None, 1.0) == {}
     assert collector.totals() == []
-    assert collector.mark_waiting(ADMISSION_WAIT) is None
     assert collector.snapshot()["statements"] == 0
 
 
@@ -93,7 +91,7 @@ def test_disabled_collector_takes_no_pool_transfers():
     collector.attach_buffer_io(Pool)
     collector.enabled = False
     moved(1.0, 4)
-    ctx = collector.begin_statement(1, "s1", "x")
+    ctx = collector.begin_statement()
     with collector.buffer_io_share():
         moved(1.0, 4)
     assert ctx is None and collector.totals() == []
@@ -109,47 +107,9 @@ def test_disabled_collector_takes_no_pool_transfers():
     assert metrics.value("wait_events_total", event=BUFFER_IO) == 1
 
 
-def test_wait_context_manager_exposes_and_restores_current():
-    collector = WaitEventCollector()
-    ctx = collector.begin_statement(7, "s7", "retrieve x")
-    with collector.wait(BUFFER_IO, "read"):
-        assert ctx.current[0] == BUFFER_IO
-        with collector.wait("wal_flush"):
-            assert ctx.current[0] == "wal_flush"
-        # nested exit restores the outer wait, not None
-        assert ctx.current[0] == BUFFER_IO
-    assert ctx.current is None
-    breakdown = collector.finish_statement(ctx, 0.0)
-    assert BUFFER_IO in breakdown and "wal_flush" in breakdown
-
-
-def test_mark_waiting_records_no_time_but_shows_in_samples():
-    collector = WaitEventCollector()
-    collector.begin_statement(3, "s3", "replace x")
-    token = collector.mark_waiting("lock", "X(Emp1)")
-    samples = collector.sample()
-    assert len(samples) == 1
-    assert samples[0]["event"] == "lock"
-    assert samples[0]["detail"] == "X(Emp1)"
-    assert samples[0]["wait_s"] >= 0.0
-    collector.unmark_waiting(token)
-    # nothing was *recorded*: marking is ASH visibility only
-    assert collector.total_for("lock") == 0.0
-    assert collector.sample()[0]["event"] == CPU
-
-
-def test_sample_shows_cpu_for_executing_statements():
-    collector = WaitEventCollector()
-    collector.begin_statement(1, "a", "retrieve x")
-    [sample] = collector.sample()
-    assert sample["event"] == CPU
-    assert sample["statement"] == "retrieve x"
-    assert sample["statement_age_s"] >= 0.0
-
-
 def test_totals_shares_and_lock_rollup():
     collector = WaitEventCollector()
-    ctx = collector.begin_statement(1, "s", "x")
+    ctx = collector.begin_statement()
     collector.record(LOCK_PREFIX + "Emp1", 0.03)
     collector.record(LOCK_PREFIX + "Dept", 0.01)
     collector.finish_statement(ctx, 0.06)
@@ -178,11 +138,10 @@ def test_latch_instrumentation_feeds_histogram_and_hold_counter():
 
 
 def test_null_collector_surface_matches():
-    assert NULL_WAITS.begin_statement(1, "s", "x") is None
+    assert NULL_WAITS.begin_statement() is None
     assert NULL_WAITS.finish_statement(None, 1.0) == {}
     with NULL_WAITS.wait(BUFFER_IO):
         pass
-    assert NULL_WAITS.sample() == []
     assert NULL_WAITS.snapshot()["enabled"] is False
     assert "not collected" in NULL_WAITS.render_text()
 
@@ -220,9 +179,6 @@ def test_lock_contention_attributed_to_the_contended_resource(server):
         thread = threading.Thread(target=blocked)
         thread.start()
         time.sleep(0.3)  # let the waiter park on the lock
-        # the parked waiter must be visible to ASH sampling *now*
-        in_flight = server.db.telemetry.waits.sample()
-        assert any(s["event"] == "lock" for s in in_flight)
         holder.commit()
         thread.join(timeout=30.0)
     waits = server.db.telemetry.waits
@@ -243,7 +199,7 @@ def test_session_info_and_wait_totals_accumulate(server):
     assert row["admission_hold_ms"] >= 0.0
 
 
-def test_stats_verb_carries_waits_ash_alerts_documents(server):
+def test_stats_verb_carries_waits_and_no_sampling_documents(server):
     with connect(*server.address) as client:
         client.execute("retrieve (Emp1.name)")
         stats = client.stats()
@@ -251,8 +207,7 @@ def test_stats_verb_carries_waits_ash_alerts_documents(server):
     assert stats["waits"]["coverage"] >= 0.95
     assert {"admission_wait_seconds", "admission_hold_seconds"} <= \
         set(stats["waits"])
-    assert stats["ash"]["interval_s"] == 0
-    assert stats["alerts"]["evaluations"] == 0
+    assert "ash" not in stats and "alerts" not in stats
 
 
 def test_waits_meta_renders_the_share_table(server):
