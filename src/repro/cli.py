@@ -27,15 +27,17 @@ with ``;`` or a blank line.  Connected to a server, ``begin`` / ``commit``
     \\trace dump [file] print (or export as JSONL) the trace
     \\top [N [SECS]]    live server dashboard over the stats verb
                        (connected only; N frames, SECS apart; default 1)
-    \\monitor           workload observations + model-vs-actual drift
+    \\monitor           workload observations (joins, field updates)
+                       and the replication ledger
     \\fingerprints      per-statement-fingerprint analytics (calls, I/O,
                        lock waits, WAL bytes, p50/p95/p99 latency, and
                        the result cache's per-shape hit rate)
     \\cache [clear]     derived-result cache: entries, bytes, hit/miss/
                        invalidation counters, hottest entries
                        (``clear`` drops every entry)
-    \\ledger            replication cost/benefit ledger: measured net page
-                       benefit per replicated path (charges vs credits)
+    \\ledger            per replicated path: reads served, propagations,
+                       observed P_update and f, the Section 6 model's
+                       percentage against no replication, keep/drop
     \\waits             wait-event accounting: where statement wall-clock
                        went (engine latch, locks, buffer I/O, WAL flush,
                        replication acks, cpu residual)

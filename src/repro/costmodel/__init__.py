@@ -23,11 +23,7 @@ from repro.costmodel.model import (
     update_cost,
 )
 from repro.costmodel.params import CostParameters, DerivedParameters, ModelStrategy
-from repro.costmodel.sortedprobe import (
-    batched_read_cost,
-    expected_distinct,
-    sorted_probe_pages,
-)
+from repro.costmodel.sortedprobe import batched_read_cost, expected_distinct
 from repro.costmodel.yao import expected_pages, yao
 
 __all__ = [
@@ -54,7 +50,6 @@ __all__ = [
     "render_series_table",
     "rounded_up",
     "selected_values",
-    "sorted_probe_pages",
     "sweep",
     "total_cost",
     "update_cost",

@@ -64,6 +64,11 @@ class Recommendation:
     saving_percent: float = 0.0
     reasoning: str = ""
 
+    def percent_vs_none(self, strategy: ModelStrategy) -> float:
+        """``strategy``'s C_total against no replication, in percent."""
+        base = self.costs[ModelStrategy.NO_REPLICATION]
+        return 100.0 * (self.costs[strategy] - base) / base
+
     def ddl(self, path_text: str) -> str | None:
         """The statement to apply (None when replication doesn't pay)."""
         if self.strategy is ModelStrategy.NO_REPLICATION:

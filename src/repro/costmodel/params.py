@@ -64,6 +64,15 @@ class CostParameters:
             raise CostModelError("core parameters must be positive")
         if not (0 < self.f_r <= 1 and 0 < self.f_s <= 1):
             raise CostModelError("selectivities must be in (0, 1]")
+        if self.f > self.max_f:
+            raise CostModelError(
+                f"f = {self.f}: a link object holds at most {self.max_f} "
+                f"OIDs on a {self.B}-byte page")
+
+    @property
+    def max_f(self) -> int:
+        """The largest f whose link object (``h + l`` bytes) fits a page."""
+        return (self.B - self.h - self.link_id_bytes - self.type_tag_bytes) // self.oid_bytes
 
     @property
     def n_r(self) -> int:

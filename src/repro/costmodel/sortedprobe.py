@@ -11,7 +11,7 @@ the whole level in one ordered sweep -- so a page is touched at most once
 per sweep no matter how many probes land on it, and the sweep's cost is
 bounded by *both* the file size and the number of distinct objects probed:
 
-    sorted_probe_pages(P, d) = min(P, d)
+    min(P, d)
 
 where ``d`` is the expected number of *distinct* target objects among the
 ``c`` probes.  With exactly ``f`` referencers per S object, ``d`` is the
@@ -33,11 +33,6 @@ from __future__ import annotations
 from repro.costmodel.model import Setting, read_cost
 from repro.costmodel.params import CostParameters, ModelStrategy
 from repro.costmodel.yao import yao
-
-
-def sorted_probe_pages(pages: float, distinct_oids: float) -> float:
-    """Pages touched by one ordered sweep of ``distinct_oids`` probes."""
-    return float(min(pages, distinct_oids))
 
 
 def expected_distinct(n_s: float, f: float, probes: float) -> float:
@@ -77,7 +72,7 @@ def _sweep_term(params: CostParameters, strategy: ModelStrategy) -> float:
     else:
         return 0.0  # in-place reads have no join to batch
     swept = pages * yao(c.n_s, per_page, min(distinct, c.n_s))
-    return min(swept, sorted_probe_pages(pages, distinct))
+    return min(swept, pages, distinct)
 
 
 def batched_read_cost(params: CostParameters, strategy: ModelStrategy,

@@ -7,26 +7,31 @@ monitor gathers that knowledge from the running system:
 * every **functional join** a query performs is recorded against its path
   -- these are precisely the accesses replication could eliminate;
 * every **update** to a field is recorded against ``(type, field)`` -- the
-  writes replication would have to propagate.
+  writes replication would have to propagate;
+* every path that is *already* replicated keeps one account of plain
+  counts: the reads served from its replica (and their rows), and the
+  statements that propagated along it (with the source objects they
+  changed and the referencers the change reached).
 
 :meth:`WorkloadMonitor.candidates` then joins the two sides and hands each
 candidate path to the cost-model advisor, yielding ranked, ready-to-apply
-``replicate`` statements.
-
-When the database binds its replication ledger here (``monitor.ledger``),
-the ranking additionally covers paths that are *already* replicated: the
-ledger's measured net page benefit turns each live path into a ``keep``
-candidate (net >= 0) or a ``drop`` candidate (net < 0, propagation
-outweighing the reads it serves) -- measured candidates rank ahead of the
-advisor's nominal ones.
+``replicate`` statements.  A replicated path's account is priced only
+when it is read: the advisor's Section 6 model, at the path's observed
+P_update and sharing level f, gives its strategy's percentage difference
+in C_total against no replication -- ``keep`` when the strategy saves at
+least the advisor's bar for replicating at all, ``drop`` otherwise.  These
+measured candidates rank ahead of the advisor's nominal ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.costmodel.advisor import PathWorkload, Recommendation, recommend
-from repro.costmodel.params import ModelStrategy
+from repro.costmodel.advisor import MIN_WORTHWHILE_SAVING, PathWorkload, Recommendation, recommend
+from repro.costmodel.params import CostParameters, ModelStrategy
+
+#: a path whose observed f exceeds what the model can size is priced at it
+_MAX_F = CostParameters().max_f
 
 
 @dataclass
@@ -57,14 +62,32 @@ class FieldObservation:
     statements: int = 0
 
 
+@dataclass
+class PathAccount:
+    """What one replicated path served and propagated: plain counts."""
+
+    path: str
+    strategy: str  #: "inplace" | "separate"
+    #: retrieve statements that read the replica, and the rows they returned
+    reads: int = 0
+    rows: int = 0
+    #: statements that propagated a change along the path, the objects
+    #: they changed at its far end, and the referencers the change reached
+    #: (for a separate path: those sharing the rewritten replica)
+    updates: int = 0
+    owners: int = 0
+    referencers: int = 0
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One ranked replication candidate.
 
     Advisor-derived candidates (``action == "add"``) carry an observation
-    and a cost-model recommendation; ledger-derived candidates
-    (``action`` ``"keep"`` or ``"drop"``) instead carry the measured net
-    page benefit of an already-replicated path.
+    and a cost-model recommendation; account-derived candidates
+    (``action`` ``"keep"`` or ``"drop"``) instead carry the model's
+    percentage difference in C_total against no replication for an
+    already-replicated path, at its observed P_update and f.
     """
 
     path_text: str
@@ -73,7 +96,7 @@ class Candidate:
     estimated_p_update: float
     recommendation: Recommendation | None
     action: str = "add"
-    measured_net_io: float | None = None
+    percent_vs_none: float | None = None
 
     @property
     def ddl(self) -> str | None:
@@ -90,12 +113,8 @@ class WorkloadMonitor:
     def __init__(self) -> None:
         self._paths: dict[tuple, PathObservation] = {}
         self._fields: dict[tuple, FieldObservation] = {}
-        #: optional DriftMonitor; the Database binds its telemetry's here so
-        #: ``report()`` can append model-vs-actual drift.
-        self.drift = None
-        #: optional ReplicationLedger; the Database binds its telemetry's
-        #: here so ``candidates()`` can rank live paths by measured benefit.
-        self.ledger = None
+        #: replicated path text -> its account
+        self._accounts: dict[str, PathAccount] = {}
 
     # -- recording (called by the executor / Database) -----------------------
 
@@ -120,10 +139,39 @@ class WorkloadMonitor:
         obs.updates += rows
         obs.statements += 1
 
+    def _account(self, path) -> PathAccount:
+        account = self._accounts.get(path.text)
+        if account is None:
+            account = PathAccount(path.text, path.strategy.value)
+            self._accounts[path.text] = account
+        return account
+
+    def record_served(self, path, rows: int) -> None:
+        """A retrieve read ``rows`` rows from replicated ``path``."""
+        account = self._account(path)
+        account.reads += 1
+        account.rows += rows
+
+    def record_propagation(self, path, owners: int, referencers: int,
+                           statement: bool = True) -> None:
+        """A statement changed ``owners`` objects at ``path``'s terminal end
+        and propagated the change to ``referencers`` (``statement=False``:
+        a lazy refresh, adding to the statements that invalidated)."""
+        account = self._account(path)
+        if statement:
+            account.updates += 1
+        account.owners += owners
+        account.referencers += referencers
+
+    def forget(self, path_text: str) -> None:
+        """Drop one path's account (its ``drop replicate`` ran)."""
+        self._accounts.pop(path_text, None)
+
     def reset(self) -> None:
         """Forget everything recorded so far."""
         self._paths.clear()
         self._fields.clear()
+        self._accounts.clear()
 
     # -- reporting ------------------------------------------------------------
 
@@ -160,27 +208,18 @@ class WorkloadMonitor:
         the cost model; callers can pass measured values when they have
         them.
 
-        If a replication ledger is bound, every path with ledger activity
-        additionally yields a *measured* candidate: ``keep`` when its net
-        page benefit is non-negative, ``drop`` when propagation has cost
-        more than the reads it served.  Measured candidates rank first
-        (ordered by how much there is to gain: worst drop first).
+        Every replicated path with an account additionally yields a
+        *measured* candidate, priced as :meth:`ledger` prices it (with the
+        same selectivities, ``n_s``, ``clustered`` and weighting): ``keep``
+        when its strategy is predicted to save what the advisor asks of a
+        new path, ``drop`` when it is not.  Measured candidates rank first,
+        worst drop first.
         """
-        out = []
-        if self.ledger is not None:
-            for entry in self.ledger.entries():
-                net = entry["net_pages"]
-                out.append(
-                    Candidate(
-                        path_text=entry["path"],
-                        observation=None,
-                        update_statements=entry["propagations"],
-                        estimated_p_update=0.0,
-                        recommendation=None,
-                        action="drop" if net < 0 else "keep",
-                        measured_net_io=net,
-                    )
-                )
+        out = [Candidate(row["path"], None, row["updates"], row["p_update"],
+                         None, row["verdict"], row["percent_vs_none"])
+               for row in self.ledger(f_r=f_r, f_s=f_s, n_s=n_s,
+                                      clustered=clustered,
+                                      weight_by_rows=weight_by_rows)]
         for obs in self.path_observations():
             if obs.queries < min_queries:
                 continue
@@ -205,9 +244,50 @@ class WorkloadMonitor:
                 )
             )
         out.sort(key=lambda c: (
-            (0, c.measured_net_io) if c.measured_net_io is not None
+            (0, -c.percent_vs_none) if c.percent_vs_none is not None
             else (1, -c.recommendation.saving_percent)))
         return out
+
+    def ledger(self, f_r: float = 0.001, f_s: float = 0.001,
+               n_s: int = 10_000, clustered: bool = False,
+               weight_by_rows: bool = False) -> list[dict]:
+        """Every replicated path's account priced by the Section 6 model,
+        worst first.
+
+        P_update is the share of the path's statements that propagated
+        (with ``weight_by_rows=True``: changed source objects against
+        rows served), f the referencers per changed source object, capped
+        at the largest the model can size.  The advisor prices the path's
+        strategy against no replication there: ``keep`` when it saves
+        the advisor's bar for recommending a path at all
+        (:data:`MIN_WORTHWHILE_SAVING`), ``drop`` otherwise.
+        """
+        rows = []
+        # a served engine's readers run outside its mutex: copy first
+        for account in dict(self._accounts).values():
+            update_weight = account.owners if weight_by_rows else account.updates
+            read_weight = account.rows if weight_by_rows else account.reads
+            total = read_weight + update_weight
+            p_update = update_weight / total if total else 0.0
+            f = (min(_MAX_F, max(1, round(account.referencers / account.owners)))
+                 if account.owners else 1)
+            rec = recommend(PathWorkload(
+                update_probability=p_update, f=f, f_r=f_r, f_s=f_s,
+                n_s=n_s, clustered=clustered))
+            percent = rec.percent_vs_none(ModelStrategy(account.strategy))
+            rows.append({**vars(account), "p_update": p_update, "f": f,
+                         "percent_vs_none": percent,
+                         "verdict": ("keep" if -percent >= MIN_WORTHWHILE_SAVING
+                                     else "drop")})
+        rows.sort(key=lambda r: (-r["percent_vs_none"], r["path"]))
+        return rows
+
+    def render_ledger(self) -> str:
+        """The ``\\ledger`` table: :meth:`ledger` at the model's defaults."""
+        rows = self.ledger()
+        if not rows:
+            return "(no replication activity recorded)"
+        return "\n".join(ledger_lines(rows))
 
     def report(self) -> str:
         """A human-readable summary."""
@@ -228,18 +308,27 @@ class WorkloadMonitor:
                 f"  {fobs.type_name}.{fobs.field_name:25s} "
                 f"{fobs.statements:5d} statements, {fobs.updates:7d} objects"
             )
-        if self.ledger is not None and len(self.ledger):
-            lines.append("replication ledger (measured net benefit):")
-            for entry in self.ledger.entries():
-                verdict = "keep" if entry["net_pages"] >= 0 else "drop"
-                lines.append(
-                    f"  {entry['path']:35s} net {entry['net_pages']:+10.1f} "
-                    f"pages ({entry['reads_served']} reads credited, "
-                    f"{entry['propagations']} propagations charged) -> {verdict}"
-                )
-        if self.drift is not None and self.drift.records:
-            lines.append(self.drift.report())
+        rows = self.ledger()
+        if rows:
+            lines.append("replication ledger (Section 6 model at the observed "
+                         "P_update and f):")
+            lines.extend("  " + line for line in ledger_lines(rows))
         return "\n".join(lines)
+
+
+def ledger_lines(rows: list[dict]) -> list[str]:
+    """A header and one line per :meth:`WorkloadMonitor.ledger` row (the
+    ``\\ledger`` table, ``\\monitor``'s ledger section, ``\\top``'s pane)."""
+    lines = [f"{'reads':>6} {'rows':>7} {'updates':>7} {'owners':>6} "
+             f"{'refs':>7} {'P_update':>8} {'f':>4} {'vs none':>8}  "
+             f"verdict  path"]
+    for r in rows:
+        lines.append(
+            f"{r['reads']:6d} {r['rows']:7d} {r['updates']:7d} "
+            f"{r['owners']:6d} {r['referencers']:7d} {r['p_update']:8.3f} "
+            f"{r['f']:4d} {r['percent_vs_none']:+7.1f}%  {r['verdict']:7s}  "
+            f"{r['path']}")
+    return lines
 
 
 def apply_recommendations(db, candidates: list[Candidate],

@@ -27,14 +27,9 @@ from repro.query.plan import (
     RetrievePlan,
     UpdatePlan,
 )
-from repro.costmodel.sortedprobe import sorted_probe_pages
 from repro.schema.database import Database
 from repro.storage.oid import OID
 from repro.storage.stats import IOSnapshot
-from repro.telemetry.repledger import (
-    counterfactual_hop_pages,
-    counterfactual_join_pages,
-)
 
 
 @dataclass
@@ -327,62 +322,23 @@ def _collect_victims(db: Database, plan, analyze: bool):
 
 def _record_replicated_reads(db: Database, plan: RetrievePlan,
                              rows: int) -> None:
-    """Feed the replication ledger: every read served from a replicated
-    field is credited with the functional join it avoided, priced by the
-    sorted-probe counterfactual.  Pure arithmetic over in-memory page
-    counts -- no I/O of its own.
-    """
-    ledger = db.telemetry.repledger
-    if rows == 0 or not ledger.enabled:
+    """Feed the workload monitor's per-path account: one served read per
+    replicated path the plan read from, in its steps or its ``where``."""
+    if rows == 0:
         return
-    for step in plan.steps:
-        _credit_step(db, ledger, step, rows)
+    served = {step.path_text for step in plan.steps
+              if isinstance(step, (HiddenField, ReplicaFetch, HiddenRefJump))}
     if plan.where is not None:
         for clause in plan.where.clauses:
             ref = clause.ref
-            if not ref.chain:
-                continue
-            path = db.catalog.find_path(plan.set_name, ref.chain, ref.field)
-            if path is None:
-                continue
-            # rows (the result count) is a conservative lower bound on how
-            # many scanned objects had the predicate answered from the
-            # replica; the true count is the scan cardinality.
-            if path.hidden_fields:
-                ledger.credit(path.text,
-                              counterfactual_join_pages(db, path, rows),
-                              rows=rows)
-            elif path.hidden_ref is not None:
-                _credit_replica_fetch(db, ledger, path, rows)
-
-
-def _credit_step(db: Database, ledger, step, rows: int) -> None:
-    if isinstance(step, HiddenField):
-        path = db.catalog.get_path(step.path_text)
-        ledger.credit(path.text, counterfactual_join_pages(db, path, rows),
-                      rows=rows)
-    elif isinstance(step, ReplicaFetch):
-        path = db.catalog.get_path(step.path_text)
-        _credit_replica_fetch(db, ledger, path, rows)
-    elif isinstance(step, HiddenRefJump):
-        # The jump avoids the intermediate hops of the prefix chain but
-        # still reads the prefix-terminal object through the stored OID,
-        # so that final hop earns no credit.
-        path = db.catalog.get_path(step.path_text)
-        avoided = 0.0
-        for type_name in path.resolved.type_names[1:-1]:
-            avoided += counterfactual_hop_pages(db, type_name, rows)
-        ledger.credit(path.text, avoided, rows=rows)
-
-
-def _credit_replica_fetch(db: Database, ledger, path, rows: int) -> None:
-    """A separate-strategy replica read: the avoided join, minus what the
-    replica sweep itself costs (floored at zero)."""
-    replica_set = db.replication.replica_sets.get(path.path_id)
-    sweep = sorted_probe_pages(replica_set.num_pages(), rows) \
-        if replica_set is not None else 0.0
-    avoided = counterfactual_join_pages(db, path, rows)
-    ledger.credit(path.text, max(0.0, avoided - sweep), rows=rows)
+            if ref.chain:
+                path = db.catalog.find_path(plan.set_name, ref.chain, ref.field)
+                if path is not None:
+                    served.add(path.text)
+    # rows is the result count: for a replicated predicate, a lower bound
+    # on the scanned objects the replica answered it for
+    for text in served:
+        db.monitor.record_served(db.catalog.get_path(text), rows)
 
 
 def _record_joins(db: Database, plan: RetrievePlan, rows: int) -> None:

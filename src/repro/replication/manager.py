@@ -39,7 +39,6 @@ from repro.errors import (
     IntegrityError,
     ReplicationError,
 )
-from repro.costmodel.sortedprobe import sorted_probe_pages
 from repro.objects.instance import StoredObject, _default_for
 from repro.objects.store import ObjectStore, ReadMemo
 from repro.objects.types import FieldDef, FieldKind, TypeDefinition
@@ -84,6 +83,12 @@ class ReplicationManager:
         #: set by the Database facade: lazy refreshes drain outside any DML
         #: statement, so they open their own WAL statement scope through it
         self.recovery = None
+        #: set by the Database facade: the workload monitor, which keeps
+        #: each path's account of propagating statements
+        self.monitor = None
+        #: this statement's propagations: path text -> [path, owners,
+        #: referencers], recorded once per path when the statement ends
+        self._propagated: dict[str, list] = {}
         metrics = self.telemetry.metrics
         self._m_propagations = metrics.counter(
             "replication_propagations_total",
@@ -538,6 +543,7 @@ class ReplicationManager:
         it (a source object whose reference attribute moved gets fresh
         replicated values).
         """
+        self._propagated.clear()  # a statement that raised counts nothing
         own: dict[OID, dict[str, object]] = {}
         # (path id, link id, values) -> (path, link, owners)
         pushes: dict[tuple, tuple] = {}
@@ -582,7 +588,29 @@ class ReplicationManager:
             else:
                 self._rewrite_hidden_over_closures(path, link, owners,
                                                    dict(values))
+        self._record_propagations()
         return own
+
+    def _count_propagation(self, path: ReplicationPath, owners: int,
+                           referencers: int) -> None:
+        """Add one push along ``path`` to this statement's tally."""
+        tally = self._propagated.setdefault(path.text, [path, 0, 0])
+        tally[1] += owners
+        tally[2] += referencers
+
+    def _invalidate(self, path: ReplicationPath, oid: OID) -> None:
+        """Defer a lazy push to the path's next refresh, which counts the
+        owners and referencers; the statement counts as propagating."""
+        self.lazy.invalidate(path, oid)
+        self._count_propagation(path, 0, 0)
+
+    def _record_propagations(self, statement: bool = True) -> None:
+        """A statement (or a lazy refresh) ends: one propagating
+        statement per path it pushed along, however many pushes."""
+        for path, owners, referencers in self._propagated.values():
+            self.monitor.record_propagation(path, owners, referencers,
+                                            statement)
+        self._propagated.clear()
 
     def _write_replica(self, rentry, new: StoredObject,
                        changed: set[str]) -> None:
@@ -597,8 +625,8 @@ class ReplicationManager:
         if not touched:
             return
         self._m_replica_writes.inc()
-        # a separate-strategy propagation dirties one replica page
-        self.telemetry.repledger.charge(path.text, 1.0, fanout=1)
+        # one replica rewritten; its referencers read the new value
+        self._count_propagation(path, 1, rentry.refcount)
         with self.telemetry.tracer.span("update_propagation",
                                         path=path.text,
                                         kind="replica_write"):
@@ -617,7 +645,7 @@ class ReplicationManager:
             if position == path.level and any(
                     f in changed for f in path.replicated_field_names):
                 if path.lazy:
-                    self.lazy.invalidate(path, oid)
+                    self._invalidate(path, oid)
                 else:
                     values = tuple(self._values_from(path, new).items())
                     key = (path.path_id, link.link_id, values)
@@ -666,7 +694,7 @@ class ReplicationManager:
                           new: StoredObject) -> None:
         """Push current terminal values to every source object under ``oid``."""
         if path.lazy:
-            self.lazy.invalidate(path, oid)
+            self._invalidate(path, oid)
             return
         self.push_values(path, link, oid, new)
 
@@ -745,11 +773,7 @@ class ReplicationManager:
             span.set("fanout", fanout)
             span.set("pages", pages)
         self._m_fanout.inc(fanout)
-        # the fan-out rewrite dirties at most one source page per distinct
-        # target object -- the same sorted-probe bound the batched join obeys
-        self.telemetry.repledger.charge(
-            path.text, sorted_probe_pages(source_set.num_pages(), fanout),
-            fanout=fanout)
+        self._count_propagation(path, len(owners), fanout)
 
     # ------------------------------------------------------------------
     # hidden-field writes (index-maintaining)
@@ -816,6 +840,7 @@ class ReplicationManager:
         return self._refresh_path_inner(path)
 
     def _refresh_path_inner(self, path: ReplicationPath) -> int:
+        self._propagated.clear()
         refreshed = 0
         link = self.catalog.get_link(path.link_sequence[-1])
         for owner_oid in self.lazy.drain(path):
@@ -824,6 +849,7 @@ class ReplicationManager:
             self.push_values(path, link, owner_oid,
                              self.store.read(owner_oid), fresh=True)
             refreshed += 1
+        self._record_propagations(statement=False)
         return refreshed
 
     def refresh_all(self) -> int:

@@ -95,8 +95,7 @@ class Database:
         from repro.monitor import WorkloadMonitor
 
         self.monitor = WorkloadMonitor()
-        self.monitor.drift = self.telemetry.drift
-        self.monitor.ledger = self.telemetry.repledger
+        self.replication.monitor = self.monitor
         #: opt-in: let the planner fall back to file scans when the §6-style
         #: cost estimate says the index would read more pages (§7.1)
         self.cost_based_planning = cost_based_planning
@@ -197,7 +196,7 @@ class Database:
     def drop_replication(self, path_text: str) -> None:
         """Remove a replication path and its structures."""
         self.replication.drop_path(path_text)
-        self.telemetry.repledger.forget(path_text)
+        self.monitor.forget(path_text)
         self.recovery.on_ddl()
         self._invalidate_ddl()
 

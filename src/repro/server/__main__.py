@@ -14,8 +14,7 @@ With ``--save FILE`` the drained database is snapshotted before exit.
 
 ``--metrics-port N`` starts the HTTP observability sidecar (0 picks an
 ephemeral port); its address is printed as a second ``metrics on
-host:port`` line.  ``--slow-ms`` sets the slow-query threshold the /slow
-endpoint and ``slow_queries_total`` count against.
+host:port`` line.
 """
 
 from __future__ import annotations
@@ -53,16 +52,11 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="re-run the /health doctor check at most once "
                              "per this many seconds (<= 0: only at start)")
-    parser.add_argument("--slow-ms", type=float, default=None, metavar="MS",
-                        help="slow-query log threshold in milliseconds")
     parser.add_argument("--cache", action="store_true",
                         help="enable the derived-result cache by default "
                              "(sessions may override with \\set cache)")
     parser.add_argument("--cache-bytes", type=int, default=None, metavar="N",
                         help="result-cache byte budget (default 4 MiB)")
-    parser.add_argument("--no-replication", action="store_true",
-                        help="do not record a replication log (followers "
-                             "cannot subscribe)")
     parser.add_argument("--sync-replicas", type=int, default=0, metavar="K",
                         help="acknowledge a write only after K followers "
                              "have applied it (0: fully asynchronous)")
@@ -70,10 +64,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="give up on the sync-replica quorum after this "
                              "long (counted, then acked anyway)")
-    parser.add_argument("--repl-log-entries", type=int, default=10_000,
-                        metavar="N",
-                        help="committed statements retained for follower "
-                             "catch-up (older followers must re-seed)")
     parser.add_argument("--drain-timeout", type=float, default=10.0,
                         metavar="SECONDS",
                         help="graceful-shutdown bound on flushing the WAL "
@@ -90,16 +80,12 @@ def main(argv: list[str] | None = None) -> int:
         db.resultcache.enabled = True
     if args.cache_bytes is not None:
         db.resultcache.capacity_bytes = max(1, args.cache_bytes)
-    if args.slow_ms is not None:
-        db.telemetry.slowlog.configure(threshold_ms=args.slow_ms)
     server = Server(db, host=args.host, port=args.port,
                     max_connections=args.max_connections,
                     lock_timeout=args.lock_timeout,
                     health_ttl=args.health_ttl,
-                    replication=not args.no_replication,
                     sync_replicas=args.sync_replicas,
                     sync_timeout=args.sync_timeout,
-                    repl_log_entries=args.repl_log_entries,
                     drain_timeout=args.drain_timeout)
     server.start()
     print(f"listening on {server.host}:{server.port}", flush=True)

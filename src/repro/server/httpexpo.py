@@ -14,7 +14,7 @@ over plain GET:
 * ``/slow`` -- the slow-query ring as JSON, newest last, plus the
   per-fingerprint grouping of repeated offenders;
 * ``/statements`` -- per-fingerprint statement statistics and the
-  replication cost/benefit ledger;
+  replication ledger;
 * ``/cache`` -- the derived-result cache snapshot (entries, bytes,
   hit/miss/invalidation counters, hottest entries).
 

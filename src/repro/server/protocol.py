@@ -47,7 +47,8 @@ waits and hottest resources, WAL posture, slow-query tail, statement
 fingerprints, replication ledger).  The ``statements`` verb returns
 ``{"kind": "statements", "statements": {"fingerprints": {...},
 "ledger": [...]}}`` -- the full per-fingerprint statement statistics and
-the replication cost/benefit ledger.
+the replication ledger (each replicated path's account, priced by the
+Section 6 model).
 
 **Replication verbs** carry the WAL-shipping stream between a primary
 and its followers (see :mod:`repro.server.replog` /

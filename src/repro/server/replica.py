@@ -163,8 +163,7 @@ class Replica:
                  name: str = "replica", max_lag_statements: int = 64,
                  poll_wait: float = 0.5, link_timeout: float | None = None,
                  min_backoff: float = 0.05, max_backoff: float = 2.0,
-                 jitter_seed: int = 0, net_faults=None,
-                 repl_log_entries: int = 10_000) -> None:
+                 jitter_seed: int = 0, net_faults=None) -> None:
         if db is None:
             from repro.schema.database import Database
 
@@ -188,8 +187,7 @@ class Replica:
         self.net_faults = net_faults
         #: the follower's own (passive) hub: applied entries are relayed
         #: into its log so a promoted node can serve the stream onward
-        self.hub = ReplicationHub(db, max_entries=repl_log_entries,
-                                  attach=False)
+        self.hub = ReplicationHub(db, attach=False)
         #: replaced by ReplicaServer with its engine mutex: applying an
         #: entry then runs alone in the served engine, like a statement
         self.latch = threading.RLock()

@@ -37,9 +37,8 @@ class Server:
 
     def __init__(self, db=None, host: str = "127.0.0.1", port: int = 0,
                  max_connections: int = 32, lock_timeout: float = 10.0,
-                 health_ttl: float = 30.0, replication: bool | None = None,
-                 sync_replicas: int = 0, sync_timeout: float = 5.0,
-                 repl_log_entries: int = 10_000, drain_timeout: float = 10.0,
+                 health_ttl: float = 30.0, sync_replicas: int = 0,
+                 sync_timeout: float = 5.0, drain_timeout: float = 10.0,
                  hub=None) -> None:
         if db is None:
             from repro.schema.database import Database
@@ -50,21 +49,16 @@ class Server:
         self.port = port
         self.max_connections = max_connections
         self.sessions = SessionManager(db, lock_timeout=lock_timeout)
-        #: WAL shipping: a WAL-backed database gets a ReplicationHub by
-        #: default (``replication=False`` opts out); a wal-less database
-        #: cannot ship and silently serves without one.  A follower passes
-        #: its own passive ``hub`` in instead.
+        #: WAL shipping: a WAL-backed database gets a ReplicationHub; a
+        #: wal-less database cannot ship and serves without one.  A
+        #: follower passes its own passive ``hub`` in instead.
         self.drain_timeout = drain_timeout
         self.hub = hub
-        if self.hub is None:
-            enable = (db.recovery.wal is not None
-                      if replication is None else replication)
-            if enable and db.recovery.wal is not None:
-                from repro.server.replog import ReplicationHub
+        if self.hub is None and db.recovery.wal is not None:
+            from repro.server.replog import ReplicationHub
 
-                self.hub = ReplicationHub(db, max_entries=repl_log_entries,
-                                          sync_replicas=sync_replicas,
-                                          sync_timeout=sync_timeout)
+            self.hub = ReplicationHub(db, sync_replicas=sync_replicas,
+                                      sync_timeout=sync_timeout)
         self.sessions.hub = self.hub
         self.sessions.replication_status = self._replication_status
         metrics = db.telemetry.metrics
@@ -492,7 +486,7 @@ class Server:
                 "top": telemetry.statements.top(5, order_by="calls"),
             },
             "cache": db.resultcache.snapshot(),
-            "ledger": telemetry.repledger.entries(),
+            "ledger": db.monitor.ledger(),
             "replication": self._replication_status(),
             "waits": {
                 **telemetry.waits.snapshot(),
@@ -519,7 +513,7 @@ class Server:
         """
         return {
             "fingerprints": self.db.telemetry.statements.snapshot(),
-            "ledger": self.db.telemetry.repledger.entries(),
+            "ledger": self.db.monitor.ledger(),
         }
 
     def health(self) -> dict:

@@ -131,7 +131,7 @@ def meta_text(db, command: str, args: list[str]) -> str | None:
             return f"result cache cleared ({dropped} entries dropped)"
         return db.resultcache.render_text()
     if command == "ledger":
-        return db.telemetry.repledger.render_text()
+        return db.monitor.render_ledger()
     if command == "waits":
         return db.telemetry.waits.render_text()
     if command == "verify":

@@ -12,8 +12,8 @@ resources, the wait-event profile (where statement wall-clock went,
 with the time statements waited for the engine mutex and held it),
 WAL posture, the slow-query tail
 grouped by fingerprint, the hottest statement fingerprints, and the
-replication ledger's measured net benefit per path.  The connected
-shell's ``\\top`` meta-command drives the same renderer.
+replication ledger: each replicated path's account and its verdict.
+The connected shell's ``\\top`` meta-command drives the same renderer.
 
 Polling reads counters only -- the stats snapshot does no page I/O and
 never blocks statement admission -- so watching a server does not
@@ -25,6 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+
+from repro.monitor import ledger_lines
 
 
 def _rate(current: dict, previous: dict | None, key: str,
@@ -170,16 +172,9 @@ def render_top(stats: dict, prev: dict | None = None,
                 f"seen {f.get('last_seen_seconds', 0.0)}s ago")
     ledger = stats.get("ledger") or []
     if ledger:
-        lines.append("replication ledger (net pages; + pays for itself):")
-        for entry in ledger:
-            net = entry.get("net_pages", 0.0)
-            lines.append(
-                f"  {net:+10.1f}  "
-                f"credit {entry.get('credited_pages', 0.0):8.1f} "
-                f"({entry.get('reads_served', 0)} reads)  "
-                f"charge {entry.get('charged_pages', 0.0):8.1f} "
-                f"({entry.get('propagations', 0)} props)  "
-                f"{entry.get('path', '')}")
+        lines.append("replication ledger (Section 6 model; + costs more "
+                     "than no replication):")
+        lines.extend("  " + line for line in ledger_lines(ledger))
     detail = stats.get("sessions_detail") or []
     if detail:
         lines.append("sessions:")

@@ -1,6 +1,6 @@
-"""repro.telemetry: tracing, metrics, and model-drift monitoring.
+"""repro.telemetry: tracing, metrics, statement analytics and wait events.
 
-One :class:`Telemetry` object per database bundles the three observability
+One :class:`Telemetry` object per database bundles the observability
 surfaces:
 
 * :class:`~repro.telemetry.tracing.Tracer` -- structured per-query spans
@@ -8,25 +8,22 @@ surfaces:
 * :class:`~repro.telemetry.metrics.MetricsRegistry` -- counters, gauges,
   and histograms fed by the buffer pool, disk, replication manager, and
   indexes, rendered plain or Prometheus-style;
-* :class:`~repro.telemetry.drift.DriftMonitor` -- the Section 6 cost
-  model's predictions scored against measured query I/O;
 * :class:`~repro.telemetry.slowlog.SlowQueryLog` -- a bounded ring of
   statements that crossed the latency threshold, with their plan, I/O,
   lock-wait breakdown, and outcome;
 * :class:`~repro.telemetry.statstats.StatementStats` -- per-fingerprint
   statement aggregates (calls, rows, I/O, lock waits, WAL bytes, and a
   streaming latency histogram);
-* :class:`~repro.telemetry.repledger.ReplicationLedger` -- measured
-  charge/credit accounting per replication path, feeding the workload
-  monitor's keep/add/drop ranking;
 * :class:`~repro.telemetry.waitevents.WaitEventCollector` -- wait-event
   accounting (engine latch, locks, buffer I/O, WAL flush, quorum acks,
   cpu residual) attributing every second of statement wall-clock
   to a named wait.
 
-Everything is off-or-cheap by default: tracing is opt-in, metric
-increments are plain dict updates, and drift records are only produced by
-the model workload driver.
+Everything is off-or-cheap by default: tracing is opt-in and metric
+increments are plain dict updates.  What each replication path served
+and propagated is counted by the workload monitor (:mod:`repro.monitor`),
+and model-vs-actual drift by the Section 6 workload simulator
+(:mod:`repro.workloads.drift`).
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-from repro.telemetry.drift import DriftMonitor, DriftRecord
 from repro.telemetry.metrics import (
     NULL_METRICS,
     Counter,
@@ -43,7 +39,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.telemetry.repledger import ReplicationLedger
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.statstats import StatementStats
 from repro.telemetry.tracing import Span, Tracer
@@ -62,10 +57,8 @@ class Telemetry:
         self.waits = WaitEventCollector(metrics=self.metrics)
         self._tracer = Tracer()
         self._tracer_local = threading.local()
-        self.drift = DriftMonitor()
         self.slowlog = SlowQueryLog(metrics=self.metrics)
         self.statements = StatementStats(metrics=self.metrics)
-        self.repledger = ReplicationLedger(metrics=self.metrics)
         # Pre-register the query histograms so their help text is set
         # before the runner's get-or-create observe() calls.
         self.metrics.histogram("query_io_pages",
@@ -105,17 +98,13 @@ class Telemetry:
         """Forget everything recorded so far (tracing stays on/off as is)."""
         self.metrics.reset()
         self.tracer.clear()
-        self.drift.reset()
         self.slowlog.clear()
         self.statements.clear()
-        self.repledger.clear()
         self.waits.reset()
 
 
 __all__ = [
     "Counter",
-    "DriftMonitor",
-    "DriftRecord",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -123,7 +112,6 @@ __all__ = [
     "NULL_WAITS",
     "NullMetricsRegistry",
     "NullWaitCollector",
-    "ReplicationLedger",
     "SlowQueryLog",
     "StatementStats",
     "Span",

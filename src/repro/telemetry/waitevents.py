@@ -67,10 +67,6 @@ CPU = "cpu"
 #: lock waits are per-resource: ``lock:Emp1``, ``lock:__schema``, ...
 LOCK_PREFIX = "lock:"
 
-#: the taxonomy (lock waits appear as ``lock:<resource>``).
-WAIT_EVENTS = (ADMISSION_WAIT, LOCK_PREFIX + "<resource>", BUFFER_IO,
-               WAL_FLUSH, REPL_ACK, CPU)
-
 #: admission wait histogram bounds (seconds): admission is normally
 #: uncontended (microseconds), but behind a long statement or a doctor
 #: pass waits reach tens of milliseconds -- the buckets must resolve both.

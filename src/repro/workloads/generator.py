@@ -27,6 +27,7 @@ from repro.errors import CostModelError
 from repro.objects.types import TypeDefinition, char_field, int_field, ref_field
 from repro.schema.database import Database
 from repro.storage.oid import OID
+from repro.workloads.drift import DriftMonitor
 
 #: bytes of RTYPE taken by field_r + sref
 _R_FIXED = 4 + 8
@@ -81,6 +82,8 @@ class ModelDatabase:
     config: WorkloadConfig
     s_oids: list[OID] = field(default_factory=list)
     r_oids: list[OID] = field(default_factory=list)
+    #: every measured query's model prediction beside its observed I/O
+    drift: DriftMonitor = field(default_factory=DriftMonitor)
 
 
 def build_model_database(config: WorkloadConfig) -> ModelDatabase:

@@ -69,8 +69,8 @@ def run_read_query(mdb: ModelDatabase, rng: random.Random,
                    materialize: bool = True) -> int:
     """One cold-cache read query; returns its physical I/O.
 
-    Every measured query also feeds the database's drift monitor with
-    the cost model's prediction for this configuration.
+    Every measured query also feeds the model database's drift monitor
+    with the cost model's prediction for this configuration.
     """
     cfg = mdb.config
     span = cfg.objects_per_read
@@ -86,7 +86,7 @@ def run_read_query(mdb: ModelDatabase, rng: random.Random,
     mdb.db.storage.pool.flush_all()  # charge deferred write-backs to this query
     assert len(result) == span
     observed = (mdb.db.stats.snapshot() - before).total_io
-    mdb.db.telemetry.drift.record(
+    mdb.drift.record(
         "read", cfg.strategy, model_prediction(cfg, "read"), observed)
     return observed
 
@@ -107,7 +107,7 @@ def run_update_query(mdb: ModelDatabase, rng: random.Random) -> int:
     mdb.db.storage.pool.flush_all()  # charge deferred write-backs to this query
     assert len(result) == span
     observed = (mdb.db.stats.snapshot() - before).total_io
-    mdb.db.telemetry.drift.record(
+    mdb.drift.record(
         "update", cfg.strategy, model_prediction(cfg, "update"), observed)
     return observed
 

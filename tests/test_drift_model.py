@@ -23,7 +23,7 @@ def test_read_drift_under_15_percent_unclustered(strategy):
     rng = random.Random(cfg.seed + 1)
     for __ in range(6):
         run_read_query(mdb, rng)
-    drift = mdb.db.telemetry.drift
+    drift = mdb.drift
     assert len(drift.select(kind="read", strategy=strategy)) == 6
     assert drift.mean_rel_error("read", strategy) < 0.15
 
@@ -34,7 +34,7 @@ def test_update_drift_is_recorded_and_bounded():
     rng = random.Random(cfg.seed + 1)
     for __ in range(6):
         run_update_query(mdb, rng)
-    drift = mdb.db.telemetry.drift
+    drift = mdb.drift
     records = drift.select(kind="update", strategy="inplace")
     assert len(records) == 6
     predicted = model_prediction(cfg, "update")
@@ -42,16 +42,6 @@ def test_update_drift_is_recorded_and_bounded():
     # same tolerance the model-vs-engine benchmark enforces
     mean_obs = sum(r.observed for r in records) / len(records)
     assert abs(mean_obs - predicted) <= 0.30 * predicted + 2
-
-
-def test_drift_lands_in_monitor_report():
-    cfg = WorkloadConfig(strategy="none", **_CONFIG)
-    mdb = build_model_database(cfg)
-    rng = random.Random(1)
-    run_read_query(mdb, rng)
-    report = mdb.db.monitor.report()
-    assert "model-vs-actual drift" in report
-    assert "none" in report
 
 
 def test_model_prediction_rejects_unknown_kind():

@@ -327,6 +327,6 @@ def test_batched_read_drift_under_15_percent(strategy):
     rng = random.Random(cfg.seed + 1)
     for __ in range(6):
         run_read_query(mdb, rng)
-    drift = mdb.db.telemetry.drift
+    drift = mdb.drift
     assert len(drift.select(kind="read", strategy=strategy)) == 6
     assert drift.mean_rel_error("read", strategy) < 0.15

@@ -145,7 +145,7 @@ def _served() -> list:
     assert len(telemetry.slowlog) == len(_SCRIPT)
     assert sum(entry["calls"] for entry in telemetry.statements.entries()) \
         == len(_SCRIPT)
-    assert len(telemetry.repledger) == 1
+    assert len(db.monitor.ledger()) == 1
     assert telemetry.waits.snapshot()["coverage"] >= 0.95
     return page_io
 

@@ -1,17 +1,18 @@
-"""The replication cost/benefit ledger: unit accounting, the engine's
-charge/credit wiring, and the monitor's measured keep/drop ranking."""
+"""The replication ledger: each replicated path's account in the workload
+monitor (reads served, propagating statements, owners, referencers), the
+engine's one count per statement, and the Section 6 model's keep/drop
+verdict priced from it when it is read."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro import Database, TypeDefinition, char_field, int_field, ref_field
-from repro.costmodel.sortedprobe import sorted_probe_pages
-from repro.monitor import apply_recommendations
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.repledger import (
-    ReplicationLedger,
-    counterfactual_hop_pages,
-    counterfactual_join_pages,
-)
+from repro.costmodel.advisor import MIN_WORTHWHILE_SAVING
+from repro.costmodel.model import Setting, percent_difference
+from repro.costmodel.params import CostParameters, ModelStrategy
+from repro.monitor import WorkloadMonitor, apply_recommendations
+from repro.replication.spec import Strategy
 
 
 def _build(depts=4, emps=48):
@@ -31,172 +32,232 @@ def _build(depts=4, emps=48):
     return db
 
 
+def _account(db, path_text):
+    (row,) = [r for r in db.monitor.ledger() if r["path"] == path_text]
+    return row
+
+
+def _model(strategy, p_update, f):
+    """The monitor's defaults: f_r = f_s = 0.001, n_s = 10,000, unclustered."""
+    return percent_difference(CostParameters(n_s=10_000, f=f, f_r=0.001,
+                                             f_s=0.001),
+                              strategy, Setting.UNCLUSTERED, p_update)
+
+
 # ---------------------------------------------------------------------------
-# unit accounting
+# the account itself
 # ---------------------------------------------------------------------------
 
 
 def test_charge_credit_net_and_entry_order():
-    registry = MetricsRegistry()
-    ledger = ReplicationLedger(metrics=registry)
-    ledger.charge("Emp.dept.name", 2.0, fanout=12)
-    ledger.charge("Emp.dept.name", 2.0, fanout=12)
-    ledger.credit("Emp.dept.name", 1.0, rows=48)
-    ledger.credit("Emp.dept.org.name", 9.0, rows=10)
-    assert ledger.net("Emp.dept.name") == pytest.approx(-3.0)
-    assert ledger.net("Emp.dept.org.name") == pytest.approx(9.0)
-    assert ledger.net("never.seen") == 0.0
-    entries = ledger.entries()
-    # best net benefit first
-    assert [e["path"] for e in entries] == \
-        ["Emp.dept.org.name", "Emp.dept.name"]
-    worst = entries[1]
-    assert worst["propagations"] == 2 and worst["fanout"] == 24
-    assert worst["reads_served"] == 1 and worst["rows_served"] == 48
-    assert worst["charged_pages"] == 4.0 and worst["credited_pages"] == 1.0
-    # the registry carries the same totals, labelled by path
-    assert registry.value("replication_ledger_charged_pages_total",
-                          path="Emp.dept.name") == pytest.approx(4.0)
-    assert registry.value("replication_ledger_credited_pages_total",
-                          path="Emp.dept.org.name") == pytest.approx(9.0)
-
-
-def test_forget_clear_and_disable():
-    ledger = ReplicationLedger()
-    ledger.charge("a.b.c", 1.0, fanout=1)
-    ledger.credit("x.y.z", 1.0, rows=1)
-    assert len(ledger) == 2
-    ledger.forget("a.b.c")
-    assert len(ledger) == 1 and ledger.net("a.b.c") == 0.0
-    ledger.enabled = False
-    ledger.charge("x.y.z", 5.0)
-    ledger.credit("x.y.z", 5.0)
-    assert ledger.net("x.y.z") == pytest.approx(1.0)  # unchanged
-    ledger.clear()
-    assert len(ledger) == 0
-    assert "no replication activity" in ledger.render_text()
+    """Propagations and served reads are plain counts; the model prices
+    them when the ledger is read, worst path first."""
+    monitor = WorkloadMonitor()
+    hot = SimpleNamespace(text="Emp.dept.name", strategy=Strategy.IN_PLACE)
+    cold = SimpleNamespace(text="Emp.dept.org.name",
+                           strategy=Strategy.SEPARATE)
+    monitor.record_propagation(hot, owners=1, referencers=12)
+    monitor.record_propagation(hot, owners=2, referencers=24)
+    monitor.record_served(hot, rows=48)
+    monitor.record_served(cold, rows=10)
+    rows = monitor.ledger()
+    assert [r["path"] for r in rows] == ["Emp.dept.name", "Emp.dept.org.name"]
+    worst, best = rows
+    assert (worst["reads"], worst["rows"], worst["updates"], worst["owners"],
+            worst["referencers"]) == (1, 48, 2, 3, 36)
+    assert worst["p_update"] == pytest.approx(2 / 3) and worst["f"] == 12
+    assert worst["percent_vs_none"] == pytest.approx(
+        _model(ModelStrategy.IN_PLACE, 2 / 3, 12))
+    assert worst["verdict"] == "drop"
+    assert best["p_update"] == 0.0 and best["f"] == 1
+    assert best["percent_vs_none"] == pytest.approx(
+        _model(ModelStrategy.SEPARATE, 0.0, 1))
+    # a separate path at f = 1 saves about 1.2 %: short of the bar the
+    # advisor sets for replicating a path at all, so it is not kept either
+    assert -MIN_WORTHWHILE_SAVING < best["percent_vs_none"] < 0
+    assert best["verdict"] == "drop"
+    monitor.forget("Emp.dept.name")
+    assert [r["path"] for r in monitor.ledger()] == ["Emp.dept.org.name"]
+    monitor.reset()
+    assert monitor.ledger() == []
+    assert "no replication activity" in monitor.render_ledger()
 
 
 def test_render_text_table():
-    ledger = ReplicationLedger()
-    ledger.charge("Emp.dept.name", 13.5, fanout=18)
-    ledger.credit("Emp.dept.name", 1.0, rows=48)
-    text = ledger.render_text()
-    assert "Emp.dept.name" in text
-    assert "-12.5" in text
-    assert "net pages" in text
-
-
-def test_counterfactual_pricing_uses_sorted_probe_bound():
     db = _build()
-    dept_pages = db.catalog.get_set("Dept").num_pages()
-    assert dept_pages >= 1
-    # fewer probes than pages: one page per distinct probe
-    assert counterfactual_hop_pages(db, "DEPT", 1) == 1.0
-    # more probes than pages: saturates at the file sweep
-    assert counterfactual_hop_pages(db, "DEPT", 10_000) == float(dept_pages)
-    assert counterfactual_hop_pages(db, "DEPT", 0) == 0.0
-    path = db.replicate("Emp.dept.name")
-    # one forward hop (EMP -> DEPT): join price equals the hop price
-    assert counterfactual_join_pages(db, path, 48) == \
-        counterfactual_hop_pages(db, "DEPT", 48)
+    db.replicate("Emp.dept.name")
+    db.execute('replace (Dept.name = "x") where Dept.budget = 100')
+    db.execute("retrieve (Emp.name, Emp.dept.name)")
+    text = db.monitor.render_ledger()
+    header, line = text.splitlines()
+    for column in ("reads", "rows", "updates", "owners", "refs", "P_update",
+                   "vs none", "verdict", "path"):
+        assert column in header
+    assert line.split()[:7] == ["1", "48", "1", "1", "12", "0.500", "12"]
+    assert line.split()[-2:] == ["drop", "Emp.dept.name"]
 
 
 # ---------------------------------------------------------------------------
-# engine wiring: propagation charges, replicated reads credit
+# engine wiring: one count per statement and path
 # ---------------------------------------------------------------------------
 
 
 def test_propagations_charge_and_replica_reads_credit():
     db = _build()
     db.replicate("Emp.dept.name")
-    ledger = db.telemetry.repledger
     db.execute('replace (Dept.name = "renamed") where Dept.budget = 100')
-    after_write = ledger.entries()
-    assert len(after_write) == 1
-    entry = after_write[0]
+    (entry,) = db.monitor.ledger()
     assert entry["path"] == "Emp.dept.name"
-    assert entry["propagations"] == 1
-    assert entry["fanout"] == 12  # 48 emps / 4 depts
-    assert entry["charged_pages"] > 0
+    assert (entry["updates"], entry["owners"]) == (1, 1)
+    assert entry["referencers"] == 12  # 48 emps / 4 depts
+    assert entry["reads"] == 0
     db.execute("retrieve (Emp.name, Emp.dept.name)")
-    entry = ledger.entries()[0]
-    assert entry["reads_served"] == 1
-    assert entry["rows_served"] == 48
-    assert entry["credited_pages"] > 0
+    entry = _account(db, "Emp.dept.name")
+    assert entry["reads"] == 1
+    assert entry["rows"] == 48
 
 
 def test_a_multi_victim_replace_charges_one_union_push_per_path():
-    """Three Depts renamed by one statement: one charge over the union of
-    their closures, sorted_probe_pages(P_Emp, 36) -- the model's Yao over
-    f_s·|R| -- while the counters still count owners and referencers.  A
-    one-object update is charged as it always was."""
+    """Three Depts renamed by one statement: one propagating statement
+    with 3 owners and 36 referencers (f = 12), pushed once over the union
+    of their closures, while the counters still count owners and
+    referencers.  A one-object update is counted as it always was."""
     db = _build()
     db.replicate("Emp.dept.name")
-    ledger, metrics = db.telemetry.repledger, db.telemetry.metrics
-    emp_pages = db.catalog.get_set("Emp").num_pages()
+    metrics = db.telemetry.metrics
     owners = metrics.value("replication_propagations_total")
     fanout = metrics.value("replication_fanout_total")
     db.execute('replace (Dept.name = "renamed") '
                "where Dept.budget >= 100 and Dept.budget <= 102")
-    (entry,) = ledger.entries()
-    assert entry["propagations"] == 1
-    assert entry["fanout"] == 36
-    union = sorted_probe_pages(emp_pages, 36)
-    assert entry["charged_pages"] == pytest.approx(union)
-    assert union <= 3 * sorted_probe_pages(emp_pages, 12)
+    (entry,) = db.monitor.ledger()
+    assert (entry["updates"], entry["owners"], entry["referencers"]) == \
+        (1, 3, 36)
+    assert entry["f"] == 12
     assert metrics.value("replication_propagations_total") - owners == 3
     assert metrics.value("replication_fanout_total") - fanout == 36
     (last,) = [oid for oid, obj in db.catalog.get_set("Dept").scan()
                if obj.values["budget"] == 103]
     db.update("Dept", last, {"name": "alone"})
-    (entry,) = ledger.entries()
-    assert entry["propagations"] == 2 and entry["fanout"] == 48
-    assert entry["charged_pages"] == pytest.approx(
-        union + sorted_probe_pages(emp_pages, 12))
+    (entry,) = db.monitor.ledger()
+    assert (entry["updates"], entry["owners"], entry["referencers"]) == \
+        (2, 4, 48)
+
+
+def test_a_separate_paths_verdict_is_the_sign_of_the_model():
+    """A separate path counts the referencers sharing each rewritten
+    replica, and its verdict is the sign of the model's separate-strategy
+    percentage at the observed P_update and f."""
+    db = _build()
+    db.replicate("Emp.dept.name", strategy="separate")
+    for i in range(3):
+        db.execute(f'replace (Dept.name = "n{i}") '
+                   "where Dept.budget >= 100 and Dept.budget <= 101")
+    for __ in range(5):
+        db.execute("retrieve (Emp.name, Emp.dept.name)")
+    entry = _account(db, "Emp.dept.name")
+    assert entry["strategy"] == "separate"
+    assert (entry["reads"], entry["updates"], entry["owners"],
+            entry["referencers"]) == (5, 3, 6, 72)
+    percent = _model(ModelStrategy.SEPARATE, 3 / 8, 12)
+    assert entry["percent_vs_none"] == pytest.approx(percent)
+    # well clear of the advisor's 2 % bar, so the sign decides
+    assert percent < -MIN_WORTHWHILE_SAVING
+    assert entry["verdict"] == ("drop" if percent > 0 else "keep")
+    (candidate,) = [c for c in db.monitor.candidates()
+                    if c.percent_vs_none is not None]
+    assert candidate.action == entry["verdict"]
+    assert candidate.estimated_p_update == pytest.approx(3 / 8)
 
 
 def test_where_clause_hidden_reads_credit():
     db = _build()
     db.replicate("Emp.dept.name")
-    ledger = db.telemetry.repledger
     db.execute('retrieve (Emp.name) where Emp.dept.name = "dept1"')
-    entry = ledger.entries()[0]
-    assert entry["reads_served"] == 1
-    assert entry["rows_served"] == 12
-    assert entry["credited_pages"] > 0
-    assert entry["charged_pages"] == 0.0
+    (entry,) = db.monitor.ledger()
+    assert entry["reads"] == 1
+    assert entry["rows"] == 12
+    assert entry["updates"] == 0
+
+
+def test_a_collapsed_ref_path_read_is_counted(company):
+    """A read through a replicated reference (the plan's ``jump`` step)
+    is served by that path."""
+    db = company["db"]
+    db.replicate("Emp1.dept.org")
+    db.execute("retrieve (Emp1.name, Emp1.dept.org.name)")
+    (entry,) = db.monitor.ledger()
+    assert entry["path"] == "Emp1.dept.org"
+    assert (entry["reads"], entry["rows"]) == (1, 6)
+
+
+def test_a_lazy_path_counts_every_invalidating_statement():
+    """A lazy path's update statements only queue their owner; each still
+    counts as a propagating statement, and the refresh before the next
+    read adds the owners and referencers it reached."""
+    db = _build()
+    db.replicate("Emp.dept.name", lazy=True)
+    for i in range(3):
+        db.execute(f'replace (Dept.name = "n{i}") where Dept.budget = 100')
+    entry = _account(db, "Emp.dept.name")
+    assert (entry["updates"], entry["owners"], entry["referencers"]) == \
+        (3, 0, 0)
+    db.execute("retrieve (Emp.name, Emp.dept.name)")
+    entry = _account(db, "Emp.dept.name")
+    # three invalidations of one Dept: one refreshed owner, its 12 Emps
+    assert (entry["reads"], entry["updates"], entry["owners"],
+            entry["referencers"]) == (1, 3, 1, 12)
+    assert entry["p_update"] == pytest.approx(3 / 4) and entry["f"] == 12
+
+
+def test_a_fan_out_beyond_the_models_page_is_priced_at_its_cap():
+    """One Dept shared by more Emps than a model link object can hold:
+    the ledger prices the largest f the model sizes instead of failing,
+    and so do the candidates and the served ``stats`` verb."""
+    from repro.server import connect
+    from repro.server.service import Server
+
+    cap = CostParameters().max_f
+    db = _build(depts=1, emps=cap + 6)
+    db.replicate("Emp.dept.name")
+    db.execute('replace (Dept.name = "wide") where Dept.budget = 100')
+    db.execute("retrieve (Emp.name, Emp.dept.name)")
+    entry = _account(db, "Emp.dept.name")
+    assert (entry["owners"], entry["referencers"]) == (1, cap + 6)
+    assert entry["f"] == cap
+    assert entry["percent_vs_none"] == pytest.approx(
+        _model(ModelStrategy.IN_PLACE, 0.5, cap))
+    assert db.monitor.candidates()[0].path_text == "Emp.dept.name"
+    assert "Emp.dept.name" in db.monitor.report()
+    server = Server(db, max_connections=2).start()
+    try:
+        with connect(*server.address) as client:
+            (row,) = client.stats()["ledger"]
+            assert row["f"] == cap
+            assert client.execute("retrieve (Emp.name) "
+                                  'where Emp.dept.name = "wide"').rows
+    finally:
+        server.shutdown()
 
 
 def test_unreplicated_joins_are_not_credited():
     db = _build()
     db.execute("retrieve (Emp.name, Emp.dept.name)")
-    assert len(db.telemetry.repledger) == 0
-
-
-def test_disabled_ledger_records_nothing():
-    db = _build()
-    db.replicate("Emp.dept.name")
-    db.telemetry.repledger.enabled = False
-    db.execute('replace (Dept.name = "x") where Dept.budget = 100')
-    db.execute("retrieve (Emp.name, Emp.dept.name)")
-    assert len(db.telemetry.repledger) == 0
+    assert db.monitor.ledger() == []
 
 
 def test_drop_replication_settles_the_account():
     db = _build()
     db.replicate("Emp.dept.name")
     db.execute('replace (Dept.name = "x") where Dept.budget = 100')
-    assert db.telemetry.repledger.net("Emp.dept.name") < 0
+    assert _account(db, "Emp.dept.name")["verdict"] == "drop"
     from repro.schema.parser import execute_ddl
 
     execute_ddl(db, "drop replicate Emp.dept.name")
-    assert db.telemetry.repledger.net("Emp.dept.name") == 0.0
-    assert len(db.telemetry.repledger) == 0
+    assert db.monitor.ledger() == []
 
 
 # ---------------------------------------------------------------------------
-# the monitor consumes the ledger: measured keep/drop ranking
+# the monitor prices the account: keep/drop ranking
 # ---------------------------------------------------------------------------
 
 
@@ -207,17 +268,17 @@ def test_write_heavy_path_becomes_drop_candidate():
         db.execute(f'replace (Dept.name = "n{i}") '
                    f"where Dept.budget = {100 + i % 4}")
     db.execute("retrieve (Emp.name, Emp.dept.name)")
-    assert db.telemetry.repledger.net("Emp.dept.name") < 0
+    assert _account(db, "Emp.dept.name")["verdict"] == "drop"
     candidates = db.monitor.candidates()
     first = candidates[0]
     assert first.action == "drop"
     assert first.path_text == "Emp.dept.name"
-    assert first.measured_net_io < 0
+    assert first.percent_vs_none > 0
     assert first.ddl == "drop replicate Emp.dept.name"
-    # the measured verdict shows up in the monitor report too
+    # the priced verdict shows up in the monitor report too
     report = db.monitor.report()
-    assert "replication ledger (measured net benefit):" in report
-    assert "-> drop" in report
+    assert "replication ledger (Section 6 model" in report
+    assert " drop " in report
     # apply_recommendations never executes keep/drop verdicts -- the
     # drop DDL is surfaced for the operator, not auto-run
     applied = apply_recommendations(db, [first])
@@ -231,12 +292,12 @@ def test_read_heavy_path_becomes_keep_candidate():
     for __ in range(20):
         db.execute("retrieve (Emp.name, Emp.dept.name)")
     db.execute('replace (Dept.name = "x") where Dept.budget = 100')
-    assert db.telemetry.repledger.net("Emp.dept.name") > 0
+    assert _account(db, "Emp.dept.name")["verdict"] == "keep"
     first = db.monitor.candidates()[0]
     assert first.action == "keep"
-    assert first.measured_net_io > 0
+    assert first.percent_vs_none <= 0
     assert first.ddl is None
-    assert "-> keep" in db.monitor.report()
+    assert " keep " in db.monitor.report()
 
 
 def test_measured_candidates_rank_before_nominal_ones():
@@ -247,8 +308,8 @@ def test_measured_candidates_rank_before_nominal_ones():
     db.define_type(TypeDefinition("ORG", [char_field("title", 40)]))
     db.create_set("Org", "ORG")
     candidates = db.monitor.candidates()
-    measured = [c for c in candidates if c.measured_net_io is not None]
-    nominal = [c for c in candidates if c.measured_net_io is None]
+    measured = [c for c in candidates if c.percent_vs_none is not None]
+    nominal = [c for c in candidates if c.percent_vs_none is None]
     assert measured and measured[0] is candidates[0]
     for c in nominal:
         assert candidates.index(c) > candidates.index(measured[-1])

@@ -159,7 +159,8 @@ def test_the_server_runs_no_sampling_layer(company, monkeypatch):
     """No sampler thread, no sampling routes, verb or flags: a started
     server adds only its accept thread, ``/ash``, ``/timeseries`` and
     ``/alerts`` are unknown paths, ``ash`` is an unknown request kind,
-    and ``--sample-interval`` is refused before a database is opened."""
+    and ``--sample-interval`` is refused before a database is opened --
+    as is ``--no-replication``, one of the flags nothing set."""
     before = set(threading.enumerate())
     server = Server(company["db"]).start()
     sidecar = None
@@ -189,6 +190,7 @@ def test_the_server_runs_no_sampling_layer(company, monkeypatch):
         raise AssertionError("a database was opened")
 
     monkeypatch.setattr(server_main, "open_database", opened)
-    with pytest.raises(SystemExit) as exit_info:
-        server_main.main(["--sample-interval", "1"])
-    assert exit_info.value.code == 2
+    for argv in (["--sample-interval", "1"], ["--no-replication"]):
+        with pytest.raises(SystemExit) as exit_info:
+            server_main.main(argv)
+        assert exit_info.value.code == 2

@@ -295,9 +295,10 @@ def test_top_renders_ledger_pane():
         "statements": {"distinct": 1, "evicted": 0,
                        "top": [{"calls": 3, "p95_ms": 1.0, "io_pages": 2,
                                 "rows": 5, "statement": "retrieve (X.y)"}]},
-        "ledger": [{"path": "Emp1.dept.name", "net_pages": -12.5,
-                    "credited_pages": 1.0, "reads_served": 1,
-                    "charged_pages": 13.5, "propagations": 9, "fanout": 18}],
+        "ledger": [{"path": "Emp1.dept.name", "strategy": "inplace",
+                    "reads": 1, "rows": 48, "updates": 9, "owners": 9,
+                    "referencers": 108, "p_update": 0.9, "f": 12,
+                    "percent_vs_none": 712.5, "verdict": "drop"}],
     })
     assert "replication ledger" in frame
-    assert "-12.5" in frame and "Emp1.dept.name" in frame
+    assert "+712.5" in frame and "Emp1.dept.name" in frame

@@ -3,7 +3,8 @@
 import json
 
 from repro import Database
-from repro.telemetry import DriftMonitor, MetricsRegistry, Telemetry, Tracer
+from repro.telemetry import MetricsRegistry, Telemetry, Tracer
+from repro.workloads.drift import DriftMonitor
 from repro.telemetry.metrics import NULL_METRICS
 
 
@@ -234,25 +235,15 @@ def test_drift_zero_prediction_uses_absolute_observation():
     assert rec.rel_error == 3.0
 
 
-def test_monitor_report_includes_drift(company):
-    db = company["db"]
-    db.execute("retrieve (Emp1.dept.name)", materialize=False)
-    assert "drift" not in db.monitor.report()
-    db.telemetry.drift.record("read", "none", 10.0, 11.0)
-    assert "model-vs-actual drift" in db.monitor.report()
-
-
 def test_telemetry_reset_clears_all_three():
     telemetry = Telemetry()
     telemetry.metrics.inc("x")
     telemetry.tracer.enable()
     with telemetry.tracer.span("s"):
         pass
-    telemetry.drift.record("read", "none", 1.0, 1.0)
     telemetry.reset()
     assert telemetry.metrics.value("x") == 0
     assert telemetry.tracer.spans == []
-    assert telemetry.drift.records == []
     assert telemetry.tracer.enabled  # reset keeps the on/off state
 
 

@@ -29,7 +29,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, TypeDefinition, char_field, int_field, ref_field
-from repro.costmodel.sortedprobe import sorted_probe_pages
 from repro.errors import DanglingReferenceError
 from repro.objects import encoding
 from repro.objects.types import FieldDef, FieldKind
@@ -66,9 +65,7 @@ def _per_object_rewrite(self, path, link, oid, changes, owner=None):
             fanout += 1
         span.set("fanout", fanout)
     self._m_fanout.inc(fanout)
-    self.telemetry.repledger.charge(
-        path.text, sorted_probe_pages(source_set.num_pages(), fanout),
-        fanout=fanout)
+    self._count_propagation(path, 1, fanout)
 
 
 def _per_member_rewrite(self, source_set, members, changes):
